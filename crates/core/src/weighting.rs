@@ -272,7 +272,7 @@ impl TimingObjective for DifferentiableTdpWeighting {
         let mut crit = vec![0.0f64; design.num_nets()];
         if wns < 0.0 {
             let graph = self.base.sta.graph();
-            for (i, arc) in graph.arcs().iter().enumerate() {
+            for (i, arc) in graph.arcs().enumerate() {
                 let ArcKind::Net { net, .. } = arc.kind else {
                     continue;
                 };

@@ -219,7 +219,7 @@ fn rc_refresh_legacy(case: &Case, warmup: usize, reps: usize) -> Result<Sample, 
     // unconnected outputs carry their intrinsic delay and are never
     // rewritten by a refresh.
     let mut arc_delay = vec![0.0; graph.num_arcs()];
-    for (i, arc) in graph.arcs().iter().enumerate() {
+    for (i, arc) in graph.arcs().enumerate() {
         if let ArcKind::Cell { intrinsic, .. } = arc.kind {
             if design.pin(arc.to).net.is_none() {
                 arc_delay[i] = intrinsic;

@@ -6,14 +6,27 @@
 //! [`Sta::analyze`] after every placement change of interest, or
 //! [`Sta::analyze_incremental`] when only some cells moved.
 //!
-//! Both propagation passes are **level-synchronized pull kernels**: every
-//! pin computes its own arrival (required) from its incoming (outgoing)
-//! arcs, and all pins of one topological level update concurrently. Each
-//! pin's value is a pure function of the previous levels, so the result
-//! is bit-identical for every thread count — [`Sta::set_threads`] is a
-//! pure speed knob, never a semantics knob.
+//! All of that state is stored in the graph's **rank layout** (see
+//! [`TimingGraph`]): arrival, required and the worst predecessor are
+//! indexed by rank, arc delays by slot, so propagating forward is one walk
+//! `0..num_pins` over contiguous memory and propagating backward is the
+//! same walk reversed. The [`PinId`] / [`ArcId`] accessors translate.
+//!
+//! Both propagation passes are **pull kernels**: every pin computes its
+//! own arrival (required) from its incoming (outgoing) arcs, so a pin's
+//! value is a pure function of lower (higher) ranks. Two drivers run that
+//! one per-pin computation:
+//!
+//! * the **flat pass** evaluates every pin, level by level, all pins of a
+//!   level concurrently — bit-identical for every thread count, so
+//!   [`Sta::set_threads`] is a pure speed knob, never a semantics knob;
+//! * the **dirty sweep** (incremental re-analysis of local churn)
+//!   evaluates only the pins whose bit is set in a rank-indexed bitset,
+//!   lowest rank first, setting the successors' bits whenever a value
+//!   changes by even one bit — the same values a flat pass would
+//!   compute, for the cost of the cone that actually moved.
 
-use crate::graph::{ArcId, ArcKind, BuildGraphError, EndpointKind, SourceKind, TimingGraph};
+use crate::graph::{ArcId, BuildGraphError, EndpointKind, SourceKind, TimingGraph, NO_ARC};
 use crate::rctree::{RcForest, RcOpStats, RcParams, RcSkeleton};
 use netlist::{Design, NetId, PinId, Placement};
 use parx::UnsafeSlice;
@@ -41,6 +54,49 @@ pub struct TimingSummary {
     pub total_endpoints: usize,
 }
 
+/// What [`Sta::analyze_incremental`] has done on one analyzer so far.
+///
+/// Every field is a pure function of the call sequence (designs,
+/// placements, moved cells): the counts **repeat exactly** for a given
+/// input, for every thread count and on every machine, so they can carry
+/// a claim that wall-clock noise would drown.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IncrStats {
+    /// Propagation passes (arrival and required count separately) run as
+    /// a dirty sweep.
+    pub sweeps: u64,
+    /// Propagation passes run as a flat pass over every pin: both passes
+    /// of a near-total dirty set, or the required pass after a clock
+    /// retarget.
+    pub flat_passes: u64,
+    /// Pins the sweeps re-evaluated (a flat pass evaluates every pin and
+    /// is not counted here).
+    pub pins_evaluated: u64,
+    /// Re-evaluated pins whose value changed, i.e. whose neighbours were
+    /// marked in turn.
+    pub pins_changed: u64,
+}
+
+impl IncrStats {
+    fn add(&mut self, other: Self) {
+        self.sweeps += other.sweeps;
+        self.flat_passes += other.flat_passes;
+        self.pins_evaluated += other.pins_evaluated;
+        self.pins_changed += other.pins_changed;
+    }
+
+    /// Counts accumulated since an `earlier` reading of the same analyzer.
+    #[must_use]
+    pub fn since(self, earlier: Self) -> Self {
+        Self {
+            sweeps: self.sweeps - earlier.sweeps,
+            flat_passes: self.flat_passes - earlier.flat_passes,
+            pins_evaluated: self.pins_evaluated - earlier.pins_evaluated,
+            pins_changed: self.pins_changed - earlier.pins_changed,
+        }
+    }
+}
+
 /// A saved copy of an analyzer's placement-dependent state.
 ///
 /// Produced by [`Sta::checkpoint`] and consumed by [`Sta::restore`]; the
@@ -52,7 +108,7 @@ pub struct StaCheckpoint {
     net_load: Vec<f64>,
     arrival: Vec<f64>,
     required: Vec<f64>,
-    worst_pred: Vec<Option<ArcId>>,
+    worst_pred: Vec<u32>,
     endpoint_slacks: Vec<EndpointSlack>,
     seeded_period: f64,
     analyzed: bool,
@@ -75,30 +131,27 @@ pub struct Sta {
     /// Every net id, cached so a full refresh doesn't re-collect it.
     all_nets: Vec<NetId>,
     params: RcParams,
+    /// Delay per arc, indexed by the graph's slot.
     arc_delay: Vec<f64>,
     /// Cached total downstream capacitance per net.
     net_load: Vec<f64>,
+    /// Arrival / required time per pin, indexed by rank.
     arrival: Vec<f64>,
     required: Vec<f64>,
-    /// Worst (latest-arrival) incoming arc per pin, for backtracing.
-    worst_pred: Vec<Option<ArcId>>,
+    /// Slot of the worst (latest-arrival) incoming arc per rank, or
+    /// [`NO_ARC`]; the tree path backtracing walks.
+    worst_pred: Vec<u32>,
     endpoint_slacks: Vec<EndpointSlack>,
-    /// Per-pin source classification (`None` for non-sources), so the
-    /// incremental propagation can recompute any single pin with exactly
-    /// the seed the full kernel would use.
-    source_kind: Vec<Option<SourceKind>>,
-    /// Per-pin endpoint classification, mirror of `source_kind` for the
-    /// backward pass.
-    endpoint_kind: Vec<Option<EndpointKind>>,
     /// Clock period the last required-time pass was seeded with. Every
-    /// endpoint seed depends on it, so a retarget forces a full backward
+    /// endpoint seed depends on it, so a retarget forces a flat backward
     /// pass (`NaN` until the first analysis).
     seeded_period: f64,
-    /// Scratch for the incremental propagation: per-pin dirty flags and
-    /// per-level worklists, retained across calls so steady-state ECO
-    /// updates allocate nothing.
-    dirty_mark: Vec<bool>,
-    level_buckets: Vec<Vec<u32>>,
+    /// Scratch of the incremental re-analysis, retained across calls so a
+    /// steady-state update allocates nothing: the sorted dirty-net list
+    /// and one bit per rank for the sweep.
+    pub(crate) dirty_nets: Vec<NetId>,
+    dirty_bits: Vec<u64>,
+    incr_stats: IncrStats,
     analyzed: bool,
     /// Worker count for RC refresh and propagation (0 = auto). Results
     /// are bit-identical for every value; see the module docs.
@@ -121,6 +174,77 @@ const PARALLEL_MIN_AVG_LEVEL_WIDTH: usize = 16;
 
 /// Below this many refreshed nets, RC-tree reconstruction runs serially.
 const PARALLEL_NET_THRESHOLD: usize = 256;
+
+/// The forward kernel's per-pin computation: the SDC seed of the pin at
+/// rank `r`, then the max over its incoming arcs of
+/// `arrival(from) + delay(arc)`, with the slot that achieved it. In-arcs
+/// are visited in slot (= arc id) order and only a strictly later
+/// candidate replaces the best, so ties always pick the same arc.
+#[inline(always)]
+fn pull_arrival(
+    graph: &TimingGraph,
+    design: &Design,
+    delays: &[f64],
+    r: usize,
+    arrival: impl Fn(usize) -> f64,
+) -> (f64, u32) {
+    let mut best = match graph.source_kind(r) {
+        None => f64::NEG_INFINITY,
+        Some(SourceKind::ClockPin) => 0.0,
+        Some(SourceKind::PrimaryInput) => design.sdc().arrival_at(design.pin(graph.pin_at(r)).cell),
+    };
+    let mut best_slot = NO_ARC;
+    let slots = graph.in_slots(r);
+    let first = slots.start;
+    for (i, (&from, &delay)) in graph.arc_from[slots.clone()]
+        .iter()
+        .zip(&delays[slots])
+        .enumerate()
+    {
+        let cand = arrival(from as usize) + delay;
+        if cand > best {
+            best = cand;
+            best_slot = (first + i) as u32;
+        }
+    }
+    (best, best_slot)
+}
+
+/// The backward kernel's per-pin computation, mirror image of
+/// [`pull_arrival`]: the SDC seed, then the min over outgoing arcs of
+/// `required(to) − delay(arc)`.
+#[inline(always)]
+fn pull_required(
+    graph: &TimingGraph,
+    design: &Design,
+    delays: &[f64],
+    r: usize,
+    required: impl Fn(usize) -> f64,
+) -> f64 {
+    let mut best = match graph.endpoint_kind(r) {
+        None => f64::INFINITY,
+        Some(EndpointKind::FlipFlopData) => design.sdc().clock_period,
+        Some(EndpointKind::PrimaryOutput) => design
+            .sdc()
+            .required_at_output(design.pin(graph.pin_at(r)).cell),
+    };
+    let entries = graph.out_entries(r);
+    for (&to, &slot) in graph.out_to[entries.clone()]
+        .iter()
+        .zip(&graph.out_slot[entries])
+    {
+        let cand = required(to as usize) - delays[slot as usize];
+        if cand < best {
+            best = cand;
+        }
+    }
+    best
+}
+
+#[inline(always)]
+fn set_bit(bits: &mut [u64], rank: u32) {
+    bits[(rank / 64) as usize] |= 1 << (rank % 64);
+}
 
 impl Sta {
     /// Builds an analyzer for `design` with the given wire parasitics.
@@ -148,46 +272,42 @@ impl Sta {
         params: RcParams,
     ) -> Self {
         let num_pins = graph.num_pins();
-        let num_arcs = graph.num_arcs();
-        // Gate arcs driving unconnected outputs never change: delay is the
-        // intrinsic component alone.
-        let mut arc_delay = vec![0.0; num_arcs];
-        for (i, arc) in graph.arcs().iter().enumerate() {
-            if let crate::graph::ArcKind::Cell { intrinsic, .. } = arc.kind {
-                if design.pin(arc.to).net.is_none() {
-                    arc_delay[i] = intrinsic;
-                }
-            }
-        }
-        let mut source_kind = vec![None; num_pins];
-        for &(pin, kind) in graph.sources() {
-            source_kind[pin.index()] = Some(kind);
-        }
-        let mut endpoint_kind = vec![None; num_pins];
-        for &(pin, kind) in graph.endpoints() {
-            endpoint_kind[pin.index()] = Some(kind);
-        }
-        Self {
-            graph,
-            skeleton,
+        let mut sta = Self {
             forest: RcForest::new(design),
             all_nets: design.net_ids().collect(),
             params,
-            arc_delay,
+            arc_delay: vec![0.0; graph.num_arcs()],
             net_load: vec![0.0; design.num_nets()],
             arrival: vec![f64::NEG_INFINITY; num_pins],
             required: vec![f64::INFINITY; num_pins],
-            worst_pred: vec![None; num_pins],
+            worst_pred: vec![NO_ARC; num_pins],
             endpoint_slacks: Vec::new(),
-            source_kind,
-            endpoint_kind,
             seeded_period: f64::NAN,
-            dirty_mark: vec![false; num_pins],
-            level_buckets: Vec::new(),
+            dirty_nets: Vec::new(),
+            dirty_bits: vec![0; num_pins.div_ceil(64)],
+            incr_stats: IncrStats::default(),
             analyzed: false,
             threads: 1,
             rc_refreshes: 0,
             rc_nets_refreshed: 0,
+            graph,
+            skeleton,
+        };
+        for arc in 0..sta.graph.num_cell_arcs() {
+            sta.seed_unconnected_gate_arc(design, ArcId::new(arc));
+        }
+        sta
+    }
+
+    /// A gate arc driving an unconnected output never changes with the
+    /// placement: its delay is the intrinsic component alone, and no
+    /// per-net refresh ever visits it, so it is written here — at
+    /// construction and again when a resize patches the arc.
+    fn seed_unconnected_gate_arc(&mut self, design: &Design, arc: ArcId) {
+        let slot = self.graph.slot_of(arc);
+        let to = self.graph.pin_at(self.graph.arc_to[slot] as usize);
+        if design.pin(to).net.is_none() {
+            self.arc_delay[slot] = self.graph.intrinsic[arc.index()];
         }
     }
 
@@ -226,8 +346,8 @@ impl Sta {
     }
 
     /// Rolls the analysis state back to `checkpoint`, taken earlier from
-    /// this analyzer (or one sharing the same graph). Reuses the existing
-    /// allocations.
+    /// this analyzer (or one sharing the same graph, whose rank layout
+    /// the saved arrays are in). Reuses the existing allocations.
     ///
     /// # Panics
     ///
@@ -312,32 +432,27 @@ impl Sta {
         self.rc_refreshes += 1;
         self.rc_nets_refreshed += nets.len() as u64;
         crate::rctree::count_refresh(nets.len());
-        let skeleton = Arc::clone(&self.skeleton);
         self.forest
-            .refresh(design, placement, nets, &params, &skeleton, workers);
-        let graph = Arc::clone(&self.graph);
-        let forest = &self.forest;
+            .refresh(design, placement, nets, &params, &self.skeleton, workers);
+        let graph = &*self.graph;
         for &net in nets {
-            let load = forest.net_load(net);
-            let delays = forest.sink_delays(net);
+            let load = self.forest.net_load(net);
             self.net_load[net.index()] = load;
-            let driver = design.net(net).driver();
             // Wire arcs of this net.
-            for arc in graph.out_arcs(driver) {
-                if let ArcKind::Net { net: n, sink_index } = graph.arc(arc).kind {
-                    if n == net {
-                        self.arc_delay[arc.index()] = delays[sink_index];
-                    }
-                }
+            for (&slot, &delay) in graph
+                .net_arc_slots(net)
+                .iter()
+                .zip(self.forest.sink_delays(net))
+            {
+                self.arc_delay[slot as usize] = delay;
             }
             // The gate arc(s) driving this net see a new load.
-            for arc in graph.in_arcs(driver) {
-                if let ArcKind::Cell {
-                    intrinsic,
-                    drive_resistance,
-                } = graph.arc(arc).kind
-                {
-                    self.arc_delay[arc.index()] = intrinsic + drive_resistance * load;
+            let driver = graph.rank_of(design.net(net).driver());
+            for slot in graph.in_slots(driver) {
+                let arc = graph.arc_id[slot] as usize;
+                if arc < graph.num_cell_arcs() {
+                    self.arc_delay[slot] =
+                        graph.intrinsic[arc] + graph.drive_resistance[arc] * load;
                 }
             }
         }
@@ -353,7 +468,9 @@ impl Sta {
     /// mirroring [`Sta::from_parts`]). Both shared structures are updated
     /// copy-on-write ([`Arc::make_mut`]), so sibling analyzers sharing
     /// the handles — e.g. the cached session the ECO session wraps — keep
-    /// seeing the original design, and no build counter moves.
+    /// seeing the original design, and no build counter moves. The copy
+    /// keeps the rank layout, so this analyzer's rank- and slot-indexed
+    /// state (and any checkpoint of it) stays valid.
     ///
     /// The patch alone does not recompute any delay that depends on a
     /// net: follow up with [`Sta::analyze_incremental`] passing `cell` as
@@ -364,12 +481,7 @@ impl Sta {
         let patched = Arc::make_mut(&mut self.graph).repatch_cell_arcs(design, cell);
         Arc::make_mut(&mut self.skeleton).repatch_cell_caps(design, cell);
         for arc in patched {
-            let a = self.graph.arc(arc);
-            if let ArcKind::Cell { intrinsic, .. } = a.kind {
-                if design.pin(a.to).net.is_none() {
-                    self.arc_delay[arc.index()] = intrinsic;
-                }
-            }
+            self.seed_unconnected_gate_arc(design, arc);
         }
     }
 
@@ -384,6 +496,13 @@ impl Sta {
         }
     }
 
+    /// What the incremental re-analyses of this analyzer have done so
+    /// far: which strategy each propagation pass took and how many pins
+    /// the sweeps touched. See [`IncrStats`] — the counts repeat exactly.
+    pub fn incr_stats(&self) -> IncrStats {
+        self.incr_stats
+    }
+
     /// Reruns both propagation passes and the endpoint-slack collection
     /// against the current arc delays.
     pub(crate) fn repropagate(&mut self, design: &Design) {
@@ -393,183 +512,145 @@ impl Sta {
         self.analyzed = true;
     }
 
-    /// Worklist repropagation after [`Sta::refresh_nets`] rewrote the
-    /// arcs of `dirty_nets` (and [`Sta::apply_resize`] possibly patched
-    /// arcs of `moved_cells`): re-evaluates only the pins downstream
-    /// (arrival) and upstream (required) of the rewritten arcs, level by
-    /// level. Each re-evaluated pin runs exactly the full kernel's
-    /// per-pin computation against neighbor state the full pass would
-    /// also see, so the result is bit-identical to [`Sta::repropagate`].
+    /// The propagation half of [`Sta::analyze_incremental`], after
+    /// [`Sta::refresh_nets`] rewrote the arcs of `self.dirty_nets` (and
+    /// [`Sta::apply_resize`] possibly patched arcs of `moved_cells`).
     ///
-    /// Falls back to the full passes when the dirty cone stops being
-    /// small (the placer moves most cells every iteration — chasing a
-    /// near-total cone through a worklist costs more than the flat
-    /// kernels) and for the backward pass when the clock period changed
-    /// (every endpoint seed depends on it).
+    /// A near-total dirty set — the placer displaces most cells every
+    /// iteration — reruns the flat passes, which spread over the worker
+    /// threads. Local churn runs the dirty sweeps: only the pins
+    /// downstream (arrival) and upstream (required) of a rewritten arc
+    /// are re-evaluated, in rank order, each with exactly the flat
+    /// kernel's per-pin computation against neighbour state the flat pass
+    /// would also see — so both strategies leave the same bits. A sweep
+    /// visits each pin at most once and in memory order, so even a cone
+    /// that turns out to cover the whole graph costs about one serial
+    /// flat pass; there is no budget to trip and nothing to fall back to.
+    /// Only a changed clock period forces the flat backward pass: every
+    /// endpoint seed depends on it.
     pub(crate) fn repropagate_incremental(
         &mut self,
         design: &Design,
-        dirty_nets: &[NetId],
         moved_cells: &[netlist::CellId],
     ) {
-        // Seeds: every pin adjacent to an arc the refresh may have
-        // rewritten — wire arcs of dirty nets, gate arcs into their
-        // drivers (load changed), and every intra-cell arc of the
-        // moved/resized cells (intrinsic or drive changed).
-        let graph = Arc::clone(&self.graph);
-        let mut fwd: Vec<PinId> = Vec::new();
-        let mut bwd: Vec<PinId> = Vec::new();
-        for &net in dirty_nets {
-            let driver = design.net(net).driver();
-            for arc in graph.out_arcs(driver).chain(graph.in_arcs(driver)) {
-                let a = graph.arc(arc);
-                fwd.push(a.to);
-                bwd.push(a.from);
+        let mut stats = IncrStats::default();
+        if self.dirty_nets.len() * 4 >= design.num_nets().max(1) {
+            self.propagate_arrival(design);
+            self.propagate_required(design);
+            stats.flat_passes = 2;
+        } else {
+            self.seed_sweep(design, moved_cells, false);
+            self.sweep_arrival(design, &mut stats);
+            if design.sdc().clock_period.to_bits() != self.seeded_period.to_bits() {
+                self.propagate_required(design);
+                stats.flat_passes = 1;
+            } else {
+                self.seed_sweep(design, moved_cells, true);
+                self.sweep_required(design, &mut stats);
+            }
+        }
+        self.collect_endpoint_slacks();
+        self.analyzed = true;
+        self.incr_stats.add(stats);
+        if tdp_trace::enabled() {
+            tdp_trace::count("sta.incremental.sweeps", "sta", stats.sweeps);
+            tdp_trace::count("sta.incremental.flat_passes", "sta", stats.flat_passes);
+            tdp_trace::count(
+                "sta.incremental.pins_evaluated",
+                "sta",
+                stats.pins_evaluated,
+            );
+            tdp_trace::count("sta.incremental.pins_changed", "sta", stats.pins_changed);
+        }
+    }
+
+    /// Sets the sweep bit of every pin adjacent to an arc the refresh may
+    /// have rewritten — wire arcs of dirty nets, gate arcs into their
+    /// drivers (load changed), and every arc into a pin of the
+    /// moved/resized cells (intrinsic or drive changed): the arc's
+    /// destination for the forward sweep, its source when `rev`.
+    fn seed_sweep(&mut self, design: &Design, moved_cells: &[netlist::CellId], rev: bool) {
+        let graph = &*self.graph;
+        let bits = &mut self.dirty_bits[..];
+        let seed_in_arcs = |bits: &mut [u64], rank: usize| {
+            let slots = graph.in_slots(rank);
+            if rev {
+                for &from in &graph.arc_from[slots] {
+                    set_bit(bits, from);
+                }
+            } else if !slots.is_empty() {
+                set_bit(bits, rank as u32);
+            }
+        };
+        for &net in &self.dirty_nets {
+            let driver = graph.rank_of(design.net(net).driver());
+            seed_in_arcs(bits, driver);
+            let entries = graph.out_entries(driver);
+            if !rev {
+                for &to in &graph.out_to[entries] {
+                    set_bit(bits, to);
+                }
+            } else if !entries.is_empty() {
+                set_bit(bits, driver as u32);
             }
         }
         for &cell in moved_cells {
             for &pin in &design.cell(cell).pins {
-                for arc in graph.in_arcs(pin) {
-                    let a = graph.arc(arc);
-                    fwd.push(a.to);
-                    bwd.push(a.from);
-                }
+                seed_in_arcs(bits, graph.rank_of(pin));
             }
         }
-
-        let budget = graph.num_pins() / 4;
-        if !self.try_propagate_incremental(design, &fwd, false, budget) {
-            self.propagate_arrival(design);
-        }
-        let period_changed = design.sdc().clock_period.to_bits() != self.seeded_period.to_bits();
-        if period_changed || !self.try_propagate_incremental(design, &bwd, true, budget) {
-            self.propagate_required(design);
-        }
-        self.collect_endpoint_slacks();
-        self.analyzed = true;
     }
 
-    /// One direction of the worklist propagation: `rev == false` updates
-    /// arrivals (ascending levels), `rev == true` updates required times
-    /// (descending levels). Returns `false` — leaving the pass to the
-    /// full kernel — once more than `budget` pins have been queued; the
-    /// full pass rewrites every pin, so a partially-updated array is
-    /// never observed.
-    fn try_propagate_incremental(
-        &mut self,
-        design: &Design,
-        seeds: &[PinId],
-        rev: bool,
-        budget: usize,
-    ) -> bool {
-        let graph = Arc::clone(&self.graph);
-        let num_levels = graph.num_levels();
-        if self.level_buckets.len() < num_levels {
-            self.level_buckets.resize_with(num_levels, Vec::new);
-        }
-        let mut queued = 0usize;
-        for &p in seeds {
-            if !self.dirty_mark[p.index()] {
-                self.dirty_mark[p.index()] = true;
-                self.level_buckets[graph.level_of(p) as usize].push(p.index() as u32);
-                queued += 1;
-            }
-        }
-        let levels: Box<dyn Iterator<Item = usize>> = if rev {
-            Box::new((0..num_levels).rev())
-        } else {
-            Box::new(0..num_levels)
-        };
-        let mut overflow = false;
-        for l in levels {
-            if queued > budget {
-                overflow = true;
-                break;
-            }
-            let bucket = std::mem::take(&mut self.level_buckets[l]);
-            for &pu in &bucket {
-                let p = PinId::new(pu as usize);
-                self.dirty_mark[pu as usize] = false;
-                let changed = if rev {
-                    // The full kernel's per-pin computation: seed, then
-                    // min over outgoing arcs.
-                    let mut best = match self.endpoint_kind[pu as usize] {
-                        Some(EndpointKind::FlipFlopData) => design.sdc().clock_period,
-                        Some(EndpointKind::PrimaryOutput) => {
-                            design.sdc().required_at_output(design.pin(p).cell)
-                        }
-                        None => f64::INFINITY,
-                    };
-                    for arc in graph.out_arcs(p) {
-                        let to = graph.arc(arc).to;
-                        let cand = self.required[to.index()] - self.arc_delay[arc.index()];
-                        if cand < best {
-                            best = cand;
-                        }
-                    }
-                    let changed = best.to_bits() != self.required[pu as usize].to_bits();
-                    self.required[pu as usize] = best;
-                    changed
-                } else {
-                    // Mirror image: seed, then max over incoming arcs,
-                    // tracking the worst predecessor.
-                    let mut best = match self.source_kind[pu as usize] {
-                        Some(SourceKind::PrimaryInput) => {
-                            design.sdc().arrival_at(design.pin(p).cell)
-                        }
-                        Some(SourceKind::ClockPin) => 0.0,
-                        None => f64::NEG_INFINITY,
-                    };
-                    let mut best_arc = None;
-                    for arc in graph.in_arcs(p) {
-                        let from = graph.arc(arc).from;
-                        let cand = self.arrival[from.index()] + self.arc_delay[arc.index()];
-                        if cand > best {
-                            best = cand;
-                            best_arc = Some(arc);
-                        }
-                    }
-                    let changed = best.to_bits() != self.arrival[pu as usize].to_bits();
-                    self.arrival[pu as usize] = best;
-                    self.worst_pred[pu as usize] = best_arc;
-                    changed
-                };
-                if changed && rev {
-                    for arc in graph.in_arcs(p) {
-                        let n = graph.arc(arc).from;
-                        if !self.dirty_mark[n.index()] {
-                            self.dirty_mark[n.index()] = true;
-                            self.level_buckets[graph.level_of(n) as usize].push(n.index() as u32);
-                            queued += 1;
-                        }
-                    }
-                } else if changed {
-                    for arc in graph.out_arcs(p) {
-                        let n = graph.arc(arc).to;
-                        if !self.dirty_mark[n.index()] {
-                            self.dirty_mark[n.index()] = true;
-                            self.level_buckets[graph.level_of(n) as usize].push(n.index() as u32);
-                            queued += 1;
-                        }
+    /// Forward dirty sweep: evaluates the set ranks in ascending order.
+    /// A changed pin only ever sets bits of higher ranks, so re-reading
+    /// the current word picks up successors that share it.
+    fn sweep_arrival(&mut self, design: &Design, stats: &mut IncrStats) {
+        let graph = &*self.graph;
+        stats.sweeps += 1;
+        for w in 0..self.dirty_bits.len() {
+            while self.dirty_bits[w] != 0 {
+                let word = self.dirty_bits[w];
+                self.dirty_bits[w] = word & (word - 1);
+                let r = w * 64 + word.trailing_zeros() as usize;
+                let (best, slot) =
+                    pull_arrival(graph, design, &self.arc_delay, r, |i| self.arrival[i]);
+                let changed = best.to_bits() != self.arrival[r].to_bits();
+                self.arrival[r] = best;
+                self.worst_pred[r] = slot;
+                stats.pins_evaluated += 1;
+                if changed {
+                    stats.pins_changed += 1;
+                    for &to in &graph.out_to[graph.out_entries(r)] {
+                        set_bit(&mut self.dirty_bits, to);
                     }
                 }
             }
-            // Keep the bucket's allocation for the next pass.
-            let slot = &mut self.level_buckets[l];
-            debug_assert!(slot.is_empty());
-            *slot = bucket;
-            slot.clear();
         }
-        if overflow {
-            for bucket in &mut self.level_buckets {
-                for &pu in bucket.iter() {
-                    self.dirty_mark[pu as usize] = false;
+    }
+
+    /// Backward dirty sweep: the set ranks in descending order, marking
+    /// the (lower-ranked) sources of a changed pin's incoming arcs.
+    fn sweep_required(&mut self, design: &Design, stats: &mut IncrStats) {
+        let graph = &*self.graph;
+        stats.sweeps += 1;
+        for w in (0..self.dirty_bits.len()).rev() {
+            while self.dirty_bits[w] != 0 {
+                let word = self.dirty_bits[w];
+                let bit = 63 - word.leading_zeros() as usize;
+                self.dirty_bits[w] = word & !(1 << bit);
+                let r = w * 64 + bit;
+                let best = pull_required(graph, design, &self.arc_delay, r, |i| self.required[i]);
+                let changed = best.to_bits() != self.required[r].to_bits();
+                self.required[r] = best;
+                stats.pins_evaluated += 1;
+                if changed {
+                    stats.pins_changed += 1;
+                    for &from in &graph.arc_from[graph.in_slots(r)] {
+                        set_bit(&mut self.dirty_bits, from);
+                    }
                 }
-                bucket.clear();
             }
-            return false;
         }
-        true
     }
 
     /// Total downstream capacitance the driver of `net` sees, as of the
@@ -599,82 +680,46 @@ impl Sta {
         }
     }
 
-    /// Forward pass, as a pull kernel: each pin takes the max over its
-    /// incoming arcs of `arrival(from) + delay(arc)`, seeded with the SDC
-    /// arrival at sources. Pins within a topological level only read
-    /// lower-level state, so a level's pins update concurrently; `max`
-    /// over the same operands is exact in floating point, making the
-    /// result independent of the worker count.
+    /// Flat forward pass: [`pull_arrival`] for every pin. Pins within a
+    /// topological level only read lower-level state, so a level's pins
+    /// update concurrently; `max` over the same operands is exact in
+    /// floating point, making the result independent of the worker
+    /// count.
     fn propagate_arrival(&mut self, design: &Design) {
         let _span = tdp_trace::span("sta.arrival", "sta");
-        self.arrival.fill(f64::NEG_INFINITY);
-        self.worst_pred.fill(None);
-        for &(pin, kind) in self.graph.sources() {
-            let arr = match kind {
-                SourceKind::PrimaryInput => design.sdc().arrival_at(design.pin(pin).cell),
-                SourceKind::ClockPin => 0.0,
-            };
-            self.arrival[pin.index()] = arr;
-        }
         let workers = self.propagation_workers();
-        let graph = &self.graph;
+        let graph = &*self.graph;
         let delays = &self.arc_delay;
         let arrival = UnsafeSlice::new(&mut self.arrival);
         let pred = UnsafeSlice::new(&mut self.worst_pred);
-        run_levels(workers, graph, false, |p| {
-            // SAFETY: `p` belongs to the current level, written only by
-            // this closure invocation; predecessors are in lower levels,
-            // finalized before the level barrier.
-            let mut best = unsafe { arrival.read(p.index()) };
-            let mut best_arc = None;
-            for arc in graph.in_arcs(p) {
-                let from = graph.arc(arc).from;
-                let cand = unsafe { arrival.read(from.index()) } + delays[arc.index()];
-                if cand > best {
-                    best = cand;
-                    best_arc = Some(arc);
-                }
-            }
+        run_levels(workers, graph, false, |r| {
+            // SAFETY: rank `r` belongs to the current level and is
+            // written only by this closure invocation; predecessors are
+            // in lower levels, finalized before the level barrier.
+            let (best, slot) =
+                pull_arrival(graph, design, delays, r, |i| unsafe { arrival.read(i) });
             unsafe {
-                arrival.write(p.index(), best);
-                pred.write(p.index(), best_arc);
+                arrival.write(r, best);
+                pred.write(r, slot);
             }
         });
     }
 
-    /// Backward pass, as a pull kernel: each pin takes the min over its
-    /// outgoing arcs of `required(to) − delay(arc)`, seeded with the SDC
-    /// required time at endpoints. Levels run in descending order; the
-    /// same determinism argument as [`Sta::propagate_arrival`] applies.
+    /// Flat backward pass: [`pull_required`] for every pin, levels in
+    /// descending order; the same determinism argument as
+    /// [`Sta::propagate_arrival`] applies.
     fn propagate_required(&mut self, design: &Design) {
         let _span = tdp_trace::span("sta.required", "sta");
         self.seeded_period = design.sdc().clock_period;
-        self.required.fill(f64::INFINITY);
-        for &(pin, kind) in self.graph.endpoints() {
-            let req = match kind {
-                EndpointKind::FlipFlopData => design.sdc().clock_period,
-                EndpointKind::PrimaryOutput => {
-                    design.sdc().required_at_output(design.pin(pin).cell)
-                }
-            };
-            self.required[pin.index()] = self.required[pin.index()].min(req);
-        }
         let workers = self.propagation_workers();
-        let graph = &self.graph;
+        let graph = &*self.graph;
         let delays = &self.arc_delay;
         let required = UnsafeSlice::new(&mut self.required);
-        run_levels(workers, graph, true, |p| {
+        run_levels(workers, graph, true, |r| {
             // SAFETY: mirror image of the forward pass — successors live
             // in higher levels, finalized before this one runs.
-            let mut best = unsafe { required.read(p.index()) };
-            for arc in graph.out_arcs(p) {
-                let to = graph.arc(arc).to;
-                let cand = unsafe { required.read(to.index()) } - delays[arc.index()];
-                if cand < best {
-                    best = cand;
-                }
-            }
-            unsafe { required.write(p.index(), best) };
+            let best = pull_required(graph, design, delays, r, |i| unsafe { required.read(i) });
+            unsafe { required.write(r, best) };
         });
     }
 
@@ -686,6 +731,8 @@ impl Sta {
                 self.endpoint_slacks.push(EndpointSlack { pin, slack });
             }
         }
+        // Stable: endpoints of equal slack keep their design order, which
+        // every consumer's result bits depend on.
         self.endpoint_slacks
             .sort_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slacks"));
     }
@@ -697,13 +744,19 @@ impl Sta {
 
     /// Arrival time at a pin, if it is reachable from a source.
     pub fn arrival(&self, pin: PinId) -> Option<f64> {
-        let a = self.arrival[pin.index()];
+        self.arrival_at_rank(self.graph.rank_of(pin))
+    }
+
+    /// [`Sta::arrival`] by rank.
+    #[inline]
+    pub(crate) fn arrival_at_rank(&self, rank: usize) -> Option<f64> {
+        let a = self.arrival[rank];
         (a != f64::NEG_INFINITY).then_some(a)
     }
 
     /// Required time at a pin, if it reaches an endpoint.
     pub fn required(&self, pin: PinId) -> Option<f64> {
-        let r = self.required[pin.index()];
+        let r = self.required[self.graph.rank_of(pin)];
         (r != f64::INFINITY).then_some(r)
     }
 
@@ -717,12 +770,25 @@ impl Sta {
 
     /// Delay currently assigned to an arc.
     pub fn arc_delay(&self, arc: ArcId) -> f64 {
-        self.arc_delay[arc.index()]
+        self.arc_delay[self.graph.slot_of(arc)]
+    }
+
+    /// Delay of the arc in `slot`.
+    #[inline]
+    pub(crate) fn slot_delay(&self, slot: u32) -> f64 {
+        self.arc_delay[slot as usize]
     }
 
     /// The worst (latest) incoming arc of a pin, if any.
     pub fn worst_pred(&self, pin: PinId) -> Option<ArcId> {
-        self.worst_pred[pin.index()]
+        let slot = self.worst_pred[self.graph.rank_of(pin)];
+        (slot != NO_ARC).then(|| self.graph.arc_at(slot))
+    }
+
+    /// Slot of the worst incoming arc of the pin at `rank`, or [`NO_ARC`].
+    #[inline]
+    pub(crate) fn worst_pred_slot(&self, rank: usize) -> u32 {
+        self.worst_pred[rank]
     }
 
     /// Endpoint slacks sorted ascending (most critical first).
@@ -751,14 +817,15 @@ impl Sta {
     }
 }
 
-/// Executes `kernel` for every pin, one topological level at a time
+/// Executes `kernel` for every rank, one topological level at a time
 /// (descending when `rev`), with all pins of a level processed
 /// concurrently across `workers` threads.
 ///
 /// Each worker takes a contiguous, statically computed slice of the
-/// level's pin list; a barrier separates levels. With one worker the
-/// loop runs inline — same pins, same per-pin computation, so the serial
-/// and parallel paths are the same algorithm by construction.
+/// level's ranks; a barrier separates levels. With one worker the loop
+/// runs inline over the whole rank order — same pins, same per-pin
+/// computation, so the serial and parallel paths are the same algorithm
+/// by construction.
 ///
 /// A panic inside `kernel` is caught on whichever worker hit it, every
 /// worker exits at the next barrier, and the payload is rethrown on the
@@ -767,15 +834,14 @@ impl Sta {
 /// hang instead of crashing with the panic message.
 fn run_levels<F>(workers: usize, graph: &TimingGraph, rev: bool, kernel: F)
 where
-    F: Fn(PinId) + Sync,
+    F: Fn(usize) + Sync,
 {
     let num_levels = graph.num_levels();
     if workers <= 1 {
-        for l in 0..num_levels {
-            let l = if rev { num_levels - 1 - l } else { l };
-            for &pin in graph.level_pins(l) {
-                kernel(pin);
-            }
+        if rev {
+            (0..graph.num_pins()).rev().for_each(kernel);
+        } else {
+            (0..graph.num_pins()).for_each(kernel);
         }
         return;
     }
@@ -786,14 +852,12 @@ where
     let worker = |tid: usize| {
         for l in 0..num_levels {
             let l = if rev { num_levels - 1 - l } else { l };
-            let pins = graph.level_pins(l);
-            let per = pins.len().div_ceil(workers);
-            let lo = (tid * per).min(pins.len());
-            let hi = (lo + per).min(pins.len());
+            let ranks = graph.level_ranks(l);
+            let per = ranks.len().div_ceil(workers);
+            let lo = (ranks.start + tid * per).min(ranks.end);
+            let hi = (lo + per).min(ranks.end);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for &pin in &pins[lo..hi] {
-                    kernel(pin);
-                }
+                (lo..hi).for_each(&kernel);
             }));
             if let Err(p) = result {
                 panicked.store(true, std::sync::atomic::Ordering::Release);

@@ -11,11 +11,14 @@
 //! Sources are primary-input pads and flip-flop clock pins (ideal clock);
 //! endpoints are flip-flop data pins and primary-output pads. The graph is
 //! levelized once at construction; delays change with placement but the
-//! topology does not.
+//! topology does not. Because it does not, the graph is stored in the
+//! order the propagation passes walk it — the level-ordered *rank layout*
+//! described on [`TimingGraph`].
 
 use netlist::{CellId, Design, NetId, PinDirection, PinId};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Index of an arc in the timing graph.
@@ -112,31 +115,77 @@ impl fmt::Display for BuildGraphError {
 
 impl Error for BuildGraphError {}
 
+/// Marker for "no arc" in slot-valued tables (e.g. a pin without a worst
+/// predecessor).
+pub(crate) const NO_ARC: u32 = u32::MAX;
+
+// Per-rank role flags: which SDC seed a pin's arrival / required starts
+// from. One byte per pin, read by both propagation kernels.
+const ROLE_PRIMARY_INPUT: u8 = 1;
+const ROLE_CLOCK_PIN: u8 = 2;
+const ROLE_FLIP_FLOP_DATA: u8 = 4;
+const ROLE_PRIMARY_OUTPUT: u8 = 8;
+
 /// The static timing graph of a design.
 ///
 /// Built once per design; placement changes only affect arc delays, which
 /// live in [`crate::Sta`], not here.
+///
+/// # Layout
+///
+/// Everything the propagation kernels touch is stored in **rank order**.
+/// A pin's *rank* is its position in the level-major pin order (levels
+/// ascending, pin index ascending within a level), so every arc goes from
+/// a lower rank to a higher one and "all pins in topological order" is
+/// the loop `0..num_pins`. An arc's *slot* is its position in the arc
+/// order sorted by destination rank (ties by [`ArcId`]): the arcs
+/// entering rank `r` are the contiguous slots
+/// `in_start[r]..in_start[r + 1]`, so a forward sweep over ranks reads
+/// `arc_from`, the per-slot delays and the rank-indexed arrival array
+/// front to back, and a backward sweep reads `out_to` / `out_slot` back
+/// to front. The public [`PinId`] / [`ArcId`] accessors map through
+/// `rank_of` / `slot_of`; [`ArcId`]s stay in construction order (cell
+/// arcs first, then net arcs net by net), and within one pin both the
+/// in-arc and the out-arc visiting order is ascending [`ArcId`].
 #[derive(Debug, Clone)]
 pub struct TimingGraph {
-    arcs: Vec<TimingArc>,
-    // CSR adjacency: arcs leaving / entering each pin.
-    out_start: Vec<u32>,
-    out_arcs: Vec<u32>,
+    /// Slot → rank of the arc's source pin.
+    pub(crate) arc_from: Vec<u32>,
+    /// Slot → rank of the arc's destination pin.
+    pub(crate) arc_to: Vec<u32>,
+    /// Slot → public arc id.
+    pub(crate) arc_id: Vec<u32>,
+    /// Public arc id → slot.
+    pub(crate) slot_of: Vec<u32>,
+    /// Gate-arc parameters, indexed by arc id (cell arcs come first).
+    pub(crate) intrinsic: Vec<f64>,
+    pub(crate) drive_resistance: Vec<f64>,
+    /// Net of each net arc, indexed by `arc id − number of cell arcs`.
+    arc_net: Vec<NetId>,
+    /// Net → index (among net arcs) of its first sink's arc; the arc of
+    /// sink `k` follows at `+k`. One entry per net plus a sentinel.
+    net_arc_start: Vec<u32>,
+    /// Rank → first slot entering it (plus a sentinel).
     in_start: Vec<u32>,
-    in_arcs: Vec<u32>,
-    /// Pins in a topological order (every arc goes forward in this order).
-    topo_order: Vec<PinId>,
-    /// Topological level per pin: 0 for pins with no incoming arcs,
-    /// otherwise `1 + max(level of predecessors)`.
-    level_of: Vec<u32>,
-    /// Pins grouped by level, sorted by pin index within a level; the
-    /// unit of parallelism for level-synchronized propagation.
-    level_pins: Vec<PinId>,
-    /// CSR offsets into `level_pins`, one entry per level plus a sentinel.
+    /// Rank → first entry of its out-arc list (plus a sentinel).
+    out_start: Vec<u32>,
+    /// Out-list entry → slot of the arc.
+    pub(crate) out_slot: Vec<u32>,
+    /// Out-list entry → rank of the arc's destination pin.
+    pub(crate) out_to: Vec<u32>,
+    /// Pin index → rank.
+    rank_of: Vec<u32>,
+    /// Rank → pin: pins grouped by level, sorted by pin index within a
+    /// level. Also a topological order.
+    pin_at: Vec<PinId>,
+    /// Rank → `ROLE_*` flags.
+    role: Vec<u8>,
+    /// Offsets into the rank order, one entry per level plus a sentinel;
+    /// a level is the unit of parallelism for level-synchronized
+    /// propagation.
     level_starts: Vec<u32>,
     sources: Vec<(PinId, SourceKind)>,
     endpoints: Vec<(PinId, EndpointKind)>,
-    num_pins: usize,
 }
 
 /// Process-wide count of [`TimingGraph::build`] calls.
@@ -162,89 +211,108 @@ impl TimingGraph {
     pub fn build(design: &Design) -> Result<Self, BuildGraphError> {
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
         let num_pins = design.num_pins();
-        let mut arcs: Vec<TimingArc> = Vec::new();
 
-        // Cell arcs.
+        // Arc endpoints by pin index, in arc-id order: cell arcs, then net
+        // arcs (driver -> each sink) net by net.
+        let mut from_pin: Vec<u32> = Vec::new();
+        let mut to_pin: Vec<u32> = Vec::new();
+        let mut intrinsic = Vec::new();
+        let mut drive_resistance = Vec::new();
         for cell in design.cell_ids() {
             let c = design.cell(cell);
-            let ty = design.library().get(c.type_id);
-            for spec in &ty.arcs {
-                arcs.push(TimingArc {
-                    from: c.pins[spec.from_pin],
-                    to: c.pins[spec.to_pin],
-                    kind: ArcKind::Cell {
-                        intrinsic: spec.intrinsic,
-                        drive_resistance: spec.drive_resistance,
-                    },
-                });
+            for spec in &design.library().get(c.type_id).arcs {
+                from_pin.push(c.pins[spec.from_pin].index() as u32);
+                to_pin.push(c.pins[spec.to_pin].index() as u32);
+                intrinsic.push(spec.intrinsic);
+                drive_resistance.push(spec.drive_resistance);
             }
         }
-
-        // Net arcs (driver -> each sink).
+        let mut arc_net = Vec::new();
+        let mut net_arc_start = Vec::with_capacity(design.num_nets() + 1);
         for net in design.net_ids() {
             let n = design.net(net);
-            let driver = n.driver();
-            for (sink_index, &sink) in n.sinks().iter().enumerate() {
-                arcs.push(TimingArc {
-                    from: driver,
-                    to: sink,
-                    kind: ArcKind::Net { net, sink_index },
-                });
+            let driver = n.driver().index() as u32;
+            net_arc_start.push(arc_net.len() as u32);
+            for &sink in n.sinks() {
+                from_pin.push(driver);
+                to_pin.push(sink.index() as u32);
+                arc_net.push(net);
             }
         }
+        net_arc_start.push(arc_net.len() as u32);
+        let num_arcs = from_pin.len();
+        assert!(num_arcs < NO_ARC as usize, "arc count overflows u32");
 
-        // CSR adjacency.
-        let (out_start, out_arcs) = build_csr(num_pins, arcs.iter().map(|a| a.from.index()));
-        let (in_start, in_arcs) = build_csr(num_pins, arcs.iter().map(|a| a.to.index()));
-
-        // Kahn levelization; `level_of` is computed alongside so the
-        // propagation passes can run level-synchronized (all pins within a
-        // level are mutually independent).
+        // Kahn levelization over a pin-indexed adjacency that only lives
+        // until the ranks exist: `level_of` is 0 for pins with no incoming
+        // arcs, otherwise `1 + max(level of predecessors)`.
         let mut indegree: Vec<u32> = vec![0; num_pins];
-        for a in &arcs {
-            indegree[a.to.index()] += 1;
+        for &t in &to_pin {
+            indegree[t as usize] += 1;
         }
         let mut level_of: Vec<u32> = vec![0; num_pins];
-        let mut queue: Vec<usize> = (0..num_pins).filter(|&p| indegree[p] == 0).collect();
-        let mut topo_order: Vec<PinId> = Vec::with_capacity(num_pins);
-        let mut head = 0;
-        while head < queue.len() {
-            let p = queue[head];
-            head += 1;
-            topo_order.push(PinId::new(p));
-            for i in out_start[p]..out_start[p + 1] {
-                let arc = &arcs[out_arcs[i as usize] as usize];
-                let t = arc.to.index();
-                level_of[t] = level_of[t].max(level_of[p] + 1);
-                indegree[t] -= 1;
-                if indegree[t] == 0 {
-                    queue.push(t);
+        let mut queue: Vec<u32> = (0..num_pins as u32)
+            .filter(|&p| indegree[p as usize] == 0)
+            .collect();
+        {
+            let (start, table) = build_csr(num_pins, from_pin.iter().map(|&p| p as usize));
+            let mut head = 0;
+            while head < queue.len() {
+                let p = queue[head] as usize;
+                head += 1;
+                for &a in &table[start[p] as usize..start[p + 1] as usize] {
+                    let t = to_pin[a as usize] as usize;
+                    level_of[t] = level_of[t].max(level_of[p] + 1);
+                    indegree[t] -= 1;
+                    if indegree[t] == 0 {
+                        queue.push(t as u32);
+                    }
                 }
             }
         }
-        if topo_order.len() != num_pins {
+        if queue.len() != num_pins {
             let stuck = (0..num_pins).find(|&p| indegree[p] > 0).expect("cycle pin");
             return Err(BuildGraphError::CombinationalCycle {
                 pin: design.pin_label(PinId::new(stuck)),
             });
         }
 
-        // Bucket pins by level (counting sort keeps pins sorted by index
-        // within a level, so the grouping is deterministic).
-        let num_levels = level_of.iter().map(|&l| l as usize + 1).max().unwrap_or(1);
-        let mut level_starts = vec![0u32; num_levels + 1];
-        for &l in &level_of {
-            level_starts[l as usize + 1] += 1;
+        // Rank pins by level (the counting sort keeps pins sorted by index
+        // within a level, so the order is deterministic).
+        let num_levels = level_of.iter().max().map_or(1, |&l| l as usize + 1);
+        let (level_starts, by_level) = build_csr(num_levels, level_of.iter().map(|&l| l as usize));
+        let mut rank_of = vec![0u32; num_pins];
+        for (rank, &p) in by_level.iter().enumerate() {
+            rank_of[p as usize] = rank as u32;
         }
-        for l in 0..num_levels {
-            level_starts[l + 1] += level_starts[l];
+        let pin_at: Vec<PinId> = by_level.iter().map(|&p| PinId::new(p as usize)).collect();
+
+        // Slots: arcs sorted by destination rank, ascending arc id within
+        // a pin. The out-lists are sorted by source rank the same way.
+        let (in_start, arc_id) = build_csr(
+            num_pins,
+            to_pin.iter().map(|&p| rank_of[p as usize] as usize),
+        );
+        let mut slot_of = vec![0u32; num_arcs];
+        for (slot, &a) in arc_id.iter().enumerate() {
+            slot_of[a as usize] = slot as u32;
         }
-        let mut cursor = level_starts.clone();
-        let mut level_pins = vec![PinId::new(0); num_pins];
-        for (p, &l) in level_of.iter().enumerate() {
-            level_pins[cursor[l as usize] as usize] = PinId::new(p);
-            cursor[l as usize] += 1;
+        let arc_from: Vec<u32> = arc_id
+            .iter()
+            .map(|&a| rank_of[from_pin[a as usize] as usize])
+            .collect();
+        let arc_to: Vec<u32> = arc_id
+            .iter()
+            .map(|&a| rank_of[to_pin[a as usize] as usize])
+            .collect();
+        let (out_start, mut out_slot) = build_csr(
+            num_pins,
+            from_pin.iter().map(|&p| rank_of[p as usize] as usize),
+        );
+        for entry in &mut out_slot {
+            *entry = slot_of[*entry as usize];
         }
+        let out_to: Vec<u32> = out_slot.iter().map(|&s| arc_to[s as usize]).collect();
 
         // Sources and endpoints.
         let mut sources = Vec::new();
@@ -271,62 +339,98 @@ impl TimingGraph {
                 }
             }
         }
+        let mut role = vec![0u8; num_pins];
+        for &(pin, kind) in &sources {
+            role[rank_of[pin.index()] as usize] |= match kind {
+                SourceKind::PrimaryInput => ROLE_PRIMARY_INPUT,
+                SourceKind::ClockPin => ROLE_CLOCK_PIN,
+            };
+        }
+        for &(pin, kind) in &endpoints {
+            role[rank_of[pin.index()] as usize] |= match kind {
+                EndpointKind::FlipFlopData => ROLE_FLIP_FLOP_DATA,
+                EndpointKind::PrimaryOutput => ROLE_PRIMARY_OUTPUT,
+            };
+        }
 
         Ok(Self {
-            arcs,
-            out_start,
-            out_arcs,
+            arc_from,
+            arc_to,
+            arc_id,
+            slot_of,
+            intrinsic,
+            drive_resistance,
+            arc_net,
+            net_arc_start,
             in_start,
-            in_arcs,
-            topo_order,
-            level_of,
-            level_pins,
+            out_start,
+            out_slot,
+            out_to,
+            rank_of,
+            pin_at,
+            role,
             level_starts,
             sources,
             endpoints,
-            num_pins,
         })
     }
 
     /// Number of pins (graph nodes).
     pub fn num_pins(&self) -> usize {
-        self.num_pins
+        self.pin_at.len()
     }
 
     /// Number of arcs.
     pub fn num_arcs(&self) -> usize {
-        self.arcs.len()
+        self.arc_id.len()
     }
 
     /// Arc accessor.
-    pub fn arc(&self, id: ArcId) -> &TimingArc {
-        &self.arcs[id.index()]
+    pub fn arc(&self, id: ArcId) -> TimingArc {
+        let slot = self.slot_of[id.index()] as usize;
+        let kind = match id.index().checked_sub(self.num_cell_arcs()) {
+            None => ArcKind::Cell {
+                intrinsic: self.intrinsic[id.index()],
+                drive_resistance: self.drive_resistance[id.index()],
+            },
+            Some(n) => {
+                let net = self.arc_net[n];
+                ArcKind::Net {
+                    net,
+                    sink_index: n - self.net_arc_start[net.index()] as usize,
+                }
+            }
+        };
+        TimingArc {
+            from: self.pin_at[self.arc_from[slot] as usize],
+            to: self.pin_at[self.arc_to[slot] as usize],
+            kind,
+        }
     }
 
-    /// All arcs in construction order.
-    pub fn arcs(&self) -> &[TimingArc] {
-        &self.arcs
+    /// All arcs in construction ([`ArcId`]) order.
+    pub fn arcs(&self) -> impl ExactSizeIterator<Item = TimingArc> + '_ {
+        (0..self.num_arcs()).map(|i| self.arc(ArcId(i as u32)))
     }
 
     /// Arcs leaving a pin.
     pub fn out_arcs(&self, pin: PinId) -> impl Iterator<Item = ArcId> + '_ {
-        let p = pin.index();
-        self.out_arcs[self.out_start[p] as usize..self.out_start[p + 1] as usize]
+        self.out_slot[self.out_entries(self.rank_of(pin))]
             .iter()
-            .map(|&i| ArcId(i))
+            .map(|&s| self.arc_at(s))
     }
 
     /// Arcs entering a pin.
     pub fn in_arcs(&self, pin: PinId) -> impl Iterator<Item = ArcId> + '_ {
-        let p = pin.index();
-        self.in_arcs[self.in_start[p] as usize..self.in_start[p + 1] as usize]
+        self.arc_id[self.in_slots(self.rank_of(pin))]
             .iter()
-            .map(|&i| ArcId(i))
+            .map(|&a| ArcId(a))
     }
 
-    /// Pins in topological order (arc sources before destinations).
+    /// Pins in topological order (arc sources before destinations): the
+    /// rank order.
     pub fn topo_order(&self) -> &[PinId] {
-        &self.topo_order
+        &self.pin_at
     }
 
     /// Number of topological levels.
@@ -336,16 +440,15 @@ impl TimingGraph {
 
     /// Topological level of a pin (0 = no incoming arcs).
     pub fn level_of(&self, pin: PinId) -> u32 {
-        self.level_of[pin.index()]
+        let rank = self.rank_of[pin.index()];
+        self.level_starts.partition_point(|&s| s <= rank) as u32 - 1
     }
 
     /// Pins of one level, sorted by pin index. Every arc into a level-`l`
     /// pin originates at a strictly lower level, so all pins of a level
     /// can be updated concurrently.
     pub fn level_pins(&self, level: usize) -> &[PinId] {
-        let lo = self.level_starts[level] as usize;
-        let hi = self.level_starts[level + 1] as usize;
-        &self.level_pins[lo..hi]
+        &self.pin_at[self.level_ranks(level)]
     }
 
     /// Timing startpoints with their kinds.
@@ -361,6 +464,90 @@ impl TimingGraph {
     /// The cell a source pin's arrival time comes from (for SDC lookup).
     pub fn pin_cell(design: &Design, pin: PinId) -> CellId {
         design.pin(pin).cell
+    }
+
+    /// Number of gate arcs; they are the arc ids below this, net arcs the
+    /// ids from it up.
+    #[inline]
+    pub(crate) fn num_cell_arcs(&self) -> usize {
+        self.intrinsic.len()
+    }
+
+    /// Rank of a pin in the level-major order.
+    #[inline]
+    pub(crate) fn rank_of(&self, pin: PinId) -> usize {
+        self.rank_of[pin.index()] as usize
+    }
+
+    /// The pin at a rank.
+    #[inline]
+    pub(crate) fn pin_at(&self, rank: usize) -> PinId {
+        self.pin_at[rank]
+    }
+
+    /// The public id of the arc in `slot`.
+    #[inline]
+    pub(crate) fn arc_at(&self, slot: u32) -> ArcId {
+        ArcId(self.arc_id[slot as usize])
+    }
+
+    /// The slot holding arc `id`.
+    #[inline]
+    pub(crate) fn slot_of(&self, id: ArcId) -> usize {
+        self.slot_of[id.index()] as usize
+    }
+
+    /// Slots of the arcs entering `rank`.
+    #[inline]
+    pub(crate) fn in_slots(&self, rank: usize) -> Range<usize> {
+        self.in_start[rank] as usize..self.in_start[rank + 1] as usize
+    }
+
+    /// Entries of `out_slot` / `out_to` for the arcs leaving `rank`.
+    #[inline]
+    pub(crate) fn out_entries(&self, rank: usize) -> Range<usize> {
+        self.out_start[rank] as usize..self.out_start[rank + 1] as usize
+    }
+
+    /// Ranks of one level.
+    #[inline]
+    pub(crate) fn level_ranks(&self, level: usize) -> Range<usize> {
+        self.level_starts[level] as usize..self.level_starts[level + 1] as usize
+    }
+
+    /// Slots of `net`'s wire arcs, in `net.sinks()` order.
+    #[inline]
+    pub(crate) fn net_arc_slots(&self, net: NetId) -> &[u32] {
+        let base = self.num_cell_arcs();
+        let lo = base + self.net_arc_start[net.index()] as usize;
+        let hi = base + self.net_arc_start[net.index() + 1] as usize;
+        &self.slot_of[lo..hi]
+    }
+
+    /// Why the pin at `rank` is a startpoint, if it is one.
+    #[inline]
+    pub(crate) fn source_kind(&self, rank: usize) -> Option<SourceKind> {
+        let role = self.role[rank];
+        if role & ROLE_PRIMARY_INPUT != 0 {
+            Some(SourceKind::PrimaryInput)
+        } else if role & ROLE_CLOCK_PIN != 0 {
+            Some(SourceKind::ClockPin)
+        } else {
+            None
+        }
+    }
+
+    /// Why the pin at `rank` is an endpoint, if it is one.
+    #[inline]
+    pub(crate) fn endpoint_kind(&self, rank: usize) -> Option<EndpointKind> {
+        let role = self.role[rank];
+        if role & ROLE_FLIP_FLOP_DATA != 0 {
+            Some(EndpointKind::FlipFlopData)
+        } else if role & ROLE_PRIMARY_OUTPUT != 0 {
+            Some(EndpointKind::PrimaryOutput)
+        } else {
+            None
+        }
     }
 
     /// Re-reads the gate-arc parameters of one cell from the design — the
@@ -379,11 +566,12 @@ impl TimingGraph {
     pub fn repatch_cell_arcs(&mut self, design: &Design, cell: CellId) -> Vec<ArcId> {
         let c = design.cell(cell);
         let ty = design.cell_type(cell);
+        let num_cell_arcs = self.num_cell_arcs();
         let existing = c
             .pins
             .iter()
             .flat_map(|&p| self.out_arcs(p))
-            .filter(|&a| matches!(self.arcs[a.index()].kind, ArcKind::Cell { .. }))
+            .filter(|a| a.index() < num_cell_arcs)
             .count();
         assert_eq!(
             existing,
@@ -393,19 +581,13 @@ impl TimingGraph {
         );
         let mut patched = Vec::with_capacity(ty.arcs.len());
         for spec in &ty.arcs {
-            let from = c.pins[spec.from_pin];
-            let to = c.pins[spec.to_pin];
+            let to = self.rank_of[c.pins[spec.to_pin].index()];
             let arc = self
-                .out_arcs(from)
-                .find(|&a| {
-                    let arc = &self.arcs[a.index()];
-                    arc.to == to && matches!(arc.kind, ArcKind::Cell { .. })
-                })
+                .out_arcs(c.pins[spec.from_pin])
+                .find(|&a| a.index() < num_cell_arcs && self.arc_to[self.slot_of(a)] == to)
                 .expect("resize changed cell arc topology");
-            self.arcs[arc.index()].kind = ArcKind::Cell {
-                intrinsic: spec.intrinsic,
-                drive_resistance: spec.drive_resistance,
-            };
+            self.intrinsic[arc.index()] = spec.intrinsic;
+            self.drive_resistance[arc.index()] = spec.drive_resistance;
             patched.push(arc);
         }
         patched

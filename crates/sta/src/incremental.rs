@@ -4,15 +4,31 @@
 //! analysis cost. Between placement iterations only some cells move, so
 //! [`Sta::analyze_incremental`] recomputes wire delays for the **dirty
 //! nets** (nets with at least one pin on a moved cell) plus the gate arcs
-//! whose load changed, then reruns the (cheap) propagation passes. The
-//! result is bit-identical to a full analysis.
+//! whose load changed, then re-propagates. The result is bit-identical to
+//! a full analysis.
+//!
+//! Re-propagation picks one of two strategies from something it can
+//! observe, the share of dirty nets:
+//!
+//! * **a quarter of the nets or more** (the placer moves every cell every
+//!   iteration): the flat level-parallel passes, as in a full analysis;
+//! * **less** (ECO edits, a 1% nudge): a dirty-bitset sweep in rank order
+//!   that re-evaluates only the cone the rewritten arcs reach.
+//!
+//! There used to be a third branch: the sweep's predecessor, a per-level
+//! worklist, gave up and reran the flat pass once it had queued a quarter
+//! of the pins — after doing the whole worklist. The sweep walks ranks in
+//! memory order and touches each pin at most once, so its worst case *is*
+//! a serial flat pass plus one bit test per pin; the budget and its
+//! fallback are gone. [`Sta::incr_stats`] reports which strategy each
+//! pass took and how many pins the sweeps evaluated.
 //!
 //! The dirty-net set is sorted and deduplicated before the refresh, so
 //! the refresh order — and the chunk boundaries of the parallel RC
 //! rebuild — never depend on hash-map iteration order.
 
 use crate::analysis::Sta;
-use netlist::{CellId, Design, NetId, Placement};
+use netlist::{CellId, Design, Placement};
 
 impl Sta {
     /// Re-analyzes after moving only `moved_cells`, reusing every other
@@ -36,7 +52,8 @@ impl Sta {
         let _span = tdp_trace::span("sta.incremental", "sta");
         // Dirty nets: any net touching a moved cell's pins. Sorted and
         // deduplicated so refresh order is deterministic.
-        let mut dirty: Vec<NetId> = Vec::with_capacity(moved_cells.len() * 4);
+        let mut dirty = std::mem::take(&mut self.dirty_nets);
+        dirty.clear();
         for &cell in moved_cells {
             for &pin in &design.cell(cell).pins {
                 if let Some(net) = design.pin(pin).net {
@@ -47,14 +64,8 @@ impl Sta {
         dirty.sort_unstable();
         dirty.dedup();
         self.refresh_nets(design, placement, &dirty);
-        // A near-total dirty set (the placer displaces most cells every
-        // iteration) repropagates faster through the flat level kernels
-        // than by chasing an almost-complete cone through a worklist.
-        if dirty.len() * 4 >= design.num_nets().max(1) {
-            self.repropagate(design);
-        } else {
-            self.repropagate_incremental(design, &dirty, moved_cells);
-        }
+        self.dirty_nets = dirty;
+        self.repropagate_incremental(design, moved_cells);
     }
 }
 

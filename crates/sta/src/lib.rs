@@ -5,16 +5,48 @@
 //!
 //! * [`graph`] — timing-graph construction from a [`netlist::Design`]
 //!   (cell arcs and net arcs), topological levelization, source/endpoint
-//!   classification.
+//!   classification, and the level-ordered **rank layout** everything
+//!   placement-dependent is stored in.
 //! * [`rctree`] — per-net RC trees built from pin positions (star or
 //!   Steiner/MST topology) with Elmore delay and downstream capacitance.
 //! * [`analysis`] — forward arrival / backward required propagation,
 //!   per-pin slack, endpoint slacks, WNS and TNS.
+//! * [`incremental`] — re-analysis after some cells moved: dirty-net RC
+//!   refresh, then either the flat passes or a dirty-bitset sweep.
 //! * [`report`] — critical path enumeration: the OpenTimer-style
 //!   [`Sta::report_timing`] (k worst paths globally, O(n²) when used the
 //!   way DREAMPlace 4.0 does) and the paper's
 //!   [`Sta::report_timing_endpoint`] (k worst paths *per failing endpoint*,
 //!   O(n·k)) — Sec. III-B of the paper.
+//!
+//! # The rank layout
+//!
+//! The graph is levelized once; a pin's *rank* is its position in the
+//! level-major order and an arc's *slot* its position among the arcs
+//! sorted by destination rank. Arcs are struct-of-arrays in slot order
+//! (`from`, `to` ranks; gate `intrinsic` / `drive_resistance` and net
+//! `net` / sink index by arc id), and [`Sta`] keeps arrival, required and
+//! the worst predecessor by rank and arc delays by slot. The forward pass
+//! is therefore one walk over contiguous memory from rank 0 up, the
+//! backward pass the same walk down, and path backtracing a chain of
+//! slot → rank hops with no id translation. [`netlist::PinId`] and
+//! [`ArcId`] stay the public currency: accessors translate through
+//! `rank_of` / `slot_of`, arc ids keep their construction order, and a
+//! pin's in- and out-arcs are still visited in ascending arc id, so every
+//! `max` / `min` tie resolves as it always did.
+//!
+//! # Re-analysis strategies
+//!
+//! [`Sta::analyze_incremental`] refreshes the dirty nets and then picks,
+//! from the share of nets that are dirty, one of two ways to run the one
+//! per-pin kernel: the **flat passes** (every pin, level-parallel — the
+//! placer's all-cells-move iterations) or the **dirty sweep** (a bitset
+//! over ranks, lowest set bit first, successors marked on a bit-level
+//! change — ECO edits and local nudges). A sweep touches each pin at most
+//! once and in memory order, so it can never cost much more than a flat
+//! pass, which is why no pin budget and no fall-back-to-full branch
+//! guards it (see [`incremental`]). [`Sta::incr_stats`] says which strategy ran and how many pins the
+//! sweeps evaluated — exact counts that repeat for a given input.
 //!
 //! # Example
 //!
@@ -52,7 +84,7 @@ pub mod incremental;
 pub mod rctree;
 pub mod report;
 
-pub use analysis::{EndpointSlack, Sta, StaCheckpoint, TimingSummary};
+pub use analysis::{EndpointSlack, IncrStats, Sta, StaCheckpoint, TimingSummary};
 pub use graph::{graph_build_count, ArcId, ArcKind, BuildGraphError, TimingArc, TimingGraph};
 pub use rctree::{
     rc_nets_refreshed_count, rc_refresh_count, rc_scratch_reuse_count, rc_skeleton_build_count,

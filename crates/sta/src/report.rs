@@ -15,13 +15,22 @@
 //! A path's rank is its arrival at the endpoint minus the endpoint's
 //! required time (i.e. the negated path slack); enumeration is exact: the
 //! i-th returned path per endpoint is the i-th latest path in the DAG.
+//!
+//! The enumeration does only the work the *requested* paths need. An
+//! endpoint's first path is a plain backtrace along the worst-predecessor
+//! tree — no heap, no deviation nodes, one allocation (the returned
+//! path). The side inputs along a returned path are expanded into heap
+//! candidates only when the *next* path of that endpoint is asked for, so
+//! `k = 1` (what the Efficient-TDP flow requests every timing iteration)
+//! never expands anything. Deviation chains live in an index-linked arena
+//! and every buffer is scratch reused from endpoint to endpoint. All of
+//! it runs in the analyzer's rank layout (see [`crate::TimingGraph`]).
 
 use crate::analysis::Sta;
-use crate::graph::{ArcId, ArcKind};
+use crate::graph::{ArcId, ArcKind, NO_ARC};
 use netlist::{Design, PinId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 /// One pin along a reported path, with the arrival time accumulated along
 /// *this* path (not the graph-worst arrival).
@@ -74,13 +83,12 @@ impl TimingPath {
     /// pairs the pin-to-pin attraction objective pulls together. Cell
     /// (gate-internal) arcs are excluded: the placer cannot shrink them.
     pub fn net_pin_pairs(&self, sta: &Sta) -> Vec<(PinId, PinId)> {
-        let mut pairs = Vec::new();
-        for el in &self.elements {
-            if let Some(arc) = el.arc {
-                if matches!(sta.graph().arc(arc).kind, ArcKind::Net { .. }) {
-                    let a = sta.graph().arc(arc);
-                    pairs.push((a.from, a.to));
-                }
+        // Net and cell arcs alternate along a path.
+        let mut pairs = Vec::with_capacity(self.elements.len() / 2 + 1);
+        for arc in self.elements.iter().filter_map(|el| el.arc) {
+            let a = sta.graph().arc(arc);
+            if matches!(a.kind, ArcKind::Net { .. }) {
+                pairs.push((a.from, a.to));
             }
         }
         pairs
@@ -98,23 +106,28 @@ impl TimingPath {
     }
 }
 
-/// A deviation from the worst-predecessor tree, shared structurally between
-/// candidate paths.
-#[derive(Debug)]
+/// Marker for "no deviation" in [`Candidate::devs`] / [`Deviation::prev`].
+const NO_DEV: u32 = u32::MAX;
+
+/// A deviation from the worst-predecessor tree, shared structurally
+/// between candidate paths through its index in [`PathScratch::devs`].
+#[derive(Debug, Clone, Copy)]
 struct Deviation {
-    /// The non-best incoming arc taken.
-    arc: ArcId,
-    /// Previous deviation (closer to the endpoint), if any.
-    prev: Option<Rc<Deviation>>,
+    /// Slot of the non-best incoming arc taken.
+    slot: u32,
+    /// Previous deviation (closer to the endpoint), or [`NO_DEV`].
+    prev: u32,
 }
 
 /// Heap candidate for one endpoint's enumeration, ordered by total
 /// deviation cost (smaller = later arrival = more critical).
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
-    /// Sum of deviation costs; path arrival = best_arrival − dev_cost.
+    /// Sum of deviation costs; the path arrives this much earlier than
+    /// the endpoint's worst arrival.
     dev_cost: f64,
     /// Deviation chain, most recent (furthest from endpoint) first.
-    devs: Option<Rc<Deviation>>,
+    devs: u32,
 }
 
 impl PartialEq for Candidate {
@@ -138,98 +151,118 @@ impl Ord for Candidate {
     }
 }
 
+/// Buffers of the enumeration, reused from endpoint to endpoint within
+/// one report call. An endpoint that asks for a single path touches only
+/// `path_slots`.
+#[derive(Default)]
+struct PathScratch {
+    heap: BinaryHeap<Candidate>,
+    /// Deviation arena of the current endpoint.
+    devs: Vec<Deviation>,
+    /// One candidate's deviation slots, endpoint-first.
+    dev_slots: Vec<u32>,
+    /// One path's arc slots, endpoint-first.
+    path_slots: Vec<u32>,
+}
+
 /// Per-endpoint lazy enumeration of the k latest paths.
 struct EndpointEnumerator<'a> {
     sta: &'a Sta,
-    endpoint: PinId,
+    scratch: &'a mut PathScratch,
+    /// Rank of the endpoint pin.
+    endpoint: usize,
     required: f64,
-    best_arrival: f64,
-    heap: BinaryHeap<Candidate>,
+    /// The candidate returned last, whose children are not on the heap
+    /// yet; `None` before the first path.
+    unexpanded: Option<Candidate>,
 }
 
 impl<'a> EndpointEnumerator<'a> {
     /// Creates an enumerator; returns `None` when the endpoint has no
     /// defined arrival or required time.
-    fn new(sta: &'a Sta, endpoint: PinId) -> Option<Self> {
-        let best_arrival = sta.arrival(endpoint)?;
+    fn new(sta: &'a Sta, scratch: &'a mut PathScratch, endpoint: PinId) -> Option<Self> {
+        sta.arrival(endpoint)?;
         let required = sta.required(endpoint)?;
-        let mut heap = BinaryHeap::new();
-        heap.push(Candidate {
-            dev_cost: 0.0,
-            devs: None,
-        });
+        scratch.heap.clear();
+        scratch.devs.clear();
         Some(Self {
             sta,
-            endpoint,
+            scratch,
+            endpoint: sta.graph().rank_of(endpoint),
             required,
-            best_arrival,
-            heap,
+            unexpanded: None,
         })
     }
 
-    /// Arrival of the next path without materializing it.
-    fn peek_arrival(&self) -> Option<f64> {
-        self.heap.peek().map(|c| self.best_arrival - c.dev_cost)
-    }
-
-    /// Pops the next-latest path, pushing its children candidates.
+    /// The next-latest path. The first is the worst-predecessor
+    /// backtrace; every later one first expands the path returned before
+    /// it, then pops the best candidate.
     fn next_path(&mut self) -> Option<TimingPath> {
-        let cand = self.heap.pop()?;
-        let path = self.materialize(&cand);
-        self.push_children(&cand);
-        Some(path)
+        let cand = match self.unexpanded {
+            None => Candidate {
+                dev_cost: 0.0,
+                devs: NO_DEV,
+            },
+            Some(previous) => {
+                self.push_children(previous);
+                self.scratch.heap.pop()?
+            }
+        };
+        self.unexpanded = Some(cand);
+        Some(self.materialize(cand))
     }
 
     /// Walks the candidate's arc sequence from the endpoint back to the
     /// startpoint, then annotates arrivals forward.
-    fn materialize(&self, cand: &Candidate) -> TimingPath {
-        // Collect pending deviations endpoint-first.
-        let mut devs: Vec<ArcId> = Vec::new();
-        let mut cur = cand.devs.clone();
-        while let Some(d) = cur {
-            devs.push(d.arc);
-            cur = d.prev.clone();
+    fn materialize(&mut self, cand: Candidate) -> TimingPath {
+        let graph = self.sta.graph();
+        let PathScratch {
+            devs,
+            dev_slots,
+            path_slots,
+            ..
+        } = &mut *self.scratch;
+        // Collect pending deviations. They chain most-recent-first and the
+        // most recent is the furthest from the endpoint, so reverse to get
+        // endpoint-first order.
+        dev_slots.clear();
+        let mut cur = cand.devs;
+        while cur != NO_DEV {
+            dev_slots.push(devs[cur as usize].slot);
+            cur = devs[cur as usize].prev;
         }
-        // Deviations were pushed most-recent-first; the most recent is the
-        // furthest from the endpoint, so reverse to get endpoint-first order.
-        devs.reverse();
+        dev_slots.reverse();
 
-        let mut arcs_rev: Vec<ArcId> = Vec::new();
-        let mut pin = self.endpoint;
-        let mut next_dev = 0;
+        path_slots.clear();
+        let mut rank = self.endpoint;
+        let mut pending = dev_slots.iter().copied().peekable();
         loop {
-            let arc = if next_dev < devs.len() && self.sta.graph().arc(devs[next_dev]).to == pin {
-                let a = devs[next_dev];
-                next_dev += 1;
-                Some(a)
-            } else {
-                self.sta.worst_pred(pin)
+            let slot = match pending.next_if(|&s| graph.arc_to[s as usize] as usize == rank) {
+                Some(deviation) => deviation,
+                None => self.sta.worst_pred_slot(rank),
             };
-            match arc {
-                Some(a) => {
-                    arcs_rev.push(a);
-                    pin = self.sta.graph().arc(a).from;
-                }
-                None => break,
+            if slot == NO_ARC {
+                break;
             }
+            path_slots.push(slot);
+            rank = graph.arc_from[slot as usize] as usize;
         }
-        debug_assert_eq!(next_dev, devs.len(), "unconsumed deviations");
+        debug_assert!(pending.peek().is_none(), "unconsumed deviations");
 
         // Forward annotation.
-        let start = pin;
-        let mut arrival = self.sta.arrival(start).unwrap_or(0.0);
-        let mut elements = Vec::with_capacity(arcs_rev.len() + 1);
+        let mut arrival = self.sta.arrival_at_rank(rank).unwrap_or(0.0);
+        let mut elements = Vec::with_capacity(path_slots.len() + 1);
         elements.push(PathElement {
-            pin: start,
+            pin: graph.pin_at(rank),
             arrival,
             arc: None,
         });
-        for &a in arcs_rev.iter().rev() {
-            arrival += self.sta.arc_delay(a);
+        for &slot in path_slots.iter().rev() {
+            arrival += self.sta.slot_delay(slot);
             elements.push(PathElement {
-                pin: self.sta.graph().arc(a).to,
+                pin: graph.pin_at(graph.arc_to[slot as usize] as usize),
                 arrival,
-                arc: Some(a),
+                arc: Some(graph.arc_at(slot)),
             });
         }
         let slack = self.required - arrival;
@@ -240,46 +273,66 @@ impl<'a> EndpointEnumerator<'a> {
     /// chain that starts where `cand`'s last deviation landed (or at the
     /// endpoint for the root), taking any non-best incoming arc. The
     /// Lawler-style restriction makes each deviation sequence unique.
-    fn push_children(&mut self, cand: &Candidate) {
-        let chain_start = match &cand.devs {
-            Some(d) => self.sta.graph().arc(d.arc).from,
-            None => self.endpoint,
+    fn push_children(&mut self, cand: Candidate) {
+        let graph = self.sta.graph();
+        let mut v = if cand.devs == NO_DEV {
+            self.endpoint
+        } else {
+            graph.arc_from[self.scratch.devs[cand.devs as usize].slot as usize] as usize
         };
-        let mut v = chain_start;
         loop {
-            let best = self.sta.worst_pred(v);
-            let arrival_v = match self.sta.arrival(v) {
-                Some(a) => a,
-                None => break,
+            let best = self.sta.worst_pred_slot(v);
+            let Some(arrival_v) = self.sta.arrival_at_rank(v) else {
+                break;
             };
-            for arc in self.sta.graph().in_arcs(v) {
-                if Some(arc) == best {
+            for slot in graph.in_slots(v) {
+                let slot = slot as u32;
+                if slot == best {
                     continue;
                 }
-                let from = self.sta.graph().arc(arc).from;
-                let Some(arr_from) = self.sta.arrival(from) else {
+                let from = graph.arc_from[slot as usize] as usize;
+                let Some(arr_from) = self.sta.arrival_at_rank(from) else {
                     continue;
                 };
                 // Cost of taking this arc instead of the best one.
-                let delta = arrival_v - (arr_from + self.sta.arc_delay(arc));
+                let delta = arrival_v - (arr_from + self.sta.slot_delay(slot));
                 debug_assert!(delta >= -1e-9, "best predecessor not maximal");
-                self.heap.push(Candidate {
+                self.scratch.heap.push(Candidate {
                     dev_cost: cand.dev_cost + delta.max(0.0),
-                    devs: Some(Rc::new(Deviation {
-                        arc,
-                        prev: cand.devs.clone(),
-                    })),
+                    devs: self.scratch.devs.len() as u32,
+                });
+                self.scratch.devs.push(Deviation {
+                    slot,
+                    prev: cand.devs,
                 });
             }
-            match best {
-                Some(b) => v = self.sta.graph().arc(b).from,
-                None => break,
+            if best == NO_ARC {
+                break;
             }
+            v = graph.arc_from[best as usize] as usize;
         }
     }
 }
 
 impl Sta {
+    /// Up to `k` latest paths of each endpoint in `endpoints`, endpoint-
+    /// major — the one enumeration every report below is a view of.
+    fn enumerate_paths(
+        &self,
+        endpoints: impl ExactSizeIterator<Item = PinId>,
+        k: usize,
+    ) -> Vec<TimingPath> {
+        let mut scratch = PathScratch::default();
+        let mut all = Vec::with_capacity(endpoints.len());
+        for ep in endpoints {
+            let Some(mut e) = EndpointEnumerator::new(self, &mut scratch, ep) else {
+                continue;
+            };
+            all.extend(std::iter::from_fn(|| e.next_path()).take(k));
+        }
+        all
+    }
+
     /// OpenTimer-style `report_timing(n)`: considers the `n` worst
     /// endpoints, enumerates up to `n` latest paths for each, and returns
     /// the global `n` latest paths sorted most-critical first.
@@ -294,24 +347,8 @@ impl Sta {
     pub fn report_timing(&self, design: &Design, n: usize) -> Vec<TimingPath> {
         assert!(self.is_analyzed(), "call analyze() before report_timing");
         let _ = design;
-        let endpoints: Vec<PinId> = self
-            .endpoint_slacks()
-            .iter()
-            .take(n)
-            .map(|e| e.pin)
-            .collect();
-        let mut all: Vec<TimingPath> = Vec::new();
-        for ep in endpoints {
-            let Some(mut e) = EndpointEnumerator::new(self, ep) else {
-                continue;
-            };
-            for _ in 0..n {
-                match e.next_path() {
-                    Some(p) => all.push(p),
-                    None => break,
-                }
-            }
-        }
+        let worst = &self.endpoint_slacks()[..n.min(self.endpoint_slacks().len())];
+        let mut all = self.enumerate_paths(worst.iter().map(|e| e.pin), n);
         all.sort_by(|a, b| a.slack.partial_cmp(&b.slack).unwrap_or(Ordering::Equal));
         all.truncate(n);
         all
@@ -334,40 +371,16 @@ impl Sta {
             "call analyze() before report_timing_endpoint"
         );
         let _ = design;
-        let endpoints: Vec<PinId> = self
-            .failing_endpoints()
-            .iter()
-            .take(n)
-            .map(|e| e.pin)
-            .collect();
-        let mut all: Vec<TimingPath> = Vec::with_capacity(endpoints.len() * k);
-        for ep in endpoints {
-            let Some(mut e) = EndpointEnumerator::new(self, ep) else {
-                continue;
-            };
-            for _ in 0..k {
-                match e.next_path() {
-                    Some(p) => all.push(p),
-                    None => break,
-                }
-            }
-        }
-        all
+        let failing = &self.failing_endpoints()[..n.min(self.failing_endpoints().len())];
+        self.enumerate_paths(failing.iter().map(|e| e.pin), k)
     }
 
     /// The single most critical path, if any endpoint is reachable —
     /// `report_timing(1)` without the sort.
     pub fn worst_path(&self, design: &Design) -> Option<TimingPath> {
-        let ep = self.endpoint_slacks().first()?.pin;
-        let mut e = EndpointEnumerator::new(self, ep)?;
         let _ = design;
-        e.next_path()
-    }
-
-    /// Lower bound on the arrival of the next path at `endpoint` without
-    /// materializing it (used by tests and the extraction statistics).
-    pub fn peek_endpoint_arrival(&self, endpoint: PinId) -> Option<f64> {
-        EndpointEnumerator::new(self, endpoint)?.peek_arrival()
+        let ep = self.endpoint_slacks().first()?.pin;
+        self.enumerate_paths(std::iter::once(ep), 1).pop()
     }
 }
 

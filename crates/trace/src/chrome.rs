@@ -1,8 +1,8 @@
 //! Chrome-trace-event export, validation and summarization.
 //!
 //! The export target is the Trace Event Format's JSON-object form:
-//! `{"traceEvents":[...]}` with `B`/`E` duration events, `i` instants
-//! and `M` `thread_name` metadata — the dialect Perfetto and
+//! `{"traceEvents":[...]}` with `B`/`E` duration events, `i` instants,
+//! `C` counter samples and `M` `thread_name` metadata — the dialect Perfetto and
 //! `chrome://tracing` both load. Timestamps are microseconds since the
 //! trace epoch (fractional, from the nanosecond recording clock); the
 //! lane id is the `tid`, and the whole document is built as a
@@ -10,7 +10,7 @@
 //! [`tdp_jsonio::parse`] to the identical encoding (the fixpoint
 //! `tdp-trace --check` asserts).
 
-use crate::{Event, EventKind, LaneChunk};
+use crate::{Event, EventKind, InstantArg, LaneChunk};
 use tdp_jsonio::JsonValue;
 
 /// The one process id in the export (the trace describes one process).
@@ -49,7 +49,23 @@ fn event_json(lane: u32, event: &Event) -> JsonValue {
             ("pid".to_string(), JsonValue::Num(PID)),
             ("tid".to_string(), tid),
         ]),
-        EventKind::Instant { name, cat, job } => {
+        EventKind::Instant {
+            name,
+            cat,
+            arg: InstantArg::Count(count),
+        } => JsonValue::Obj(vec![
+            ("name".to_string(), JsonValue::Str(name.to_string())),
+            ("cat".to_string(), JsonValue::Str(cat.to_string())),
+            ("ph".to_string(), JsonValue::Str("C".to_string())),
+            ("ts".to_string(), us(event.ts_ns)),
+            ("pid".to_string(), JsonValue::Num(PID)),
+            ("tid".to_string(), tid),
+            (
+                "args".to_string(),
+                JsonValue::Obj(vec![("value".to_string(), JsonValue::Num(*count as f64))]),
+            ),
+        ]),
+        EventKind::Instant { name, cat, arg } => {
             let mut members = vec![
                 ("name".to_string(), JsonValue::Str(name.to_string())),
                 ("cat".to_string(), JsonValue::Str(cat.to_string())),
@@ -59,7 +75,7 @@ fn event_json(lane: u32, event: &Event) -> JsonValue {
                 ("tid".to_string(), tid),
                 ("s".to_string(), JsonValue::Str("t".to_string())),
             ];
-            if let Some(job) = job {
+            if let InstantArg::Job(job) = arg {
                 members.push((
                     "args".to_string(),
                     JsonValue::Obj(vec![("job".to_string(), JsonValue::Num(*job as f64))]),
@@ -247,6 +263,37 @@ mod tests {
         let mut sorted = tids.clone();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(tids, sorted, "events grouped by lane id");
+    }
+
+    #[test]
+    fn counts_export_as_counter_events_inside_their_span() {
+        let mut chunks = sample_chunks();
+        chunks[1].events.insert(
+            2,
+            Event {
+                ts_ns: 3_000,
+                kind: EventKind::Instant {
+                    name: "inner.pins",
+                    cat: "t",
+                    arg: InstantArg::Count(42),
+                },
+            },
+        );
+        assert_eq!(validate(&chunks).expect("counts leave nesting alone"), 3);
+        let doc = chrome_trace(&chunks);
+        let JsonValue::Arr(items) = doc.get("traceEvents").expect("traceEvents") else {
+            panic!("traceEvents is an array")
+        };
+        let counter = items
+            .iter()
+            .find(|e| e.get("ph").and_then(JsonValue::as_str) == Some("C"))
+            .expect("one counter event");
+        assert_eq!(
+            counter.get("name").and_then(JsonValue::as_str),
+            Some("inner.pins")
+        );
+        let value = counter.get("args").and_then(|a| a.get("value"));
+        assert_eq!(value.and_then(JsonValue::as_f64), Some(42.0));
     }
 
     #[test]

@@ -93,8 +93,21 @@ pub enum EventKind {
     Instant {
         name: &'static str,
         cat: &'static str,
-        job: Option<u64>,
+        arg: InstantArg,
     },
+}
+
+/// What a point event carries (one slot, so an [`Event`] stays the size
+/// of a span's `Begin`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InstantArg {
+    /// A bare mark.
+    None,
+    /// A mark correlated with a job id ([`mark`]).
+    Job(u64),
+    /// A sample of a named counter ([`count`]), attached to whichever
+    /// span is open on the lane when it is taken.
+    Count(u64),
 }
 
 /// An event plus its timestamp (nanoseconds since the trace epoch).
@@ -270,19 +283,34 @@ pub fn span_job(name: &'static str, cat: &'static str, job: u64) -> SpanGuard {
     record_begin(name, cat, Some(job))
 }
 
-/// Records a point event (no duration), optionally carrying a job id.
 #[inline]
-pub fn mark(name: &'static str, cat: &'static str, job: Option<u64>) {
-    if !enabled() {
-        return;
-    }
+fn record_instant(name: &'static str, cat: &'static str, arg: InstantArg) {
     let ts_ns = now_ns();
     let _ = LANE.try_with(|l| {
         l.borrow_mut().events.push(Event {
             ts_ns,
-            kind: EventKind::Instant { name, cat, job },
+            kind: EventKind::Instant { name, cat, arg },
         });
     });
+}
+
+/// Records a point event (no duration), optionally carrying a job id.
+#[inline]
+pub fn mark(name: &'static str, cat: &'static str, job: Option<u64>) {
+    if enabled() {
+        record_instant(name, cat, job.map_or(InstantArg::None, InstantArg::Job));
+    }
+}
+
+/// Records a count measured inside the currently open span — work done,
+/// not time spent (e.g. pins a sweep evaluated). Exported as a Chrome
+/// counter (`"ph":"C"`) event; counts are exact, so unlike durations
+/// they compare across noisy machines.
+#[inline]
+pub fn count(name: &'static str, cat: &'static str, value: u64) {
+    if enabled() {
+        record_instant(name, cat, InstantArg::Count(value));
+    }
 }
 
 impl Drop for SpanGuard {
@@ -479,7 +507,7 @@ mod tests {
                     kind: EventKind::Instant {
                         name: "x",
                         cat: "t",
-                        job: None
+                        arg: InstantArg::None,
                     },
                 };
                 n

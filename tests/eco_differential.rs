@@ -173,3 +173,45 @@ fn mx1_incremental_matches_rebuild_at_1_and_4_threads() {
     run_case("mx1", 5, 1);
     run_case("mx1", 5, 4);
 }
+
+/// A resize-only batch, then its revert, on the deep-logic case: the
+/// retyped gate arcs live in the copy-on-write timing graph and their
+/// delays in the analyzer's slot order, so both the patch and the
+/// checkpoint restore must land in the right places.
+#[test]
+fn dl1_resize_then_revert_matches_rebuild() {
+    let name = "dl1";
+    let case = benchgen::case_by_name(name).expect("suite case");
+    let (design, pads) = benchgen::generate(&case.params);
+    let session = Session::builder(design, pads).build().expect("session");
+    for threads in [1, 4] {
+        let mut eco = EcoSession::open(&session, rc_params_for(&case.params), threads);
+        let step = benchgen::eco_stress(
+            eco.design(),
+            eco.placement(),
+            &EcoStressParams {
+                resize_fraction: 1.0,
+                ..EcoStressParams::at_churn(17, 0.02, 1)
+            },
+        )
+        .remove(0);
+        assert!(step.resizes.len() >= 20, "the step must resize cells");
+        let batch = DeltaBatch::from_step(&step);
+        eco.apply(&batch).expect("generated deltas are valid");
+        assert_matches_rebuild(
+            &mut eco,
+            &case.params,
+            std::slice::from_ref(&batch),
+            threads,
+            &format!("{name}@{threads}t resized"),
+        );
+        eco.revert().expect("journal is non-empty");
+        assert_matches_rebuild(
+            &mut eco,
+            &case.params,
+            &[],
+            threads,
+            &format!("{name}@{threads}t after revert"),
+        );
+    }
+}

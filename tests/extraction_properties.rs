@@ -2,7 +2,7 @@
 //! of Sec. III-B / Table 1.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
-use efficient_tdp::sta::{RcParams, Sta};
+use efficient_tdp::sta::{RcParams, Sta, TimingPath};
 use efficient_tdp::tdp_core::{extraction::extraction_stats, ExtractionStrategy};
 
 fn analyzed(seed: u64) -> (efficient_tdp::netlist::Design, Sta) {
@@ -123,6 +123,68 @@ fn pin_pairs_follow_net_direction() {
             let net = design.pin(a).net.expect("pair pins are connected");
             assert_eq!(design.net(net).driver(), a);
             assert!(design.net(net).sinks().contains(&b));
+        }
+    }
+}
+
+/// Two reported paths are the same path, down to the bits.
+fn assert_same_path(a: &TimingPath, b: &TimingPath, context: &str) {
+    assert_eq!(a.slack.to_bits(), b.slack.to_bits(), "{context}: slack");
+    assert_eq!(a.len(), b.len(), "{context}: length");
+    for (x, y) in a.elements.iter().zip(&b.elements) {
+        assert_eq!((x.pin, x.arc), (y.pin, y.arc), "{context}: pins and arcs");
+        assert_eq!(
+            x.arrival.to_bits(),
+            y.arrival.to_bits(),
+            "{context}: arrival"
+        );
+    }
+}
+
+#[test]
+fn asking_for_more_paths_never_changes_the_earlier_ones() {
+    // The enumeration expands a returned path's side inputs only when the
+    // next path is requested, so what it returns for (n, j) must be the
+    // per-endpoint prefix of what it returns for (n, k), k >= j.
+    for seed in [5u64, 19] {
+        let (design, sta) = analyzed(seed);
+        let n = sta.failing_endpoints().len();
+        assert!(n > 0, "seed {seed}: no failing endpoints");
+        let per_endpoint = |k: usize| {
+            let mut groups: Vec<Vec<TimingPath>> = Vec::new();
+            for path in sta.report_timing_endpoint(&design, n, k) {
+                match groups.last_mut() {
+                    Some(g) if g[0].endpoint() == path.endpoint() => g.push(path),
+                    _ => groups.push(vec![path]),
+                }
+            }
+            assert_eq!(groups.len(), n, "seed {seed} k={k}: one group per endpoint");
+            groups
+        };
+        let depths = [1usize, 2, 5, 10];
+        let reports: Vec<_> = depths.iter().map(|&k| per_endpoint(k)).collect();
+        for (ki, &k) in depths.iter().enumerate() {
+            for (ji, &j) in depths[..=ki].iter().enumerate() {
+                for (deep, shallow) in reports[ki].iter().zip(&reports[ji]) {
+                    let prefix = &deep[..j.min(deep.len())];
+                    assert_eq!(prefix.len(), shallow.len(), "seed {seed} k={k} j={j}");
+                    for (i, (a, b)) in prefix.iter().zip(shallow).enumerate() {
+                        assert_same_path(a, b, &format!("seed {seed} k={k} j={j} path {i}"));
+                    }
+                }
+            }
+        }
+
+        // report_timing(m) is the same enumeration, globally sorted and
+        // truncated (m failing endpoints are also the m worst overall).
+        let m = n.min(12);
+        let mut merged = sta.report_timing_endpoint(&design, m, m);
+        merged.sort_by(|a, b| a.slack.partial_cmp(&b.slack).expect("finite slacks"));
+        merged.truncate(m);
+        let global = sta.report_timing(&design, m);
+        assert_eq!(global.len(), merged.len(), "seed {seed}");
+        for (i, (a, b)) in global.iter().zip(&merged).enumerate() {
+            assert_same_path(a, b, &format!("seed {seed} report_timing path {i}"));
         }
     }
 }

@@ -41,6 +41,8 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Reused per request: the line and its newline leave in one write.
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -57,10 +59,14 @@ impl Client {
         loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
+                    // One request is one segment; without NODELAY a
+                    // request written after a reply waits on Nagle.
+                    stream.set_nodelay(true)?;
                     let reader = BufReader::new(stream.try_clone()?);
                     return Ok(Self {
                         writer: stream,
                         reader,
+                        buf: Vec::new(),
                     });
                 }
                 Err(e) => {
@@ -86,9 +92,10 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.buf.clear();
+        self.buf.extend_from_slice(line.as_bytes());
+        self.buf.push(b'\n');
+        self.writer.write_all(&self.buf)
     }
 
     fn read_value(&mut self) -> Result<JsonValue, ClientError> {

@@ -40,15 +40,26 @@
 //!
 //! Replay stops at the first line that is torn (no trailing newline) or
 //! unparseable and truncates the file there — standard WAL recovery.
-//! Everything before that point is intact: records are appended with a
-//! single `write_all` each, and a `finished` record's fsync flushes all
-//! earlier writes on the same descriptor, so a parseable `finished`
-//! record guarantees the job's complete event history precedes it.
+//! Everything before that point is intact: each record goes out with its
+//! newline in a single `write_all`, and a `finished` record's fsync
+//! flushes all earlier writes on the same descriptor, so a parseable
+//! `finished` record guarantees the job's complete event history
+//! precedes it.
+//!
+//! # Compacted reads
+//!
+//! A job's records all lie between the start of its `submit` record and
+//! the end of its `finished` record. [`Journal::append_at`] and
+//! [`Journal::open`] report every record's byte range, the server keeps
+//! that span on the job's compaction tombstone, and [`read_compacted`]
+//! reads only it — a compacted `status`/`events` costs O(job), not
+//! O(journal).
 
 use batch::{JobReport, JobStatus};
 use benchgen::CircuitParams;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -90,6 +101,9 @@ pub enum Record {
     },
 }
 
+/// A replayed record and the byte range its line occupies in the file.
+pub type Located = (Range<u64>, Record);
+
 /// The replayable payload of one `submit`: enough to rebuild the exact
 /// [`batch::BatchJob`] through [`batch::make_jobs_for`].
 #[derive(Debug, Clone, PartialEq)]
@@ -114,51 +128,44 @@ pub struct SubmitRecord {
 
 /// The append half of the journal: a shared handle the submit path,
 /// workers and finish path write through. Reads for replay happen once
-/// in [`Journal::open`]; reads for compacted jobs re-scan the file via
-/// [`read_compacted`].
+/// in [`Journal::open`]; reads for compacted jobs re-read one job's byte
+/// range via [`read_compacted`].
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
+    tail: Mutex<Tail>,
     appends: AtomicU64,
+}
+
+/// The append end of the file, under the journal lock.
+#[derive(Debug)]
+struct Tail {
+    file: File,
+    /// File length: the offset the next record lands at.
+    len: u64,
+    /// Reused per append: one record plus its newline, one `write_all`.
+    buf: Vec<u8>,
 }
 
 impl Journal {
     /// Opens (creating the directory and file as needed) the journal at
     /// `dir/journal.jsonl`, replays the existing records, truncates any
-    /// torn/corrupt tail, and positions the file for appending.
+    /// torn/corrupt tail, and positions the file for appending. Each
+    /// record comes back with the byte range its line occupies.
     ///
     /// # Errors
     ///
     /// I/O errors creating the directory or opening the file.
-    pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<Record>)> {
+    pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<Located>)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("journal.jsonl");
         let mut records = Vec::new();
-        // Bytes of the clean prefix: complete (newline-terminated),
-        // parseable records. Everything past it is a crash artifact and
-        // is truncated before appending resumes.
-        let mut clean = 0u64;
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            for line in text.split_inclusive('\n') {
-                if !line.ends_with('\n') {
-                    break; // torn tail: the crash interrupted this write
-                }
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    clean += line.len() as u64;
-                    continue;
-                }
-                let Some(rec) = tdp_jsonio::parse(trimmed)
-                    .ok()
-                    .and_then(|v| decode_record(&v).ok())
-                else {
-                    break; // corrupt record: recover the prefix only
-                };
-                records.push(rec);
-                clean += line.len() as u64;
-            }
-        }
+        // Everything past the clean prefix is a crash artifact and is
+        // truncated before appending resumes.
+        let clean = match std::fs::read(&path) {
+            Ok(bytes) => scan(&bytes, |at, rec| records.push((at, rec))),
+            Err(_) => 0,
+        };
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -169,14 +176,18 @@ impl Journal {
         Ok((
             Journal {
                 path,
-                file: Mutex::new(file),
+                tail: Mutex::new(Tail {
+                    file,
+                    len: clean,
+                    buf: Vec::new(),
+                }),
                 appends: AtomicU64::new(0),
             },
             records,
         ))
     }
 
-    /// The journal file's path (compacted reads re-scan it).
+    /// The journal file's path (compacted reads re-read it).
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -194,17 +205,67 @@ impl Journal {
     ///
     /// The underlying write or sync error.
     pub fn append(&self, record: &str, sync: bool) -> std::io::Result<()> {
+        self.append_at(record, sync).map(drop)
+    }
+
+    /// [`Journal::append`], returning the byte range the record's line
+    /// (newline included) occupies in the file.
+    ///
+    /// # Errors
+    ///
+    /// The underlying write or sync error.
+    pub fn append_at(&self, record: &str, sync: bool) -> std::io::Result<Range<u64>> {
         let _span = tdp_trace::span("journal.append", "journal");
-        let mut file = self.file.lock().expect("journal lock");
-        file.write_all(record.as_bytes())?;
-        file.write_all(b"\n")?;
+        let mut tail = self.tail.lock().expect("journal lock");
+        let Tail { file, len, buf } = &mut *tail;
+        buf.clear();
+        buf.extend_from_slice(record.as_bytes());
+        buf.push(b'\n');
+        if let Err(e) = file.write_all(buf) {
+            // A short write leaves part of the line behind; later ranges
+            // must still start where their records really are.
+            *len = file.stream_position().unwrap_or(*len);
+            return Err(e);
+        }
+        let at = *len..*len + buf.len() as u64;
+        *len = at.end;
         if sync {
             let _fsync = tdp_trace::span("journal.fsync", "journal");
             file.sync_data()?;
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(at)
     }
+}
+
+/// Decodes the clean prefix of `bytes` — complete (newline-terminated),
+/// parseable records — passing each record and its byte range within
+/// `bytes` to `each`; returns the prefix length. The first torn (no
+/// trailing newline) or undecodable line ends the prefix: the WAL
+/// recovery rule, shared by replay and compacted reads.
+fn scan(bytes: &[u8], mut each: impl FnMut(Range<u64>, Record)) -> u64 {
+    let mut clean = 0u64;
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        if line.last() != Some(&b'\n') {
+            break; // torn tail: the crash interrupted this write
+        }
+        let Ok(text) = std::str::from_utf8(line) else {
+            break;
+        };
+        let at = clean..clean + line.len() as u64;
+        let trimmed = text.trim();
+        if !trimmed.is_empty() {
+            let Some(rec) = tdp_jsonio::parse(trimmed)
+                .ok()
+                .and_then(|v| decode_record(&v).ok())
+            else {
+                break; // corrupt record: recover the prefix only
+            };
+            each(at.clone(), rec);
+        }
+        clean = at.end;
+    }
+    clean
 }
 
 /// Renders a `submit` record line.
@@ -349,42 +410,33 @@ pub struct CompactedJob {
 }
 
 /// Re-reads one job's events and report from the journal file — the
-/// serving path for `status`/`wait`/`events` on a compacted job.
+/// serving path for `status`/`wait`/`events` on a compacted job. `span`
+/// is the job's byte range (start of its `submit` record to end of its
+/// `finished` record); only it is read.
 ///
 /// # Errors
 ///
 /// I/O errors reading the file (decode errors terminate the scan like
 /// replay does, tolerating a torn tail).
-pub fn read_compacted(path: &Path, job: usize) -> std::io::Result<CompactedJob> {
-    let text = std::fs::read_to_string(path)?;
+pub fn read_compacted(path: &Path, job: usize, span: Range<u64>) -> std::io::Result<CompactedJob> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(span.start))?;
+    let mut bytes = Vec::new();
+    file.take(span.end.saturating_sub(span.start))
+        .read_to_end(&mut bytes)?;
     let mut out = CompactedJob::default();
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let Some(rec) = tdp_jsonio::parse(trimmed)
-            .ok()
-            .and_then(|v| decode_record(&v).ok())
-        else {
-            break;
-        };
-        match rec {
-            Record::Event {
-                job: j,
-                seq,
-                line: l,
-                // Same dedup rule as replay: a pre-crash attempt's partial
-                // stream is a prefix of the re-run's (identical by
-                // determinism); keep the first copy of each seq.
-            } if j == job && seq == out.events.len() => out.events.push(l),
-            Record::Finished { job: j, report } if j == job => out.report = Some(report),
-            _ => {}
-        }
-    }
+    scan(&bytes, |_, rec| match rec {
+        Record::Event {
+            job: j,
+            seq,
+            line: l,
+            // Same dedup rule as replay: a pre-crash attempt's partial
+            // stream is a prefix of the re-run's (identical by
+            // determinism); keep the first copy of each seq.
+        } if j == job && seq == out.events.len() => out.events.push(l),
+        Record::Finished { job: j, report } if j == job => out.report = Some(report),
+        _ => {}
+    });
     Ok(out)
 }
 
@@ -705,29 +757,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn open_replays_clean_records_and_truncates_torn_tail() {
-        let dir = std::env::temp_dir().join(format!(
-            "tdp-journal-test-{}-{}",
+    fn temp_journal_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "tdp-journal-{tag}-{}-{}",
             std::process::id(),
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .unwrap()
                 .as_nanos()
-        ));
+        ))
+    }
+
+    #[test]
+    fn open_replays_clean_records_and_truncates_torn_tail() {
+        let dir = temp_journal_dir("test");
         std::fs::create_dir_all(&dir).unwrap();
 
         // First open on an empty dir: no records.
         let (journal, records) = Journal::open(&dir).unwrap();
         assert!(records.is_empty());
-        journal.append(&state_record(0, "running"), true).unwrap();
-        journal
-            .append(
+        let first = journal
+            .append_at(&state_record(0, "running"), true)
+            .unwrap();
+        let second = journal
+            .append_at(
                 &event_record(0, 0, "{\"event\":\"started\",\"job\":0}"),
                 false,
             )
             .unwrap();
         assert_eq!(journal.appends(), 2);
+        assert_eq!(first, 0..state_record(0, "running").len() as u64 + 1);
+        assert_eq!(second.start, first.end, "records are contiguous");
         drop(journal);
 
         // Simulate a crash mid-append: a torn (newline-less) tail.
@@ -742,54 +802,48 @@ mod tests {
         assert_eq!(records.len(), 2, "clean prefix survives, torn tail dropped");
         assert_eq!(
             records[0],
-            Record::State {
-                job: 0,
-                state: "running".into()
-            }
+            (
+                first,
+                Record::State {
+                    job: 0,
+                    state: "running".into()
+                }
+            )
         );
-        // Appending after recovery produces a parseable file again.
-        journal.append(&state_record(2, "running"), true).unwrap();
+        assert_eq!(records[1].0, second, "replay reports the append's range");
+        // Appending after recovery lands where the torn tail was cut.
+        let third = journal
+            .append_at(&state_record(2, "running"), true)
+            .unwrap();
+        assert_eq!(third.start, second.end);
         drop(journal);
         let (_, records) = Journal::open(&dir).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(
             records[2],
-            Record::State {
-                job: 2,
-                state: "running".into()
-            }
+            (
+                third,
+                Record::State {
+                    job: 2,
+                    state: "running".into()
+                }
+            )
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn read_compacted_collects_one_jobs_events_and_report() {
-        let dir = std::env::temp_dir().join(format!(
-            "tdp-journal-compact-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let dir = temp_journal_dir("compact");
         let (journal, _) = Journal::open(&dir).unwrap();
-        journal
-            .append(&event_record(0, 0, "{\"event\":\"a\",\"job\":0}"), false)
-            .unwrap();
-        journal
-            .append(&event_record(1, 0, "{\"event\":\"b\",\"job\":1}"), false)
-            .unwrap();
-        journal
-            .append(&event_record(0, 1, "{\"event\":\"c\",\"job\":0}"), false)
-            .unwrap();
+        let append = |rec: &str, sync| journal.append_at(rec, sync).unwrap();
+        let a = append(&event_record(0, 0, "{\"event\":\"a\",\"job\":0}"), false);
+        let b = append(&event_record(1, 0, "{\"event\":\"b\",\"job\":1}"), false);
+        append(&event_record(0, 1, "{\"event\":\"c\",\"job\":0}"), false);
         // A duplicate seq from a pre-crash attempt is kept-first.
-        journal
-            .append(&event_record(0, 1, "{\"event\":\"c\",\"job\":0}"), false)
-            .unwrap();
-        journal
-            .append(&finished_record(0, &sample_report()), true)
-            .unwrap();
-        let compacted = read_compacted(journal.path(), 0).unwrap();
+        append(&event_record(0, 1, "{\"event\":\"c\",\"job\":0}"), false);
+        let fin = append(&finished_record(0, &sample_report()), true);
+        let compacted = read_compacted(journal.path(), 0, a.start..fin.end).unwrap();
         assert_eq!(
             compacted.events,
             vec![
@@ -801,9 +855,117 @@ mod tests {
             job_json(&compacted.report.expect("report present")),
             job_json(&sample_report())
         );
-        let other = read_compacted(journal.path(), 1).unwrap();
+        let other = read_compacted(journal.path(), 1, b).unwrap();
         assert_eq!(other.events.len(), 1);
         assert!(other.report.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A job's byte range holds everything a whole-file scan finds for
+    /// it — across a crash that tore a record and a re-run that
+    /// re-journaled the interrupted job's event prefix.
+    #[test]
+    fn range_reads_equal_whole_file_scans_across_an_interrupted_rerun() {
+        let dir = temp_journal_dir("ranges");
+        let submit = |job| {
+            submit_record(&SubmitRecord {
+                job,
+                name: "sb18".into(),
+                params: CircuitParams::small("sb18", 7),
+                objective: "efficient-tdp".into(),
+                profile: "quick".into(),
+                overrides: Vec::new(),
+                stride: 4,
+                key: 0xabcd,
+            })
+        };
+        let event =
+            |job, seq| event_record(job, seq, &format!("{{\"event\":\"e{seq}\",\"job\":{job}}}"));
+        let finished = |job| {
+            finished_record(
+                job,
+                &JobReport {
+                    job,
+                    ..sample_report()
+                },
+            )
+        };
+        {
+            let (journal, _) = Journal::open(&dir).unwrap();
+            for rec in [
+                submit(0),
+                state_record(0, "running"),
+                event(0, 0),
+                submit(1),
+                event(0, 1),
+                event(0, 2),
+                finished(0),
+                submit(2),
+                state_record(1, "running"),
+                event(1, 0),
+                event(1, 1),
+            ] {
+                journal.append(&rec, false).unwrap();
+            }
+        }
+        // The crash: job 1 was mid-run, its next record torn.
+        OpenOptions::new()
+            .append(true)
+            .open(dir.join("journal.jsonl"))
+            .unwrap()
+            .write_all(b"{\"rec\":\"event\",\"job\":1,")
+            .unwrap();
+        {
+            // The restarted daemon re-runs jobs 1 and 2, interleaved.
+            let (journal, _) = Journal::open(&dir).unwrap();
+            for rec in [
+                state_record(1, "running"),
+                event(1, 0),
+                state_record(2, "running"),
+                event(2, 0),
+                event(1, 1),
+                event(1, 2),
+                event(2, 1),
+                finished(1),
+                event(2, 2),
+                finished(2),
+            ] {
+                journal.append(&rec, false).unwrap();
+            }
+        }
+        let (journal, records) = Journal::open(&dir).unwrap();
+        let mut spans: std::collections::HashMap<usize, Range<u64>> = Default::default();
+        for (at, rec) in &records {
+            match rec {
+                Record::Submit(sub) => {
+                    spans.insert(sub.job, at.clone());
+                }
+                Record::Finished { job, .. } => spans.get_mut(job).unwrap().end = at.end,
+                _ => {}
+            }
+        }
+        for job in 0..3 {
+            // The whole-file scan: every replayed record, same dedup.
+            let mut events = Vec::new();
+            let mut report = None;
+            for (_, rec) in &records {
+                match rec {
+                    Record::Event { job: j, seq, line } if *j == job && *seq == events.len() => {
+                        events.push(line.clone())
+                    }
+                    Record::Finished { job: j, report: r } if *j == job => report = Some(r),
+                    _ => {}
+                }
+            }
+            let ranged = read_compacted(journal.path(), job, spans[&job].clone()).unwrap();
+            assert_eq!(ranged.events, events, "job {job} events");
+            assert_eq!(events.len(), 3, "job {job}: deduped to one copy per seq");
+            assert_eq!(
+                ranged.report.map(|r| job_json(&r)),
+                report.map(|r| job_json(r)),
+                "job {job} report"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,10 @@
 //! [`parx::TaskQueue`], and the [`SessionCache`]. Connections are
 //! line-oriented: each accepted socket gets a handler thread that reads
 //! one JSON request per line and writes one (or, for `events`, many)
-//! JSON response lines — see [`crate::protocol`] for the grammar.
+//! JSON response lines — see [`crate::protocol`] for the grammar. Both
+//! ends set `TCP_NODELAY` and send each message with one `write`, so a
+//! round trip costs what the daemon does, not a Nagle × delayed-ACK
+//! stall.
 //!
 //! # Execution path
 //!
@@ -32,7 +35,8 @@
 //! [`ServerConfig::replay`]` = false` — resolved as failed-by-restart.
 //! [`ServerConfig::retain`] bounds in-memory growth: beyond the cap, the
 //! oldest finished jobs' event logs and reports are compacted out of
-//! memory and re-served from the journal, byte-identically.
+//! memory and re-served from the journal, byte-identically; a compacted
+//! read touches only that job's byte range of the journal.
 //!
 //! # Shutdown discipline
 //!
@@ -48,7 +52,7 @@
 //! [`JoinHandle`] per served connection.
 
 use crate::cache::{SessionCache, SessionSlot};
-use crate::journal::{self, Journal, Record, SubmitRecord};
+use crate::journal::{self, Journal, Located, Record, SubmitRecord};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{
     design_key, event_line, ok_prefix, parse_request, DesignRef, ProtoError, Request, SubmitRequest,
@@ -60,6 +64,7 @@ use batch::{
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -215,6 +220,9 @@ struct JobState {
     id: usize,
     job: BatchJob,
     key: u64,
+    /// Journal offset of the job's `submit` record: where its byte range
+    /// (kept on its compaction tombstone) starts.
+    journal_from: u64,
     slot: Arc<SessionSlot>,
     stride: usize,
     /// Single-flag cancel set (flag index 0).
@@ -241,11 +249,14 @@ impl JobState {
             tdp_jsonio::field_raw(s, "report", &job_json(&report));
         });
         shared.push_event(self, &line);
-        shared.journal_append(&journal::finished_record(self.id, &report), true);
+        let journaled = shared.journal_append(&journal::finished_record(self.id, &report), true);
         *self.phase.lock().expect("job phase lock") = JobPhase::Finished(Box::new(report));
         self.cv.notify_all();
         self.events.close();
-        shared.note_finished(self.id);
+        // A failed append leaves the end unknown: the range then runs to
+        // the end of the file, which holds whatever did reach it.
+        let to = journaled.map_or(u64::MAX, |at| at.end);
+        shared.note_finished(self.id, self.journal_from..to);
     }
 
     fn is_finished(&self) -> bool {
@@ -262,10 +273,12 @@ enum JobEntry {
     Live(Arc<JobState>),
     /// Everything `status`/`events` need that the journal does not
     /// re-derive cheaply; the report and event lines themselves are
-    /// re-read from the journal on demand.
+    /// re-read on demand from `span`, the job's byte range of the
+    /// journal (its `submit` record through its `finished` record).
     Compacted {
         key: u64,
         state: &'static str,
+        span: Range<u64>,
     },
 }
 
@@ -276,6 +289,7 @@ enum JobRef {
         id: usize,
         key: u64,
         state: &'static str,
+        span: Range<u64>,
     },
 }
 
@@ -287,9 +301,9 @@ struct JobTable {
     /// Ids ever assigned; the next submit takes `next_id`.
     next_id: usize,
     entries: HashMap<usize, JobEntry>,
-    /// Finished jobs whose state is still in memory, in finish order —
-    /// the compaction queue.
-    resident: VecDeque<usize>,
+    /// Finished jobs whose state is still in memory, in finish order,
+    /// with their journal byte ranges — the compaction queue.
+    resident: VecDeque<(usize, Range<u64>)>,
 }
 
 /// State shared by the acceptor, handlers and workers.
@@ -321,22 +335,28 @@ impl Shared {
         match self.jobs.lock().expect("jobs lock").entries.get(&id) {
             None => None,
             Some(JobEntry::Live(job)) => Some(JobRef::Live(Arc::clone(job))),
-            Some(JobEntry::Compacted { key, state }) => Some(JobRef::Compacted {
+            Some(JobEntry::Compacted { key, state, span }) => Some(JobRef::Compacted {
                 id,
                 key: *key,
                 state,
+                span: span.clone(),
             }),
         }
     }
 
-    /// Appends one record to the journal, if one is configured. Append
-    /// failures are reported but do not fail the job — the daemon
-    /// degrades to in-memory operation rather than refusing work.
-    fn journal_append(&self, record: &str, sync: bool) {
-        if let Some(j) = &self.journal {
-            match j.append(record, sync) {
-                Ok(()) => ServeMetrics::bump(&self.metrics.journal_appends),
-                Err(e) => eprintln!("tdp-serve: journal append failed: {e}"),
+    /// Appends one record to the journal, if one is configured,
+    /// returning its byte range. Append failures are reported but do not
+    /// fail the job — the daemon degrades to in-memory operation rather
+    /// than refusing work.
+    fn journal_append(&self, record: &str, sync: bool) -> Option<Range<u64>> {
+        match self.journal.as_ref()?.append_at(record, sync) {
+            Ok(at) => {
+                ServeMetrics::bump(&self.metrics.journal_appends);
+                Some(at)
+            }
+            Err(e) => {
+                eprintln!("tdp-serve: journal append failed: {e}");
+                None
             }
         }
     }
@@ -353,11 +373,11 @@ impl Shared {
         }
     }
 
-    /// Records a job as finished-and-journaled and enforces the
-    /// retention cap.
-    fn note_finished(&self, id: usize) {
+    /// Records a job as finished-and-journaled (within `span` of the
+    /// journal) and enforces the retention cap.
+    fn note_finished(&self, id: usize, span: Range<u64>) {
         let mut table = self.jobs.lock().expect("jobs lock");
-        table.resident.push_back(id);
+        table.resident.push_back((id, span));
         self.compact_locked(&mut table);
     }
 
@@ -371,7 +391,7 @@ impl Shared {
             return;
         }
         while table.resident.len() > self.cfg.retain {
-            let Some(id) = table.resident.pop_front() else {
+            let Some((id, span)) = table.resident.pop_front() else {
                 break;
             };
             let Some(entry) = table.entries.get_mut(&id) else {
@@ -384,7 +404,7 @@ impl Shared {
             };
             let (key, state) = (job.key, static_label(&report.status));
             drop(phase);
-            *entry = JobEntry::Compacted { key, state };
+            *entry = JobEntry::Compacted { key, state, span };
             ServeMetrics::bump(&self.metrics.jobs_compacted);
         }
     }
@@ -640,14 +660,16 @@ fn reap_dead_handlers(shared: &Shared, handlers: &mut HashMap<u64, JoinHandle<()
 /// their exact event streams and reports) or, under `replay = false`,
 /// resolved failed-by-restart through the normal finish path (which
 /// journals the terminal record, so later restarts agree).
-fn replay_journal(shared: &Shared, records: Vec<Record>) {
-    let mut submits: Vec<Box<SubmitRecord>> = Vec::new();
+fn replay_journal(shared: &Shared, records: Vec<Located>) {
+    // Submits and reports keep the journal offsets that bound each job's
+    // byte range: its `submit` record's start, its `finished` record's end.
+    let mut submits: Vec<(u64, Box<SubmitRecord>)> = Vec::new();
     let mut events: HashMap<usize, Vec<String>> = HashMap::new();
-    let mut finished: HashMap<usize, Box<JobReport>> = HashMap::new();
+    let mut finished: HashMap<usize, (Box<JobReport>, u64)> = HashMap::new();
     let replayed = records.len() as u64;
-    for rec in records {
+    for (at, rec) in records {
         match rec {
-            Record::Submit(sub) => submits.push(sub),
+            Record::Submit(sub) => submits.push((at.start, sub)),
             // Scheduler state is rebuilt from scratch, not trusted: a
             // journaled "running" only means the crash interrupted it.
             Record::State { .. } => {}
@@ -662,7 +684,7 @@ fn replay_journal(shared: &Shared, records: Vec<Record>) {
                 }
             }
             Record::Finished { job, report } => {
-                finished.insert(job, report);
+                finished.insert(job, (report, at.end));
             }
         }
     }
@@ -673,10 +695,10 @@ fn replay_journal(shared: &Shared, records: Vec<Record>) {
 
     let mut recovered = 0u64;
     let mut failed_by_restart: Vec<Arc<JobState>> = Vec::new();
-    for sub in submits {
+    for (from, sub) in submits {
         let id = sub.job;
-        let report = finished.remove(&id);
-        let state = match rebuild_job_state(shared, &sub, report, &mut events) {
+        let (report, to) = finished.remove(&id).unzip();
+        let state = match rebuild_job_state(shared, &sub, from, report, &mut events) {
             Ok(state) => state,
             Err(msg) => {
                 eprintln!("tdp-serve: journal replay skipped job {id}: {msg}");
@@ -688,8 +710,8 @@ fn replay_journal(shared: &Shared, records: Vec<Record>) {
             let mut table = shared.jobs.lock().expect("jobs lock");
             table.entries.insert(id, JobEntry::Live(Arc::clone(&state)));
             table.next_id = table.next_id.max(id + 1);
-            if restored_finished {
-                table.resident.push_back(id);
+            if let Some(to) = to {
+                table.resident.push_back((id, from..to));
             }
         }
         recovered += 1;
@@ -729,6 +751,7 @@ fn replay_journal(shared: &Shared, records: Vec<Record>) {
 fn rebuild_job_state(
     shared: &Shared,
     sub: &SubmitRecord,
+    journal_from: u64,
     report: Option<Box<JobReport>>,
     events: &mut HashMap<usize, Vec<String>>,
 ) -> Result<Arc<JobState>, String> {
@@ -773,6 +796,7 @@ fn rebuild_job_state(
         id: sub.job,
         job,
         key,
+        journal_from,
         slot,
         stride: sub.stride.max(1),
         cancel: CancelSet::new(1),
@@ -950,10 +974,36 @@ fn run_job(shared: &Shared, job: &JobState) {
 // Connection side
 // ---------------------------------------------------------------------
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// A connection's write half. Every message — one response line, or a
+/// batch of `events` lines — is framed with its newlines in one reused
+/// buffer and sent with a single `write_all`, so with `TCP_NODELAY` set
+/// it leaves as one segment rather than a line and a lone `\n` that
+/// Nagle holds back until the peer's delayed ACK.
+struct Wire {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Wire {
+    /// Buffer capacity kept between messages; a larger message (a
+    /// `trace_dump`, a long event replay) releases its excess after
+    /// sending rather than holding it for the connection's lifetime.
+    const KEEP: usize = 64 << 10;
+
+    fn send(&mut self, line: &str) -> std::io::Result<()> {
+        self.send_all([line])
+    }
+
+    fn send_all<'a>(&mut self, lines: impl IntoIterator<Item = &'a str>) -> std::io::Result<()> {
+        for line in lines {
+            self.buf.extend_from_slice(line.as_bytes());
+            self.buf.push(b'\n');
+        }
+        let sent = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        self.buf.shrink_to(Self::KEEP);
+        sent
+    }
 }
 
 /// Per-connection ECO state: one open [`eco::EcoSession`] plus the
@@ -1006,7 +1056,12 @@ fn serve_requests(shared: &Shared, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut writer = stream;
+    // Best effort: without it replies are merely slower, never wrong.
+    let _ = stream.set_nodelay(true);
+    let mut writer = Wire {
+        stream,
+        buf: Vec::new(),
+    };
     let mut reader = BufReader::new(read_half);
     let mut line = String::new();
     let mut eco_conn: Option<EcoConn> = None;
@@ -1021,7 +1076,7 @@ fn serve_requests(shared: &Shared, stream: TcpStream) {
         }
         ServeMetrics::bump(&shared.metrics.requests);
         let outcome = match parse_request(line.trim_end()) {
-            Err(e) => write_line(&mut writer, &e.to_response()),
+            Err(e) => writer.send(&e.to_response()),
             Ok(request) => {
                 let (verb, span_name, job) = request_names(&request);
                 let t0 = std::time::Instant::now();
@@ -1121,44 +1176,44 @@ fn request_names(req: &Request) -> (&'static str, &'static str, Option<u64>) {
 fn dispatch(
     shared: &Shared,
     request: Request,
-    writer: &mut TcpStream,
+    writer: &mut Wire,
     eco_conn: &mut Option<EcoConn>,
 ) -> std::io::Result<()> {
     match request {
         Request::Submit(req) => match handle_submit(shared, &req) {
-            Err(e) => write_line(writer, &e.to_response()),
-            Ok(response) => write_line(writer, &response),
+            Err(e) => writer.send(&e.to_response()),
+            Ok(response) => writer.send(&response),
         },
         Request::Status { job } => match shared.job(job) {
-            None => write_line(writer, &unknown_job(job)),
-            Some(JobRef::Live(j)) => write_line(writer, &render_status("status", &j)),
-            Some(JobRef::Compacted { id, key, .. }) => {
-                match render_compacted_status(shared, "status", id, key) {
-                    Err(e) => write_line(writer, &e.to_response()),
-                    Ok(s) => write_line(writer, &s),
+            None => writer.send(&unknown_job(job)),
+            Some(JobRef::Live(j)) => writer.send(&render_status("status", &j)),
+            Some(JobRef::Compacted { id, key, span, .. }) => {
+                match render_compacted_status(shared, "status", id, key, span) {
+                    Err(e) => writer.send(&e.to_response()),
+                    Ok(s) => writer.send(&s),
                 }
             }
         },
         Request::Wait { job } => match shared.job(job) {
-            None => write_line(writer, &unknown_job(job)),
+            None => writer.send(&unknown_job(job)),
             Some(JobRef::Live(j)) => {
                 let mut phase = j.phase.lock().expect("job phase lock");
                 while !matches!(*phase, JobPhase::Finished(_)) {
                     phase = j.cv.wait(phase).expect("job phase lock");
                 }
                 drop(phase);
-                write_line(writer, &render_status("wait", &j))
+                writer.send(&render_status("wait", &j))
             }
             // Compacted jobs are terminal by construction: answer now.
-            Some(JobRef::Compacted { id, key, .. }) => {
-                match render_compacted_status(shared, "wait", id, key) {
-                    Err(e) => write_line(writer, &e.to_response()),
-                    Ok(s) => write_line(writer, &s),
+            Some(JobRef::Compacted { id, key, span, .. }) => {
+                match render_compacted_status(shared, "wait", id, key, span) {
+                    Err(e) => writer.send(&e.to_response()),
+                    Ok(s) => writer.send(&s),
                 }
             }
         },
         Request::Events { job, from } => match shared.job(job) {
-            None => write_line(writer, &unknown_job(job)),
+            None => writer.send(&unknown_job(job)),
             Some(JobRef::Live(j)) => {
                 ServeMetrics::bump(&shared.metrics.event_streams);
                 let mut index = from;
@@ -1176,18 +1231,18 @@ fn dispatch(
                             let end = event_line("end", j.id, |s| {
                                 tdp_jsonio::field_str(s, "state", &state);
                             });
-                            return write_line(writer, &end);
+                            return writer.send(&end);
                         }
                         return Ok(());
                     }
                     index += lines.len();
                     sent += lines.len();
-                    for l in &lines {
-                        write_line(writer, l)?;
-                    }
+                    writer.send_all(lines.iter().map(String::as_str))?;
                 }
             }
-            Some(JobRef::Compacted { id, state, .. }) => {
+            Some(JobRef::Compacted {
+                id, state, span, ..
+            }) => {
                 ServeMetrics::bump(&shared.metrics.event_streams);
                 // The journal holds the complete stream (terminal
                 // `finished` line included); replay the requested
@@ -1195,24 +1250,21 @@ fn dispatch(
                 let lines = shared
                     .journal
                     .as_ref()
-                    .and_then(|j| journal::read_compacted(j.path(), id).ok())
+                    .and_then(|j| journal::read_compacted(j.path(), id, span).ok())
                     .map(|c| c.events)
                     .unwrap_or_default();
                 if from < lines.len() {
-                    for l in &lines[from..] {
-                        write_line(writer, l)?;
-                    }
-                    Ok(())
+                    writer.send_all(lines[from..].iter().map(String::as_str))
                 } else {
                     let end = event_line("end", id, |s| {
                         tdp_jsonio::field_str(s, "state", state);
                     });
-                    write_line(writer, &end)
+                    writer.send(&end)
                 }
             }
         },
         Request::Cancel { job } => match shared.job(job) {
-            None => write_line(writer, &unknown_job(job)),
+            None => writer.send(&unknown_job(job)),
             Some(j) => {
                 // Compacted jobs are already terminal; cancel is the
                 // same no-op it is for a live finished job.
@@ -1222,7 +1274,7 @@ fn dispatch(
                 let mut s = ok_prefix("cancel");
                 tdp_jsonio::field_num(&mut s, "job", job as f64);
                 s.push('}');
-                write_line(writer, &s)
+                writer.send(&s)
             }
         },
         Request::Metrics => {
@@ -1233,7 +1285,7 @@ fn dispatch(
             tdp_jsonio::field_num(&mut s, "congestion_overflow_sum", congestion.1);
             tdp_jsonio::field_num(&mut s, "congestion_peak_max", congestion.2);
             s.push('}');
-            write_line(writer, &s)
+            writer.send(&s)
         }
         Request::MetricsText => {
             let (gauges, _) = snapshot(shared);
@@ -1241,7 +1293,7 @@ fn dispatch(
             let mut s = ok_prefix("metrics_text");
             tdp_jsonio::field_str(&mut s, "text", &text);
             s.push('}');
-            write_line(writer, &s)
+            writer.send(&s)
         }
         Request::Shutdown => {
             let mut s = ok_prefix("shutdown");
@@ -1251,13 +1303,13 @@ fn dispatch(
                 shared.jobs.lock().expect("jobs lock").next_id as f64,
             );
             s.push('}');
-            let result = write_line(writer, &s);
+            let result = writer.send(&s);
             shared.initiate_shutdown();
             result
         }
         Request::EcoOpen { design } => match handle_eco_open(shared, eco_conn, &design) {
-            Err(e) => write_line(writer, &e.to_response()),
-            Ok(response) => write_line(writer, &response),
+            Err(e) => writer.send(&e.to_response()),
+            Ok(response) => writer.send(&response),
         },
         Request::EcoApply { deltas } => {
             let response = eco_session(eco_conn).and_then(|conn| {
@@ -1276,8 +1328,8 @@ fn dispatch(
                 Ok(s)
             });
             match response {
-                Err(e) => write_line(writer, &e.to_response()),
-                Ok(s) => write_line(writer, &s),
+                Err(e) => writer.send(&e.to_response()),
+                Ok(s) => writer.send(&s),
             }
         }
         Request::EcoQuery { full, paths } => {
@@ -1294,8 +1346,8 @@ fn dispatch(
                 s
             });
             match response {
-                Err(e) => write_line(writer, &e.to_response()),
-                Ok(s) => write_line(writer, &s),
+                Err(e) => writer.send(&e.to_response()),
+                Ok(s) => writer.send(&s),
             }
         }
         Request::EcoRevert { to } => {
@@ -1312,13 +1364,12 @@ fn dispatch(
                 Ok(s)
             });
             match response {
-                Err(e) => write_line(writer, &e.to_response()),
-                Ok(s) => write_line(writer, &s),
+                Err(e) => writer.send(&e.to_response()),
+                Ok(s) => writer.send(&s),
             }
         }
         Request::EcoClose => match eco_conn.take() {
-            None => write_line(
-                writer,
+            None => writer.send(
                 &ProtoError::new("no eco session open on this connection (eco_open first)")
                     .to_response(),
             ),
@@ -1331,12 +1382,11 @@ fn dispatch(
                 tdp_jsonio::field_num(&mut s, "incremental_ns", stats.incremental_ns as f64);
                 tdp_jsonio::field_num(&mut s, "full_ns", stats.full_ns as f64);
                 s.push('}');
-                write_line(writer, &s)
+                writer.send(&s)
             }
         },
         Request::TraceDump => match &shared.trace {
-            None => write_line(
-                writer,
+            None => writer.send(
                 &ProtoError::new("tracing is disabled on this server (--trace-ring 0)")
                     .to_response(),
             ),
@@ -1348,7 +1398,7 @@ fn dispatch(
                 tdp_jsonio::field_num(&mut s, "events", events as f64);
                 tdp_jsonio::field_raw(&mut s, "trace", &trace.encode());
                 s.push('}');
-                write_line(writer, &s)
+                writer.send(&s)
             }
         },
     }
@@ -1440,12 +1490,13 @@ fn render_compacted_status(
     cmd: &str,
     id: usize,
     key: u64,
+    span: Range<u64>,
 ) -> Result<String, ProtoError> {
     let journal = shared
         .journal
         .as_ref()
         .ok_or_else(|| ProtoError::new(format!("job {id} was compacted without a journal")))?;
-    let compacted = journal::read_compacted(journal.path(), id)
+    let compacted = journal::read_compacted(journal.path(), id, span)
         .map_err(|e| ProtoError::new(format!("journal read failed for job {id}: {e}")))?;
     let report = compacted
         .report
@@ -1511,21 +1562,10 @@ fn handle_submit(shared: &Shared, req: &SubmitRequest) -> Result<String, ProtoEr
         let mut table = shared.jobs.lock().expect("jobs lock");
         let id = table.next_id;
         table.next_id += 1;
-        let state = Arc::new(JobState {
-            id,
-            job,
-            key,
-            slot,
-            stride,
-            cancel: CancelSet::new(1),
-            phase: Mutex::new(JobPhase::Queued),
-            cv: Condvar::new(),
-            events: EventLog::default(),
-        });
         // Journaled under the table lock so submit records land on disk
         // in id order — replay depends on it (and the WAL rule: the
         // record is durable before the job is visible).
-        if shared.journal.is_some() {
+        let journal_from = if shared.journal.is_some() {
             let rec = SubmitRecord {
                 job: id,
                 name: name.clone(),
@@ -1536,8 +1576,26 @@ fn handle_submit(shared: &Shared, req: &SubmitRequest) -> Result<String, ProtoEr
                 stride,
                 key,
             };
-            shared.journal_append(&journal::submit_record(&rec), true);
-        }
+            // A failed append leaves 0: the job's range then starts at
+            // the top of the journal, which still holds all its records.
+            shared
+                .journal_append(&journal::submit_record(&rec), true)
+                .map_or(0, |at| at.start)
+        } else {
+            0
+        };
+        let state = Arc::new(JobState {
+            id,
+            job,
+            key,
+            journal_from,
+            slot,
+            stride,
+            cancel: CancelSet::new(1),
+            phase: Mutex::new(JobPhase::Queued),
+            cv: Condvar::new(),
+            events: EventLog::default(),
+        });
         table.entries.insert(id, JobEntry::Live(Arc::clone(&state)));
         state
     };

@@ -37,13 +37,14 @@
 //! a live daemon can answer `trace_dump` without restarting.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub mod chrome;
+mod ring;
 pub use chrome::{chrome_trace, summarize, validate, SpanStat};
+pub use ring::TraceRing;
 
 /// The single global gate every recording entry point checks first.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -364,64 +365,6 @@ pub fn take() -> Vec<LaneChunk> {
     std::mem::take(&mut *registry().lock().expect("trace registry lock"))
 }
 
-/// A bounded, thread-safe ring of recent [`LaneChunk`]s — the resident
-/// store behind `tdp-serve`'s `trace_dump` verb. Eviction drops whole
-/// chunks (oldest first), so a snapshot is always a set of balanced
-/// chunks and exports cleanly.
-#[derive(Debug)]
-pub struct TraceRing {
-    cap_events: usize,
-    state: Mutex<RingState>,
-}
-
-#[derive(Debug, Default)]
-struct RingState {
-    chunks: VecDeque<LaneChunk>,
-    events: usize,
-}
-
-impl TraceRing {
-    /// A ring retaining roughly `cap_events` events (whole-chunk
-    /// granularity; a single oversized chunk is kept alone rather than
-    /// split).
-    pub fn new(cap_events: usize) -> Self {
-        TraceRing {
-            cap_events,
-            state: Mutex::new(RingState::default()),
-        }
-    }
-
-    /// Appends freshly [`take`]n chunks, evicting the oldest whole
-    /// chunks once the event budget is exceeded.
-    pub fn absorb(&self, chunks: Vec<LaneChunk>) {
-        if chunks.is_empty() {
-            return;
-        }
-        let mut s = self.state.lock().expect("trace ring lock");
-        for c in chunks {
-            s.events += c.events.len();
-            s.chunks.push_back(c);
-        }
-        while s.events > self.cap_events && s.chunks.len() > 1 {
-            if let Some(old) = s.chunks.pop_front() {
-                s.events -= old.events.len();
-            }
-        }
-    }
-
-    /// A copy of the resident chunks, oldest first (non-destructive —
-    /// an operator can dump repeatedly).
-    pub fn snapshot(&self) -> Vec<LaneChunk> {
-        let s = self.state.lock().expect("trace ring lock");
-        s.chunks.iter().cloned().collect()
-    }
-
-    /// Number of events currently resident (for metrics).
-    pub fn len_events(&self) -> usize {
-        self.state.lock().expect("trace ring lock").events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,36 +437,5 @@ mod tests {
         assert_ne!(worker_lane(3, 0), worker_lane(3, 1));
         assert_ne!(worker_lane(3, 0), worker_lane(4, 0));
         assert!(worker_lane(0, 0) >= WORKER_LANE_BASE);
-    }
-
-    #[test]
-    fn ring_evicts_whole_chunks_oldest_first() {
-        let chunk = |lane: u32, n: usize| LaneChunk {
-            lane,
-            name: None,
-            events: vec![
-                Event {
-                    ts_ns: 0,
-                    kind: EventKind::Instant {
-                        name: "x",
-                        cat: "t",
-                        arg: InstantArg::None,
-                    },
-                };
-                n
-            ],
-        };
-        let ring = TraceRing::new(10);
-        ring.absorb(vec![chunk(0, 6), chunk(1, 6)]);
-        // 12 events > 10: the oldest chunk goes, whole.
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].lane, 1);
-        assert_eq!(ring.len_events(), 6);
-        // One oversized chunk is kept alone rather than split.
-        ring.absorb(vec![chunk(2, 100)]);
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].lane, 2);
     }
 }

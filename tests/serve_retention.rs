@@ -6,6 +6,9 @@
 //! is re-served from the journal **byte-identically** to the live
 //! responses.
 //!
+//! Compacted reads touch only the job's byte range of the journal; a
+//! restart rebuilds those ranges by replay and must serve the same bytes.
+//!
 //! Also covered: connection-handler threads are reaped as their
 //! connections close (the acceptor previously leaked one `JoinHandle`
 //! per connection for the daemon's lifetime), and `retain` without a
@@ -47,6 +50,7 @@ fn retain_compacts_old_jobs_and_serves_them_from_the_journal() {
     // N ≫ retain jobs, submitted and awaited one at a time so each
     // job's live responses can be captured before compaction takes it.
     let mut live_waits: Vec<String> = Vec::new();
+    let mut live_statuses: Vec<String> = Vec::new();
     let mut live_events: Vec<Vec<String>> = Vec::new();
     for i in 0..N {
         let req = SubmitRequest {
@@ -64,6 +68,7 @@ fn retain_compacts_old_jobs_and_serves_them_from_the_journal() {
         let id = client.submit(&req).expect("submit");
         assert_eq!(id, i, "sequential ids");
         live_waits.push(client.wait(id).expect("wait").encode());
+        live_statuses.push(client.status(id).expect("status").encode());
         let mut lines = Vec::new();
         client
             .events(id, 0, |e| lines.push(e.encode()))
@@ -88,6 +93,11 @@ fn retain_compacts_old_jobs_and_serves_them_from_the_journal() {
 
     // Compacted jobs re-serve from the journal, byte for byte.
     for id in 0..N - RETAIN {
+        assert_eq!(
+            client.status(id).expect("compacted status").encode(),
+            live_statuses[id],
+            "job {id}: compacted status response must match the live one"
+        );
         assert_eq!(
             client.wait(id).expect("compacted wait").encode(),
             live_waits[id],
@@ -127,6 +137,40 @@ fn retain_compacts_old_jobs_and_serves_them_from_the_journal() {
     assert!(reaped > 0, "closed connection handlers must be reaped");
 
     client.shutdown().expect("shutdown");
+    handle.join();
+
+    // Restart on the same journal: replay rebuilds every job's byte
+    // range and compacts the same jobs again, and their reads stay
+    // byte-identical to the live responses captured before.
+    let handle = Server::start(ServerConfig {
+        workers: 1,
+        journal: Some(dir.clone()),
+        retain: RETAIN,
+        ..ServerConfig::default()
+    })
+    .expect("server restarts on its journal");
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).expect("reconnect");
+    let metrics = client.metrics().expect("metrics after restart");
+    assert_eq!(metric(&metrics, "jobs_recovered"), N);
+    assert_eq!(metric(&metrics, "jobs_compacted"), N - RETAIN);
+    for id in 0..N {
+        assert_eq!(
+            client.status(id).expect("status after restart").encode(),
+            live_statuses[id],
+            "job {id}: status after restart"
+        );
+        assert_eq!(
+            client.wait(id).expect("wait after restart").encode(),
+            live_waits[id],
+            "job {id}: wait after restart"
+        );
+        let mut lines = Vec::new();
+        client
+            .events(id, 0, |e| lines.push(e.encode()))
+            .expect("events after restart");
+        assert_eq!(lines, live_events[id], "job {id}: events after restart");
+    }
+    client.shutdown().expect("shutdown after restart");
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -54,7 +54,8 @@ pub use job::{
 pub use progress::{BatchEvent, BatchSink, CancelSet, NullSink, SinkObserver};
 pub use report::{job_fields, job_json, FleetTotals};
 pub use runner::{
-    execute_job, run_batch, BatchPlan, BatchResult, BatchRunConfig, JobReport, JobStatus,
+    execute_job, failed_report, panic_message, run_batch, BatchPlan, BatchResult, BatchRunConfig,
+    JobReport, JobStatus,
 };
 
 use std::fmt;

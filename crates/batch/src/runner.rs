@@ -47,7 +47,7 @@ pub enum JobStatus {
 
 impl JobStatus {
     /// Short status label for reports.
-    pub fn label(&self) -> &str {
+    pub fn label(&self) -> &'static str {
         match self {
             JobStatus::Done => "done",
             JobStatus::Canceled => "canceled",
@@ -270,7 +270,7 @@ fn build_group_session(params: &CircuitParams) -> Result<Session, String> {
 }
 
 /// The report of a job that never produced an outcome.
-pub(crate) fn failed_report(job_id: usize, job: &BatchJob, msg: String) -> JobReport {
+pub fn failed_report(job_id: usize, job: &BatchJob, msg: String) -> JobReport {
     JobReport {
         job: job_id,
         case: job.case.clone(),
@@ -288,7 +288,7 @@ pub(crate) fn failed_report(job_id: usize, job: &BatchJob, msg: String) -> JobRe
 }
 
 /// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

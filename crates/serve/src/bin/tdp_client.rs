@@ -186,6 +186,22 @@ fn job_succeeded(doc: &JsonValue) -> bool {
     state_ok && legal
 }
 
+/// Hands a successful reply to `ok`; a server-side refusal prints and
+/// exits 1, any other failure is an error.
+fn outcome<T>(
+    r: Result<T, ClientError>,
+    ok: impl FnOnce(T) -> Result<i32, String>,
+) -> Result<i32, String> {
+    match r {
+        Ok(v) => ok(v),
+        Err(ClientError::Server(msg)) => {
+            eprintln!("tdp-client: server error: {msg}");
+            Ok(1)
+        }
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 fn run() -> Result<i32, String> {
     let mut addr = "127.0.0.1:7171".to_string();
     let mut retry = Duration::ZERO;
@@ -233,18 +249,11 @@ fn run() -> Result<i32, String> {
     };
 
     let print_doc = |doc: &JsonValue| println!("{}", doc.encode());
-    let report = |r: Result<JsonValue, ClientError>| -> Result<i32, String> {
-        match r {
-            Ok(doc) => {
-                print_doc(&doc);
-                Ok(0)
-            }
-            Err(ClientError::Server(msg)) => {
-                eprintln!("tdp-client: server error: {msg}");
-                Ok(1)
-            }
-            Err(e) => Err(e.to_string()),
-        }
+    let report = |r: Result<JsonValue, ClientError>| {
+        outcome(r, |doc| {
+            print_doc(&doc);
+            Ok(0)
+        })
     };
 
     match command.as_str() {
@@ -320,19 +329,12 @@ fn run() -> Result<i32, String> {
         }
         "cancel" => report(client.cancel(job_arg(&args)?)),
         "metrics" => report(client.metrics()),
-        "metrics-text" => match client.metrics_text() {
-            Ok(text) => {
-                // The raw scrape body, not a JSON line: this output is
-                // what a Prometheus scraper (or a human) consumes.
-                print!("{text}");
-                Ok(0)
-            }
-            Err(ClientError::Server(msg)) => {
-                eprintln!("tdp-client: server error: {msg}");
-                Ok(1)
-            }
-            Err(e) => Err(e.to_string()),
-        },
+        "metrics-text" => outcome(client.metrics_text(), |text| {
+            // The raw scrape body, not a JSON line: this output is what
+            // a Prometheus scraper (or a human) consumes.
+            print!("{text}");
+            Ok(0)
+        }),
         "trace" => {
             let mut out: Option<String> = None;
             let mut it = args.iter();
@@ -348,28 +350,21 @@ fn run() -> Result<i32, String> {
                     other => return Err(usage_err(format!("unknown trace flag {other:?}"))),
                 }
             }
-            match client.trace() {
-                Ok(doc) => {
-                    let trace = doc
-                        .get("trace")
-                        .ok_or_else(|| "trace_dump response lacks \"trace\"".to_string())?;
-                    let events = doc.get("events").and_then(JsonValue::as_usize).unwrap_or(0);
-                    match out {
-                        Some(path) => {
-                            std::fs::write(&path, trace.encode())
-                                .map_err(|e| format!("cannot write {path}: {e}"))?;
-                            eprintln!("tdp-client: wrote {events} trace events to {path}");
-                        }
-                        None => println!("{}", trace.encode()),
+            outcome(client.trace(), |doc| {
+                let trace = doc
+                    .get("trace")
+                    .ok_or_else(|| "trace_dump response lacks \"trace\"".to_string())?;
+                let events = doc.get("events").and_then(JsonValue::as_usize).unwrap_or(0);
+                match out {
+                    Some(path) => {
+                        std::fs::write(&path, trace.encode())
+                            .map_err(|e| format!("cannot write {path}: {e}"))?;
+                        eprintln!("tdp-client: wrote {events} trace events to {path}");
                     }
-                    Ok(0)
+                    None => println!("{}", trace.encode()),
                 }
-                Err(ClientError::Server(msg)) => {
-                    eprintln!("tdp-client: server error: {msg}");
-                    Ok(1)
-                }
-                Err(e) => Err(e.to_string()),
-            }
+                Ok(0)
+            })
         }
         "shutdown" => report(client.shutdown()),
         "eco" => run_eco(&mut client, args),

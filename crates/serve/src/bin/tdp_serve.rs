@@ -36,6 +36,17 @@ const USAGE: &str = "usage: tdp-serve [options]
                        (default: 65536)
   --quiet              suppress the startup banner";
 
+/// The value following `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The integer following `flag`; `what` names its range in the error.
+fn number(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> Result<usize, String> {
+    let bad = |_| format!("{flag} expects a {what} integer");
+    value(it, flag)?.parse().map_err(bad)
+}
+
 fn parse_args() -> Result<(ServerConfig, bool), String> {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:7171".to_string(),
@@ -44,36 +55,15 @@ fn parse_args() -> Result<(ServerConfig, bool), String> {
     let mut quiet = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--workers" => {
-                cfg.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers expects a non-negative integer".to_string())?
-            }
-            "--cache-capacity" => {
-                cfg.cache_capacity = value("--cache-capacity")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity expects a positive integer".to_string())?
-            }
-            "--stride" => {
-                cfg.default_stride = value("--stride")?
-                    .parse()
-                    .map_err(|_| "--stride expects a positive integer".to_string())?
-            }
-            "--journal" => cfg.journal = Some(value("--journal")?.into()),
+            "--addr" => cfg.addr = value(&mut it, &flag)?,
+            "--workers" => cfg.workers = number(&mut it, &flag, "non-negative")?,
+            "--cache-capacity" => cfg.cache_capacity = number(&mut it, &flag, "positive")?,
+            "--stride" => cfg.default_stride = number(&mut it, &flag, "positive")?,
+            "--journal" => cfg.journal = Some(value(&mut it, &flag)?.into()),
             "--no-replay" => cfg.replay = false,
-            "--retain" => {
-                cfg.retain = value("--retain")?
-                    .parse()
-                    .map_err(|_| "--retain expects a positive integer".to_string())?
-            }
-            "--trace-ring" => {
-                cfg.trace_ring = value("--trace-ring")?
-                    .parse()
-                    .map_err(|_| "--trace-ring expects a non-negative integer".to_string())?
-            }
+            "--retain" => cfg.retain = number(&mut it, &flag, "positive")?,
+            "--trace-ring" => cfg.trace_ring = number(&mut it, &flag, "non-negative")?,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!("{USAGE}");

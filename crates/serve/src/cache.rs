@@ -20,7 +20,7 @@
 
 use benchgen::CircuitParams;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use tdp_core::Session;
 
 /// A lazily-built, shareable session slot.
@@ -52,6 +52,19 @@ impl SessionSlot {
             })
             .as_ref()
             .map_err(Clone::clone)
+    }
+
+    /// [`SessionSlot::session`], locked for one user.
+    ///
+    /// # Errors
+    ///
+    /// The construction error, or a poisoned session: a panic inside an
+    /// earlier job may have left it half-updated, so callers fail
+    /// cleanly rather than run on it (the batch runner's group policy).
+    pub fn lock(&self, params: &CircuitParams) -> Result<MutexGuard<'_, Session>, String> {
+        self.session(params)?
+            .lock()
+            .map_err(|_| "session poisoned by a previous job's panic on this design".to_string())
     }
 
     /// Whether the slot has been initialized (for tests/metrics).
@@ -107,33 +120,16 @@ impl SessionCache {
     /// Returns the slot for `key`, recording whether it was already
     /// present (`true` = hit). On a miss beyond capacity the
     /// least-recently-used **unpinned** entry is evicted (second
-    /// return: evictions performed, 0 or 1).
+    /// return: evictions performed, 0 or 1). With `pin`, the entry is
+    /// also pinned for the lifetime of an ECO session; balance with
+    /// [`SessionCache::unpin`].
     ///
     /// # Errors
     ///
     /// Returns a message when the cache is at capacity and every entry
     /// is pinned by an open ECO session — eviction is denied rather
     /// than yanking a resident design out from under a live editor.
-    pub fn checkout(&self, key: u64) -> Result<(Arc<SessionSlot>, bool, usize), String> {
-        self.checkout_impl(key, false)
-    }
-
-    /// Like [`SessionCache::checkout`], but additionally pins the entry
-    /// for the lifetime of an ECO session. Balance with
-    /// [`SessionCache::unpin`].
-    ///
-    /// # Errors
-    ///
-    /// Same eviction denial as [`SessionCache::checkout`].
-    pub fn checkout_pinned(&self, key: u64) -> Result<(Arc<SessionSlot>, bool, usize), String> {
-        self.checkout_impl(key, true)
-    }
-
-    fn checkout_impl(
-        &self,
-        key: u64,
-        pin: bool,
-    ) -> Result<(Arc<SessionSlot>, bool, usize), String> {
+    pub fn checkout(&self, key: u64, pin: bool) -> Result<(Arc<SessionSlot>, bool, usize), String> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock().expect("cache lock");
         if let Some(e) = entries.iter_mut().find(|e| e.key == key) {
@@ -208,23 +204,23 @@ mod tests {
     #[test]
     fn checkout_hits_misses_and_evicts_lru() {
         let cache = SessionCache::new(2);
-        let (a1, hit, ev) = cache.checkout(1).unwrap();
+        let (a1, hit, ev) = cache.checkout(1, false).unwrap();
         assert!(!hit);
         assert_eq!(ev, 0);
-        let (_b, hit, ev) = cache.checkout(2).unwrap();
+        let (_b, hit, ev) = cache.checkout(2, false).unwrap();
         assert!(!hit);
         assert_eq!(ev, 0);
         // Touch 1 so 2 becomes the LRU.
-        let (a2, hit, _) = cache.checkout(1).unwrap();
+        let (a2, hit, _) = cache.checkout(1, false).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&a1, &a2), "hits return the same slot");
         // A third key evicts key 2 (the LRU), not key 1.
-        let (_c, hit, ev) = cache.checkout(3).unwrap();
+        let (_c, hit, ev) = cache.checkout(3, false).unwrap();
         assert!(!hit);
         assert_eq!(ev, 1);
-        let (_a3, hit, _) = cache.checkout(1).unwrap();
+        let (_a3, hit, _) = cache.checkout(1, false).unwrap();
         assert!(hit, "recently used key must survive eviction");
-        let (_b2, hit, _) = cache.checkout(2).unwrap();
+        let (_b2, hit, _) = cache.checkout(2, false).unwrap();
         assert!(!hit, "evicted key is a miss again");
         assert_eq!(cache.len(), 2);
     }
@@ -232,24 +228,26 @@ mod tests {
     #[test]
     fn pinned_entries_are_never_evicted() {
         let cache = SessionCache::new(2);
-        cache.checkout_pinned(1).unwrap();
-        let (_b, _, _) = cache.checkout(2).unwrap();
+        cache.checkout(1, true).unwrap();
+        let (_b, _, _) = cache.checkout(2, false).unwrap();
         assert_eq!(cache.pins(1), 1);
         assert_eq!(cache.pins(2), 0);
         // Key 1 is the LRU but pinned: key 2 is evicted instead.
-        let (_c, hit, ev) = cache.checkout(3).unwrap();
+        let (_c, hit, ev) = cache.checkout(3, false).unwrap();
         assert!(!hit);
         assert_eq!(ev, 1);
-        let (_a, hit, _) = cache.checkout(1).unwrap();
+        let (_a, hit, _) = cache.checkout(1, false).unwrap();
         assert!(hit, "pinned entry survives eviction pressure");
         // Pin the whole cache: a miss at capacity is now denied.
-        cache.checkout_pinned(3).unwrap();
-        let err = cache.checkout(4).expect_err("all entries pinned");
+        cache.checkout(3, true).unwrap();
+        let err = cache.checkout(4, false).expect_err("all entries pinned");
         assert!(err.contains("pinned"), "error explains the denial: {err}");
         // Releasing a pin re-enables eviction.
         cache.unpin(3);
         assert_eq!(cache.pins(3), 0);
-        cache.checkout(4).expect("unpinned entry can be evicted");
+        cache
+            .checkout(4, false)
+            .expect("unpinned entry can be evicted");
         // Double-unpin saturates instead of underflowing.
         cache.unpin(3);
         cache.unpin(99);

@@ -69,7 +69,7 @@ use tdp_jsonio::{
     field_bool, field_hex, field_num, field_raw, field_str, parse_hex_u64, JsonValue,
 };
 
-use crate::protocol::{params_from_json, params_to_json};
+use crate::protocol::{overrides_json, params_from_json, params_to_json};
 
 /// One decoded journal record.
 #[derive(Debug, Clone, PartialEq)]
@@ -276,17 +276,7 @@ pub fn submit_record(r: &SubmitRecord) -> String {
     field_raw(&mut s, "params", &params_to_json(&r.params).encode());
     field_str(&mut s, "objective", &r.objective);
     field_str(&mut s, "profile", &r.profile);
-    let mut o = String::from("{");
-    for (i, (k, v)) in r.overrides.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        tdp_jsonio::push_escaped(&mut o, k);
-        o.push(':');
-        tdp_jsonio::push_escaped(&mut o, v);
-    }
-    o.push('}');
-    field_raw(&mut s, "overrides", &o);
+    field_raw(&mut s, "overrides", &overrides_json(&r.overrides));
     field_num(&mut s, "stride", r.stride as f64);
     field_hex(&mut s, "key", r.key);
     s.push('}');

@@ -9,10 +9,20 @@
 //!
 //! * [`server`] — the [`Server`]: a std-only TCP listener (no external
 //!   deps), a worker pool on [`parx::TaskQueue`], and per-connection
-//!   handler threads speaking newline-delimited JSON.
-//! * [`protocol`] — the wire grammar: `submit` / `status` / `wait` /
-//!   `events` / `cancel` / `metrics` / `shutdown`, plus the canonical
-//!   [`protocol::design_key`] content hash.
+//!   handler threads speaking newline-delimited JSON. It splits along
+//!   its seams: `server/mod.rs` (config, start, acceptor, handler
+//!   reaping, shutdown), `server/jobs.rs` (job table, event logs,
+//!   retention compaction, journal replay, workers), `server/conn.rs`
+//!   (the TCP read loop with its [`server::MAX_REQUEST_BYTES`] line cap,
+//!   and one write per message) and `server/dispatch.rs` ([`Connection`]:
+//!   one handler per verb, no socket — a test drives it with lines and a
+//!   `Vec<u8>`, the TCP handler with a stream, through the same code).
+//! * [`protocol`] — the wire grammar, whose fourteen verbs
+//!   ([`protocol::VERBS`]) are `submit`, `status`, `wait`, `events`,
+//!   `cancel`, `metrics`, `metrics_text`, `shutdown`, `eco_open`,
+//!   `eco_apply`, `eco_query`, `eco_revert`, `eco_close` and
+//!   `trace_dump`; plus the canonical [`protocol::design_key`] content
+//!   hash.
 //! * [`cache`] — the LRU [`SessionCache`]: repeat requests for one
 //!   design (by catalog name or bit-identical inline parameters, across
 //!   connections and across time) reuse one built
@@ -29,16 +39,12 @@
 //! * [`client`] — the [`Client`] library used by `tdp-client`, the CI
 //!   smoke job and the differential tests.
 //!
-//! # The differential guarantee
-//!
-//! A job submitted to the daemon runs through [`batch::make_jobs_for`]
-//! (spec construction) and [`batch::execute_job`] (execution) — the
-//! exact functions a local run uses. The daemon adds scheduling, caching
-//! and streaming *around* the flow, never arithmetic inside it, so a
-//! daemon-served result is bitwise identical — metrics and placement
+//! A daemon-served result is bitwise identical — metrics and placement
 //! fingerprint — to the same spec run through a local
-//! [`Session`](tdp_core::Session). The workspace test
-//! `tests/serve_differential.rs` asserts this end to end over the wire.
+//! [`Session`](tdp_core::Session): the daemon runs the batch crate's own
+//! spec construction and execution, and adds scheduling, caching and
+//! streaming around the flow, never arithmetic inside it (see
+//! [`server`]; `tests/serve_differential.rs` asserts it over the wire).
 
 pub mod cache;
 pub mod client;
@@ -52,4 +58,4 @@ pub use client::{Client, ClientError};
 pub use journal::Journal;
 pub use metrics::{Gauges, ServeMetrics};
 pub use protocol::{design_key, DesignRef, ProtoError, Request, SubmitRequest};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Connection, Server, ServerConfig, ServerHandle};

@@ -5,6 +5,7 @@
 //! (cache hits/misses) are updated on the single submit path, in submit
 //! order, so they *are* exact for sequential clients.
 
+use crate::protocol::VERBS;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -24,26 +25,6 @@ pub const LATENCY_LE: [(f64, &str); 11] = [
     (1.0, "1"),
     (5.0, "5"),
     (10.0, "10"),
-];
-
-/// Every wire verb, in protocol order — the label set of the
-/// `request_seconds` histogram. Requests that fail to parse have no
-/// verb and are not observed (they still count in `requests`).
-pub const VERBS: [&str; 14] = [
-    "submit",
-    "status",
-    "wait",
-    "events",
-    "cancel",
-    "metrics",
-    "metrics_text",
-    "shutdown",
-    "eco_open",
-    "eco_apply",
-    "eco_query",
-    "eco_revert",
-    "eco_close",
-    "trace_dump",
 ];
 
 /// One verb's latency histogram: per-bucket (non-cumulative) relaxed
@@ -87,28 +68,45 @@ impl LatencyHisto {
     }
 }
 
-/// Per-verb request latency histograms, indexed by [`VERBS`].
-#[derive(Debug)]
-pub struct RequestLatencies {
-    verbs: [LatencyHisto; VERBS.len()],
-}
+/// The process-wide STA construction counters, read together, in
+/// `metrics` order: graph builds, RC skeleton builds, RC tree builds, RC
+/// refreshes, nets refreshed and scratch reuses. The server keeps the
+/// values at its start, so `metrics` reports only the work attributable
+/// to it. The RC tree delta stays 0 on a healthy server: analyzers
+/// refresh through the slab-backed forest, never by constructing
+/// per-net trees.
+#[derive(Debug, Clone, Copy)]
+struct StaCounts([u64; 6]);
 
-impl RequestLatencies {
-    fn new() -> Self {
-        Self {
-            verbs: std::array::from_fn(|_| LatencyHisto::new()),
-        }
+impl StaCounts {
+    fn now() -> Self {
+        Self([
+            sta::graph_build_count() as u64,
+            sta::rc_skeleton_build_count() as u64,
+            sta::rc_tree_build_count() as u64,
+            sta::rc_refresh_count(),
+            sta::rc_nets_refreshed_count(),
+            sta::rc_scratch_reuse_count(),
+        ])
     }
 
-    /// Records one request's wall-clock under its verb. Unknown verbs
-    /// are ignored (the verb set is closed; this cannot happen from the
-    /// dispatch path).
-    pub fn observe(&self, verb: &str, seconds: f64) {
-        if let Some(i) = VERBS.iter().position(|&v| v == verb) {
-            self.verbs[i].observe(seconds);
-        }
+    /// Counts accrued since `start`.
+    fn delta(&self, start: &StaCounts) -> [f64; 6] {
+        std::array::from_fn(|i| self.0[i].saturating_sub(start.0[i]) as f64)
     }
 }
+
+/// Whether a sample is a point-in-time value or a running total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Gauge,
+    Counter,
+}
+
+/// One exported value: its `metrics` field name, its Prometheus name
+/// (before the `tdp_serve_` prefix and a counter's `_total` suffix), its
+/// kind and its value.
+type Sample = (&'static str, &'static str, Kind, f64);
 
 /// Counters for one server instance.
 #[derive(Debug)]
@@ -162,24 +160,14 @@ pub struct ServeMetrics {
     /// Connection-handler threads reaped (joined) after their
     /// connections closed.
     pub conns_reaped: AtomicU64,
-    /// Per-verb request latency histograms (wall-clock across parse +
-    /// dispatch, observed by the connection handler).
-    pub latency: RequestLatencies,
-    /// `sta::graph_build_count()` at server start — the baseline for
-    /// the `graph_builds` metric (builds attributable to this server).
-    pub graph_builds_at_start: u64,
-    /// `sta::rc_skeleton_build_count()` at server start.
-    pub rc_builds_at_start: u64,
-    /// `sta::rc_tree_build_count()` at server start. The delta stays 0
-    /// on a healthy server: analyzers refresh through the slab-backed
-    /// forest, never by constructing per-net trees.
-    pub rc_tree_builds_at_start: u64,
-    /// `sta::rc_refresh_count()` at server start.
-    pub rc_refreshes_at_start: u64,
-    /// `sta::rc_nets_refreshed_count()` at server start.
-    pub rc_nets_refreshed_at_start: u64,
-    /// `sta::rc_scratch_reuse_count()` at server start.
-    pub rc_scratch_reuses_at_start: u64,
+    /// Per-verb request latency histograms, indexed by
+    /// [`Request::verb`](crate::Request::verb): wall-clock across parse
+    /// and dispatch. Requests that fail to parse have no verb and are not
+    /// observed (they still count in `requests`).
+    pub latency: [LatencyHisto; VERBS.len()],
+    /// The STA counters at server start, the baseline of the
+    /// `graph_builds` … `rc_scratch_reuses` metrics.
+    sta_at_start: StaCounts,
 }
 
 impl ServeMetrics {
@@ -209,13 +197,8 @@ impl ServeMetrics {
             jobs_recovered: AtomicU64::new(0),
             jobs_compacted: AtomicU64::new(0),
             conns_reaped: AtomicU64::new(0),
-            latency: RequestLatencies::new(),
-            graph_builds_at_start: sta::graph_build_count() as u64,
-            rc_builds_at_start: sta::rc_skeleton_build_count() as u64,
-            rc_tree_builds_at_start: sta::rc_tree_build_count() as u64,
-            rc_refreshes_at_start: sta::rc_refresh_count(),
-            rc_nets_refreshed_at_start: sta::rc_nets_refreshed_count(),
-            rc_scratch_reuses_at_start: sta::rc_scratch_reuse_count(),
+            latency: std::array::from_fn(|_| LatencyHisto::new()),
+            sta_at_start: StaCounts::now(),
         }
     }
 
@@ -237,71 +220,61 @@ impl ServeMetrics {
         self.eco_full_ns.fetch_add(stats.full_ns, Ordering::Relaxed);
     }
 
+    /// Every gauge and counter, in `metrics` field order. Gauges and
+    /// counters keep their relative order in both formats, so this one
+    /// list drives both renderers.
+    #[rustfmt::skip]
+    fn samples(&self, g: &Gauges) -> [Sample; 36] {
+        use Kind::{Counter as C, Gauge as G};
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+        let sta = StaCounts::now().delta(&self.sta_at_start);
+        [
+            ("uptime_s", "uptime_seconds", G, self.started.elapsed().as_secs_f64()),
+            ("workers", "workers", G, g.workers as f64),
+            ("requests", "requests", C, get(&self.requests)),
+            ("submits", "submits", C, get(&self.submits)),
+            ("jobs", "jobs", G, g.jobs_total as f64),
+            ("queued", "jobs_queued", G, g.jobs_queued as f64),
+            ("running", "jobs_running", G, g.jobs_running as f64),
+            ("done", "jobs_done", C, get(&self.jobs_done)),
+            ("canceled", "jobs_canceled", C, get(&self.jobs_canceled)),
+            ("failed", "jobs_failed", C, get(&self.jobs_failed)),
+            ("cache_entries", "cache_entries", G, g.cache_entries as f64),
+            ("cache_capacity", "cache_capacity", G, g.cache_capacity as f64),
+            ("cache_hits", "cache_hits", C, get(&self.cache_hits)),
+            ("cache_misses", "cache_misses", C, get(&self.cache_misses)),
+            ("cache_evictions", "cache_evictions", C, get(&self.cache_evictions)),
+            ("event_streams", "event_streams", C, get(&self.event_streams)),
+            ("graph_builds", "graph_builds", C, sta[0]),
+            ("rc_builds", "rc_builds", C, sta[1]),
+            ("rc_tree_builds", "rc_tree_builds", C, sta[2]),
+            ("rc_refreshes", "rc_refreshes", C, sta[3]),
+            ("rc_nets_refreshed", "rc_nets_refreshed", C, sta[4]),
+            ("rc_scratch_reuses", "rc_scratch_reuses", C, sta[5]),
+            ("eco_opens", "eco_opens", C, get(&self.eco_opens)),
+            ("eco_applies", "eco_applies", C, get(&self.eco_applies)),
+            ("eco_queries", "eco_queries", C, get(&self.eco_queries)),
+            ("eco_reverts", "eco_reverts", C, get(&self.eco_reverts)),
+            ("eco_cells_moved", "eco_cells_moved", C, get(&self.eco_cells_moved)),
+            ("eco_dirty_nets", "eco_dirty_nets", C, get(&self.eco_dirty_nets)),
+            ("eco_incremental_ns", "eco_incremental_ns", C, get(&self.eco_incremental_ns)),
+            ("eco_full_ns", "eco_full_ns", C, get(&self.eco_full_ns)),
+            ("events_resident", "events_resident", G, g.events_resident as f64),
+            ("journal_appends", "journal_appends", C, get(&self.journal_appends)),
+            ("journal_replays", "journal_replays", C, get(&self.journal_replays)),
+            ("jobs_recovered", "jobs_recovered", C, get(&self.jobs_recovered)),
+            ("jobs_compacted", "jobs_compacted", C, get(&self.jobs_compacted)),
+            ("conns_reaped", "conns_reaped", C, get(&self.conns_reaped)),
+        ]
+    }
+
     /// Renders the counters (plus the caller-supplied [`Gauges`]
     /// snapshot) as the fields of a `metrics` response. Documented
     /// field-by-field in the README's `tdp-serve` section.
     pub fn render(&self, out: &mut String, gauges: &Gauges) {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-        tdp_jsonio::field_num(out, "uptime_s", self.started.elapsed().as_secs_f64());
-        tdp_jsonio::field_num(out, "workers", gauges.workers as f64);
-        tdp_jsonio::field_num(out, "requests", get(&self.requests));
-        tdp_jsonio::field_num(out, "submits", get(&self.submits));
-        tdp_jsonio::field_num(out, "jobs", gauges.jobs_total as f64);
-        tdp_jsonio::field_num(out, "queued", gauges.jobs_queued as f64);
-        tdp_jsonio::field_num(out, "running", gauges.jobs_running as f64);
-        tdp_jsonio::field_num(out, "done", get(&self.jobs_done));
-        tdp_jsonio::field_num(out, "canceled", get(&self.jobs_canceled));
-        tdp_jsonio::field_num(out, "failed", get(&self.jobs_failed));
-        tdp_jsonio::field_num(out, "cache_entries", gauges.cache_entries as f64);
-        tdp_jsonio::field_num(out, "cache_capacity", gauges.cache_capacity as f64);
-        tdp_jsonio::field_num(out, "cache_hits", get(&self.cache_hits));
-        tdp_jsonio::field_num(out, "cache_misses", get(&self.cache_misses));
-        tdp_jsonio::field_num(out, "cache_evictions", get(&self.cache_evictions));
-        tdp_jsonio::field_num(out, "event_streams", get(&self.event_streams));
-        tdp_jsonio::field_num(
-            out,
-            "graph_builds",
-            (sta::graph_build_count() as u64).saturating_sub(self.graph_builds_at_start) as f64,
-        );
-        tdp_jsonio::field_num(
-            out,
-            "rc_builds",
-            (sta::rc_skeleton_build_count() as u64).saturating_sub(self.rc_builds_at_start) as f64,
-        );
-        tdp_jsonio::field_num(
-            out,
-            "rc_tree_builds",
-            (sta::rc_tree_build_count() as u64).saturating_sub(self.rc_tree_builds_at_start) as f64,
-        );
-        tdp_jsonio::field_num(
-            out,
-            "rc_refreshes",
-            sta::rc_refresh_count().saturating_sub(self.rc_refreshes_at_start) as f64,
-        );
-        tdp_jsonio::field_num(
-            out,
-            "rc_nets_refreshed",
-            sta::rc_nets_refreshed_count().saturating_sub(self.rc_nets_refreshed_at_start) as f64,
-        );
-        tdp_jsonio::field_num(
-            out,
-            "rc_scratch_reuses",
-            sta::rc_scratch_reuse_count().saturating_sub(self.rc_scratch_reuses_at_start) as f64,
-        );
-        tdp_jsonio::field_num(out, "eco_opens", get(&self.eco_opens));
-        tdp_jsonio::field_num(out, "eco_applies", get(&self.eco_applies));
-        tdp_jsonio::field_num(out, "eco_queries", get(&self.eco_queries));
-        tdp_jsonio::field_num(out, "eco_reverts", get(&self.eco_reverts));
-        tdp_jsonio::field_num(out, "eco_cells_moved", get(&self.eco_cells_moved));
-        tdp_jsonio::field_num(out, "eco_dirty_nets", get(&self.eco_dirty_nets));
-        tdp_jsonio::field_num(out, "eco_incremental_ns", get(&self.eco_incremental_ns));
-        tdp_jsonio::field_num(out, "eco_full_ns", get(&self.eco_full_ns));
-        tdp_jsonio::field_num(out, "events_resident", gauges.events_resident as f64);
-        tdp_jsonio::field_num(out, "journal_appends", get(&self.journal_appends));
-        tdp_jsonio::field_num(out, "journal_replays", get(&self.journal_replays));
-        tdp_jsonio::field_num(out, "jobs_recovered", get(&self.jobs_recovered));
-        tdp_jsonio::field_num(out, "jobs_compacted", get(&self.jobs_compacted));
-        tdp_jsonio::field_num(out, "conns_reaped", get(&self.conns_reaped));
+        for (name, _, _, value) in self.samples(gauges) {
+            tdp_jsonio::field_num(out, name, value);
+        }
         tdp_jsonio::field_raw(out, "request_seconds", &self.latency_json());
     }
 
@@ -319,7 +292,7 @@ impl ServeMetrics {
         }
         s.push_str("],\"verbs\":{");
         let mut first = true;
-        for (verb, histo) in VERBS.iter().zip(&self.latency.verbs) {
+        for ((verb, _), histo) in VERBS.iter().zip(&self.latency) {
             let (cum, sum_s) = histo.snapshot();
             let count = cum[cum.len() - 1];
             if count == 0 {
@@ -353,70 +326,19 @@ impl ServeMetrics {
     pub fn render_prometheus(&self, gauges: &Gauges) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(2048);
-        let mut sample = |name: &str, kind: &str, value: f64| {
-            let _ = writeln!(out, "# TYPE tdp_serve_{name} {kind}");
-            let _ = writeln!(out, "tdp_serve_{name} {}", tdp_jsonio::format_num(value));
-        };
-        let mut gauge = |name: &str, value: f64| sample(name, "gauge", value);
-        gauge("uptime_seconds", self.started.elapsed().as_secs_f64());
-        gauge("workers", gauges.workers as f64);
-        gauge("jobs", gauges.jobs_total as f64);
-        gauge("jobs_queued", gauges.jobs_queued as f64);
-        gauge("jobs_running", gauges.jobs_running as f64);
-        gauge("cache_entries", gauges.cache_entries as f64);
-        gauge("cache_capacity", gauges.cache_capacity as f64);
-        gauge("events_resident", gauges.events_resident as f64);
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-        let mut counter =
-            |name: &str, value: f64| sample(&format!("{name}_total"), "counter", value);
-        counter("requests", get(&self.requests));
-        counter("submits", get(&self.submits));
-        counter("jobs_done", get(&self.jobs_done));
-        counter("jobs_canceled", get(&self.jobs_canceled));
-        counter("jobs_failed", get(&self.jobs_failed));
-        counter("cache_hits", get(&self.cache_hits));
-        counter("cache_misses", get(&self.cache_misses));
-        counter("cache_evictions", get(&self.cache_evictions));
-        counter("event_streams", get(&self.event_streams));
-        counter(
-            "graph_builds",
-            (sta::graph_build_count() as u64).saturating_sub(self.graph_builds_at_start) as f64,
-        );
-        counter(
-            "rc_builds",
-            (sta::rc_skeleton_build_count() as u64).saturating_sub(self.rc_builds_at_start) as f64,
-        );
-        counter(
-            "rc_tree_builds",
-            (sta::rc_tree_build_count() as u64).saturating_sub(self.rc_tree_builds_at_start) as f64,
-        );
-        counter(
-            "rc_refreshes",
-            sta::rc_refresh_count().saturating_sub(self.rc_refreshes_at_start) as f64,
-        );
-        counter(
-            "rc_nets_refreshed",
-            sta::rc_nets_refreshed_count().saturating_sub(self.rc_nets_refreshed_at_start) as f64,
-        );
-        counter(
-            "rc_scratch_reuses",
-            sta::rc_scratch_reuse_count().saturating_sub(self.rc_scratch_reuses_at_start) as f64,
-        );
-        counter("eco_opens", get(&self.eco_opens));
-        counter("eco_applies", get(&self.eco_applies));
-        counter("eco_queries", get(&self.eco_queries));
-        counter("eco_reverts", get(&self.eco_reverts));
-        counter("eco_cells_moved", get(&self.eco_cells_moved));
-        counter("eco_dirty_nets", get(&self.eco_dirty_nets));
-        counter("eco_incremental_ns", get(&self.eco_incremental_ns));
-        counter("eco_full_ns", get(&self.eco_full_ns));
-        counter("journal_appends", get(&self.journal_appends));
-        counter("journal_replays", get(&self.journal_replays));
-        counter("jobs_recovered", get(&self.jobs_recovered));
-        counter("jobs_compacted", get(&self.jobs_compacted));
-        counter("conns_reaped", get(&self.conns_reaped));
+        let samples = self.samples(gauges);
+        for (kind, suffix, type_name) in [
+            (Kind::Gauge, "", "gauge"),
+            (Kind::Counter, "_total", "counter"),
+        ] {
+            for &(_, name, _, value) in samples.iter().filter(|s| s.2 == kind) {
+                let _ = writeln!(out, "# TYPE tdp_serve_{name}{suffix} {type_name}");
+                let value = tdp_jsonio::format_num(value);
+                let _ = writeln!(out, "tdp_serve_{name}{suffix} {value}");
+            }
+        }
         let _ = writeln!(out, "# TYPE tdp_serve_request_seconds histogram");
-        for (verb, histo) in VERBS.iter().zip(&self.latency.verbs) {
+        for ((verb, _), histo) in VERBS.iter().zip(&self.latency) {
             let (cum, sum_s) = histo.snapshot();
             let count = cum[cum.len() - 1];
             for (i, &(_, le)) in LATENCY_LE.iter().enumerate() {
@@ -478,10 +400,10 @@ mod tests {
     #[test]
     fn latency_histograms_render_in_both_formats() {
         let m = ServeMetrics::new();
-        m.latency.observe("submit", 0.003);
-        m.latency.observe("submit", 0.2);
-        m.latency.observe("wait", 42.0); // beyond the last bound: +Inf only
-        m.latency.observe("bogus", 1.0); // unknown verb: ignored
+        let verb = |name: &str| VERBS.iter().position(|&(v, _)| v == name).unwrap();
+        m.latency[verb("submit")].observe(0.003);
+        m.latency[verb("submit")].observe(0.2);
+        m.latency[verb("wait")].observe(42.0); // beyond the last bound: +Inf only
         let gauges = Gauges {
             workers: 2,
             jobs_total: 0,

@@ -104,17 +104,7 @@ impl SubmitRequest {
         tdp_jsonio::field_str(&mut s, "objective", &self.objective);
         tdp_jsonio::field_str(&mut s, "profile", &self.profile);
         if !self.overrides.is_empty() {
-            let mut o = String::from("{");
-            for (i, (k, v)) in self.overrides.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                push_escaped(&mut o, k);
-                o.push(':');
-                push_escaped(&mut o, v);
-            }
-            o.push('}');
-            tdp_jsonio::field_raw(&mut s, "overrides", &o);
+            tdp_jsonio::field_raw(&mut s, "overrides", &overrides_json(&self.overrides));
         }
         if let Some(stride) = self.stride {
             tdp_jsonio::field_num(&mut s, "stride", stride as f64);
@@ -122,6 +112,15 @@ impl SubmitRequest {
         s.push('}');
         s
     }
+}
+
+/// Renders `key=value` overrides as a JSON object of strings — the form
+/// a submit line and its journal record both carry.
+pub(crate) fn overrides_json(overrides: &[(String, String)]) -> String {
+    let members = overrides
+        .iter()
+        .map(|(k, v)| (k.clone(), JsonValue::Str(v.clone())));
+    JsonValue::Obj(members.collect()).encode()
 }
 
 /// One decoded request line.
@@ -189,6 +188,49 @@ pub enum Request {
     /// Dump the daemon's resident span ring as a Chrome trace document
     /// (the response carries it in its `"trace"` field).
     TraceDump,
+}
+
+/// Every wire verb and the span name its requests are traced under, in
+/// protocol order — the one spelling of the verb set. [`Request::verb`]
+/// indexes it; the `request_seconds` histograms, the unknown-`cmd` error
+/// and every reply's `"cmd"` echo read their names from it.
+pub const VERBS: [(&str, &str); 14] = [
+    ("submit", "serve.submit"),
+    ("status", "serve.status"),
+    ("wait", "serve.wait"),
+    ("events", "serve.events"),
+    ("cancel", "serve.cancel"),
+    ("metrics", "serve.metrics"),
+    ("metrics_text", "serve.metrics_text"),
+    ("shutdown", "serve.shutdown"),
+    ("eco_open", "serve.eco_open"),
+    ("eco_apply", "serve.eco_apply"),
+    ("eco_query", "serve.eco_query"),
+    ("eco_revert", "serve.eco_revert"),
+    ("eco_close", "serve.eco_close"),
+    ("trace_dump", "serve.trace_dump"),
+];
+
+impl Request {
+    /// This request's row in [`VERBS`].
+    pub fn verb(&self) -> usize {
+        match self {
+            Request::Submit(_) => 0,
+            Request::Status { .. } => 1,
+            Request::Wait { .. } => 2,
+            Request::Events { .. } => 3,
+            Request::Cancel { .. } => 4,
+            Request::Metrics => 5,
+            Request::MetricsText => 6,
+            Request::Shutdown => 7,
+            Request::EcoOpen { .. } => 8,
+            Request::EcoApply { .. } => 9,
+            Request::EcoQuery { .. } => 10,
+            Request::EcoRevert { .. } => 11,
+            Request::EcoClose => 12,
+            Request::TraceDump => 13,
+        }
+    }
 }
 
 /// Why a request line was rejected.
@@ -262,12 +304,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "wait" => Ok(Request::Wait { job: job_id(&doc)? }),
         "events" => Ok(Request::Events {
             job: job_id(&doc)?,
-            from: match doc.get("from") {
-                None => 0,
-                Some(v) => v
-                    .as_usize()
-                    .ok_or_else(|| ProtoError::new("\"from\" must be a non-negative integer"))?,
-            },
+            from: opt_usize(&doc, "from")?.unwrap_or(0),
         }),
         "cancel" => Ok(Request::Cancel { job: job_id(&doc)? }),
         "metrics" => Ok(Request::Metrics),
@@ -294,30 +331,31 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                     )))
                 }
             },
-            paths: match doc.get("paths") {
-                None => 4,
-                Some(v) => v
-                    .as_usize()
-                    .ok_or_else(|| ProtoError::new("\"paths\" must be a non-negative integer"))?,
-            },
+            paths: opt_usize(&doc, "paths")?.unwrap_or(4),
         }),
         "eco_revert" => Ok(Request::EcoRevert {
-            to: match doc.get("to") {
-                None => None,
-                Some(v) => Some(
-                    v.as_usize()
-                        .ok_or_else(|| ProtoError::new("\"to\" must be a non-negative integer"))?,
-                ),
-            },
+            to: opt_usize(&doc, "to")?,
         }),
         "eco_close" => Ok(Request::EcoClose),
         "trace_dump" => Ok(Request::TraceDump),
-        other => Err(ProtoError::new(format!(
-            "unknown cmd {other:?} (expected submit, status, wait, events, cancel, metrics, \
-             metrics_text, shutdown, eco_open, eco_apply, eco_query, eco_revert, eco_close \
-             or trace_dump)"
-        ))),
+        other => {
+            let (last, rest) = VERBS.split_last().expect("the verb set is not empty");
+            let rest: Vec<&str> = rest.iter().map(|&(verb, _)| verb).collect();
+            Err(ProtoError::new(format!(
+                "unknown cmd {other:?} (expected {} or {})",
+                rest.join(", "),
+                last.0
+            )))
+        }
     }
+}
+
+/// An optional non-negative integer field.
+fn opt_usize(doc: &JsonValue, key: &str) -> Result<Option<usize>, ProtoError> {
+    let bad = || ProtoError::new(format!("\"{key}\" must be a non-negative integer"));
+    doc.get(key)
+        .map(|v| v.as_usize().ok_or_else(bad))
+        .transpose()
 }
 
 fn job_id(doc: &JsonValue) -> Result<usize, ProtoError> {
@@ -377,20 +415,16 @@ fn parse_submit(doc: &JsonValue) -> Result<SubmitRequest, ProtoError> {
             overrides.push((key.clone(), text));
         }
     }
-    let stride = match doc.get("stride") {
-        None => None,
-        Some(v) => Some(
-            v.as_usize()
-                .filter(|&s| s > 0)
-                .ok_or_else(|| ProtoError::new("\"stride\" must be a positive integer"))?,
-        ),
-    };
+    let bad_stride = || ProtoError::new("\"stride\" must be a positive integer");
+    let stride = doc
+        .get("stride")
+        .map(|v| v.as_usize().filter(|&s| s > 0).ok_or_else(bad_stride));
     Ok(SubmitRequest {
         design,
         objective,
         profile,
         overrides,
-        stride,
+        stride: stride.transpose()?,
     })
 }
 
@@ -658,6 +692,41 @@ mod tests {
         assert_eq!(
             parse_request("{\"cmd\":\"eco_close\"}").unwrap(),
             Request::EcoClose
+        );
+    }
+
+    #[test]
+    fn verbs_index_the_table_in_protocol_order() {
+        let lines = [
+            "{\"cmd\":\"submit\",\"case\":\"sb18\",\"objective\":\"ours\"}",
+            "{\"cmd\":\"status\",\"job\":0}",
+            "{\"cmd\":\"wait\",\"job\":0}",
+            "{\"cmd\":\"events\",\"job\":0}",
+            "{\"cmd\":\"cancel\",\"job\":0}",
+            "{\"cmd\":\"metrics\"}",
+            "{\"cmd\":\"metrics_text\"}",
+            "{\"cmd\":\"shutdown\"}",
+            "{\"cmd\":\"eco_open\",\"case\":\"cg1\"}",
+            "{\"cmd\":\"eco_apply\",\"deltas\":[]}",
+            "{\"cmd\":\"eco_query\"}",
+            "{\"cmd\":\"eco_revert\"}",
+            "{\"cmd\":\"eco_close\"}",
+            "{\"cmd\":\"trace_dump\"}",
+        ];
+        assert_eq!(lines.len(), VERBS.len());
+        for (i, line) in lines.iter().enumerate() {
+            let verb = parse_request(line).unwrap().verb();
+            assert_eq!(verb, i, "{line}");
+            let (name, span) = VERBS[verb];
+            assert!(line.contains(&format!("\"{name}\"")), "{line}");
+            assert_eq!(span, format!("serve.{name}"));
+        }
+        let err = parse_request("{\"cmd\":\"warp\"}").unwrap_err();
+        assert_eq!(
+            err.msg,
+            "unknown cmd \"warp\" (expected submit, status, wait, events, cancel, metrics, \
+             metrics_text, shutdown, eco_open, eco_apply, eco_query, eco_revert, eco_close \
+             or trace_dump)"
         );
     }
 

@@ -8,6 +8,7 @@
 //!
 //! Compacted reads touch only the job's byte range of the journal; a
 //! restart rebuilds those ranges by replay and must serve the same bytes.
+//! Without the journal file, every compacted read is a typed error.
 //!
 //! Also covered: connection-handler threads are reaped as their
 //! connections close (the acceptor previously leaked one `JoinHandle`
@@ -15,7 +16,7 @@
 //! journal is refused at startup.
 
 use efficient_tdp::benchgen::CircuitParams;
-use efficient_tdp::serve::{Client, DesignRef, Server, ServerConfig, SubmitRequest};
+use efficient_tdp::serve::{Client, ClientError, DesignRef, Server, ServerConfig, SubmitRequest};
 use std::time::{Duration, SystemTime};
 use tdp_jsonio::JsonValue;
 
@@ -169,6 +170,25 @@ fn retain_compacts_old_jobs_and_serves_them_from_the_journal() {
             .events(id, 0, |e| lines.push(e.encode()))
             .expect("events after restart");
         assert_eq!(lines, live_events[id], "job {id}: events after restart");
+    }
+
+    // An unreadable journal fails every compacted read with the same
+    // typed error — `events` included, which must not pass an empty
+    // replay off as a complete stream.
+    std::fs::remove_file(dir.join("journal.jsonl")).expect("remove the journal");
+    let mut ignored = |_: &JsonValue| {};
+    for (verb, reply) in [
+        ("status", client.status(0)),
+        ("wait", client.wait(0)),
+        ("events", client.events(0, 0, &mut ignored)),
+    ] {
+        match reply {
+            Err(ClientError::Server(msg)) => assert!(
+                msg.starts_with("journal read failed for job 0"),
+                "{verb}: {msg}"
+            ),
+            other => panic!("{verb} on a compacted job without its journal: {other:?}"),
+        }
     }
     client.shutdown().expect("shutdown after restart");
     handle.join();

@@ -3,8 +3,13 @@
 //! lines — with one write. Before that a line and its `\n` left as two
 //! segments, and Nagle held the second until the peer's delayed ACK:
 //! every round trip took 40–90 ms however little the daemon did.
+//!
+//! A request line is capped at `MAX_REQUEST_BYTES`: a peer that sends
+//! more without a newline is refused and disconnected, and the daemon
+//! keeps serving everyone else.
 
 use efficient_tdp::benchgen::CircuitParams;
+use efficient_tdp::serve::server::MAX_REQUEST_BYTES;
 use efficient_tdp::serve::{Client, DesignRef, Server, ServerConfig, SubmitRequest};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -82,6 +87,50 @@ fn round_trips_cost_the_daemon_not_the_wire_and_streams_arrive_whole() {
     assert!(live[0].contains("\"event\":\"started\""), "{}", live[0]);
     assert_eq!(replayed, live, "replayed stream must equal the live one");
 
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let handle = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    // A daemon without the cap would wait for the newline forever.
+    let patience = Some(Duration::from_secs(60));
+    stream.set_read_timeout(patience).expect("read timeout");
+    // 17 MiB with no newline, from a second thread: the daemon stops
+    // reading at the cap, so the tail may meet a closed socket.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..17 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read the refusal");
+    assert_eq!(
+        reply,
+        format!("{{\"ok\":false,\"error\":\"request line exceeds {MAX_REQUEST_BYTES} bytes\"}}\n")
+    );
+    let mut rest = String::new();
+    let closed = reader.read_line(&mut rest).map_or(true, |n| n == 0);
+    assert!(
+        closed,
+        "the connection is closed after the refusal: {rest:?}"
+    );
+    sender.join().expect("sender thread");
+
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).expect("reconnect");
+    let metrics = client.metrics().expect("metrics on a second connection");
+    assert_eq!(metrics.get("ok").and_then(|v| v.as_bool()), Some(true));
     client.shutdown().expect("shutdown");
     handle.join();
 }

@@ -9,7 +9,7 @@
 use bench::{case_session, method_spec, suite_config};
 use netlist::{Design, Placement};
 use sta::{RcParams, Sta, TimingPath};
-use tdp_core::{Method, PinPairLoss, Session};
+use tdp_core::{ObjectiveSpec, PinPairLoss, Session};
 
 /// A report analyzer sharing the session's timing graph and RC skeleton —
 /// no reconstruction, matching the session's own setup amortization.
@@ -47,7 +47,7 @@ fn main() {
 
     // (a) Before timing optimization: wirelength-driven placement.
     let before = session
-        .run(&method_spec(&cfg, Method::DreamPlace))
+        .run(&method_spec(&cfg, ObjectiveSpec::DreamPlace))
         .expect("valid spec");
     let path0 = report_sta(&session, &before.placement, cfg.rc)
         .worst_path(session.design())
@@ -74,7 +74,7 @@ fn main() {
             c.beta = 0.3;
         }
         let out = session
-            .run(&method_spec(&c, Method::EfficientTdp))
+            .run(&method_spec(&c, ObjectiveSpec::EfficientTdp))
             .expect("valid spec");
         let sta = report_sta(&session, &out.placement, c.rc);
         let design = session.design();

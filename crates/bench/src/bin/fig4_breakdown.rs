@@ -6,7 +6,7 @@
 //! ```
 
 use bench::{case_session, method_spec, suite_config};
-use tdp_core::{Method, RuntimeBreakdown};
+use tdp_core::{ObjectiveSpec, RuntimeBreakdown};
 
 fn print_breakdown(label: &str, r: &RuntimeBreakdown, norm: f64) {
     let pct = |d: std::time::Duration| 100.0 * d.as_secs_f64() / norm;
@@ -33,10 +33,10 @@ fn main() {
     println!("# Fig. 4 — runtime breakdown on {}", case.name);
 
     let dp4 = session
-        .run(&method_spec(&cfg, Method::DreamPlace4))
+        .run(&method_spec(&cfg, ObjectiveSpec::DreamPlace4))
         .expect("valid spec");
     let ours = session
-        .run(&method_spec(&cfg, Method::EfficientTdp))
+        .run(&method_spec(&cfg, ObjectiveSpec::EfficientTdp))
         .expect("valid spec");
     let norm = dp4.runtime.total.as_secs_f64();
     print_breakdown("DREAMPlace 4.0", &dp4.runtime, norm);

@@ -7,7 +7,7 @@
 //! ```
 
 use bench::{case_session, method_spec, suite_config};
-use tdp_core::Method;
+use tdp_core::ObjectiveSpec;
 
 fn main() {
     let case = benchgen::suite()
@@ -22,10 +22,10 @@ fn main() {
     );
 
     let dp4 = session
-        .run(&method_spec(&cfg, Method::DreamPlace4))
+        .run(&method_spec(&cfg, ObjectiveSpec::DreamPlace4))
         .expect("valid spec");
     let ours = session
-        .run(&method_spec(&cfg, Method::EfficientTdp))
+        .run(&method_spec(&cfg, ObjectiveSpec::EfficientTdp))
         .expect("valid spec");
 
     println!(

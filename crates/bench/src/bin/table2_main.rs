@@ -15,14 +15,14 @@
 
 use batch::{make_jobs, run_batch, BatchPlan, BatchRunConfig, NullSink, Profile};
 use bench::{fmt_metrics, RatioAccumulator};
-use tdp_core::Method;
+use tdp_core::ObjectiveSpec;
 
 fn main() {
     let methods = [
-        Method::DreamPlace,
-        Method::DreamPlace4,
-        Method::DifferentiableTdp,
-        Method::EfficientTdp,
+        ObjectiveSpec::DreamPlace,
+        ObjectiveSpec::DreamPlace4,
+        ObjectiveSpec::DifferentiableTdp,
+        ObjectiveSpec::EfficientTdp,
     ];
     let cases = benchgen::suite();
     let mut jobs = Vec::new();
@@ -31,10 +31,9 @@ fn main() {
         // sweep now also carries the congestion-aware extension, which
         // Table 2 does not compare); the paper profile is the tables'
         // schedule.
-        for method in methods {
+        for method in &methods {
             jobs.extend(
-                make_jobs(case, Some(&method.into()), Profile::Paper, &[])
-                    .expect("suite jobs are valid"),
+                make_jobs(case, Some(method), Profile::Paper, &[]).expect("suite jobs are valid"),
             );
         }
     }
@@ -57,12 +56,12 @@ fn main() {
 
     println!("# Table 2 — TNS (x10^3 ps), WNS (x10^3 ps), HPWL (x10^5) per method");
     print!("{:<6}", "case");
-    for m in methods {
+    for m in &methods {
         print!(" | {:^28}", m.label());
     }
     println!();
     print!("{:<6}", "");
-    for _ in methods {
+    for _ in &methods {
         print!(" | {:>10} {:>8} {:>8}", "TNS", "WNS", "HPWL");
     }
     println!();

@@ -7,12 +7,12 @@
 //! ```
 
 use bench::{case_session, method_spec, suite_config, RatioAccumulator};
-use tdp_core::{ExtractionStrategy, FlowConfig, Method, Metrics, PinPairLoss};
+use tdp_core::{ExtractionStrategy, FlowConfig, Metrics, ObjectiveSpec, PinPairLoss};
 
 /// One ablation column: a label plus a config/method mutation.
 struct Variant {
     label: &'static str,
-    method: Method,
+    method: ObjectiveSpec,
     mutate: fn(&mut FlowConfig),
 }
 
@@ -20,7 +20,7 @@ fn main() {
     let variants: [Variant; 6] = [
         Variant {
             label: "w/ HPWL Loss",
-            method: Method::EfficientTdp,
+            method: ObjectiveSpec::EfficientTdp,
             // Direction-only gradients need a recalibrated β (the paper
             // tunes each loss variant; see DESIGN.md).
             mutate: |c| {
@@ -30,7 +30,7 @@ fn main() {
         },
         Variant {
             label: "w/ Linear Loss",
-            method: Method::EfficientTdp,
+            method: ObjectiveSpec::EfficientTdp,
             mutate: |c| {
                 c.loss = PinPairLoss::LinearEuclidean;
                 c.beta = 0.3;
@@ -38,22 +38,22 @@ fn main() {
         },
         Variant {
             label: "w/ rpt_timing(n*10)",
-            method: Method::EfficientTdp,
+            method: ObjectiveSpec::EfficientTdp,
             mutate: |c| c.extraction = ExtractionStrategy::ReportTiming { factor: 10 },
         },
         Variant {
             label: "w/ rpt_timing_ept(n,10)",
-            method: Method::EfficientTdp,
+            method: ObjectiveSpec::EfficientTdp,
             mutate: |c| c.extraction = ExtractionStrategy::ReportTimingEndpoint { k: 10 },
         },
         Variant {
             label: "w/o Path Extraction",
-            method: Method::DreamPlace4,
+            method: ObjectiveSpec::DreamPlace4,
             mutate: |_| {},
         },
         Variant {
             label: "Our Method",
-            method: Method::EfficientTdp,
+            method: ObjectiveSpec::EfficientTdp,
             mutate: |_| {},
         },
     ];
@@ -75,7 +75,7 @@ fn main() {
             let mut cfg = suite_config(&case);
             (v.mutate)(&mut cfg);
             let out = session
-                .run(&method_spec(&cfg, v.method))
+                .run(&method_spec(&cfg, v.method.clone()))
                 .expect("valid spec");
             print!(
                 " | {:>12.2} {:>10.2}",

@@ -10,13 +10,13 @@
 //! ```
 
 use bench::{case_session, method_spec, suite_config};
-use tdp_core::Method;
+use tdp_core::ObjectiveSpec;
 
 fn main() {
     let methods = [
-        Method::DreamPlace,
-        Method::DreamPlace4,
-        Method::EfficientTdp,
+        ObjectiveSpec::DreamPlace,
+        ObjectiveSpec::DreamPlace4,
+        ObjectiveSpec::EfficientTdp,
     ];
     println!("# Table 4 — runtime (seconds, single-core)");
     println!(
@@ -30,7 +30,9 @@ fn main() {
         let cfg = suite_config(&case);
         let mut secs = [0.0f64; 3];
         for (i, m) in methods.iter().enumerate() {
-            let out = session.run(&method_spec(&cfg, *m)).expect("valid spec");
+            let out = session
+                .run(&method_spec(&cfg, m.clone()))
+                .expect("valid spec");
             secs[i] = out.runtime.total.as_secs_f64();
         }
         println!(

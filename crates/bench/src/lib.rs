@@ -14,11 +14,9 @@
 //!
 //! Run with `cargo run --release -p bench --bin <name>`.
 
-pub mod micro;
-
 use benchgen::SuiteCase;
 use netlist::{Design, Placement};
-use tdp_core::{FlowBuilder, FlowConfig, FlowSpec, Method, Metrics, Session};
+use tdp_core::{FlowBuilder, FlowConfig, FlowSpec, Metrics, ObjectiveSpec, Session};
 
 /// The flow configuration used for every suite run (paper Sec. IV
 /// hyperparameters, recalibrated where DESIGN.md documents it).
@@ -27,8 +25,8 @@ pub fn suite_config(case: &SuiteCase) -> FlowConfig {
     cfg.rc.res_per_unit = case.params.res_per_unit;
     cfg.rc.cap_per_unit = case.params.cap_per_unit;
     // The paper harness reports single-core numbers (table4_runtime is
-    // labeled as such); the threads knob is benchmarked separately by
-    // `benches/parallel_sta.rs`.
+    // labeled as such); thread scaling is measured by `tdp-perf` and the
+    // repo benchmark's `*_t1_ms` metrics.
     cfg.threads = 1;
     cfg
 }
@@ -48,15 +46,13 @@ pub fn case_session(case: &SuiteCase) -> Session {
         .expect("generated designs are acyclic")
 }
 
-/// A validated spec running `method` under `cfg`.
-pub fn method_spec(cfg: &FlowConfig, method: Method) -> FlowSpec {
+/// A validated spec running `objective` under `cfg`.
+pub fn method_spec(cfg: &FlowConfig, objective: ObjectiveSpec) -> FlowSpec {
     FlowBuilder::from_config(cfg.clone())
-        .objective(method)
+        .objective(objective)
         .build()
         .expect("suite configuration is valid")
 }
-
-pub use benchgen::scatter_placement;
 
 /// One row of a metric table: `(tns, wns, hpwl)` per method column.
 #[derive(Debug, Clone, Default)]

@@ -41,9 +41,9 @@ pub use suite::{case_by_name, full_suite, suite, SuiteCase};
 use netlist::{Design, Placement};
 
 /// Deterministic xorshift scatter of the movable cells across the die —
-/// the shared "mid-flow placement" stand-in the micro-benches and
-/// equivalence tests measure against. Fixed cells keep their `pads`
-/// positions.
+/// the shared "mid-flow placement" stand-in the equivalence tests and
+/// the ECO stress streams measure against. Fixed cells keep their
+/// `pads` positions.
 pub fn scatter_placement(design: &Design, pads: &Placement, seed: u64) -> Placement {
     let mut p = pads.clone();
     let die = design.die();

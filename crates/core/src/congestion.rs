@@ -20,6 +20,7 @@
 
 use crate::config::FlowConfig;
 use crate::flow::EfficientTdpObjective;
+use crate::session::SessionObjective;
 use netlist::{Design, MoveTracker, NetId, PinId, Placement};
 use parx::UnsafeSlice;
 use placer::TimingObjective;
@@ -76,14 +77,14 @@ pub struct CongestionAwareObjective {
 
 impl CongestionAwareObjective {
     /// Creates the objective around an existing analyzer (no timing
-    /// graph construction — the session path).
-    pub fn with_sta(sta: Sta, design: &Design, cfg: FlowConfig, weight: f64) -> Self {
+    /// graph construction).
+    pub fn new(sta: Sta, design: &Design, cfg: FlowConfig, weight: f64) -> Self {
         let analyzer = CongestionAnalyzer::new(design, cfg.route).with_threads(cfg.threads);
         Self {
             timing_start: cfg.timing_start,
             timing_interval: cfg.timing_interval,
             threads: cfg.threads,
-            inner: EfficientTdpObjective::with_sta(sta, cfg),
+            inner: EfficientTdpObjective::new(sta, cfg),
             analyzer,
             weight,
             congestion_time: Duration::ZERO,
@@ -99,21 +100,6 @@ impl CongestionAwareObjective {
         self.weight
     }
 
-    /// The wrapped timing objective (diagnostics).
-    pub fn timing(&self) -> &EfficientTdpObjective {
-        &self.inner
-    }
-
-    /// `(iteration, summary)` recorded at every congestion-map refresh.
-    pub fn congestion_trace(&self) -> &[(usize, CongestionReport)] {
-        &self.congestion_trace
-    }
-
-    /// Wall-clock spent in the congestion kernels (map construction).
-    pub fn congestion_time(&self) -> Duration {
-        self.congestion_time
-    }
-
     /// How many map refreshes used the incremental path (all but the
     /// first).
     pub fn incremental_updates(&self) -> usize {
@@ -127,6 +113,28 @@ impl CongestionAwareObjective {
 
     fn on_schedule(&self, iter: usize) -> bool {
         iter >= self.timing_start && (iter - self.timing_start).is_multiple_of(self.timing_interval)
+    }
+}
+
+impl SessionObjective for CongestionAwareObjective {
+    fn timing_trace(&self) -> &[(usize, f64, f64)] {
+        self.inner.timing_trace()
+    }
+
+    fn runtimes(&self) -> (Duration, Duration) {
+        self.inner.runtimes()
+    }
+
+    fn congestion_trace(&self) -> &[(usize, CongestionReport)] {
+        &self.congestion_trace
+    }
+
+    fn congestion_time(&self) -> Duration {
+        self.congestion_time
+    }
+
+    fn rc_stats(&self) -> sta::RcOpStats {
+        self.inner.rc_stats()
     }
 }
 
@@ -291,7 +299,7 @@ mod tests {
         let sta = Sta::new(design, cfg.rc)
             .expect("acyclic design")
             .with_threads(cfg.threads);
-        CongestionAwareObjective::with_sta(sta, design, cfg.clone(), DEFAULT_CONGESTION_WEIGHT)
+        CongestionAwareObjective::new(sta, design, cfg.clone(), DEFAULT_CONGESTION_WEIGHT)
     }
 
     #[test]
@@ -362,7 +370,7 @@ mod tests {
             engine.placement().clone()
         };
         let sta = Sta::new(&design, cfg.rc).expect("acyclic");
-        let mut zero = CongestionAwareObjective::with_sta(sta, &design, cfg.clone(), 0.0);
+        let mut zero = CongestionAwareObjective::new(sta, &design, cfg.clone(), 0.0);
         let mut moves = MoveTracker::new(&placement, 0.0);
         zero.begin_iteration(cfg.timing_start, &design, &placement, &mut moves);
         let mut gx0 = vec![0.0; design.num_cells()];
@@ -370,7 +378,7 @@ mod tests {
         let zl = zero.accumulate_gradient(&design, &placement, &mut gx0, &mut gy0);
 
         let sta = Sta::new(&design, cfg.rc).expect("acyclic");
-        let mut inner = EfficientTdpObjective::with_sta(sta, cfg.clone());
+        let mut inner = EfficientTdpObjective::new(sta, cfg.clone());
         let mut moves = MoveTracker::new(&placement, 0.0);
         inner.begin_iteration(cfg.timing_start, &design, &placement, &mut moves);
         let mut gx1 = vec![0.0; design.num_cells()];

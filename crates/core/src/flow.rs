@@ -1,30 +1,11 @@
-//! The timing-driven placement flow (Fig. 1) and the method matrix.
+//! The timing-driven placement flow (Fig. 1): the paper's objective and
+//! the types a flow run produces.
 //!
-//! [`run_method`] executes one complete flow — global placement with the
-//! selected timing mechanism, Abacus legalization, shared evaluation — and
-//! returns metrics, a per-iteration trace (Fig. 5) and a runtime breakdown
+//! [`Session::run`](crate::Session::run) executes one complete flow —
+//! global placement with the selected timing mechanism, Abacus
+//! legalization, shared evaluation — and returns a [`FlowOutcome`] with
+//! metrics, a per-iteration trace (Fig. 5) and a runtime breakdown
 //! (Table 4 / Fig. 4).
-//!
-//! # Migrating from `run_method` to the session API
-//!
-//! `run_method` is kept as a thin, deprecated wrapper around a one-shot
-//! [`Session`](crate::Session); results are bitwise identical. New code
-//! should build the session explicitly — it amortizes timing-graph and
-//! RC-data construction across runs and unlocks custom objectives and
-//! streaming observers:
-//!
-//! | Legacy | Session API |
-//! |---|---|
-//! | `run_method(&design, pads, method, &cfg)` | `Session::builder(design, pads).build()?` then `session.run(&spec)` |
-//! | `Method::EfficientTdp` (closed enum) | [`ObjectiveSpec::EfficientTdp`](crate::ObjectiveSpec) or [`ObjectiveSpec::custom`](crate::ObjectiveSpec::custom) |
-//! | hand-assembled [`FlowConfig`] literal | [`FlowBuilder`](crate::FlowBuilder) setters + validation at `build()` |
-//! | inspect `outcome.trace` after the run | implement [`Observer`](crate::Observer) and stream rows / cancel mid-run |
-//!
-//! Note one behavioral difference at the edges: `run_method` panics on a
-//! cyclic design (as it always has), while
-//! [`SessionBuilder::build`](crate::SessionBuilder::build) reports
-//! [`FlowError::Graph`](crate::FlowError) and malformed placement text
-//! surfaces as [`FlowError::Parse`](crate::FlowError).
 //!
 //! The paper's method ([`EfficientTdpObjective`]) runs one full STA at
 //! its first timing iteration and **incremental** analyses afterwards:
@@ -40,38 +21,12 @@ use crate::config::FlowConfig;
 use crate::extraction::extract_pin_pairs;
 use crate::metrics::Metrics;
 use crate::pinpair::PinPairSet;
+use crate::session::SessionObjective;
 use netlist::{Design, MoveTracker, PinId, Placement};
 use parx::UnsafeSlice;
 use placer::TimingObjective;
 use sta::Sta;
 use std::time::{Duration, Instant};
-
-/// The placement methods the tables compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Wirelength-driven DREAMPlace (no timing engine).
-    DreamPlace,
-    /// DREAMPlace 4.0: momentum-based net weighting. Also serves as the
-    /// Table 3 "w/o Path Extraction" ablation.
-    DreamPlace4,
-    /// Differentiable-TDP-style smoothed net weighting (Guo & Lin proxy).
-    DifferentiableTdp,
-    /// The paper's method: pin-to-pin attraction on extracted critical
-    /// paths; loss and extraction strategy come from the [`FlowConfig`].
-    EfficientTdp,
-}
-
-impl Method {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Method::DreamPlace => "DREAMPlace",
-            Method::DreamPlace4 => "DREAMPlace 4.0",
-            Method::DifferentiableTdp => "Differentiable-TDP",
-            Method::EfficientTdp => "Efficient-TDP (ours)",
-        }
-    }
-}
 
 /// Wall-clock decomposition of one flow run (Fig. 4 categories).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -250,20 +205,9 @@ pub struct EfficientTdpObjective {
 }
 
 impl EfficientTdpObjective {
-    /// Creates the objective; builds the timing graph once.
-    ///
-    /// Session runs use [`EfficientTdpObjective::with_sta`] instead, which
-    /// shares an already-built graph.
-    pub fn new(design: &Design, cfg: FlowConfig) -> Self {
-        let sta = Sta::new(design, cfg.rc)
-            .expect("acyclic design")
-            .with_threads(cfg.threads);
-        Self::with_sta(sta, cfg)
-    }
-
     /// Creates the objective around an existing analyzer (no graph
     /// construction).
-    pub fn with_sta(sta: Sta, cfg: FlowConfig) -> Self {
+    pub fn new(sta: Sta, cfg: FlowConfig) -> Self {
         Self {
             sta,
             cfg,
@@ -282,24 +226,23 @@ impl EfficientTdpObjective {
         &self.pairs
     }
 
-    /// `(iteration, tns, wns)` recorded at each timing iteration.
-    pub fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        &self.timing_trace
-    }
-
-    /// Accumulated STA and weighting runtimes.
-    pub fn runtimes(&self) -> (Duration, Duration) {
-        (self.sta_time, self.weighting_time)
-    }
-
     /// How many timing iterations used the incremental path (all but the
     /// first, unless analyses never ran).
     pub fn incremental_analyses(&self) -> usize {
         self.incremental_analyses
     }
+}
 
-    /// Allocation/op counters from this objective's analyzer.
-    pub fn rc_stats(&self) -> sta::RcOpStats {
+impl SessionObjective for EfficientTdpObjective {
+    fn timing_trace(&self) -> &[(usize, f64, f64)] {
+        &self.timing_trace
+    }
+
+    fn runtimes(&self) -> (Duration, Duration) {
+        (self.sta_time, self.weighting_time)
+    }
+
+    fn rc_stats(&self) -> sta::RcOpStats {
         self.sta.rc_stats()
     }
 }
@@ -510,44 +453,10 @@ impl PairGradIndex {
     }
 }
 
-/// Runs one complete flow for `method` and evaluates it with the shared
-/// kit. `pads` must carry the fixed-cell positions.
-///
-/// This is now a thin compatibility wrapper around a one-shot
-/// [`Session`](crate::Session): it clones the design, builds the session,
-/// runs once and discards the session — paying the full STA setup per
-/// call. Results are bitwise identical to the session path. See the
-/// [module docs](self) for the migration map.
-///
-/// # Panics
-///
-/// Panics if the design's combinational logic is cyclic (as it always
-/// has); the session API reports this as a
-/// [`FlowError`](crate::FlowError) instead.
-#[deprecated(
-    note = "build a reusable `Session` (`Session::builder(design, pads).build()?`) and run \
-            `FlowBuilder`-validated specs through `session.run(&spec)`; see the `flow` module \
-            docs for the migration map"
-)]
-pub fn run_method(
-    design: &Design,
-    pads: Placement,
-    method: Method,
-    cfg: &FlowConfig,
-) -> FlowOutcome {
-    let mut session = crate::session::Session::builder(design.clone(), pads)
-        .build()
-        .expect("acyclic design");
-    let spec = crate::session::FlowSpec::unchecked(method.into(), cfg.clone());
-    session
-        .run(&spec)
-        .expect("builtin objectives cannot fail to build")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{FlowBuilder, Session};
+    use crate::session::{FlowBuilder, ObjectiveSpec, Session};
     use benchgen::{generate, CircuitParams};
     use placer::GlobalPlacer;
 
@@ -564,42 +473,24 @@ mod tests {
     fn run_cold(
         design: &Design,
         pads: &Placement,
-        method: Method,
+        objective: ObjectiveSpec,
         cfg: &FlowConfig,
     ) -> FlowOutcome {
         let mut session = Session::builder(design.clone(), pads.clone())
             .build()
             .expect("acyclic design");
         let spec = FlowBuilder::from_config(cfg.clone())
-            .objective(method)
+            .objective(objective)
             .build()
             .expect("quick config is valid");
         session.run(&spec).expect("builtin objectives build")
     }
 
     #[test]
-    fn efficient_tdp_flow_runs_and_improves_timing() {
-        let (design, pads) = generate(&CircuitParams::small("f", 21));
-        let cfg = quick_config();
-        let baseline = run_cold(&design, &pads, Method::DreamPlace, &cfg);
-        let ours = run_cold(&design, &pads, Method::EfficientTdp, &cfg);
-        assert!(baseline.metrics.hpwl > 0.0);
-        // The timing trace must exist and the pin pairs must have fired.
-        assert!(ours.trace.iter().any(|r| !r.tns.is_nan()));
-        // Headline property: ours has better (less negative) TNS.
-        assert!(
-            ours.metrics.tns >= baseline.metrics.tns,
-            "ours {} vs baseline {}",
-            ours.metrics.tns,
-            baseline.metrics.tns
-        );
-    }
-
-    #[test]
     fn runtime_breakdown_sums_to_total() {
         let (design, pads) = generate(&CircuitParams::small("f", 22));
         let cfg = quick_config();
-        let out = run_cold(&design, &pads, Method::EfficientTdp, &cfg);
+        let out = run_cold(&design, &pads, ObjectiveSpec::EfficientTdp, &cfg);
         let r = out.runtime;
         let sum = r.io
             + r.timing_analysis
@@ -616,27 +507,10 @@ mod tests {
     fn dreamplace_has_no_timing_overhead() {
         let (design, pads) = generate(&CircuitParams::small("f", 23));
         let cfg = quick_config();
-        let out = run_cold(&design, &pads, Method::DreamPlace, &cfg);
+        let out = run_cold(&design, &pads, ObjectiveSpec::DreamPlace, &cfg);
         assert_eq!(out.runtime.timing_analysis, Duration::ZERO);
         assert_eq!(out.runtime.weighting, Duration::ZERO);
         assert!(out.trace.iter().all(|r| r.tns.is_nan()));
-    }
-
-    #[test]
-    fn all_methods_produce_legal_placements() {
-        let (design, pads) = generate(&CircuitParams::small("f", 24));
-        let cfg = quick_config();
-        for method in [
-            Method::DreamPlace,
-            Method::DreamPlace4,
-            Method::DifferentiableTdp,
-            Method::EfficientTdp,
-        ] {
-            let out = run_cold(&design, &pads, method, &cfg);
-            placer::legalize::check_legal(&design, &out.placement)
-                .unwrap_or_else(|e| panic!("{}: {e}", method.label()));
-            assert!(out.metrics.total_endpoints > 0);
-        }
     }
 
     #[test]
@@ -648,21 +522,12 @@ mod tests {
             .min_iterations
             .max(cfg.timing_start + 6 * cfg.timing_interval);
         let mut engine = GlobalPlacer::new(&design, pads, placer_cfg);
-        let mut obj = EfficientTdpObjective::new(&design, cfg.clone());
+        let sta = Sta::new(&design, cfg.rc).expect("acyclic design");
+        let mut obj = EfficientTdpObjective::new(sta, cfg.clone());
         engine.run_with(&design, &mut obj);
         let analyses = obj.timing_trace().len();
         assert!(analyses >= 2, "expected several timing iterations");
         // Every analysis after the first full one took the incremental path.
         assert_eq!(obj.incremental_analyses(), analyses - 1);
-    }
-
-    #[test]
-    fn flow_is_deterministic() {
-        let (design, pads) = generate(&CircuitParams::small("f", 25));
-        let cfg = quick_config();
-        let a = run_cold(&design, &pads, Method::EfficientTdp, &cfg);
-        let b = run_cold(&design, &pads, Method::EfficientTdp, &cfg);
-        assert_eq!(a.metrics.tns, b.metrics.tns);
-        assert_eq!(a.metrics.hpwl, b.metrics.hpwl);
     }
 }

@@ -70,9 +70,7 @@ pub use config::FlowConfig;
 pub use congestion::{CongestionAwareObjective, DEFAULT_CONGESTION_WEIGHT};
 pub use error::FlowError;
 pub use extraction::{extract_pin_pairs, ExtractionStats, ExtractionStrategy};
-#[allow(deprecated)]
-pub use flow::run_method;
-pub use flow::{EcoStats, FlowOutcome, FlowTraceRow, Method, RuntimeBreakdown};
+pub use flow::{EcoStats, FlowOutcome, FlowTraceRow, RuntimeBreakdown};
 pub use loss::PinPairLoss;
 pub use metrics::{evaluate, evaluate_with, Metrics};
 pub use observer::{FlowPhase, Observer, ObserverAction, TraceObserver};

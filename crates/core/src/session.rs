@@ -1,10 +1,7 @@
 //! The reusable flow front door: [`Session`], [`FlowBuilder`] and the
 //! open objective surface ([`ObjectiveSpec`] / [`ObjectiveFactory`]).
 //!
-//! The legacy entry point, [`run_method`](crate::flow::run_method),
-//! rebuilt the timing graph, the RC data and the evaluation analyzer on
-//! every call — the Table 2/3/4 method matrix paid the whole STA setup
-//! once *per method*. A [`Session`] is constructed once per design
+//! A [`Session`] is constructed once per design
 //! (`Session::builder(design, pads).build()?`), owns the netlist, the
 //! timing graph and the placement-independent RC data behind shared
 //! handles, and can [`Session::run`] any number of [`FlowSpec`]s against
@@ -34,7 +31,7 @@ use crate::config::FlowConfig;
 use crate::congestion::{CongestionAwareObjective, DEFAULT_CONGESTION_WEIGHT};
 use crate::error::FlowError;
 use crate::extraction::ExtractionStrategy;
-use crate::flow::{EfficientTdpObjective, FlowOutcome, FlowTraceRow, Method, RuntimeBreakdown};
+use crate::flow::{EfficientTdpObjective, FlowOutcome, FlowTraceRow, RuntimeBreakdown};
 use crate::loss::PinPairLoss;
 use crate::metrics::{evaluate_with, Metrics};
 use crate::observer::{FlowPhase, NullObserver, Observer, ObserverAction, TraceObserver};
@@ -93,60 +90,6 @@ pub trait SessionObjective: TimingObjective {
 
 impl SessionObjective for NoTimingObjective {}
 
-impl SessionObjective for CongestionAwareObjective {
-    fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        self.timing().timing_trace()
-    }
-    fn runtimes(&self) -> (Duration, Duration) {
-        self.timing().runtimes()
-    }
-    fn congestion_trace(&self) -> &[(usize, tdp_route::CongestionReport)] {
-        CongestionAwareObjective::congestion_trace(self)
-    }
-    fn congestion_time(&self) -> Duration {
-        CongestionAwareObjective::congestion_time(self)
-    }
-    fn rc_stats(&self) -> sta::RcOpStats {
-        self.timing().rc_stats()
-    }
-}
-
-impl SessionObjective for EfficientTdpObjective {
-    fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        EfficientTdpObjective::timing_trace(self)
-    }
-    fn runtimes(&self) -> (Duration, Duration) {
-        EfficientTdpObjective::runtimes(self)
-    }
-    fn rc_stats(&self) -> sta::RcOpStats {
-        EfficientTdpObjective::rc_stats(self)
-    }
-}
-
-impl SessionObjective for MomentumNetWeighting {
-    fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        MomentumNetWeighting::timing_trace(self)
-    }
-    fn runtimes(&self) -> (Duration, Duration) {
-        MomentumNetWeighting::runtimes(self)
-    }
-    fn rc_stats(&self) -> sta::RcOpStats {
-        MomentumNetWeighting::rc_stats(self)
-    }
-}
-
-impl SessionObjective for DifferentiableTdpWeighting {
-    fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        DifferentiableTdpWeighting::timing_trace(self)
-    }
-    fn runtimes(&self) -> (Duration, Duration) {
-        DifferentiableTdpWeighting::runtimes(self)
-    }
-    fn rc_stats(&self) -> sta::RcOpStats {
-        DifferentiableTdpWeighting::rc_stats(self)
-    }
-}
-
 /// What a custom objective gets to build itself from: the session's design
 /// plus shared handles to the timing infrastructure.
 pub struct ObjectiveContext<'a> {
@@ -184,9 +127,8 @@ impl ObjectiveContext<'_> {
 
 /// Builds the objective a [`FlowSpec`] names, once per run.
 ///
-/// This is the open extension point the closed `Method` enum used to
-/// block: implement it, wrap it in [`ObjectiveSpec::custom`], and your
-/// objective runs through exactly the same `session.run` path as the
+/// The open extension point: implement it, wrap it in
+/// [`ObjectiveSpec::custom`], and your objective runs through exactly the same `session.run` path as the
 /// paper's method — same engine, same legalization, same evaluation kit,
 /// same observers.
 pub trait ObjectiveFactory {
@@ -215,8 +157,7 @@ pub trait ObjectiveFactory {
     }
 }
 
-/// Which placement objective a run uses — the open replacement for the
-/// closed [`Method`] enum.
+/// Which placement objective a run uses.
 ///
 /// The first four builtin variants reproduce the paper's comparison
 /// matrix and [`ObjectiveSpec::CongestionAware`] extends it with
@@ -277,10 +218,10 @@ impl ObjectiveSpec {
     /// The method label recorded in [`FlowOutcome::method`](crate::FlowOutcome).
     pub fn label(&self) -> String {
         match self {
-            ObjectiveSpec::DreamPlace => Method::DreamPlace.label().to_string(),
-            ObjectiveSpec::DreamPlace4 => Method::DreamPlace4.label().to_string(),
-            ObjectiveSpec::DifferentiableTdp => Method::DifferentiableTdp.label().to_string(),
-            ObjectiveSpec::EfficientTdp => Method::EfficientTdp.label().to_string(),
+            ObjectiveSpec::DreamPlace => "DREAMPlace".to_string(),
+            ObjectiveSpec::DreamPlace4 => "DREAMPlace 4.0".to_string(),
+            ObjectiveSpec::DifferentiableTdp => "Differentiable-TDP".to_string(),
+            ObjectiveSpec::EfficientTdp => "Efficient-TDP (ours)".to_string(),
             ObjectiveSpec::CongestionAware { .. } => "Congestion-Aware TDP".to_string(),
             ObjectiveSpec::Custom(f) => f.label(),
         }
@@ -302,7 +243,7 @@ impl ObjectiveSpec {
         let cfg = ctx.config();
         Ok(match self {
             ObjectiveSpec::DreamPlace => Box::new(NoTimingObjective),
-            ObjectiveSpec::DreamPlace4 => Box::new(MomentumNetWeighting::with_sta(
+            ObjectiveSpec::DreamPlace4 => Box::new(MomentumNetWeighting::new(
                 ctx.fresh_sta(),
                 ctx.design(),
                 cfg.timing_start,
@@ -310,25 +251,22 @@ impl ObjectiveSpec {
                 cfg.net_weight_alpha,
                 cfg.momentum_decay,
             )),
-            ObjectiveSpec::DifferentiableTdp => Box::new(DifferentiableTdpWeighting::with_sta(
+            ObjectiveSpec::DifferentiableTdp => Box::new(DifferentiableTdpWeighting::new(
                 ctx.fresh_sta(),
                 ctx.design(),
                 cfg.timing_start,
                 cfg.timing_interval,
                 cfg.net_weight_alpha,
             )),
-            ObjectiveSpec::EfficientTdp => Box::new(EfficientTdpObjective::with_sta(
-                ctx.fresh_sta(),
-                cfg.clone(),
-            )),
-            ObjectiveSpec::CongestionAware { weight } => {
-                Box::new(CongestionAwareObjective::with_sta(
-                    ctx.fresh_sta(),
-                    ctx.design(),
-                    cfg.clone(),
-                    *weight,
-                ))
+            ObjectiveSpec::EfficientTdp => {
+                Box::new(EfficientTdpObjective::new(ctx.fresh_sta(), cfg.clone()))
             }
+            ObjectiveSpec::CongestionAware { weight } => Box::new(CongestionAwareObjective::new(
+                ctx.fresh_sta(),
+                ctx.design(),
+                cfg.clone(),
+                *weight,
+            )),
             ObjectiveSpec::Custom(f) => return f.build(ctx),
         })
     }
@@ -337,17 +275,6 @@ impl ObjectiveSpec {
 impl fmt::Debug for ObjectiveSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ObjectiveSpec({})", self.label())
-    }
-}
-
-impl From<Method> for ObjectiveSpec {
-    fn from(m: Method) -> Self {
-        match m {
-            Method::DreamPlace => ObjectiveSpec::DreamPlace,
-            Method::DreamPlace4 => ObjectiveSpec::DreamPlace4,
-            Method::DifferentiableTdp => ObjectiveSpec::DifferentiableTdp,
-            Method::EfficientTdp => ObjectiveSpec::EfficientTdp,
-        }
     }
 }
 
@@ -394,14 +321,7 @@ impl FlowSpec {
                 )));
             }
         }
-        Ok(Self::unchecked(objective, config))
-    }
-
-    /// Skips validation — the compatibility path for
-    /// [`run_method`](crate::flow::run_method), which historically
-    /// accepted any `FlowConfig` and failed wherever it failed.
-    pub(crate) fn unchecked(objective: ObjectiveSpec, config: FlowConfig) -> Self {
-        Self { objective, config }
+        Ok(Self { objective, config })
     }
 
     /// The objective this spec runs.
@@ -453,10 +373,9 @@ impl FlowBuilder {
         }
     }
 
-    /// Selects the objective; accepts an [`ObjectiveSpec`] or a legacy
-    /// [`Method`].
-    pub fn objective(mut self, objective: impl Into<ObjectiveSpec>) -> Self {
-        self.objective = objective.into();
+    /// Selects the objective.
+    pub fn objective(mut self, objective: ObjectiveSpec) -> Self {
+        self.objective = objective;
         self
     }
 
@@ -1162,19 +1081,6 @@ mod tests {
         let spec = FlowBuilder::new().build().unwrap();
         assert!(matches!(spec.objective(), ObjectiveSpec::EfficientTdp));
         assert_eq!(spec.config().beta, FlowConfig::default().beta);
-    }
-
-    #[test]
-    fn method_converts_to_spec_with_matching_label() {
-        for m in [
-            Method::DreamPlace,
-            Method::DreamPlace4,
-            Method::DifferentiableTdp,
-            Method::EfficientTdp,
-        ] {
-            let spec: ObjectiveSpec = m.into();
-            assert_eq!(spec.label(), m.label());
-        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   backpropagated timing engine (see DESIGN.md for the substitution
 //!   argument).
 
+use crate::session::SessionObjective;
 use netlist::{Design, MoveTracker, Placement};
 use placer::TimingObjective;
-use sta::{ArcKind, RcParams, Sta};
+use sta::{ArcKind, Sta};
 use std::time::{Duration, Instant};
 
 /// Shared state for both net-weighting baselines.
@@ -26,32 +27,15 @@ struct NetWeightBase {
     interval: usize,
     alpha: f64,
     /// Accumulated STA wall-clock (for the runtime breakdown).
-    pub sta_time: Duration,
+    sta_time: Duration,
     /// Accumulated weighting wall-clock.
-    pub weighting_time: Duration,
+    weighting_time: Duration,
     /// `(iteration, tns, wns)` at every timing iteration.
-    pub timing_trace: Vec<(usize, f64, f64)>,
+    timing_trace: Vec<(usize, f64, f64)>,
 }
 
 impl NetWeightBase {
-    fn new(
-        design: &Design,
-        rc: RcParams,
-        timing_start: usize,
-        interval: usize,
-        alpha: f64,
-    ) -> Self {
-        let sta = Sta::new(design, rc).expect("acyclic design");
-        Self::with_sta(sta, design, timing_start, interval, alpha)
-    }
-
-    fn with_sta(
-        sta: Sta,
-        design: &Design,
-        timing_start: usize,
-        interval: usize,
-        alpha: f64,
-    ) -> Self {
+    fn new(sta: Sta, design: &Design, timing_start: usize, interval: usize, alpha: f64) -> Self {
         Self {
             sta,
             weights: vec![1.0; design.num_nets()],
@@ -85,25 +69,9 @@ pub struct MomentumNetWeighting {
 }
 
 impl MomentumNetWeighting {
-    /// Creates the baseline objective.
+    /// Creates the baseline objective around an existing analyzer (no
+    /// graph construction).
     pub fn new(
-        design: &Design,
-        rc: RcParams,
-        timing_start: usize,
-        interval: usize,
-        alpha: f64,
-        decay: f64,
-    ) -> Self {
-        Self {
-            base: NetWeightBase::new(design, rc, timing_start, interval, alpha),
-            decay,
-        }
-    }
-
-    /// [`MomentumNetWeighting::new`] around an existing analyzer — the
-    /// session path, which shares one timing graph across runs instead of
-    /// rebuilding it per objective.
-    pub fn with_sta(
         sta: Sta,
         design: &Design,
         timing_start: usize,
@@ -112,29 +80,28 @@ impl MomentumNetWeighting {
         decay: f64,
     ) -> Self {
         Self {
-            base: NetWeightBase::with_sta(sta, design, timing_start, interval, alpha),
+            base: NetWeightBase::new(sta, design, timing_start, interval, alpha),
             decay,
         }
-    }
-
-    /// `(iteration, tns, wns)` trace recorded at timing iterations.
-    pub fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        &self.base.timing_trace
-    }
-
-    /// Accumulated STA and weighting runtimes.
-    pub fn runtimes(&self) -> (Duration, Duration) {
-        (self.base.sta_time, self.base.weighting_time)
-    }
-
-    /// Allocation/op counters from this objective's analyzer.
-    pub fn rc_stats(&self) -> sta::RcOpStats {
-        self.base.sta.rc_stats()
     }
 
     /// Current per-net weights (diagnostics).
     pub fn weights(&self) -> &[f64] {
         &self.base.weights
+    }
+}
+
+impl SessionObjective for MomentumNetWeighting {
+    fn timing_trace(&self) -> &[(usize, f64, f64)] {
+        &self.base.timing_trace
+    }
+
+    fn runtimes(&self) -> (Duration, Duration) {
+        (self.base.sta_time, self.base.weighting_time)
+    }
+
+    fn rc_stats(&self) -> sta::RcOpStats {
+        self.base.sta.rc_stats()
     }
 }
 
@@ -199,22 +166,9 @@ pub struct DifferentiableTdpWeighting {
 }
 
 impl DifferentiableTdpWeighting {
-    /// Creates the baseline objective.
+    /// Creates the baseline objective around an existing analyzer (no
+    /// graph construction).
     pub fn new(
-        design: &Design,
-        rc: RcParams,
-        timing_start: usize,
-        interval: usize,
-        alpha: f64,
-    ) -> Self {
-        Self {
-            base: NetWeightBase::new(design, rc, timing_start, interval, alpha),
-        }
-    }
-
-    /// [`DifferentiableTdpWeighting::new`] around an existing analyzer —
-    /// the session path, which shares one timing graph across runs.
-    pub fn with_sta(
         sta: Sta,
         design: &Design,
         timing_start: usize,
@@ -222,28 +176,27 @@ impl DifferentiableTdpWeighting {
         alpha: f64,
     ) -> Self {
         Self {
-            base: NetWeightBase::with_sta(sta, design, timing_start, interval, alpha),
+            base: NetWeightBase::new(sta, design, timing_start, interval, alpha),
         }
-    }
-
-    /// `(iteration, tns, wns)` trace recorded at timing iterations.
-    pub fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        &self.base.timing_trace
-    }
-
-    /// Accumulated STA and weighting runtimes.
-    pub fn runtimes(&self) -> (Duration, Duration) {
-        (self.base.sta_time, self.base.weighting_time)
-    }
-
-    /// Allocation/op counters from this objective's analyzer.
-    pub fn rc_stats(&self) -> sta::RcOpStats {
-        self.base.sta.rc_stats()
     }
 
     /// Current per-net weights (diagnostics).
     pub fn weights(&self) -> &[f64] {
         &self.base.weights
+    }
+}
+
+impl SessionObjective for DifferentiableTdpWeighting {
+    fn timing_trace(&self) -> &[(usize, f64, f64)] {
+        &self.base.timing_trace
+    }
+
+    fn runtimes(&self) -> (Duration, Duration) {
+        (self.base.sta_time, self.base.weighting_time)
+    }
+
+    fn rc_stats(&self) -> sta::RcOpStats {
+        self.base.sta.rc_stats()
     }
 }
 
@@ -319,6 +272,7 @@ impl TimingObjective for DifferentiableTdpWeighting {
 mod tests {
     use super::*;
     use benchgen::{generate, CircuitParams};
+    use sta::RcParams;
 
     fn scattered(design: &Design, placement: &mut Placement) {
         let die = design.die();
@@ -339,19 +293,20 @@ mod tests {
         }
     }
 
-    fn rc() -> RcParams {
-        RcParams {
+    fn sta(design: &Design) -> Sta {
+        let rc = RcParams {
             res_per_unit: 0.01,
             cap_per_unit: 0.04,
             ..RcParams::default()
-        }
+        };
+        Sta::new(design, rc).expect("acyclic design")
     }
 
     #[test]
     fn momentum_weights_rise_on_critical_nets() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 9));
         scattered(&design, &mut placement);
-        let mut obj = MomentumNetWeighting::new(&design, rc(), 0, 1, 4.0, 0.5);
+        let mut obj = MomentumNetWeighting::new(sta(&design), &design, 0, 1, 4.0, 0.5);
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         let w = obj.weights();
@@ -367,7 +322,7 @@ mod tests {
     fn momentum_blends_rather_than_jumps() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 9));
         scattered(&design, &mut placement);
-        let mut obj = MomentumNetWeighting::new(&design, rc(), 0, 1, 4.0, 0.5);
+        let mut obj = MomentumNetWeighting::new(sta(&design), &design, 0, 1, 4.0, 0.5);
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         let w1 = obj.weights().to_vec();
@@ -389,7 +344,7 @@ mod tests {
         let (design, mut placement) = generate(&CircuitParams::small("w", 10));
         scattered(&design, &mut placement);
         let alpha = 4.0;
-        let mut obj = DifferentiableTdpWeighting::new(&design, rc(), 0, 1, alpha);
+        let mut obj = DifferentiableTdpWeighting::new(sta(&design), &design, 0, 1, alpha);
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         for &w in obj.weights() {
@@ -403,7 +358,7 @@ mod tests {
     fn non_timing_iterations_are_free() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 12));
         scattered(&design, &mut placement);
-        let mut obj = MomentumNetWeighting::new(&design, rc(), 100, 15, 4.0, 0.5);
+        let mut obj = MomentumNetWeighting::new(sta(&design), &design, 100, 15, 4.0, 0.5);
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         obj.begin_iteration(99, &design, &placement, &mut moves);

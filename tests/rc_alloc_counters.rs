@@ -9,13 +9,13 @@
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
 use efficient_tdp::sta::{rc_tree_build_count, RcParams, RcTree};
-use efficient_tdp::tdp_core::{FlowBuilder, Method, Session};
+use efficient_tdp::tdp_core::{FlowBuilder, ObjectiveSpec, Session};
 
 #[test]
 fn flow_runs_build_no_per_net_rc_trees() {
     let (design, pads) = generate(&CircuitParams::small("arena", 71));
     let spec = FlowBuilder::new()
-        .objective(Method::EfficientTdp)
+        .objective(ObjectiveSpec::EfficientTdp)
         .iterations(20, 60)
         .timing_start(6)
         .timing_interval(6)

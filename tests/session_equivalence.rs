@@ -1,14 +1,13 @@
-//! Session API acceptance tests: bitwise equivalence with the legacy
-//! `run_method` wrapper (the workspace's one deliberate back-compat test
-//! of the deprecated entry point), state-leak-free engine reuse, the
-//! custom objective front door, and observer-driven cancellation.
+//! Session API acceptance tests: warm runs bitwise equal to cold ones,
+//! state-leak-free engine reuse, the custom objective front door, and
+//! observer-driven cancellation.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
 use efficient_tdp::netlist::{Design, MoveTracker, Placement};
 use efficient_tdp::placer::{legalize::check_legal, TimingObjective};
 use efficient_tdp::tdp_core::{
-    FlowBuilder, FlowConfig, FlowError, FlowOutcome, FlowSpec, Method, ObjectiveContext,
-    ObjectiveFactory, ObjectiveSpec, Observer, ObserverAction, Session, SessionObjective,
+    FlowBuilder, FlowConfig, FlowError, FlowOutcome, FlowSpec, ObjectiveContext, ObjectiveFactory,
+    ObjectiveSpec, Observer, ObserverAction, Session, SessionObjective,
 };
 
 fn quick_config() -> FlowConfig {
@@ -20,9 +19,9 @@ fn quick_config() -> FlowConfig {
     cfg
 }
 
-fn quick_spec(method: Method) -> FlowSpec {
+fn quick_spec(objective: ObjectiveSpec) -> FlowSpec {
     FlowBuilder::from_config(quick_config())
-        .objective(method)
+        .objective(objective)
         .build()
         .expect("quick config is valid")
 }
@@ -49,26 +48,11 @@ fn assert_bitwise_equal(design: &Design, a: &FlowOutcome, b: &FlowOutcome) {
     }
 }
 
-/// The workspace's single intentional use of the deprecated wrapper:
-/// existing `run_method` callers must keep getting bitwise-identical
-/// results until the entry point is removed.
-#[test]
-#[allow(deprecated)]
-fn run_method_wrapper_matches_session_run_bitwise() {
-    use efficient_tdp::tdp_core::run_method;
-    let (design, pads) = generate(&CircuitParams::small("eq", 51));
-    let cfg = quick_config();
-    let legacy = run_method(&design, pads.clone(), Method::EfficientTdp, &cfg);
-    let mut session = Session::builder(design.clone(), pads).build().unwrap();
-    let fresh = session.run(&quick_spec(Method::EfficientTdp)).unwrap();
-    assert_bitwise_equal(&design, &legacy, &fresh);
-}
-
 #[test]
 fn repeated_session_runs_are_identical_no_state_leaks() {
     let (design, pads) = generate(&CircuitParams::small("rep", 52));
     let mut session = Session::builder(design.clone(), pads).build().unwrap();
-    let spec = quick_spec(Method::EfficientTdp);
+    let spec = quick_spec(ObjectiveSpec::EfficientTdp);
     let first = session.run(&spec).unwrap();
     let second = session.run(&spec).unwrap();
     assert_bitwise_equal(&design, &first, &second);
@@ -81,15 +65,15 @@ fn session_method_matrix_matches_four_cold_runs_bitwise() {
         .build()
         .unwrap();
     for method in [
-        Method::DreamPlace,
-        Method::DreamPlace4,
-        Method::DifferentiableTdp,
-        Method::EfficientTdp,
+        ObjectiveSpec::DreamPlace,
+        ObjectiveSpec::DreamPlace4,
+        ObjectiveSpec::DifferentiableTdp,
+        ObjectiveSpec::EfficientTdp,
     ] {
         let mut one_shot = Session::builder(design.clone(), pads.clone())
             .build()
             .unwrap();
-        let cold = one_shot.run(&quick_spec(method)).unwrap();
+        let cold = one_shot.run(&quick_spec(method.clone())).unwrap();
         let shared = session.run(&quick_spec(method)).unwrap();
         assert_bitwise_equal(&design, &cold, &shared);
         check_legal(&design, &shared.placement)
@@ -170,7 +154,9 @@ fn custom_objective_runs_through_the_same_session_path() {
     assert!(out.trace.iter().all(|r| r.tns.is_nan()), "no STA was run");
 
     // The same session still runs the paper's method afterwards.
-    let ours = session.run(&quick_spec(Method::EfficientTdp)).unwrap();
+    let ours = session
+        .run(&quick_spec(ObjectiveSpec::EfficientTdp))
+        .unwrap();
     assert!(ours.trace.iter().any(|r| !r.tns.is_nan()));
 }
 
@@ -188,7 +174,7 @@ fn observer_cancellation_yields_well_formed_partial_outcome() {
     }
     let (design, pads) = generate(&CircuitParams::small("canc", 55));
     let mut session = Session::builder(design.clone(), pads).build().unwrap();
-    let spec = quick_spec(Method::EfficientTdp);
+    let spec = quick_spec(ObjectiveSpec::EfficientTdp);
 
     let full = session.run(&spec).unwrap();
     let partial = session.run_with_observer(&spec, &mut StopAt(40)).unwrap();

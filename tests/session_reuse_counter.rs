@@ -7,13 +7,13 @@
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
 use efficient_tdp::sta::{graph_build_count, rc_skeleton_build_count};
-use efficient_tdp::tdp_core::{FlowBuilder, FlowConfig, FlowSpec, Method, Session};
+use efficient_tdp::tdp_core::{FlowBuilder, FlowConfig, FlowSpec, ObjectiveSpec, Session};
 
-const METHODS: [Method; 4] = [
-    Method::DreamPlace,
-    Method::DreamPlace4,
-    Method::DifferentiableTdp,
-    Method::EfficientTdp,
+const METHODS: [ObjectiveSpec; 4] = [
+    ObjectiveSpec::DreamPlace,
+    ObjectiveSpec::DreamPlace4,
+    ObjectiveSpec::DifferentiableTdp,
+    ObjectiveSpec::EfficientTdp,
 ];
 
 fn quick_config() -> FlowConfig {
@@ -25,9 +25,9 @@ fn quick_config() -> FlowConfig {
     cfg
 }
 
-fn spec(method: Method) -> FlowSpec {
+fn spec(objective: ObjectiveSpec) -> FlowSpec {
     FlowBuilder::from_config(quick_config())
-        .objective(method)
+        .objective(objective)
         .build()
         .expect("quick config is valid")
 }
@@ -58,8 +58,8 @@ fn session_builds_graph_and_rc_data_exactly_once_for_the_matrix() {
     );
 
     // Four cold runs — a fresh session per method, the shape a naive
-    // caller (or the old `run_method` wrapper) produces: the setup is
-    // paid per run, one graph + one skeleton each.
+    // caller produces: the setup is paid per run, one graph + one
+    // skeleton each.
     let graphs_before = graph_build_count();
     let skeletons_before = rc_skeleton_build_count();
     let mut cold = Vec::new();

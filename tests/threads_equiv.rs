@@ -4,14 +4,14 @@
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
 use efficient_tdp::netlist::{Design, Placement};
-use efficient_tdp::tdp_core::{FlowBuilder, FlowOutcome, Method, Session};
+use efficient_tdp::tdp_core::{FlowBuilder, FlowOutcome, ObjectiveSpec, Session};
 
 fn run_with_threads(design: &Design, pads: &Placement, threads: usize) -> FlowOutcome {
     let mut session = Session::builder(design.clone(), pads.clone())
         .build()
         .expect("generated designs are acyclic");
     let spec = FlowBuilder::new()
-        .objective(Method::EfficientTdp)
+        .objective(ObjectiveSpec::EfficientTdp)
         .iterations(60, 260)
         .timing_start(120)
         .timing_interval(10)

@@ -31,38 +31,28 @@
 use std::time::Instant;
 
 use benchgen::{CircuitParams, EcoStep};
-use netlist::{CellId, CellMove, CellTypeId, Design, DirtySummary, PinId, Placement};
+use netlist::{fnv, CellId, CellMove, CellTypeId, Design, DirtySummary, PinId, Placement};
 use placer::{GlobalPlacer, PlacerConfig};
 use sta::{EndpointSlack, RcParams, Sta, TimingSummary};
 use tdp_core::{EcoStats, Session};
 use tdp_jsonio::JsonValue;
 use tdp_route::{CongestionAnalyzer, CongestionReport, RouteConfig};
 
-/// FNV-1a offset basis (the repo-wide checksum recipe).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
+/// Folds a `u64` into an FNV-1a accumulator as two 32-bit halves, low
+/// half first — not [`netlist::fnv::mix_u64`]'s byte-wise recipe. It
+/// feeds [`EcoQueryResult::content_hash`] (the `query_hash` on the wire
+/// and the `eco_query_*` perf checksums), so its bits must not change.
 fn mix_u64(h: u64, v: u64) -> u64 {
     let mut h = h;
     for shift in [0u32, 32] {
         h ^= (v >> shift) & 0xffff_ffff;
-        h = h.wrapping_mul(FNV_PRIME);
+        h = h.wrapping_mul(fnv::PRIME);
     }
     h
 }
 
 fn mix_f64(h: u64, v: f64) -> u64 {
     mix_u64(h, v.to_bits())
-}
-
-fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// One typed edit against a resident design.
@@ -405,7 +395,7 @@ impl EcoQueryResult {
     /// artifacts (`touched_bins`, `dirty_nets`) are excluded — they
     /// describe *how* the answer was computed, not the answer.
     pub fn content_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = fnv::OFFSET;
         h = mix_f64(h, self.timing.wns);
         h = mix_f64(h, self.timing.tns);
         h = mix_u64(h, self.timing.failing_endpoints as u64);
@@ -418,8 +408,8 @@ impl EcoQueryResult {
         h = mix_u64(h, self.placement_hash);
         h = mix_f64(h, self.clock_period);
         for p in &self.worst_paths {
-            h = mix_bytes(h, p.endpoint.as_bytes());
-            h = mix_bytes(h, p.startpoint.as_bytes());
+            h = fnv::mix_bytes(h, p.endpoint.as_bytes());
+            h = fnv::mix_bytes(h, p.startpoint.as_bytes());
             h = mix_f64(h, p.slack);
             h = mix_f64(h, p.arrival);
             h = mix_u64(h, p.length as u64);

@@ -14,6 +14,8 @@
 //!   positions and half-perimeter wirelength.
 //! * [`sdc`] — timing constraints: clock period, input arrival times and
 //!   output required times.
+//! * [`fnv`] — the FNV-1a fingerprint recipe every content hash and
+//!   benchmark checksum in the workspace folds with.
 //! * [`io`] — minimal Bookshelf-style text serialization for designs and
 //!   placements (round-trip tested).
 //!
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod design;
+pub mod fnv;
 pub mod ids;
 pub mod io;
 pub mod library;

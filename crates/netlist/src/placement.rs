@@ -1,6 +1,7 @@
 //! Cell coordinates and derived geometry.
 
 use crate::design::Design;
+use crate::fnv;
 use crate::ids::{CellId, NetId, PinId};
 
 /// Cell lower-left coordinates, indexed by [`CellId`].
@@ -140,22 +141,10 @@ impl Placement {
     /// differently, as do different NaN payloads: this is equality of
     /// bits, not of numbers.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |v: f64| {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for &x in &self.x {
-            eat(x);
-        }
-        for &y in &self.y {
-            eat(y);
-        }
-        h
+        self.x
+            .iter()
+            .chain(&self.y)
+            .fold(fnv::OFFSET, |h, &v| fnv::mix_f64(h, v))
     }
 
     /// Clamps every movable cell inside the die (fixed cells untouched).

@@ -28,26 +28,9 @@ use tdp_jsonio::JsonValue;
 /// Schema tag written into every BENCH file.
 pub const SCHEMA: &str = "tdp-perf-v1";
 
-/// FNV-1a offset basis — the checksum accumulator's initial value.
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// Folds a `u64` into an FNV-1a accumulator, byte by byte.
-#[must_use]
-pub fn mix_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Folds an `f64`'s **bits** into the accumulator — bit equality, the
-/// same standard the workspace's determinism tests use.
-#[must_use]
-pub fn mix_f64(h: u64, v: f64) -> u64 {
-    mix_u64(h, v.to_bits())
-}
+/// The checksum recipe: [`netlist::fnv`]'s FNV-1a, under the names the
+/// kernels and the BENCH tooling use.
+pub use netlist::fnv::{mix_f64, mix_u64, OFFSET as FNV_OFFSET};
 
 /// One timed measurement: the median over K reps, after warmup.
 #[derive(Debug, Clone, Copy, PartialEq)]

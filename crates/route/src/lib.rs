@@ -12,1241 +12,37 @@
 //! its routing capacity yields a utilization; utilization above 1 is
 //! *overflow* — the signature of a design that will not route.
 //!
-//! The estimator is built as an incremental analyzer in the mould of the
-//! workspace's timing layer:
+//! The crate has five parts:
 //!
-//! * [`CongestionAnalyzer::analyze`] rasterizes every net (and every
-//!   cell's pins) through [`parx`] kernels — per-net work is partitioned
-//!   into thread-count-independent chunks and every per-bin reduction
-//!   sums its contributions in net order, so the resulting map is
-//!   **bit-identical for every thread count**.
-//! * [`CongestionAnalyzer::analyze_incremental`] re-rasterizes only the
-//!   nets touched by a moved-cell set (the same
-//!   [`netlist::MoveTracker`] feed the incremental STA consumes) and
-//!   recomputes only the affected bins — again summing per bin in net
-//!   order, so the incremental map is **bitwise identical** to a full
-//!   analysis of the same placement.
-//! * [`CongestionMap::content_hash`] fingerprints the map exactly like
-//!   [`netlist::Placement::content_hash`] fingerprints a placement, so
-//!   differential guarantees ("the daemon computed the same congestion
-//!   as a local run") can ship a `u64` instead of the grid.
-//!
-//! The per-net **exposure** ([`CongestionAnalyzer::exposures`]) condenses
-//! the map back onto nets: the overflow a net's bounding box overlaps,
-//! weighted by how much of the box lies in each bin. The congestion-aware
-//! placement objective in `tdp-core` turns exposures into a
-//! differentiable bounding-box shrink force.
+//! * `config` — the model's knobs ([`RouteConfig`]) and the summary every
+//!   front end reports ([`CongestionReport`]);
+//! * `geom` — the bin grid and the one box rule (clamp, bin index,
+//!   box × bin overlap) rasterization, blockage and the penalty gradient
+//!   share;
+//! * `map` — the snapshot ([`CongestionMap`]): summary, fingerprint,
+//!   heatmaps and [`CongestionMap::box_overflow`];
+//! * `layer` — the per-bin contribution lists and their canonical
+//!   order, rebuilt by the full scatter or the incremental splice;
+//! * `analyzer` — the full and incremental estimator
+//!   ([`CongestionAnalyzer`]) and the per-net exposures.
 
-use netlist::{CellId, Design, NetId, Placement};
-use parx::UnsafeSlice;
-use tdp_jsonio::JsonValue;
+mod analyzer;
+mod config;
+mod geom;
+mod layer;
+mod map;
 
-/// Knobs of the congestion model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouteConfig {
-    /// Grid bins along x (no power-of-two requirement; this grid feeds
-    /// no FFT).
-    pub bins_x: usize,
-    /// Grid bins along y.
-    pub bins_y: usize,
-    /// Routing capacity per unit die area, in wirelength units — how
-    /// much wire the router can realize per unit of area. A bin's
-    /// capacity is `capacity * bin_area`; utilization is demand divided
-    /// by that.
-    pub capacity: f64,
-    /// Demand added to a pin's bin per pin (the pin-density overlay, in
-    /// wirelength units).
-    pub pin_weight: f64,
-    /// Floor on each bounding-box extent, keeping degenerate (collinear
-    /// or single-bin) nets from producing unbounded densities.
-    pub min_extent: f64,
-    /// Fraction of a bin's routing capacity removed per unit of
-    /// fixed-cell (macro / pad) footprint coverage, in `[0, 1)`. Hard
-    /// macros consume most of the routing stack above them, so wire
-    /// demand crossing a macro competes for the few layers that remain —
-    /// this is what turns macro channels into congestion hot spots.
-    pub macro_blockage: f64,
-}
-
-impl Default for RouteConfig {
-    fn default() -> Self {
-        Self {
-            bins_x: 32,
-            bins_y: 32,
-            capacity: 3.0,
-            pin_weight: 2.0,
-            min_extent: 4.0,
-            macro_blockage: 0.85,
-        }
-    }
-}
-
-impl RouteConfig {
-    /// Checks the knobs are usable (finite, positive where required,
-    /// grid within [2, 512] per axis).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [("bins_x", self.bins_x), ("bins_y", self.bins_y)] {
-            if !(2..=512).contains(&v) {
-                return Err(format!("route.{name} must lie in [2, 512] (got {v})"));
-            }
-        }
-        if !self.capacity.is_finite() || self.capacity <= 0.0 {
-            return Err(format!(
-                "route.capacity must be finite and positive (got {})",
-                self.capacity
-            ));
-        }
-        if !self.pin_weight.is_finite() || self.pin_weight < 0.0 {
-            return Err(format!(
-                "route.pin_weight must be finite and non-negative (got {})",
-                self.pin_weight
-            ));
-        }
-        if !self.min_extent.is_finite() || self.min_extent <= 0.0 {
-            return Err(format!(
-                "route.min_extent must be finite and positive (got {})",
-                self.min_extent
-            ));
-        }
-        if !self.macro_blockage.is_finite() || !(0.0..1.0).contains(&self.macro_blockage) {
-            return Err(format!(
-                "route.macro_blockage must lie in [0, 1) (got {})",
-                self.macro_blockage
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Summary statistics of one congestion map — the compact,
-/// report-friendly reduction every front end (flow outcomes, batch
-/// reports, the serve wire) carries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CongestionReport {
-    /// Grid bins along x.
-    pub bins_x: usize,
-    /// Grid bins along y.
-    pub bins_y: usize,
-    /// Worst bin utilization (demand / capacity; > 1 means overflow).
-    pub peak: f64,
-    /// Mean bin utilization.
-    pub average: f64,
-    /// Total overflow: `Σ_b max(0, utilization_b − 1)`.
-    pub overflow: f64,
-    /// Number of bins with utilization above 1.
-    pub overflow_bins: usize,
-    /// [`CongestionMap::content_hash`] of the map the summary reduces —
-    /// the bitwise fingerprint differential tests compare.
-    pub map_hash: u64,
-}
-
-/// Clamps one 1-D span into `[bound_lo, bound_hi]` and floors its extent
-/// at `ext` (recentered, re-clamped). Returns `(lo, hi, live)` where
-/// `live` says the span still tracks its inputs (false once floored).
-///
-/// This is **the** span rule of the congestion model: net rasterization
-/// ([`Geom::rasterize_net`]) and the penalty gradient
-/// ([`CongestionMap::box_overflow`]) must treat boxes identically bit
-/// for bit, so both call this one function.
-fn clamp_floor_span(lo: f64, hi: f64, bound_lo: f64, bound_hi: f64, ext: f64) -> (f64, f64, bool) {
-    let ext = ext.min(bound_hi - bound_lo);
-    let lo = lo.clamp(bound_lo, bound_hi);
-    let hi = hi.clamp(bound_lo, bound_hi);
-    if hi - lo >= ext {
-        (lo, hi, true)
-    } else {
-        let c = 0.5 * (lo + hi);
-        let lo = (c - 0.5 * ext).clamp(bound_lo, bound_hi - ext);
-        (lo, lo + ext, false)
-    }
-}
-
-/// Shared bin-grid geometry (derived once from the die and the config).
-#[derive(Debug, Clone, Copy)]
-struct Geom {
-    lx: f64,
-    ly: f64,
-    bin_w: f64,
-    bin_h: f64,
-    bins_x: usize,
-    bins_y: usize,
-    die_w: f64,
-    die_h: f64,
-    min_extent: f64,
-    pin_weight: f64,
-}
-
-impl Geom {
-    fn new(design: &Design, cfg: &RouteConfig) -> Self {
-        let die = design.die();
-        Self {
-            lx: die.lx,
-            ly: die.ly,
-            bin_w: die.width() / cfg.bins_x as f64,
-            bin_h: die.height() / cfg.bins_y as f64,
-            bins_x: cfg.bins_x,
-            bins_y: cfg.bins_y,
-            die_w: die.width(),
-            die_h: die.height(),
-            min_extent: cfg.min_extent,
-            pin_weight: cfg.pin_weight,
-        }
-    }
-
-    fn num_bins(&self) -> usize {
-        self.bins_x * self.bins_y
-    }
-
-    /// Bin index (row-major) containing point `(x, y)`, clamped into the
-    /// grid.
-    fn bin_of(&self, x: f64, y: f64) -> u32 {
-        let ix = (((x - self.lx) / self.bin_w) as isize).clamp(0, self.bins_x as isize - 1);
-        let iy = (((y - self.ly) / self.bin_h) as isize).clamp(0, self.bins_y as isize - 1);
-        (iy as usize * self.bins_x + ix as usize) as u32
-    }
-
-    /// Rasterizes one net's RUDY demand into `out` as `(bin, amount)`
-    /// entries and returns the (extent-floored) half-perimeter. Demand
-    /// per unit area is `(w + h) / (w · h)`, so the amounts over a fully
-    /// interior box sum exactly to the half-perimeter — the conservation
-    /// property the tests pin down.
-    fn rasterize_net(
-        &self,
-        design: &Design,
-        placement: &Placement,
-        net: NetId,
-        out: &mut Vec<(u32, f64)>,
-    ) -> f64 {
-        out.clear();
-        let pins = &design.net(net).pins;
-        if pins.len() < 2 {
-            return 0.0;
-        }
-        let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &p in pins {
-            let (px, py) = placement.pin_position(design, p);
-            x0 = x0.min(px);
-            x1 = x1.max(px);
-            y0 = y0.min(py);
-            y1 = y1.max(py);
-        }
-        // Clamp into the die, then floor each extent (recentered) so a
-        // collinear net still occupies a finite area — the shared span
-        // rule the penalty gradient also applies.
-        let (ux, uy) = (self.lx + self.die_w, self.ly + self.die_h);
-        let (x0, x1, _) = clamp_floor_span(x0, x1, self.lx, ux, self.min_extent);
-        let (y0, y1, _) = clamp_floor_span(y0, y1, self.ly, uy, self.min_extent);
-        let (w, h) = (x1 - x0, y1 - y0);
-        let perimeter = w + h;
-        let density = perimeter / (w * h);
-        let ix0 = (((x0 - self.lx) / self.bin_w) as isize).clamp(0, self.bins_x as isize - 1);
-        let ix1 = (((x1 - self.lx) / self.bin_w) as isize).clamp(0, self.bins_x as isize - 1);
-        let iy0 = (((y0 - self.ly) / self.bin_h) as isize).clamp(0, self.bins_y as isize - 1);
-        let iy1 = (((y1 - self.ly) / self.bin_h) as isize).clamp(0, self.bins_y as isize - 1);
-        for iy in iy0..=iy1 {
-            let by = self.ly + iy as f64 * self.bin_h;
-            let oy = (y1.min(by + self.bin_h) - y0.max(by)).max(0.0);
-            for ix in ix0..=ix1 {
-                let bx = self.lx + ix as f64 * self.bin_w;
-                let ox = (x1.min(bx + self.bin_w) - x0.max(bx)).max(0.0);
-                let amount = density * ox * oy;
-                if amount > 0.0 {
-                    out.push(((iy as usize * self.bins_x + ix as usize) as u32, amount));
-                }
-            }
-        }
-        perimeter
-    }
-
-    /// Rasterizes one cell's pin-density overlay into `out` as
-    /// `(bin, amount)` entries (one entry per distinct bin, accumulated
-    /// in the cell's pin order).
-    fn rasterize_cell(
-        &self,
-        design: &Design,
-        placement: &Placement,
-        cell: CellId,
-        out: &mut Vec<(u32, f64)>,
-    ) {
-        out.clear();
-        if self.pin_weight == 0.0 {
-            return;
-        }
-        for &p in &design.cell(cell).pins {
-            let (px, py) = placement.pin_position(design, p);
-            let bin = self.bin_of(px, py);
-            match out.iter_mut().find(|(b, _)| *b == bin) {
-                Some((_, amt)) => *amt += self.pin_weight,
-                None => out.push((bin, self.pin_weight)),
-            }
-        }
-    }
-}
-
-/// A binned congestion snapshot: per-bin routing demand over the die,
-/// plus the capacity that turns demand into utilization.
-///
-/// Produced by a [`CongestionAnalyzer`]; consumed by reports
-/// ([`CongestionMap::summary`]), renderers ([`CongestionMap::ascii`])
-/// and the heatmap JSON encoder ([`CongestionMap::heatmap_json`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CongestionMap {
-    bins_x: usize,
-    bins_y: usize,
-    bin_w: f64,
-    bin_h: f64,
-    lx: f64,
-    ly: f64,
-    /// Unblocked per-bin capacity (`capacity · bin_area`).
-    base_capacity: f64,
-    /// Effective per-bin capacity after macro blockage.
-    cap: Vec<f64>,
-    demand: Vec<f64>,
-}
-
-/// The overflow an axis-aligned box sees against a frozen
-/// [`CongestionMap`], with the analytic derivatives of the mean w.r.t.
-/// the four box edges — the building block of the congestion-aware
-/// gradient (see [`CongestionMap::box_overflow`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BoxOverflow {
-    /// Area-weighted mean overflow ratio over the box:
-    /// `Σ_b max(0, util_b − 1) · overlap(b) / (w · h)`.
-    pub mean: f64,
-    /// Effective box width after clamping and extent flooring.
-    pub w: f64,
-    /// Effective box height after clamping and extent flooring.
-    pub h: f64,
-    /// `∂mean/∂x0` (left edge); zero when the x extent was floored (the
-    /// box no longer tracks the pins on that axis).
-    pub d_x0: f64,
-    /// `∂mean/∂x1` (right edge).
-    pub d_x1: f64,
-    /// `∂mean/∂y0` (bottom edge).
-    pub d_y0: f64,
-    /// `∂mean/∂y1` (top edge).
-    pub d_y1: f64,
-    /// Whether the x extent tracks the pins (false when floored).
-    pub x_live: bool,
-    /// Whether the y extent tracks the pins (false when floored).
-    pub y_live: bool,
-}
-
-impl CongestionMap {
-    fn empty(geom: &Geom, capacity: f64) -> Self {
-        let base = capacity * geom.bin_w * geom.bin_h;
-        Self {
-            bins_x: geom.bins_x,
-            bins_y: geom.bins_y,
-            bin_w: geom.bin_w,
-            bin_h: geom.bin_h,
-            lx: geom.lx,
-            ly: geom.ly,
-            base_capacity: base,
-            cap: vec![base; geom.num_bins()],
-            demand: vec![0.0; geom.num_bins()],
-        }
-    }
-
-    /// Grid bins along x.
-    pub fn bins_x(&self) -> usize {
-        self.bins_x
-    }
-
-    /// Grid bins along y.
-    pub fn bins_y(&self) -> usize {
-        self.bins_y
-    }
-
-    /// Routing capacity of one *unblocked* bin (wirelength units).
-    pub fn capacity_per_bin(&self) -> f64 {
-        self.base_capacity
-    }
-
-    /// Effective routing capacity of bin `(ix, iy)` after macro
-    /// blockage (wirelength units).
-    pub fn capacity(&self, ix: usize, iy: usize) -> f64 {
-        self.cap[iy * self.bins_x + ix]
-    }
-
-    /// Raw demand of bin `(ix, iy)` (wirelength units).
-    pub fn demand(&self, ix: usize, iy: usize) -> f64 {
-        self.demand[iy * self.bins_x + ix]
-    }
-
-    /// Utilization of bin `(ix, iy)`: demand over effective capacity.
-    pub fn utilization(&self, ix: usize, iy: usize) -> f64 {
-        self.demand(ix, iy) / self.capacity(ix, iy)
-    }
-
-    /// Sum of demand over every bin (wirelength units) — conserved: it
-    /// equals the sum of per-net half-perimeters plus the pin overlay,
-    /// up to floating-point reassociation.
-    pub fn total_demand(&self) -> f64 {
-        self.demand.iter().sum()
-    }
-
-    /// A bitwise fingerprint: FNV-1a over the grid dimensions and the
-    /// IEEE-754 bit patterns of every bin's demand in row-major order.
-    /// Two maps hash equal iff they are bit-identical (modulo hash
-    /// collisions) — the same contract as
-    /// [`netlist::Placement::content_hash`].
-    pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |bits: u64| {
-            for byte in bits.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.bins_x as u64);
-        eat(self.bins_y as u64);
-        for &d in &self.demand {
-            eat(d.to_bits());
-        }
-        h
-    }
-
-    /// Reduces the map to its [`CongestionReport`] using up to `threads`
-    /// workers. Chunk boundaries and the fold order depend only on the
-    /// bin count, so the report is bit-identical for every thread count
-    /// (the [`parx::par_map_reduce`] guarantee).
-    pub fn summary_with_threads(&self, threads: usize) -> CongestionReport {
-        let cap = &self.cap;
-        let demand = &self.demand;
-        let mut peak = 0.0f64;
-        let mut util_sum = 0.0f64;
-        let mut overflow = 0.0f64;
-        let mut overflow_bins = 0usize;
-        parx::par_map_reduce(
-            threads,
-            demand.len(),
-            64,
-            |range| {
-                let mut p = 0.0f64;
-                let mut us = 0.0f64;
-                let mut ov = 0.0f64;
-                let mut nb = 0usize;
-                for b in range {
-                    let util = demand[b] / cap[b];
-                    p = p.max(util);
-                    us += util;
-                    let over = util - 1.0;
-                    if over > 0.0 {
-                        ov += over;
-                        nb += 1;
-                    }
-                }
-                (p, us, ov, nb)
-            },
-            |(p, us, ov, nb): (f64, f64, f64, usize)| {
-                peak = peak.max(p);
-                util_sum += us;
-                overflow += ov;
-                overflow_bins += nb;
-            },
-        );
-        CongestionReport {
-            bins_x: self.bins_x,
-            bins_y: self.bins_y,
-            peak,
-            average: util_sum / self.demand.len() as f64,
-            overflow,
-            overflow_bins,
-            map_hash: self.content_hash(),
-        }
-    }
-
-    /// [`CongestionMap::summary_with_threads`] on one worker (identical
-    /// bits, by the parx determinism contract).
-    pub fn summary(&self) -> CongestionReport {
-        self.summary_with_threads(1)
-    }
-
-    /// The heatmap as a JSON object: grid dimensions, capacity, the
-    /// summary statistics, the hex `map_hash`, and `rows` — an array of
-    /// `bins_y` arrays of `bins_x` utilization values, bottom row first
-    /// (row-major, like the map itself).
-    ///
-    /// Encoded through [`tdp_jsonio`], so
-    /// `encode(parse(encode(map))) == encode(map)` holds (the fixpoint
-    /// the route CI smoke asserts).
-    pub fn heatmap_json(&self) -> JsonValue {
-        let s = self.summary();
-        let rows: Vec<JsonValue> = (0..self.bins_y)
-            .map(|iy| {
-                JsonValue::Arr(
-                    (0..self.bins_x)
-                        .map(|ix| JsonValue::Num(self.utilization(ix, iy)))
-                        .collect(),
-                )
-            })
-            .collect();
-        JsonValue::Obj(vec![
-            ("bins_x".into(), self.bins_x.into()),
-            ("bins_y".into(), self.bins_y.into()),
-            ("bin_w".into(), JsonValue::Num(self.bin_w)),
-            ("bin_h".into(), JsonValue::Num(self.bin_h)),
-            (
-                "capacity_per_bin".into(),
-                JsonValue::Num(self.base_capacity),
-            ),
-            ("peak".into(), JsonValue::Num(s.peak)),
-            ("average".into(), JsonValue::Num(s.average)),
-            ("overflow".into(), JsonValue::Num(s.overflow)),
-            ("overflow_bins".into(), s.overflow_bins.into()),
-            (
-                "map_hash".into(),
-                JsonValue::Str(format!("{:#018x}", s.map_hash)),
-            ),
-            ("rows".into(), JsonValue::Arr(rows)),
-        ])
-    }
-
-    /// Overflow ratio of bin index `b`: `max(0, demand_b / cap_b − 1)`.
-    fn overflow_ratio(&self, b: usize) -> f64 {
-        (self.demand[b] / self.cap[b] - 1.0).max(0.0)
-    }
-
-    /// Evaluates the overflow an axis-aligned box `[x0, x1] × [y0, y1]`
-    /// sees against this (frozen) map: the area-weighted mean overflow
-    /// ratio plus its analytic derivatives with respect to the four box
-    /// edges. The box is clamped into the die and its extents floored at
-    /// `min_extent`, exactly like net rasterization, so the value is
-    /// consistent with the demand model.
-    ///
-    /// The derivatives decompose into an *edge-strip* term (the overflow
-    /// the moving edge sweeps) and a *dilution* term (`mean / extent`):
-    /// an edge sitting in hot bins is pulled inward, while a box whose
-    /// interior is hotter than its edges is pushed to grow — both moves
-    /// reduce the mean overflow its demand lands on.
-    pub fn box_overflow(&self, x0: f64, y0: f64, x1: f64, y1: f64, min_extent: f64) -> BoxOverflow {
-        let (ux, uy) = (
-            self.lx + self.bin_w * self.bins_x as f64,
-            self.ly + self.bin_h * self.bins_y as f64,
-        );
-        let (x0, x1, x_live) = clamp_floor_span(x0, x1, self.lx, ux, min_extent);
-        let (y0, y1, y_live) = clamp_floor_span(y0, y1, self.ly, uy, min_extent);
-        let (w, h) = (x1 - x0, y1 - y0);
-        let clamp_x = |x: f64| {
-            (((x - self.lx) / self.bin_w) as isize).clamp(0, self.bins_x as isize - 1) as usize
-        };
-        let clamp_y = |y: f64| {
-            (((y - self.ly) / self.bin_h) as isize).clamp(0, self.bins_y as isize - 1) as usize
-        };
-        let (ix0, ix1) = (clamp_x(x0), clamp_x(x1));
-        let (iy0, iy1) = (clamp_y(y0), clamp_y(y1));
-        let mut area_sum = 0.0f64; // Σ c_b · overlap_b
-        let mut left = 0.0f64; // Σ over the x0 strip: c_b · oy_b
-        let mut right = 0.0f64;
-        let mut bottom = 0.0f64; // Σ over the y0 strip: c_b · ox_b
-        let mut top = 0.0f64;
-        for iy in iy0..=iy1 {
-            let by = self.ly + iy as f64 * self.bin_h;
-            let oy = (y1.min(by + self.bin_h) - y0.max(by)).max(0.0);
-            for ix in ix0..=ix1 {
-                let c = self.overflow_ratio(iy * self.bins_x + ix);
-                if c == 0.0 {
-                    continue;
-                }
-                let bx = self.lx + ix as f64 * self.bin_w;
-                let ox = (x1.min(bx + self.bin_w) - x0.max(bx)).max(0.0);
-                area_sum += c * ox * oy;
-                if ix == ix0 {
-                    left += c * oy;
-                }
-                if ix == ix1 {
-                    right += c * oy;
-                }
-                if iy == iy0 {
-                    bottom += c * ox;
-                }
-                if iy == iy1 {
-                    top += c * ox;
-                }
-            }
-        }
-        let inv_area = 1.0 / (w * h);
-        let mean = area_sum * inv_area;
-        BoxOverflow {
-            mean,
-            w,
-            h,
-            d_x0: if x_live {
-                -left * inv_area + mean / w
-            } else {
-                0.0
-            },
-            d_x1: if x_live {
-                right * inv_area - mean / w
-            } else {
-                0.0
-            },
-            d_y0: if y_live {
-                -bottom * inv_area + mean / h
-            } else {
-                0.0
-            },
-            d_y1: if y_live {
-                top * inv_area - mean / h
-            } else {
-                0.0
-            },
-            x_live,
-            y_live,
-        }
-    }
-
-    /// Renders the map as an ASCII heatmap (top row first, one character
-    /// per bin, darker ramp = higher utilization; bins in overflow use
-    /// the top ramp characters).
-    pub fn ascii(&self) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        let mut out = String::with_capacity((self.bins_x + 3) * (self.bins_y + 2));
-        let border = |out: &mut String| {
-            out.push('+');
-            for _ in 0..self.bins_x {
-                out.push('-');
-            }
-            out.push_str("+\n");
-        };
-        border(&mut out);
-        for iy in (0..self.bins_y).rev() {
-            out.push('|');
-            for ix in 0..self.bins_x {
-                let util = self.utilization(ix, iy);
-                let idx = ((util * 4.5) as usize).min(RAMP.len() - 1);
-                out.push(RAMP[idx] as char);
-            }
-            out.push_str("|\n");
-        }
-        border(&mut out);
-        out
-    }
-}
-
-/// The RUDY congestion estimator: full and incremental rasterization of
-/// a design's routing demand onto a [`CongestionMap`].
-///
-/// Construction walks the design once (building the cell → nets index
-/// the incremental path consumes); [`CongestionAnalyzer::analyze`] and
-/// [`CongestionAnalyzer::analyze_incremental`] then (re)compute the map
-/// for any placement. All per-bin reductions sum their contributions in
-/// net (respectively cell) order regardless of which thread rasterized
-/// them, which makes the map bit-identical across thread counts *and*
-/// across the full-vs-incremental axis.
-#[derive(Debug)]
-pub struct CongestionAnalyzer {
-    cfg: RouteConfig,
-    geom: Geom,
-    threads: usize,
-    /// CSR cell → nets (sorted, deduplicated per cell).
-    cell_net_start: Vec<u32>,
-    cell_nets: Vec<u32>,
-    /// Per-net raster: `(bin, amount)` entries in bin order.
-    net_entries: Vec<Vec<(u32, f64)>>,
-    /// Per-net extent-floored half-perimeter (0 for sub-2-pin nets).
-    net_perimeter: Vec<f64>,
-    /// Per-cell pin overlay raster.
-    cell_entries: Vec<Vec<(u32, f64)>>,
-    /// Per-bin wire contributions `(net, amount)`, sorted by net id —
-    /// the canonical summation order.
-    bin_wire: Vec<Vec<(u32, f64)>>,
-    /// Per-bin pin contributions `(cell, amount)`, sorted by cell id.
-    bin_pins: Vec<Vec<(u32, f64)>>,
-    /// Per-bin wire demand (sum of `bin_wire` in list order).
-    wire: Vec<f64>,
-    /// Per-bin pin demand (sum of `bin_pins` in list order).
-    pins: Vec<f64>,
-    map: CongestionMap,
-    exposure: Vec<f64>,
-    /// The exposure vector is refreshed lazily: analyses mark it stale
-    /// and [`CongestionAnalyzer::exposures`] recomputes it on demand, so
-    /// callers that only read the map (the ECO query path) never pay the
-    /// all-nets fold.
-    exposure_stale: bool,
-    /// Bins re-reduced by the last incremental pass (sorted, deduped);
-    /// empty after a full analysis. See
-    /// [`CongestionAnalyzer::last_dirty_bins`].
-    last_dirty_bins: Vec<u32>,
-    /// Splice scratch: per-net / per-cell dirty flags and a merge
-    /// buffer, retained so steady-state incremental passes allocate
-    /// nothing.
-    net_mark: Vec<bool>,
-    cell_mark: Vec<bool>,
-    merge_scratch: Vec<(u32, f64)>,
-    analyzed: bool,
-}
-
-impl CongestionAnalyzer {
-    /// Builds an analyzer for `design` (no placement needed yet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`RouteConfig::validate`] — analyzers are
-    /// built from already-validated flow configurations; validate at the
-    /// API boundary for hostile input.
-    pub fn new(design: &Design, cfg: RouteConfig) -> Self {
-        cfg.validate().expect("validated route configuration");
-        let geom = Geom::new(design, &cfg);
-        let num_cells = design.num_cells();
-        let num_nets = design.num_nets();
-        // Cell → nets CSR, sorted and deduplicated per cell.
-        let mut per_cell: Vec<Vec<u32>> = vec![Vec::new(); num_cells];
-        for net in design.net_ids() {
-            for &p in &design.net(net).pins {
-                per_cell[design.pin(p).cell.index()].push(net.index() as u32);
-            }
-        }
-        let mut cell_net_start = Vec::with_capacity(num_cells + 1);
-        let mut cell_nets = Vec::new();
-        cell_net_start.push(0u32);
-        for nets in &mut per_cell {
-            nets.sort_unstable();
-            nets.dedup();
-            cell_nets.extend_from_slice(nets);
-            cell_net_start.push(cell_nets.len() as u32);
-        }
-        let num_bins = geom.num_bins();
-        Self {
-            threads: 1,
-            geom,
-            cell_net_start,
-            cell_nets,
-            net_entries: vec![Vec::new(); num_nets],
-            net_perimeter: vec![0.0; num_nets],
-            cell_entries: vec![Vec::new(); num_cells],
-            bin_wire: vec![Vec::new(); num_bins],
-            bin_pins: vec![Vec::new(); num_bins],
-            wire: vec![0.0; num_bins],
-            pins: vec![0.0; num_bins],
-            map: CongestionMap::empty(&geom, cfg.capacity),
-            exposure: vec![0.0; num_nets],
-            exposure_stale: false,
-            last_dirty_bins: Vec::new(),
-            net_mark: vec![false; num_nets],
-            cell_mark: vec![false; num_cells],
-            merge_scratch: Vec::new(),
-            analyzed: false,
-            cfg,
-        }
-    }
-
-    /// Sets the worker count for the rasterization and reduction kernels
-    /// (`0` = one per hardware thread; results are bit-identical for
-    /// every value).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// [`CongestionAnalyzer::with_threads`] in place, for analyzers
-    /// cached across runs with different thread knobs.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The configuration the analyzer was built with.
-    pub fn config(&self) -> &RouteConfig {
-        &self.cfg
-    }
-
-    /// Whether a map has been computed yet.
-    pub fn is_analyzed(&self) -> bool {
-        self.analyzed
-    }
-
-    /// The current congestion map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no analysis has run yet.
-    pub fn map(&self) -> &CongestionMap {
-        assert!(self.analyzed, "no congestion analysis has run");
-        &self.map
-    }
-
-    /// The current map's summary (computed with the analyzer's worker
-    /// count; bit-identical to a serial reduction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no analysis has run yet.
-    pub fn summary(&self) -> CongestionReport {
-        self.map().summary_with_threads(self.threads)
-    }
-
-    /// Per-net congestion exposure: for net `e`,
-    /// `Σ_b max(0, utilization_b − 1) · overlap_frac(e, b)` over the bins
-    /// its bounding box covers. Zero for nets clear of overflow.
-    ///
-    /// Recomputed lazily from the current map on first read after an
-    /// analysis — a pure fold over per-net state, so the values are
-    /// bitwise identical to an eager refresh for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no analysis has run yet.
-    pub fn exposures(&mut self) -> &[f64] {
-        assert!(self.analyzed, "no congestion analysis has run");
-        if self.exposure_stale {
-            self.refresh_exposure(parx::resolve_threads(self.threads));
-            self.exposure_stale = false;
-        }
-        &self.exposure
-    }
-
-    /// Full analysis: rasterizes every net and every cell's pins, then
-    /// reduces per bin. The hot phases (rasterization, per-bin sums, the
-    /// exposure pass) run through [`parx`] with thread-count-invariant
-    /// results.
-    pub fn analyze(&mut self, design: &Design, placement: &Placement) {
-        let _span = tdp_trace::span("route.analyze", "route");
-        let workers = parx::resolve_threads(self.threads);
-        let geom = self.geom;
-        let num_nets = design.num_nets();
-        let num_cells = design.num_cells();
-
-        // Phase 1: per-net and per-cell rasterization (slot-disjoint).
-        {
-            let mut net_entries = std::mem::take(&mut self.net_entries);
-            let mut net_perimeter = std::mem::take(&mut self.net_perimeter);
-            {
-                let entry_slots = UnsafeSlice::new(&mut net_entries);
-                let perim_slots = UnsafeSlice::new(&mut net_perimeter);
-                parx::par_for_named(workers, num_nets, 32, "route.rasterize.nets", |range| {
-                    for e in range {
-                        let mut out = Vec::new();
-                        let perimeter =
-                            geom.rasterize_net(design, placement, NetId::new(e), &mut out);
-                        // SAFETY: slot `e` is written by this chunk alone.
-                        unsafe {
-                            entry_slots.write(e, out);
-                            perim_slots.write(e, perimeter);
-                        }
-                    }
-                });
-            }
-            self.net_entries = net_entries;
-            self.net_perimeter = net_perimeter;
-
-            let mut cell_entries = std::mem::take(&mut self.cell_entries);
-            {
-                let slots = UnsafeSlice::new(&mut cell_entries);
-                parx::par_for_named(workers, num_cells, 64, "route.rasterize.cells", |range| {
-                    for c in range {
-                        let mut out = Vec::new();
-                        geom.rasterize_cell(design, placement, CellId::new(c), &mut out);
-                        // SAFETY: slot `c` is written by this chunk alone.
-                        unsafe { slots.write(c, out) };
-                    }
-                });
-            }
-            self.cell_entries = cell_entries;
-        }
-
-        // Phase 2: scatter into per-bin lists, in net / cell order (the
-        // canonical summation order both the parallel phase 3 and the
-        // incremental path preserve).
-        for list in &mut self.bin_wire {
-            list.clear();
-        }
-        for list in &mut self.bin_pins {
-            list.clear();
-        }
-        for (e, entries) in self.net_entries.iter().enumerate() {
-            for &(bin, amount) in entries {
-                self.bin_wire[bin as usize].push((e as u32, amount));
-            }
-        }
-        for (c, entries) in self.cell_entries.iter().enumerate() {
-            for &(bin, amount) in entries {
-                self.bin_pins[bin as usize].push((c as u32, amount));
-            }
-        }
-
-        // Phase 3: macro blockage, then the per-bin reduction (each bin
-        // summed in list order). Exposure refreshes lazily on read.
-        self.refresh_blockage(design, placement);
-        self.reduce_bins(None);
-        self.exposure_stale = true;
-        self.last_dirty_bins.clear();
-        self.analyzed = true;
-    }
-
-    /// Bin indices (row-major) the last [`CongestionAnalyzer::analyze_incremental`]
-    /// re-reduced, sorted ascending and deduplicated — the "touched bins"
-    /// of an ECO delta. Empty after a full [`CongestionAnalyzer::analyze`]
-    /// (which touches every bin) and after a no-op incremental pass.
-    pub fn last_dirty_bins(&self) -> &[u32] {
-        &self.last_dirty_bins
-    }
-
-    /// Recomputes the effective per-bin capacity from the fixed-cell
-    /// footprints in `placement`: each bin loses `macro_blockage` of its
-    /// capacity per unit of covered area. Serial in cell order —
-    /// deterministic, and cheap (fixed cells are few).
-    fn refresh_blockage(&mut self, design: &Design, placement: &Placement) {
-        let geom = self.geom;
-        let bin_area = geom.bin_w * geom.bin_h;
-        let mut covered = vec![0.0f64; geom.num_bins()];
-        if self.cfg.macro_blockage > 0.0 {
-            for c in design.cell_ids() {
-                if !design.cell(c).fixed {
-                    continue;
-                }
-                let (x, y) = placement.get(c);
-                let ty = design.cell_type(c);
-                let (ux, uy) = (geom.lx + geom.die_w, geom.ly + geom.die_h);
-                let x0 = x.clamp(geom.lx, ux);
-                let x1 = (x + ty.width).clamp(geom.lx, ux);
-                let y0 = y.clamp(geom.ly, uy);
-                let y1 = (y + ty.height).clamp(geom.ly, uy);
-                if x1 <= x0 || y1 <= y0 {
-                    continue;
-                }
-                let ix0 =
-                    (((x0 - geom.lx) / geom.bin_w) as isize).clamp(0, geom.bins_x as isize - 1);
-                let ix1 =
-                    (((x1 - geom.lx) / geom.bin_w) as isize).clamp(0, geom.bins_x as isize - 1);
-                let iy0 =
-                    (((y0 - geom.ly) / geom.bin_h) as isize).clamp(0, geom.bins_y as isize - 1);
-                let iy1 =
-                    (((y1 - geom.ly) / geom.bin_h) as isize).clamp(0, geom.bins_y as isize - 1);
-                for iy in iy0..=iy1 {
-                    let by = geom.ly + iy as f64 * geom.bin_h;
-                    let oy = (y1.min(by + geom.bin_h) - y0.max(by)).max(0.0);
-                    for ix in ix0..=ix1 {
-                        let bx = geom.lx + ix as f64 * geom.bin_w;
-                        let ox = (x1.min(bx + geom.bin_w) - x0.max(bx)).max(0.0);
-                        covered[iy as usize * geom.bins_x + ix as usize] += ox * oy;
-                    }
-                }
-            }
-        }
-        for (b, &area) in covered.iter().enumerate() {
-            let frac = (area / bin_area).min(1.0);
-            self.map.cap[b] = self.map.base_capacity * (1.0 - self.cfg.macro_blockage * frac);
-        }
-    }
-
-    /// Incremental analysis: re-rasterizes only the nets touched by
-    /// `moved` cells (and the moved cells' pin overlays), splices the
-    /// per-bin lists, and re-reduces only the affected bins. Bitwise
-    /// identical to [`CongestionAnalyzer::analyze`] of the same
-    /// placement — with a zero-threshold tracker this is purely a
-    /// runtime optimization, exactly like the incremental STA.
-    ///
-    /// Falls back to a full analysis when none has run yet. `moved` may
-    /// be in any order; it is deduplicated internally.
-    pub fn analyze_incremental(
-        &mut self,
-        design: &Design,
-        placement: &Placement,
-        moved: &[CellId],
-    ) {
-        if !self.analyzed {
-            return self.analyze(design, placement);
-        }
-        if moved.is_empty() {
-            self.last_dirty_bins.clear();
-            return;
-        }
-        let _span = tdp_trace::span("route.incremental", "route");
-        let workers = parx::resolve_threads(self.threads);
-        let geom = self.geom;
-
-        let mut dirty_cells: Vec<u32> = moved.iter().map(|c| c.index() as u32).collect();
-        dirty_cells.sort_unstable();
-        dirty_cells.dedup();
-        let mut dirty_nets: Vec<u32> = Vec::new();
-        for &c in &dirty_cells {
-            let (lo, hi) = (
-                self.cell_net_start[c as usize] as usize,
-                self.cell_net_start[c as usize + 1] as usize,
-            );
-            dirty_nets.extend_from_slice(&self.cell_nets[lo..hi]);
-        }
-        dirty_nets.sort_unstable();
-        dirty_nets.dedup();
-
-        // Phase 1: re-rasterize the dirty nets and cells in parallel.
-        let mut net_rasters: Vec<(Vec<(u32, f64)>, f64)> = Vec::new();
-        net_rasters.resize_with(dirty_nets.len(), Default::default);
-        {
-            let slots = UnsafeSlice::new(&mut net_rasters);
-            let nets = &dirty_nets;
-            parx::par_for_named(workers, nets.len(), 16, "route.rasterize.nets", |range| {
-                for k in range {
-                    let mut out = Vec::new();
-                    let perimeter = geom.rasterize_net(
-                        design,
-                        placement,
-                        NetId::new(nets[k] as usize),
-                        &mut out,
-                    );
-                    // SAFETY: slot `k` is written by this chunk alone.
-                    unsafe { slots.write(k, (out, perimeter)) };
-                }
-            });
-        }
-        let mut cell_rasters: Vec<Vec<(u32, f64)>> = Vec::new();
-        cell_rasters.resize_with(dirty_cells.len(), Default::default);
-        {
-            let slots = UnsafeSlice::new(&mut cell_rasters);
-            let cells = &dirty_cells;
-            parx::par_for_named(workers, cells.len(), 32, "route.rasterize.cells", |range| {
-                for k in range {
-                    let mut out = Vec::new();
-                    geom.rasterize_cell(
-                        design,
-                        placement,
-                        CellId::new(cells[k] as usize),
-                        &mut out,
-                    );
-                    // SAFETY: slot `k` is written by this chunk alone.
-                    unsafe { slots.write(k, out) };
-                }
-            });
-        }
-
-        // Phase 2: splice the per-bin lists — one rebuild per affected
-        // bin. Each touched bin merges its surviving entries (ids not
-        // marked dirty) with the incoming re-rasterized ones, both
-        // sorted by id, so the canonical ascending-id order — and
-        // therefore the summation order — is preserved while every list
-        // is scanned exactly once (the old per-entry `retain`/`insert`
-        // splice rescanned a bin's list for every dirty entry in it).
-        let mut wire_bins: Vec<u32> = Vec::new();
-        let mut wire_ins: Vec<(u32, u32, f64)> = Vec::new();
-        for (k, &e) in dirty_nets.iter().enumerate() {
-            self.net_mark[e as usize] = true;
-            for &(bin, _) in &self.net_entries[e as usize] {
-                wire_bins.push(bin);
-            }
-            let (raster, perimeter) = std::mem::take(&mut net_rasters[k]);
-            for &(bin, amount) in &raster {
-                wire_bins.push(bin);
-                wire_ins.push((bin, e, amount));
-            }
-            self.net_entries[e as usize] = raster;
-            self.net_perimeter[e as usize] = perimeter;
-        }
-        wire_bins.sort_unstable();
-        wire_bins.dedup();
-        wire_ins.sort_unstable_by_key(|&(bin, id, _)| (bin, id));
-        splice_bins(
-            &mut self.bin_wire,
-            &self.net_mark,
-            &wire_bins,
-            &wire_ins,
-            &mut self.merge_scratch,
-        );
-        for &e in &dirty_nets {
-            self.net_mark[e as usize] = false;
-        }
-
-        let mut pin_bins: Vec<u32> = Vec::new();
-        let mut pin_ins: Vec<(u32, u32, f64)> = Vec::new();
-        for (k, &c) in dirty_cells.iter().enumerate() {
-            self.cell_mark[c as usize] = true;
-            for &(bin, _) in &self.cell_entries[c as usize] {
-                pin_bins.push(bin);
-            }
-            let raster = std::mem::take(&mut cell_rasters[k]);
-            for &(bin, amount) in &raster {
-                pin_bins.push(bin);
-                pin_ins.push((bin, c, amount));
-            }
-            self.cell_entries[c as usize] = raster;
-        }
-        pin_bins.sort_unstable();
-        pin_bins.dedup();
-        pin_ins.sort_unstable_by_key(|&(bin, id, _)| (bin, id));
-        splice_bins(
-            &mut self.bin_pins,
-            &self.cell_mark,
-            &pin_bins,
-            &pin_ins,
-            &mut self.merge_scratch,
-        );
-        for &c in &dirty_cells {
-            self.cell_mark[c as usize] = false;
-        }
-
-        let mut dirty_bins: Vec<u32> = Vec::with_capacity(wire_bins.len() + pin_bins.len());
-        dirty_bins.extend_from_slice(&wire_bins);
-        dirty_bins.extend_from_slice(&pin_bins);
-        dirty_bins.sort_unstable();
-        dirty_bins.dedup();
-
-        // Fixed cells never move in a placement flow, so blockage is
-        // normally untouched here — but a caller that relocates one must
-        // still get a correct (and full-equivalent) map.
-        if dirty_cells
-            .iter()
-            .any(|&c| design.cell(CellId::new(c as usize)).fixed)
-        {
-            self.refresh_blockage(design, placement);
-        }
-
-        // Phase 3: re-reduce only the affected bins; exposure refreshes
-        // lazily on read.
-        self.reduce_bins(Some(&dirty_bins));
-        self.exposure_stale = true;
-        self.last_dirty_bins = dirty_bins;
-    }
-
-    /// Per-bin reduction: sums each bin's wire and pin lists in list
-    /// (id) order and refreshes the combined demand. `Some(bins)`
-    /// restricts the work to those bins (the incremental path); `None`
-    /// covers the whole grid.
-    fn reduce_bins(&mut self, bins: Option<&[u32]>) {
-        let _span = tdp_trace::span("route.reduce", "route");
-        let workers = parx::resolve_threads(self.threads);
-        let bin_wire = &self.bin_wire;
-        let bin_pins = &self.bin_pins;
-        let wire = UnsafeSlice::new(&mut self.wire);
-        let pins = UnsafeSlice::new(&mut self.pins);
-        let demand = UnsafeSlice::new(&mut self.map.demand);
-        let reduce_one = |b: usize| {
-            let mut w = 0.0f64;
-            for &(_, amount) in &bin_wire[b] {
-                w += amount;
-            }
-            let mut p = 0.0f64;
-            for &(_, amount) in &bin_pins[b] {
-                p += amount;
-            }
-            // SAFETY: bin slot `b` is written by this chunk alone (bins
-            // are deduplicated before the restricted pass).
-            unsafe {
-                wire.write(b, w);
-                pins.write(b, p);
-                demand.write(b, w + p);
-            }
-        };
-        match bins {
-            None => {
-                parx::par_for_named(workers, bin_wire.len(), 64, "route.reduce.bins", |range| {
-                    for b in range {
-                        reduce_one(b);
-                    }
-                })
-            }
-            Some(dirty) => {
-                parx::par_for_named(workers, dirty.len(), 64, "route.reduce.bins", |range| {
-                    for k in range {
-                        reduce_one(dirty[k] as usize);
-                    }
-                })
-            }
-        }
-    }
-
-    /// Recomputes every net's exposure from the current map (slot-
-    /// disjoint per net; each net folds its own bins in entry order).
-    fn refresh_exposure(&mut self, workers: usize) {
-        let cap = &self.map.cap;
-        let demand = &self.map.demand;
-        let net_entries = &self.net_entries;
-        let net_perimeter = &self.net_perimeter;
-        let slots = UnsafeSlice::new(&mut self.exposure);
-        parx::par_for(workers, net_entries.len(), 64, |range| {
-            for e in range {
-                let perimeter = net_perimeter[e];
-                let mut acc = 0.0f64;
-                if perimeter > 0.0 {
-                    for &(bin, amount) in &net_entries[e] {
-                        let over = demand[bin as usize] / cap[bin as usize] - 1.0;
-                        if over > 0.0 {
-                            // amount / perimeter is the fraction of the
-                            // net's bbox area inside this bin.
-                            acc += over * (amount / perimeter);
-                        }
-                    }
-                }
-                // SAFETY: slot `e` is written by this chunk alone.
-                unsafe { slots.write(e, acc) };
-            }
-        });
-    }
-}
-
-/// Rebuilds each listed bin once for the incremental splice: entries
-/// whose id is `marked` (a dirty net or cell — its surviving coverage
-/// arrives through `incoming`) are dropped, and `incoming` — `(bin, id,
-/// amount)` sorted by `(bin, id)`, covering only bins present in `bins`
-/// — is merged in, preserving the ascending-id order the full scatter
-/// produces. Incoming ids are always marked and surviving ids never
-/// are, so the merge never sees equal ids.
-fn splice_bins(
-    lists: &mut [Vec<(u32, f64)>],
-    marked: &[bool],
-    bins: &[u32],
-    incoming: &[(u32, u32, f64)],
-    scratch: &mut Vec<(u32, f64)>,
-) {
-    let mut cur = 0usize;
-    for &b in bins {
-        let start = cur;
-        while cur < incoming.len() && incoming[cur].0 == b {
-            cur += 1;
-        }
-        let ins = &incoming[start..cur];
-        let list = &mut lists[b as usize];
-        if ins.is_empty() {
-            list.retain(|&(id, _)| !marked[id as usize]);
-            continue;
-        }
-        scratch.clear();
-        let mut next = 0usize;
-        for &(id, amount) in list.iter() {
-            if marked[id as usize] {
-                continue;
-            }
-            while next < ins.len() && ins[next].1 < id {
-                scratch.push((ins[next].1, ins[next].2));
-                next += 1;
-            }
-            scratch.push((id, amount));
-        }
-        for &(_, id, amount) in &ins[next..] {
-            scratch.push((id, amount));
-        }
-        list.clear();
-        list.extend_from_slice(scratch);
-    }
-    debug_assert_eq!(cur, incoming.len(), "incoming bins outside the bin list");
-}
-
-/// One-shot convenience: builds an analyzer, runs a full analysis and
-/// returns the map (serial unless `threads` says otherwise).
-pub fn congestion_map(
-    design: &Design,
-    placement: &Placement,
-    cfg: RouteConfig,
-    threads: usize,
-) -> CongestionMap {
-    let mut analyzer = CongestionAnalyzer::new(design, cfg).with_threads(threads);
-    analyzer.analyze(design, placement);
-    analyzer.map().clone()
-}
+pub use analyzer::CongestionAnalyzer;
+pub use config::{CongestionReport, RouteConfig};
+pub use map::{BoxOverflow, CongestionMap};
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use netlist::{CellLibrary, DesignBuilder, Rect};
+mod fixture {
+    use crate::{CongestionAnalyzer, CongestionMap, RouteConfig};
+    use netlist::{CellId, CellLibrary, Design, DesignBuilder, Placement, Rect};
 
     /// A die with two pads and a few inverters, placed by hand.
-    fn toy() -> (Design, Placement, Vec<CellId>) {
+    pub(crate) fn toy() -> (Design, Placement, Vec<CellId>) {
         let mut b = DesignBuilder::new(
             "toy",
             CellLibrary::standard(),
@@ -1273,7 +69,7 @@ mod tests {
         (d, p, vec![u1, u2, u3])
     }
 
-    fn cfg() -> RouteConfig {
+    pub(crate) fn cfg() -> RouteConfig {
         RouteConfig {
             bins_x: 8,
             bins_y: 8,
@@ -1284,207 +80,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn config_validation_names_bad_fields() {
-        assert!(RouteConfig::default().validate().is_ok());
-        let bad = RouteConfig {
-            bins_x: 1,
-            ..RouteConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("bins_x"));
-        let bad = RouteConfig {
-            capacity: 0.0,
-            ..RouteConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("capacity"));
-        let bad = RouteConfig {
-            pin_weight: f64::NAN,
-            ..RouteConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("pin_weight"));
-        let bad = RouteConfig {
-            min_extent: -1.0,
-            ..RouteConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("min_extent"));
-        let bad = RouteConfig {
-            macro_blockage: 1.0,
-            ..RouteConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("macro_blockage"));
-    }
-
-    #[test]
-    fn fixed_footprints_block_capacity() {
-        let (d, p, _) = toy();
-        let mut a = CongestionAnalyzer::new(&d, cfg());
-        a.analyze(&d, &p);
-        let map = a.map();
-        // The input pad sits at (0, 50): the bin containing it must have
-        // lost capacity; an empty interior bin keeps the base.
-        let pad_bin_cap = map.capacity(0, 4);
-        assert!(
-            pad_bin_cap < map.capacity_per_bin(),
-            "pad bin {} vs base {}",
-            pad_bin_cap,
-            map.capacity_per_bin()
-        );
-        assert!(pad_bin_cap > 0.0, "blockage < 1 keeps capacity positive");
-        assert_eq!(map.capacity(4, 0), map.capacity_per_bin());
-        // Blockage raises utilization, never demand.
-        let mut clear = CongestionAnalyzer::new(
-            &d,
-            RouteConfig {
-                macro_blockage: 0.0,
-                ..cfg()
-            },
-        );
-        clear.analyze(&d, &p);
-        assert_eq!(
-            clear.map().content_hash(),
-            map.content_hash(),
-            "demand is blockage-independent"
-        );
-        assert!(clear.summary().peak <= a.summary().peak);
-    }
-
-    #[test]
-    fn demand_is_conserved() {
-        let (d, p, _) = toy();
-        let mut a = CongestionAnalyzer::new(&d, cfg());
-        a.analyze(&d, &p);
-        // Total wire demand equals the sum of floored half-perimeters;
-        // pin demand equals pin count times the weight.
-        let expected_wire: f64 = a.net_perimeter.iter().sum();
-        let wire: f64 = a.wire.iter().sum();
-        assert!(
-            (wire - expected_wire).abs() <= 1e-9 * expected_wire.max(1.0),
-            "wire {wire} vs Σ perimeters {expected_wire}"
-        );
-        let pins: f64 = a.pins.iter().sum();
-        assert!((pins - d.num_pins() as f64 * 0.5).abs() < 1e-9);
-        assert!(
-            (a.map().total_demand() - (wire + pins)).abs() < 1e-9,
-            "demand layers must add up"
-        );
-    }
-
-    #[test]
-    fn summary_reports_overflow() {
-        let (d, p, _) = toy();
-        // Absurdly low capacity: everything overflows.
-        let mut a = CongestionAnalyzer::new(
-            &d,
-            RouteConfig {
-                capacity: 1e-6,
-                ..cfg()
-            },
-        );
-        a.analyze(&d, &p);
-        let s = a.summary();
-        assert!(s.peak > 1.0);
-        assert!(s.overflow > 0.0);
-        assert!(s.overflow_bins > 0);
-        assert!(s.average <= s.peak);
-        assert_eq!(s.map_hash, a.map().content_hash());
-        // Generous capacity: nothing overflows, exposures are all zero.
-        let mut b = CongestionAnalyzer::new(
-            &d,
-            RouteConfig {
-                capacity: 1e6,
-                ..cfg()
-            },
-        );
-        b.analyze(&d, &p);
-        assert_eq!(b.summary().overflow_bins, 0);
-        assert!(b.exposures().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn thread_count_does_not_change_a_single_bit() {
-        let (d, p, _) = toy();
-        let mut serial = CongestionAnalyzer::new(&d, cfg()).with_threads(1);
-        serial.analyze(&d, &p);
-        for threads in [2, 7] {
-            let mut par = CongestionAnalyzer::new(&d, cfg()).with_threads(threads);
-            par.analyze(&d, &p);
-            assert_eq!(
-                serial.map().content_hash(),
-                par.map().content_hash(),
-                "threads={threads}"
-            );
-            for (a, b) in serial.exposures().iter().zip(par.exposures()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_matches_full_bitwise() {
-        let (d, mut p, movable) = toy();
-        let mut inc = CongestionAnalyzer::new(&d, cfg());
-        inc.analyze(&d, &p);
-        // Move two cells, update incrementally, compare against a cold
-        // full analysis of the new placement.
-        p.set(movable[0], 75.0, 15.0);
-        p.set(movable[2], 10.0, 80.0);
-        inc.analyze_incremental(&d, &p, &[movable[0], movable[2]]);
-        let mut full = CongestionAnalyzer::new(&d, cfg());
-        full.analyze(&d, &p);
-        assert_eq!(full.map().content_hash(), inc.map().content_hash());
-        for (a, b) in full.exposures().iter().zip(inc.exposures()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // An empty moved set is a no-op.
-        let before = inc.map().content_hash();
-        inc.analyze_incremental(&d, &p, &[]);
-        assert_eq!(before, inc.map().content_hash());
-    }
-
-    #[test]
-    fn content_hash_tracks_bit_level_changes() {
-        let (d, mut p, movable) = toy();
-        let h0 = congestion_map(&d, &p, cfg(), 1).content_hash();
-        assert_eq!(h0, congestion_map(&d, &p, cfg(), 1).content_hash());
-        let (x, y) = p.get(movable[0]);
-        p.set(movable[0], f64::from_bits(x.to_bits() + 1), y);
-        assert_ne!(h0, congestion_map(&d, &p, cfg(), 1).content_hash());
-    }
-
-    #[test]
-    fn heatmap_json_round_trips_through_jsonio() {
-        let (d, p, _) = toy();
-        let map = congestion_map(&d, &p, cfg(), 1);
-        let doc = map.heatmap_json();
-        let text = doc.encode();
-        let back = tdp_jsonio::parse(&text).expect("self-emitted JSON parses");
-        assert_eq!(back.encode(), text, "encode→parse→encode fixpoint");
-        assert_eq!(back.get("bins_x").and_then(JsonValue::as_usize), Some(8));
-        let rows = back.get("rows").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(rows.len(), 8);
-        assert!(rows.iter().all(|r| r.as_array().unwrap().len() == 8));
-    }
-
-    #[test]
-    fn ascii_heatmap_has_one_row_per_bin_row() {
-        let (d, p, _) = toy();
-        let map = congestion_map(&d, &p, cfg(), 1);
-        let art = map.ascii();
-        assert_eq!(art.lines().count(), 8 + 2, "bins_y rows plus borders");
-        assert!(art.lines().all(|l| l.len() == 8 + 2));
-    }
-
-    #[test]
-    fn degenerate_nets_get_floored_extents() {
-        // Two pins at the same point: the bbox is floored to
-        // min_extent², demand stays finite and positive.
-        let (d, mut p, movable) = toy();
-        for &c in &movable {
-            p.set(c, 50.0, 50.0);
-        }
-        let mut a = CongestionAnalyzer::new(&d, cfg());
-        a.analyze(&d, &p);
-        assert!(a.map().total_demand().is_finite());
-        assert!(a.net_perimeter.iter().all(|&x| x == 0.0 || x >= 4.0));
+    /// A full serial analysis of `placement` under [`cfg`].
+    pub(crate) fn map_of(design: &Design, placement: &Placement) -> CongestionMap {
+        let mut analyzer = CongestionAnalyzer::new(design, cfg());
+        analyzer.analyze(design, placement);
+        analyzer.map().clone()
     }
 }

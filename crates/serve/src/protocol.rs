@@ -528,14 +528,7 @@ pub fn design_key(p: &CircuitParams) -> u64 {
     field("clock_period", p.clock_period.to_bits());
     field("res_per_unit", p.res_per_unit.to_bits());
     field("cap_per_unit", p.cap_per_unit.to_bits());
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for b in canon.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    netlist::fnv::mix_bytes(netlist::fnv::OFFSET, canon.as_bytes())
 }
 
 /// Renders a `{"ok":true,"cmd":...}` response prefix; the caller appends

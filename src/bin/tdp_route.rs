@@ -19,7 +19,7 @@
 use batch::{make_jobs_for, parse_objective, BatchError, Profile};
 use tdp_core::{RouteConfig, Session};
 use tdp_jsonio::JsonValue;
-use tdp_route::congestion_map;
+use tdp_route::CongestionAnalyzer;
 
 const USAGE: &str = "usage: tdp-route [options]
   --case NAME           suite case to place (see `tdp-batch --list`)
@@ -173,7 +173,9 @@ fn run() -> Result<i32, BatchError> {
 
     // Rasterize the legalized placement with the run's route knobs.
     let route: RouteConfig = job.spec.config().route;
-    let map = congestion_map(session.design(), &outcome.placement, route, args.threads);
+    let mut analyzer = CongestionAnalyzer::new(session.design(), route).with_threads(args.threads);
+    analyzer.analyze(session.design(), &outcome.placement);
+    let map = analyzer.map();
 
     // Heatmap JSON: run identity + the map (summary, hash, rows).
     let mut members = vec![

@@ -11,16 +11,24 @@
 //!   placement computes (the same contract the incremental STA honors);
 //! * **objective invariants** — `ObjectiveSpec::CongestionAware` ends in
 //!   a legal placement with a well-formed congestion report, bit-
-//!   reproducibly.
+//!   reproducibly;
+//! * **one die bound** — the penalty gradient clamps boxes to the same
+//!   die edge rasterization does, on grids whose bin width does not
+//!   divide the die exactly;
+//! * **golden route bits** — capacity after macro blockage, the per-net
+//!   exposures and `box_overflow` are pinned on two suite cases, so a
+//!   refactor that moves any of them fails here (the `rudy` perf
+//!   checksum covers demand only).
 //!
 //! The `proptest` shim draws from a deterministic SplitMix64 stream
 //! (seeded by test name + case index), so every CI run explores the
 //! identical sweep and failures reproduce exactly.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
-use efficient_tdp::netlist::{CellId, Design, Placement};
+use efficient_tdp::netlist::{CellId, CellLibrary, Design, DesignBuilder, Placement, Rect};
 use efficient_tdp::placer::legalize::check_legal;
 use efficient_tdp::tdp_core::{FlowBuilder, ObjectiveSpec, Session};
+use perf::{mix_f64, mix_u64, FNV_OFFSET};
 use proptest::prelude::*;
 use tdp_route::{CongestionAnalyzer, RouteConfig};
 
@@ -232,5 +240,137 @@ proptest! {
         prop_assert_eq!(a.placement.content_hash(), b.placement.content_hash());
         prop_assert_eq!(a.congestion.map_hash, b.congestion.map_hash);
         prop_assert_eq!(a.congestion.peak.to_bits(), b.congestion.peak.to_bits());
+    }
+}
+
+/// Rasterization clamps a net's box to `lx + die.width()`; the penalty
+/// gradient must clamp to the same edge, bit for bit. On a 1000-wide die
+/// cut into 30 bins, `bin_w · 30` misses the die width by one ulp, so a
+/// bound derived from the grid would disagree.
+#[test]
+fn box_overflow_clamps_to_the_rasterization_die_edge() {
+    let mut b = DesignBuilder::new(
+        "edge",
+        CellLibrary::standard(),
+        Rect::new(0.0, 0.0, 1000.0, 1000.0),
+        10.0,
+    );
+    let u1 = b.add_cell("u1", "INV_X1").unwrap();
+    let u2 = b.add_cell("u2", "INV_X1").unwrap();
+    b.add_net("n0", &[(u1, "Y"), (u2, "A")]).unwrap();
+    let design = b.finish().unwrap();
+    let mut placement = Placement::new(&design);
+    placement.set(u1, 100.0, 100.0);
+    placement.set(u2, 500.0, 500.0);
+    let n = 30;
+    let die = design.die();
+    assert_ne!(
+        die.width() / n as f64 * n as f64,
+        die.width(),
+        "the grid must not tile the die exactly for this check to bite"
+    );
+    let cfg = RouteConfig {
+        bins_x: n,
+        bins_y: n,
+        ..RouteConfig::default()
+    };
+    let mut analyzer = CongestionAnalyzer::new(&design, cfg);
+    analyzer.analyze(&design, &placement);
+    // The rasterization rule: clamp into [lx, lx + width] × [ly, ly + height].
+    let (ux, uy) = (die.lx + die.width(), die.ly + die.height());
+    let (x0, y0) = (900.0, 880.0);
+    let o = analyzer
+        .map()
+        .box_overflow(x0, y0, 1500.0, 1700.0, cfg.min_extent);
+    assert_eq!(o.w.to_bits(), (ux - x0).to_bits(), "w {}", o.w);
+    assert_eq!(o.h.to_bits(), (uy - y0).to_bits(), "h {}", o.h);
+}
+
+/// One case's pinned route bits (f64 fields as IEEE-754 bits).
+struct Golden {
+    case: &'static str,
+    peak: u64,
+    average: u64,
+    overflow: u64,
+    overflow_bins: usize,
+    map_hash: u64,
+    exposures: u64,
+    boxes: u64,
+}
+
+/// Pins, across commits, the route results no recorded checksum covers:
+/// the `CongestionReport` (capacity after macro blockage drives `peak`,
+/// `average` and `overflow`), an FNV-1a of the exposure bits, and an
+/// FNV-1a of `box_overflow` over every net's pin bounding box. `cg1`
+/// has 9 macros, `sb18` none; both use the default 32×32 grid on the
+/// seeded initial placement `tdp-perf` benchmarks. Every operation
+/// involved is an add, mul, div, min, max or cast, so the bits are
+/// portable across machines.
+#[test]
+fn route_bits_are_pinned_on_suite_cases() {
+    let golden = [
+        Golden {
+            case: "cg1",
+            peak: 0x4058b88c39b858fb,
+            average: 0x3ff3a5ff5f28362e,
+            overflow: 0x409219b0d7538730,
+            overflow_bins: 36,
+            map_hash: 0x112f0ac7c3e59efe,
+            exposures: 0xa5fe593ba5d2fdbb,
+            boxes: 0x751dcd09b05dd2cc,
+        },
+        Golden {
+            case: "sb18",
+            peak: 0x403179c99e2e1d4a,
+            average: 0x3fd8c87dcd098997,
+            overflow: 0x4073eb183e6d00be,
+            overflow_bins: 36,
+            map_hash: 0x86b93cae6358046c,
+            exposures: 0x77dbe0e818e94b8a,
+            boxes: 0x12f81e23e4d9cf31,
+        },
+    ];
+    for g in golden {
+        let name = g.case;
+        let case = perf::kernels::load_case(name).expect("suite case");
+        let (design, placement) = (&case.design, &case.placement);
+        let cfg = RouteConfig::default();
+        let mut analyzer = CongestionAnalyzer::new(design, cfg);
+        analyzer.analyze(design, placement);
+        let s = analyzer.summary();
+        let got_exposure = analyzer
+            .exposures()
+            .iter()
+            .fold(FNV_OFFSET, |h, &x| mix_f64(h, x));
+        let map = analyzer.map();
+        let mut got_boxes = FNV_OFFSET;
+        for net in design.net_ids() {
+            let pins = &design.net(net).pins;
+            if pins.len() < 2 {
+                continue;
+            }
+            let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &p in pins {
+                let (px, py) = placement.pin_position(design, p);
+                x0 = x0.min(px);
+                x1 = x1.max(px);
+                y0 = y0.min(py);
+                y1 = y1.max(py);
+            }
+            let o = map.box_overflow(x0, y0, x1, y1, cfg.min_extent);
+            for v in [o.mean, o.w, o.h, o.d_x0, o.d_x1, o.d_y0, o.d_y1] {
+                got_boxes = mix_f64(got_boxes, v);
+            }
+            got_boxes = mix_u64(got_boxes, o.x_live as u64 | (o.y_live as u64) << 1);
+        }
+        assert_eq!((s.bins_x, s.bins_y), (32, 32), "{name}: grid");
+        assert_eq!(s.peak.to_bits(), g.peak, "{name}: peak {}", s.peak);
+        assert_eq!(s.average.to_bits(), g.average, "{name}: average");
+        assert_eq!(s.overflow.to_bits(), g.overflow, "{name}: overflow");
+        assert_eq!(s.overflow_bins, g.overflow_bins, "{name}: overflow bins");
+        assert_eq!(s.map_hash, g.map_hash, "{name}: map hash");
+        assert_eq!(got_exposure, g.exposures, "{name}: exposures");
+        assert_eq!(got_boxes, g.boxes, "{name}: box_overflow");
     }
 }

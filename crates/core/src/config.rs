@@ -82,13 +82,6 @@ impl Default for FlowConfig {
 }
 
 impl FlowConfig {
-    /// Applies the wire parameters a generated benchmark requests.
-    pub fn with_rc_from(mut self, params: &benchgen_params::RcLike) -> Self {
-        self.rc.res_per_unit = params.res_per_unit;
-        self.rc.cap_per_unit = params.cap_per_unit;
-        self
-    }
-
     /// Minimum iteration count a timing-driven run needs so the schedule
     /// gets at least 6 timing intervals after `timing_start`. The session
     /// raises `placer.min_iterations` to this floor, and
@@ -98,6 +91,13 @@ impl FlowConfig {
         self.timing_interval
             .saturating_mul(6)
             .saturating_add(self.timing_start)
+    }
+
+    /// Whether iteration `iter` runs timing analysis: every
+    /// `timing_interval`-th iteration from `timing_start` on. The one
+    /// schedule all timing-driven builtin objectives share.
+    pub(crate) fn is_timing_iteration(&self, iter: usize) -> bool {
+        iter >= self.timing_start && (iter - self.timing_start).is_multiple_of(self.timing_interval)
     }
 
     /// Checks every hyperparameter combination that would otherwise fail
@@ -192,18 +192,6 @@ impl FlowConfig {
     }
 }
 
-/// Tiny indirection so `FlowConfig` does not depend on the benchgen crate.
-pub mod benchgen_params {
-    /// Anything carrying wire parasitics per unit length.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct RcLike {
-        /// Resistance per unit length.
-        pub res_per_unit: f64,
-        /// Capacitance per unit length.
-        pub cap_per_unit: f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,15 +207,5 @@ mod tests {
             c.extraction,
             ExtractionStrategy::ReportTimingEndpoint { k: 1 }
         ));
-    }
-
-    #[test]
-    fn rc_override_applies() {
-        let c = FlowConfig::default().with_rc_from(&benchgen_params::RcLike {
-            res_per_unit: 0.5,
-            cap_per_unit: 0.7,
-        });
-        assert_eq!(c.rc.res_per_unit, 0.5);
-        assert_eq!(c.rc.cap_per_unit, 0.7);
     }
 }

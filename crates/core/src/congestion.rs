@@ -20,7 +20,7 @@
 
 use crate::config::FlowConfig;
 use crate::flow::EfficientTdpObjective;
-use crate::session::SessionObjective;
+use crate::objective::SessionObjective;
 use netlist::{Design, MoveTracker, NetId, PinId, Placement};
 use parx::UnsafeSlice;
 use placer::TimingObjective;
@@ -61,9 +61,6 @@ pub struct CongestionAwareObjective {
     inner: EfficientTdpObjective,
     analyzer: CongestionAnalyzer,
     weight: f64,
-    timing_start: usize,
-    timing_interval: usize,
-    threads: usize,
     congestion_time: Duration,
     congestion_trace: Vec<(usize, CongestionReport)>,
     /// Whether the latest map has any overflowed bin (gates the whole
@@ -81,9 +78,6 @@ impl CongestionAwareObjective {
     pub fn new(sta: Sta, design: &Design, cfg: FlowConfig, weight: f64) -> Self {
         let analyzer = CongestionAnalyzer::new(design, cfg.route).with_threads(cfg.threads);
         Self {
-            timing_start: cfg.timing_start,
-            timing_interval: cfg.timing_interval,
-            threads: cfg.threads,
             inner: EfficientTdpObjective::new(sta, cfg),
             analyzer,
             weight,
@@ -95,24 +89,10 @@ impl CongestionAwareObjective {
         }
     }
 
-    /// The congestion penalty multiplier.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
     /// How many map refreshes used the incremental path (all but the
     /// first).
     pub fn incremental_updates(&self) -> usize {
         self.incremental_updates
-    }
-
-    /// The maintained congestion analyzer (diagnostics).
-    pub fn analyzer(&self) -> &CongestionAnalyzer {
-        &self.analyzer
-    }
-
-    fn on_schedule(&self, iter: usize) -> bool {
-        iter >= self.timing_start && (iter - self.timing_start).is_multiple_of(self.timing_interval)
     }
 }
 
@@ -146,7 +126,7 @@ impl TimingObjective for CongestionAwareObjective {
         placement: &Placement,
         moves: &mut MoveTracker,
     ) {
-        let scheduled = self.on_schedule(iter);
+        let scheduled = self.inner.cfg.is_timing_iteration(iter);
         // Capture the dirty set *before* the inner objective consumes it
         // (its incremental STA rebases the tracker): both estimators
         // then see the identical moved-cell set.
@@ -196,7 +176,7 @@ impl TimingObjective for CongestionAwareObjective {
         let workers = if num_nets < 512 {
             1
         } else {
-            parx::resolve_threads(self.threads)
+            parx::resolve_threads(self.inner.cfg.threads)
         };
         // Phase 1: per-net pulls into slot-disjoint scratch, with the
         // penalty value reduced in chunk order (thread-count invariant).

@@ -20,8 +20,8 @@
 use crate::config::FlowConfig;
 use crate::extraction::extract_pin_pairs;
 use crate::metrics::Metrics;
+use crate::objective::SessionObjective;
 use crate::pinpair::PinPairSet;
-use crate::session::SessionObjective;
 use netlist::{Design, MoveTracker, PinId, Placement};
 use parx::UnsafeSlice;
 use placer::TimingObjective;
@@ -167,8 +167,9 @@ pub struct FlowOutcome {
     pub metrics: Metrics,
     /// Runtime decomposition.
     pub runtime: RuntimeBreakdown,
-    /// Per-iteration trace, collected by the builtin
-    /// [`TraceObserver`](crate::TraceObserver).
+    /// Per-iteration trace: one row per placement iteration, the same
+    /// rows [`Observer::on_iteration`](crate::Observer::on_iteration)
+    /// streams.
     pub trace: Vec<FlowTraceRow>,
     /// Routability summary of the legalized placement: the RUDY
     /// congestion map's statistics, computed by the shared evaluation
@@ -192,7 +193,7 @@ pub struct FlowOutcome {
 /// count.
 pub struct EfficientTdpObjective {
     sta: Sta,
-    cfg: FlowConfig,
+    pub(crate) cfg: FlowConfig,
     pairs: PinPairSet,
     /// Pin-pair snapshot + cell incidence, rebuilt when `pairs` changes.
     grad_index: PairGradIndex,
@@ -219,11 +220,6 @@ impl EfficientTdpObjective {
             timing_trace: Vec::new(),
             incremental_analyses: 0,
         }
-    }
-
-    /// The maintained pin-pair set (diagnostics).
-    pub fn pairs(&self) -> &PinPairSet {
-        &self.pairs
     }
 
     /// How many timing iterations used the incremental path (all but the
@@ -255,9 +251,7 @@ impl TimingObjective for EfficientTdpObjective {
         placement: &Placement,
         moves: &mut MoveTracker,
     ) {
-        if iter < self.cfg.timing_start
-            || !(iter - self.cfg.timing_start).is_multiple_of(self.cfg.timing_interval)
-        {
+        if !self.cfg.is_timing_iteration(iter) {
             return;
         }
         let t = Instant::now();
@@ -456,7 +450,7 @@ impl PairGradIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{FlowBuilder, ObjectiveSpec, Session};
+    use crate::{FlowBuilder, ObjectiveSpec, Session};
     use benchgen::{generate, CircuitParams};
     use placer::GlobalPlacer;
 

@@ -12,20 +12,21 @@
 //! * [`extraction`] — adapters from STA path reports to pin pairs, with
 //!   the strategy axis of Table 1 (`report_timing(n)` vs
 //!   `report_timing_endpoint(n, k)`).
-//! * [`weighting`] — the net-weighting baselines: DREAMPlace 4.0's
-//!   momentum scheme and a Differentiable-TDP-style smoothed-criticality
-//!   scheme.
+//! * [`weighting`] — the net-weighting baselines: one
+//!   [`NetWeightingObjective`] with DREAMPlace 4.0's momentum rule and a
+//!   Differentiable-TDP-style smoothed-criticality rule.
 //! * [`flow`] — the Fig. 1 flow: vanilla placement, then periodic STA +
 //!   extraction + pin-pair weight updates feeding a `β·PP` gradient into
 //!   the Nesterov loop, finished by Abacus legalization.
 //! * [`metrics`] — the shared evaluation kit (exact HPWL + STA TNS/WNS on
 //!   the legalized result), used identically for every method.
 //! * [`session`] — the public front door: a reusable [`Session`] that
-//!   owns the netlist and timing infrastructure, validated [`FlowSpec`]s
-//!   built with [`FlowBuilder`], and the open [`ObjectiveSpec`] /
-//!   [`ObjectiveFactory`] objective surface.
-//! * [`observer`] — streaming [`Observer`] callbacks with early-stop, and
-//!   the builtin [`TraceObserver`] behind `FlowOutcome::trace`.
+//!   owns the netlist and timing infrastructure and runs flows.
+//! * [`spec`] — validated [`FlowSpec`]s built with [`FlowBuilder`].
+//! * [`objective`] — the open objective surface: [`ObjectiveSpec`],
+//!   [`ObjectiveFactory`], [`ObjectiveContext`] and [`SessionObjective`].
+//! * [`observer`] — streaming [`Observer`] callbacks with early-stop; the
+//!   run's hub behind `FlowOutcome::trace`.
 //! * [`congestion`] — the congestion-aware objective: the paper's method
 //!   plus a differentiable RUDY overflow penalty (`tdp-route`), exposed
 //!   as [`ObjectiveSpec::CongestionAware`].
@@ -61,9 +62,11 @@ pub mod extraction;
 pub mod flow;
 pub mod loss;
 pub mod metrics;
+pub mod objective;
 pub mod observer;
 pub mod pinpair;
 pub mod session;
+pub mod spec;
 pub mod weighting;
 
 pub use config::FlowConfig;
@@ -73,13 +76,12 @@ pub use extraction::{extract_pin_pairs, ExtractionStats, ExtractionStrategy};
 pub use flow::{EcoStats, FlowOutcome, FlowTraceRow, RuntimeBreakdown};
 pub use loss::PinPairLoss;
 pub use metrics::{evaluate, evaluate_with, Metrics};
-pub use observer::{FlowPhase, Observer, ObserverAction, TraceObserver};
+pub use objective::{ObjectiveContext, ObjectiveFactory, ObjectiveSpec, SessionObjective};
+pub use observer::{FlowPhase, Observer, ObserverAction};
 pub use pinpair::PinPairSet;
-pub use session::{
-    FlowBuilder, FlowSpec, ObjectiveContext, ObjectiveFactory, ObjectiveSpec, Session,
-    SessionBuilder, SessionObjective,
-};
-pub use weighting::{DifferentiableTdpWeighting, MomentumNetWeighting};
+pub use session::{Session, SessionBuilder};
+pub use spec::{FlowBuilder, FlowSpec};
+pub use weighting::NetWeightingObjective;
 
 // The routability layer's vocabulary types, re-exported so front ends
 // that already depend on `tdp-core` (batch, serve) speak congestion

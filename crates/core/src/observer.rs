@@ -10,11 +10,17 @@
 //! [`FlowOutcome`](crate::FlowOutcome) with
 //! [`canceled`](crate::FlowOutcome::canceled) set.
 //!
-//! The classic `Vec<FlowTraceRow>` trace is itself implemented as a
-//! builtin observer, [`TraceObserver`], which the session always attaches
-//! alongside the user's.
+//! Inside a run, a `Hub` forwards every event to the user's observer and
+//! collects the [`FlowTraceRow`]s behind
+//! [`FlowOutcome::trace`](crate::FlowOutcome::trace); an `Instrumented`
+//! wrapper around the run's objective streams its timing analyses and
+//! congestion refreshes to the hub as they happen.
 
 use crate::flow::FlowTraceRow;
+use crate::objective::SessionObjective;
+use netlist::{Design, MoveTracker, Placement};
+use placer::{IterationStats, TimingObjective};
+use std::cell::RefCell;
 
 /// The coarse phases of one flow run, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +52,9 @@ pub enum ObserverAction {
 /// between iterations; keep them cheap.
 pub trait Observer {
     /// The flow entered a new [`FlowPhase`]. A `Stop` during [`FlowPhase::Setup`]
-    /// or [`FlowPhase::GlobalPlacement`] cancels the placement loop; during
-    /// the later phases it has no effect (the run is already finishing).
+    /// or [`FlowPhase::GlobalPlacement`] cancels the placement loop before
+    /// its first iteration; during the later phases it has no effect (the
+    /// run is already finishing).
     fn on_phase_change(&mut self, _phase: FlowPhase) -> ObserverAction {
         ObserverAction::Continue
     }
@@ -77,66 +84,137 @@ pub trait Observer {
     }
 }
 
-/// The builtin observer behind `FlowOutcome::trace`: collects every
-/// [`FlowTraceRow`] streamed by the run.
-#[derive(Debug, Clone, Default)]
-pub struct TraceObserver {
-    rows: Vec<FlowTraceRow>,
-}
-
-impl TraceObserver {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The rows collected so far.
-    pub fn rows(&self) -> &[FlowTraceRow] {
-        &self.rows
-    }
-
-    /// Consumes the collector, yielding the trace.
-    pub fn into_rows(self) -> Vec<FlowTraceRow> {
-        self.rows
-    }
-
-    /// Takes the rows out, leaving the collector empty.
-    pub(crate) fn take_rows(&mut self) -> Vec<FlowTraceRow> {
-        std::mem::take(&mut self.rows)
-    }
-}
-
-impl Observer for TraceObserver {
-    fn on_iteration(&mut self, row: &FlowTraceRow) -> ObserverAction {
-        self.rows.push(*row);
-        ObserverAction::Continue
-    }
-}
-
 /// The do-nothing observer used by `Session::run`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct NullObserver;
 
 impl Observer for NullObserver {}
 
+/// One run's event fan-in: forwards every event to the user observer,
+/// collects the trace rows (stamped with the latest timing values) and
+/// latches cancellation.
+pub(crate) struct Hub<'a> {
+    pub(crate) observer: &'a mut dyn Observer,
+    pub(crate) rows: Vec<FlowTraceRow>,
+    last_tns: f64,
+    last_wns: f64,
+    pub(crate) canceled: bool,
+}
+
+impl<'a> Hub<'a> {
+    pub(crate) fn new(observer: &'a mut dyn Observer) -> Self {
+        Self {
+            observer,
+            rows: Vec::new(),
+            last_tns: f64::NAN,
+            last_wns: f64::NAN,
+            canceled: false,
+        }
+    }
+
+    fn latch(&mut self, action: ObserverAction) {
+        self.canceled |= action == ObserverAction::Stop;
+    }
+
+    pub(crate) fn phase(&mut self, phase: FlowPhase) {
+        let action = self.observer.on_phase_change(phase);
+        self.latch(action);
+    }
+
+    fn timing(&mut self, iter: usize, tns: f64, wns: f64) {
+        self.last_tns = tns;
+        self.last_wns = wns;
+        let action = self.observer.on_timing_analysis(iter, tns, wns);
+        self.latch(action);
+    }
+
+    fn congestion(&mut self, iter: usize, report: &tdp_route::CongestionReport) {
+        let action = self.observer.on_congestion_update(iter, report);
+        self.latch(action);
+    }
+
+    /// Records and emits one iteration row; returns whether the engine
+    /// should keep going.
+    pub(crate) fn iteration(&mut self, stats: &IterationStats) -> bool {
+        let row = FlowTraceRow {
+            iter: stats.iter,
+            hpwl: stats.hpwl,
+            overflow: stats.overflow,
+            tns: self.last_tns,
+            wns: self.last_wns,
+        };
+        self.rows.push(row);
+        let action = self.observer.on_iteration(&row);
+        self.latch(action);
+        !self.canceled
+    }
+}
+
+/// Wraps the run's objective so newly recorded timing analyses and
+/// congestion refreshes stream to the hub as they happen.
+pub(crate) struct Instrumented<'h, 'o> {
+    inner: Box<dyn SessionObjective>,
+    hub: &'h RefCell<Hub<'o>>,
+    reported: usize,
+    reported_congestion: usize,
+}
+
+impl<'h, 'o> Instrumented<'h, 'o> {
+    pub(crate) fn new(inner: Box<dyn SessionObjective>, hub: &'h RefCell<Hub<'o>>) -> Self {
+        Self {
+            inner,
+            hub,
+            reported: 0,
+            reported_congestion: 0,
+        }
+    }
+
+    pub(crate) fn into_inner(self) -> Box<dyn SessionObjective> {
+        self.inner
+    }
+}
+
+impl TimingObjective for Instrumented<'_, '_> {
+    fn begin_iteration(
+        &mut self,
+        iter: usize,
+        design: &Design,
+        placement: &Placement,
+        moves: &mut MoveTracker,
+    ) {
+        self.inner.begin_iteration(iter, design, placement, moves);
+        let mut hub = self.hub.borrow_mut();
+        let timing = self.inner.timing_trace();
+        for &(i, tns, wns) in &timing[self.reported..] {
+            hub.timing(i, tns, wns);
+        }
+        self.reported = timing.len();
+        let congestion = self.inner.congestion_trace();
+        for (i, report) in &congestion[self.reported_congestion..] {
+            hub.congestion(*i, report);
+        }
+        self.reported_congestion = congestion.len();
+    }
+
+    fn net_weights(&mut self, design: &Design) -> Option<&[f64]> {
+        self.inner.net_weights(design)
+    }
+
+    fn accumulate_gradient(
+        &mut self,
+        design: &Design,
+        placement: &Placement,
+        grad_x: &mut [f64],
+        grad_y: &mut [f64],
+    ) -> f64 {
+        self.inner
+            .accumulate_gradient(design, placement, grad_x, grad_y)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trace_observer_collects_rows() {
-        let mut t = TraceObserver::new();
-        let row = FlowTraceRow {
-            iter: 0,
-            hpwl: 1.0,
-            overflow: 0.5,
-            tns: f64::NAN,
-            wns: f64::NAN,
-        };
-        assert_eq!(t.on_iteration(&row), ObserverAction::Continue);
-        assert_eq!(t.rows().len(), 1);
-        assert_eq!(t.into_rows()[0].hpwl, 1.0);
-    }
 
     #[test]
     fn default_observer_methods_continue() {

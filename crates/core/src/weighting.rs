@@ -1,31 +1,46 @@
 //! Net-weighting baselines.
 //!
 //! Two of the paper's comparison methods translate timing into *net*
-//! weights on the wirelength term (Eq. 5) instead of pin-pair attraction:
+//! weights on the wirelength term (Eq. 5) instead of pin-pair attraction.
+//! Both run a full STA on the timing schedule and differ only in the rule
+//! that turns the fresh analysis into weights, so one
+//! [`NetWeightingObjective`] implements both:
 //!
-//! * [`MomentumNetWeighting`] — DREAMPlace 4.0's momentum-guided net
-//!   weighting: per net, a criticality from the worst pin slack, blended
-//!   into the running weight with a decay factor.
-//! * [`DifferentiableTdpWeighting`] — a Differentiable-TDP-style scheme:
-//!   per-arc slacks (a smoothed path view) drive instantaneous net
-//!   weights; this is the reproduction's stand-in for Guo & Lin's
-//!   backpropagated timing engine (see DESIGN.md for the substitution
-//!   argument).
+//! * [`NetWeightingObjective::momentum`] — DREAMPlace 4.0's
+//!   momentum-guided net weighting: per net, a criticality from the worst
+//!   pin slack, blended into the running weight with a decay factor.
+//! * [`NetWeightingObjective::differentiable_tdp`] — a
+//!   Differentiable-TDP-style scheme: per-arc slacks (a smoothed path
+//!   view) drive instantaneous net weights; this is the reproduction's
+//!   stand-in for Guo & Lin's backpropagated timing engine (see DESIGN.md
+//!   for the substitution argument).
 
-use crate::session::SessionObjective;
+use crate::config::FlowConfig;
+use crate::objective::SessionObjective;
 use netlist::{Design, MoveTracker, Placement};
 use placer::TimingObjective;
 use sta::{ArcKind, Sta};
 use std::time::{Duration, Instant};
 
-/// Shared state for both net-weighting baselines.
+/// The weight-update rule that tells the two baselines apart.
+#[derive(Debug, Clone, Copy)]
+enum WeightRule {
+    /// DREAMPlace 4.0: worst-pin-slack criticality, momentum-blended.
+    Momentum,
+    /// Differentiable-TDP: per-arc slack criticality, instantaneous.
+    ArcSlack,
+}
+
+/// A net-weighting baseline objective (DREAMPlace 4.0 or
+/// Differentiable-TDP): full STA on the timing schedule, then per-net
+/// wirelength weights from the chosen rule. Contributes no gradient of
+/// its own.
 #[derive(Debug)]
-struct NetWeightBase {
+pub struct NetWeightingObjective {
     sta: Sta,
+    cfg: FlowConfig,
+    rule: WeightRule,
     weights: Vec<f64>,
-    timing_start: usize,
-    interval: usize,
-    alpha: f64,
     /// Accumulated STA wall-clock (for the runtime breakdown).
     sta_time: Duration,
     /// Accumulated weighting wall-clock.
@@ -34,100 +49,42 @@ struct NetWeightBase {
     timing_trace: Vec<(usize, f64, f64)>,
 }
 
-impl NetWeightBase {
-    fn new(sta: Sta, design: &Design, timing_start: usize, interval: usize, alpha: f64) -> Self {
+impl NetWeightingObjective {
+    /// DREAMPlace 4.0 momentum net weighting (`cfg.net_weight_alpha`,
+    /// `cfg.momentum_decay`) around an existing analyzer (no graph
+    /// construction).
+    pub fn momentum(sta: Sta, design: &Design, cfg: FlowConfig) -> Self {
+        Self::new(sta, design, cfg, WeightRule::Momentum)
+    }
+
+    /// Differentiable-TDP-style smoothed arc-slack net weighting
+    /// (`cfg.net_weight_alpha`) around an existing analyzer (no graph
+    /// construction).
+    pub fn differentiable_tdp(sta: Sta, design: &Design, cfg: FlowConfig) -> Self {
+        Self::new(sta, design, cfg, WeightRule::ArcSlack)
+    }
+
+    fn new(sta: Sta, design: &Design, cfg: FlowConfig, rule: WeightRule) -> Self {
         Self {
             sta,
+            cfg,
+            rule,
             weights: vec![1.0; design.num_nets()],
-            timing_start,
-            interval,
-            alpha,
             sta_time: Duration::ZERO,
             weighting_time: Duration::ZERO,
             timing_trace: Vec::new(),
         }
     }
 
-    fn timing_iteration(&self, iter: usize) -> bool {
-        iter >= self.timing_start && (iter - self.timing_start).is_multiple_of(self.interval)
-    }
-
-    fn analyze(&mut self, iter: usize, design: &Design, placement: &Placement) {
-        let t = Instant::now();
-        self.sta.analyze(design, placement);
-        self.sta_time += t.elapsed();
-        let s = self.sta.summary();
-        self.timing_trace.push((iter, s.tns, s.wns));
-    }
-}
-
-/// DREAMPlace 4.0 momentum-based net weighting.
-#[derive(Debug)]
-pub struct MomentumNetWeighting {
-    base: NetWeightBase,
-    decay: f64,
-}
-
-impl MomentumNetWeighting {
-    /// Creates the baseline objective around an existing analyzer (no
-    /// graph construction).
-    pub fn new(
-        sta: Sta,
-        design: &Design,
-        timing_start: usize,
-        interval: usize,
-        alpha: f64,
-        decay: f64,
-    ) -> Self {
-        Self {
-            base: NetWeightBase::new(sta, design, timing_start, interval, alpha),
-            decay,
-        }
-    }
-
-    /// Current per-net weights (diagnostics).
-    pub fn weights(&self) -> &[f64] {
-        &self.base.weights
-    }
-}
-
-impl SessionObjective for MomentumNetWeighting {
-    fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        &self.base.timing_trace
-    }
-
-    fn runtimes(&self) -> (Duration, Duration) {
-        (self.base.sta_time, self.base.weighting_time)
-    }
-
-    fn rc_stats(&self) -> sta::RcOpStats {
-        self.base.sta.rc_stats()
-    }
-}
-
-impl TimingObjective for MomentumNetWeighting {
-    fn begin_iteration(
-        &mut self,
-        iter: usize,
-        design: &Design,
-        placement: &Placement,
-        _moves: &mut MoveTracker,
-    ) {
-        // The net-weighting baselines deliberately run a full STA every
-        // timing iteration (that is the cost the paper compares against),
-        // so the move tracker is left untouched.
-        if !self.base.timing_iteration(iter) {
-            return;
-        }
-        self.base.analyze(iter, design, placement);
-        let t = Instant::now();
-        let wns = self.base.sta.summary().wns;
+    /// Momentum blend toward `1 + α·crit`, with the net criticality taken
+    /// from its worst pin slack (the pin-level view the paper contrasts
+    /// with in Fig. 2).
+    fn momentum_update(&mut self, design: &Design, wns: f64) {
+        let (alpha, decay) = (self.cfg.net_weight_alpha, self.cfg.momentum_decay);
         for net in design.net_ids() {
-            // Net criticality: worst pin slack on the net (the pin-level
-            // view the paper contrasts with in Fig. 2).
             let mut worst = f64::INFINITY;
             for &p in &design.net(net).pins {
-                if let Some(s) = self.base.sta.slack(p) {
+                if let Some(s) = self.sta.slack(p) {
                     worst = worst.min(s);
                 }
             }
@@ -136,71 +93,62 @@ impl TimingObjective for MomentumNetWeighting {
             } else {
                 0.0
             };
-            let target = 1.0 + self.base.alpha * crit;
-            let w = &mut self.base.weights[net.index()];
-            // Momentum blend toward the new target.
-            *w = self.decay * *w + (1.0 - self.decay) * target;
-        }
-        self.base.weighting_time += t.elapsed();
-    }
-
-    fn net_weights(&mut self, _design: &Design) -> Option<&[f64]> {
-        Some(&self.base.weights)
-    }
-
-    fn accumulate_gradient(
-        &mut self,
-        _design: &Design,
-        _placement: &Placement,
-        _gx: &mut [f64],
-        _gy: &mut [f64],
-    ) -> f64 {
-        0.0
-    }
-}
-
-/// Differentiable-TDP-style smoothed arc-slack net weighting.
-#[derive(Debug)]
-pub struct DifferentiableTdpWeighting {
-    base: NetWeightBase,
-}
-
-impl DifferentiableTdpWeighting {
-    /// Creates the baseline objective around an existing analyzer (no
-    /// graph construction).
-    pub fn new(
-        sta: Sta,
-        design: &Design,
-        timing_start: usize,
-        interval: usize,
-        alpha: f64,
-    ) -> Self {
-        Self {
-            base: NetWeightBase::new(sta, design, timing_start, interval, alpha),
+            let target = 1.0 + alpha * crit;
+            let w = &mut self.weights[net.index()];
+            *w = decay * *w + (1.0 - decay) * target;
         }
     }
 
-    /// Current per-net weights (diagnostics).
-    pub fn weights(&self) -> &[f64] {
-        &self.base.weights
+    /// Instantaneous `1 + α·crit` from arc slack: required(to) −
+    /// arrival(from) − delay, the slack of the most critical path
+    /// *through* the arc. Smoother than the pin view (every arc of a
+    /// shared segment sees its own criticality) but still a lumped,
+    /// differentiable quantity, like the smoothed timing metrics of
+    /// Differentiable-TDP.
+    fn arc_slack_update(&mut self, design: &Design, wns: f64) {
+        let mut crit = vec![0.0f64; design.num_nets()];
+        if wns < 0.0 {
+            for (i, arc) in self.sta.graph().arcs().enumerate() {
+                let ArcKind::Net { net, .. } = arc.kind else {
+                    continue;
+                };
+                let (Some(arr), Some(req)) =
+                    (self.sta.arrival(arc.from), self.sta.required(arc.to))
+                else {
+                    continue;
+                };
+                let slack = req - arr - self.sta.arc_delay(sta::ArcId::new(i));
+                if slack < 0.0 {
+                    let c = (slack / wns).clamp(0.0, 1.0);
+                    let e = &mut crit[net.index()];
+                    *e = e.max(c);
+                }
+            }
+        }
+        // A differentiable TNS objective distributes gradient over all
+        // violating paths; the per-arc criticality (linear, not
+        // thresholded at the worst pin) is its lumped equivalent.
+        for net in design.net_ids() {
+            self.weights[net.index()] = 1.0 + self.cfg.net_weight_alpha * crit[net.index()];
+        }
     }
 }
 
-impl SessionObjective for DifferentiableTdpWeighting {
+impl SessionObjective for NetWeightingObjective {
     fn timing_trace(&self) -> &[(usize, f64, f64)] {
-        &self.base.timing_trace
+        &self.timing_trace
     }
 
     fn runtimes(&self) -> (Duration, Duration) {
-        (self.base.sta_time, self.base.weighting_time)
+        (self.sta_time, self.weighting_time)
     }
 
     fn rc_stats(&self) -> sta::RcOpStats {
-        self.base.sta.rc_stats()
+        self.sta.rc_stats()
     }
 }
 
-impl TimingObjective for DifferentiableTdpWeighting {
+impl TimingObjective for NetWeightingObjective {
     fn begin_iteration(
         &mut self,
         iter: usize,
@@ -211,50 +159,25 @@ impl TimingObjective for DifferentiableTdpWeighting {
         // The net-weighting baselines deliberately run a full STA every
         // timing iteration (that is the cost the paper compares against),
         // so the move tracker is left untouched.
-        if !self.base.timing_iteration(iter) {
+        if !self.cfg.is_timing_iteration(iter) {
             return;
         }
-        self.base.analyze(iter, design, placement);
         let t = Instant::now();
-        let wns = self.base.sta.summary().wns;
-        // Arc slack: required(to) − arrival(from) − delay — the slack of
-        // the most critical path *through* the arc. Smoother than the pin
-        // view (every arc of a shared segment sees its own criticality)
-        // but still a lumped, differentiable quantity, like the smoothed
-        // timing metrics of Differentiable-TDP.
-        let mut crit = vec![0.0f64; design.num_nets()];
-        if wns < 0.0 {
-            let graph = self.base.sta.graph();
-            for (i, arc) in graph.arcs().enumerate() {
-                let ArcKind::Net { net, .. } = arc.kind else {
-                    continue;
-                };
-                let (Some(arr), Some(req)) = (
-                    self.base.sta.arrival(arc.from),
-                    self.base.sta.required(arc.to),
-                ) else {
-                    continue;
-                };
-                let slack = req - arr - self.base.sta.arc_delay(sta::ArcId::new(i));
-                if slack < 0.0 {
-                    let c = (slack / wns).clamp(0.0, 1.0);
-                    let e = &mut crit[net.index()];
-                    *e = e.max(c);
-                }
-            }
+        self.sta.analyze(design, placement);
+        self.sta_time += t.elapsed();
+        let s = self.sta.summary();
+        self.timing_trace.push((iter, s.tns, s.wns));
+        let t = Instant::now();
+        let wns = self.sta.summary().wns;
+        match self.rule {
+            WeightRule::Momentum => self.momentum_update(design, wns),
+            WeightRule::ArcSlack => self.arc_slack_update(design, wns),
         }
-        for net in design.net_ids() {
-            // A differentiable TNS objective distributes gradient over all
-            // violating paths; the per-arc criticality (linear, not
-            // thresholded at the worst pin) is its lumped equivalent.
-            let c = crit[net.index()];
-            self.base.weights[net.index()] = 1.0 + self.base.alpha * c;
-        }
-        self.base.weighting_time += t.elapsed();
+        self.weighting_time += t.elapsed();
     }
 
     fn net_weights(&mut self, _design: &Design) -> Option<&[f64]> {
-        Some(&self.base.weights)
+        Some(&self.weights)
     }
 
     fn accumulate_gradient(
@@ -293,6 +216,17 @@ mod tests {
         }
     }
 
+    /// Timing every `interval` iterations from `start`, α = 4, decay 0.5.
+    fn cfg(start: usize, interval: usize) -> FlowConfig {
+        FlowConfig {
+            timing_start: start,
+            timing_interval: interval,
+            net_weight_alpha: 4.0,
+            momentum_decay: 0.5,
+            ..FlowConfig::default()
+        }
+    }
+
     fn sta(design: &Design) -> Sta {
         let rc = RcParams {
             res_per_unit: 0.01,
@@ -306,10 +240,10 @@ mod tests {
     fn momentum_weights_rise_on_critical_nets() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 9));
         scattered(&design, &mut placement);
-        let mut obj = MomentumNetWeighting::new(sta(&design), &design, 0, 1, 4.0, 0.5);
+        let mut obj = NetWeightingObjective::momentum(sta(&design), &design, cfg(0, 1));
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
-        let w = obj.weights();
+        let w = &obj.weights;
         let max = w.iter().cloned().fold(0.0, f64::max);
         let min = w.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max > 1.0, "no net was weighted up (max {max})");
@@ -322,12 +256,12 @@ mod tests {
     fn momentum_blends_rather_than_jumps() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 9));
         scattered(&design, &mut placement);
-        let mut obj = MomentumNetWeighting::new(sta(&design), &design, 0, 1, 4.0, 0.5);
+        let mut obj = NetWeightingObjective::momentum(sta(&design), &design, cfg(0, 1));
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
-        let w1 = obj.weights().to_vec();
+        let w1 = obj.weights.to_vec();
         obj.begin_iteration(1, &design, &placement, &mut moves);
-        let w2 = obj.weights().to_vec();
+        let w2 = obj.weights.to_vec();
         // Same placement, same target: weights keep moving toward it, so
         // the most critical net's weight must not decrease.
         let idx = w1
@@ -344,13 +278,13 @@ mod tests {
         let (design, mut placement) = generate(&CircuitParams::small("w", 10));
         scattered(&design, &mut placement);
         let alpha = 4.0;
-        let mut obj = DifferentiableTdpWeighting::new(sta(&design), &design, 0, 1, alpha);
+        let mut obj = NetWeightingObjective::differentiable_tdp(sta(&design), &design, cfg(0, 1));
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
-        for &w in obj.weights() {
+        for &w in &obj.weights {
             assert!((1.0..=1.0 + alpha).contains(&w), "weight {w} out of range");
         }
-        let boosted = obj.weights().iter().filter(|&&w| w > 1.0).count();
+        let boosted = obj.weights.iter().filter(|&&w| w > 1.0).count();
         assert!(boosted > 0, "no nets boosted");
     }
 
@@ -358,7 +292,7 @@ mod tests {
     fn non_timing_iterations_are_free() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 12));
         scattered(&design, &mut placement);
-        let mut obj = MomentumNetWeighting::new(sta(&design), &design, 100, 15, 4.0, 0.5);
+        let mut obj = NetWeightingObjective::momentum(sta(&design), &design, cfg(100, 15));
         let mut moves = MoveTracker::new(&placement, 0.0);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         obj.begin_iteration(99, &design, &placement, &mut moves);

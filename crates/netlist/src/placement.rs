@@ -391,6 +391,21 @@ mod tests {
     }
 
     #[test]
+    fn dirty_summary_sorts_dedups_and_takes_exactly_the_incident_nets() {
+        let (d, _, u2) = two_inv_design();
+        let po = d.find_cell("po").unwrap();
+        // Moved out of index order, with a repeat.
+        let dirty = DirtySummary::from_moved_cells(&d, &[po, u2, po]);
+        assert_eq!(dirty.moved_cells, vec![u2, po]);
+        // u2 drives n2 and sinks n1; po sinks n2 again; n0 stays clean.
+        let net = |name: &str| d.net_ids().find(|&n| d.net(n).name == name);
+        assert_eq!(
+            dirty.dirty_nets,
+            vec![net("n1").unwrap(), net("n2").unwrap()]
+        );
+    }
+
+    #[test]
     fn content_hash_tracks_bit_level_changes() {
         let (d, u1, _) = two_inv_design();
         let mut p = Placement::new(&d);

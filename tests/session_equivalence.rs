@@ -1,13 +1,15 @@
 //! Session API acceptance tests: warm runs bitwise equal to cold ones,
-//! state-leak-free engine reuse, the custom objective front door, and
-//! observer-driven cancellation.
+//! state-leak-free engine reuse, the custom objective front door,
+//! observer-driven cancellation, and the five builtin objectives' results
+//! and event streams pinned to constants.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
-use efficient_tdp::netlist::{Design, MoveTracker, Placement};
+use efficient_tdp::netlist::{fnv, Design, MoveTracker, Placement};
 use efficient_tdp::placer::{legalize::check_legal, TimingObjective};
 use efficient_tdp::tdp_core::{
-    FlowBuilder, FlowConfig, FlowError, FlowOutcome, FlowSpec, ObjectiveContext, ObjectiveFactory,
-    ObjectiveSpec, Observer, ObserverAction, Session, SessionObjective,
+    CongestionReport, FlowBuilder, FlowConfig, FlowError, FlowOutcome, FlowPhase, FlowSpec,
+    FlowTraceRow, ObjectiveContext, ObjectiveFactory, ObjectiveSpec, Observer, ObserverAction,
+    Session, SessionObjective,
 };
 
 fn quick_config() -> FlowConfig {
@@ -58,27 +60,192 @@ fn repeated_session_runs_are_identical_no_state_leaks() {
     assert_bitwise_equal(&design, &first, &second);
 }
 
+/// Folds words into an FNV-1a hash behind a one-byte tag.
+fn mix(h: u64, tag: u8, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(fnv::mix_bytes(h, &[tag]), |h, &w| fnv::mix_u64(h, w))
+}
+
+fn mix_row(h: u64, row: &FlowTraceRow) -> u64 {
+    mix(
+        h,
+        1,
+        &[
+            row.iter as u64,
+            row.hpwl.to_bits(),
+            row.overflow.to_bits(),
+            row.tns.to_bits(),
+            row.wns.to_bits(),
+        ],
+    )
+}
+
+/// Hashes every observer event (phase, timing, congestion, iteration)
+/// in arrival order, so a reordered or dropped event changes the value.
+struct EventHasher(u64);
+
+impl Observer for EventHasher {
+    fn on_phase_change(&mut self, phase: FlowPhase) -> ObserverAction {
+        self.0 = mix(self.0, 0, &[phase as u64]);
+        ObserverAction::Continue
+    }
+    fn on_iteration(&mut self, row: &FlowTraceRow) -> ObserverAction {
+        self.0 = mix_row(self.0, row);
+        ObserverAction::Continue
+    }
+    fn on_timing_analysis(&mut self, iter: usize, tns: f64, wns: f64) -> ObserverAction {
+        self.0 = mix(self.0, 2, &[iter as u64, tns.to_bits(), wns.to_bits()]);
+        ObserverAction::Continue
+    }
+    fn on_congestion_update(&mut self, iter: usize, report: &CongestionReport) -> ObserverAction {
+        let words = [
+            iter as u64,
+            report.map_hash,
+            report.peak.to_bits(),
+            report.overflow.to_bits(),
+            report.overflow_bins as u64,
+        ];
+        self.0 = mix(self.0, 3, &words);
+        ObserverAction::Continue
+    }
+}
+
+/// What one run is pinned to: placement hash, TNS / WNS / HPWL bits,
+/// iterations, trace hash and observer event-stream hash.
+type Pinned = (u64, u64, u64, u64, usize, u64, u64);
+
 #[test]
 fn session_method_matrix_matches_four_cold_runs_bitwise() {
+    // Every builtin objective through one shared session must match a
+    // cold one-shot session bit for bit, and both must match constants
+    // recorded from the code: a refactor of the flow may move no result
+    // bit and reorder no observer event.
+    let expected: [(ObjectiveSpec, Pinned); 5] = [
+        (
+            ObjectiveSpec::DreamPlace,
+            (
+                0x373732a18ad305c2,
+                0xc089d7d3a8dfc848,
+                0xc0684ed1d1980248,
+                0x40c584366ccec74a,
+                76,
+                0x8ad3573938074314,
+                0xdc3a6557200ae514,
+            ),
+        ),
+        (
+            ObjectiveSpec::DreamPlace4,
+            (
+                0x883701999fd596e0,
+                0xc04986830f14c6c0,
+                0xc047ae852f995360,
+                0x40c6909ac1c4e6b0,
+                180,
+                0xa427e9cbc3cc7c60,
+                0x1ad4ecd307543f1d,
+            ),
+        ),
+        (
+            ObjectiveSpec::DifferentiableTdp,
+            (
+                0xaefb30a7ee838831,
+                0x8000000000000000,
+                0x0000000000000000,
+                0x40c67d1f6ec06420,
+                180,
+                0x262d89ca0571500d,
+                0xa404cfe8b3823d97,
+            ),
+        ),
+        (
+            ObjectiveSpec::EfficientTdp,
+            (
+                0x79f2b6507fb63985,
+                0x8000000000000000,
+                0x0000000000000000,
+                0x40c5af7b14fec277,
+                180,
+                0x3857c5f3eedf5193,
+                0x6f4f80bfc1b37a31,
+            ),
+        ),
+        (
+            ObjectiveSpec::congestion_aware(),
+            (
+                0x79f2b6507fb63985,
+                0x8000000000000000,
+                0x0000000000000000,
+                0x40c5af7b14fec277,
+                180,
+                0x3857c5f3eedf5193,
+                0x8e35aa4f642f845c,
+            ),
+        ),
+    ];
     let (design, pads) = generate(&CircuitParams::small("mat", 53));
     let mut session = Session::builder(design.clone(), pads.clone())
         .build()
         .unwrap();
-    for method in [
-        ObjectiveSpec::DreamPlace,
-        ObjectiveSpec::DreamPlace4,
-        ObjectiveSpec::DifferentiableTdp,
-        ObjectiveSpec::EfficientTdp,
-    ] {
+    for (method, want) in expected {
         let mut one_shot = Session::builder(design.clone(), pads.clone())
             .build()
             .unwrap();
         let cold = one_shot.run(&quick_spec(method.clone())).unwrap();
-        let shared = session.run(&quick_spec(method)).unwrap();
+        let mut events = EventHasher(fnv::OFFSET);
+        let shared = session
+            .run_with_observer(&quick_spec(method), &mut events)
+            .unwrap();
         assert_bitwise_equal(&design, &cold, &shared);
         check_legal(&design, &shared.placement)
             .unwrap_or_else(|e| panic!("{}: {e}", shared.method));
+        let got: Pinned = (
+            shared.placement.content_hash(),
+            shared.metrics.tns.to_bits(),
+            shared.metrics.wns.to_bits(),
+            shared.metrics.hpwl.to_bits(),
+            shared.iterations,
+            shared.trace.iter().fold(fnv::OFFSET, mix_row),
+            events.0,
+        );
+        assert_eq!(got, want, "{}: pinned results moved", shared.method);
     }
+}
+
+#[test]
+fn stop_at_global_placement_matches_a_setup_stop_bitwise() {
+    // A Stop at either pre-placement phase cancels the placement loop
+    // before its first iteration: both outcomes are the legalized,
+    // evaluated initial placement.
+    struct StopAt(FlowPhase);
+    impl Observer for StopAt {
+        fn on_phase_change(&mut self, phase: FlowPhase) -> ObserverAction {
+            if phase == self.0 {
+                ObserverAction::Stop
+            } else {
+                ObserverAction::Continue
+            }
+        }
+    }
+    let (design, pads) = generate(&CircuitParams::small("gpstop", 43));
+    let mut session = Session::builder(design.clone(), pads).build().unwrap();
+    let spec = quick_spec(ObjectiveSpec::EfficientTdp);
+    let setup = session
+        .run_with_observer(&spec, &mut StopAt(FlowPhase::Setup))
+        .unwrap();
+    let placement = session
+        .run_with_observer(&spec, &mut StopAt(FlowPhase::GlobalPlacement))
+        .unwrap();
+    for out in [&setup, &placement] {
+        assert!(out.canceled);
+        assert_eq!(out.iterations, 0, "no placement iteration may run");
+        assert!(out.trace.is_empty());
+    }
+    assert_bitwise_equal(&design, &setup, &placement);
+    assert_eq!(
+        setup.placement.content_hash(),
+        placement.placement.content_hash()
+    );
 }
 
 /// A trivial custom objective: constant pull of every movable cell toward

@@ -3,9 +3,11 @@
 use crate::ids::{CellId, IdRange, NetId, PinId};
 use crate::library::{CellLibrary, PinDirection};
 use crate::sdc::Sdc;
+use crate::topology::Topology;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An axis-aligned rectangle, used for the die outline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,6 +216,8 @@ pub struct Design {
     die: Rect,
     row_height: f64,
     sdc: Sdc,
+    /// Built on first use by [`Design::topology`], never at construction.
+    topology: OnceLock<Topology>,
 }
 
 impl Design {
@@ -273,6 +277,12 @@ impl Design {
     /// Pin accessor.
     pub fn pin(&self, id: PinId) -> &Pin {
         &self.pins[id.index()]
+    }
+
+    /// The frozen net-major pin layout, built on the first call and
+    /// shared by every later one (see [`Topology`]).
+    pub fn topology(&self) -> &Topology {
+        self.topology.get_or_init(|| Topology::new(self))
     }
 
     /// Number of cells.
@@ -349,7 +359,8 @@ impl Design {
     /// number of pins, with matching names and directions in the same
     /// order, and the same sequential/clock-pin shape. Geometry (width,
     /// offsets) and electrical parameters (caps, arcs) may differ — that
-    /// is the point of a resize.
+    /// is the point of a resize. A [`Topology`] that is already built has
+    /// the cell's pin offsets patched in place.
     ///
     /// # Errors
     ///
@@ -393,6 +404,10 @@ impl Design {
             )));
         }
         self.cells[cell.index()].type_id = new_type;
+        if let Some(mut topology) = self.topology.take() {
+            topology.patch_offsets(self, cell);
+            self.topology = OnceLock::from(topology);
+        }
         Ok(())
     }
 
@@ -670,6 +685,7 @@ impl DesignBuilder {
             die: self.die,
             row_height: self.row_height,
             sdc: self.sdc,
+            topology: OnceLock::new(),
         };
         design.validate()?;
         Ok(design)

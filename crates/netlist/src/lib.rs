@@ -12,6 +12,8 @@
 //!   [`DesignBuilder`].
 //! * [`placement`] — cell coordinates ([`Placement`]) and derived pin
 //!   positions and half-perimeter wirelength.
+//! * [`topology`] — the frozen net-major pin layout ([`Topology`]) the
+//!   wirelength kernels and HPWL iterate over, built on first use.
 //! * [`sdc`] — timing constraints: clock period, input arrival times and
 //!   output required times.
 //! * [`fnv`] — the FNV-1a fingerprint recipe every content hash and
@@ -53,6 +55,7 @@ pub mod io;
 pub mod library;
 pub mod placement;
 pub mod sdc;
+pub mod topology;
 
 pub use design::{Cell, Design, DesignBuilder, DesignStats, Net, NetlistError, Pin, Rect, Row};
 pub use ids::{CellId, CellTypeId, NetId, PinId};
@@ -60,3 +63,4 @@ pub use io::ParseError;
 pub use library::{CellLibrary, CellType, PinDirection, PinSpec, TimingArcSpec};
 pub use placement::{CellMove, DirtySummary, MoveTracker, Placement};
 pub use sdc::Sdc;
+pub use topology::Topology;

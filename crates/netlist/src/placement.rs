@@ -95,14 +95,17 @@ impl Placement {
 
     /// Exact half-perimeter wirelength of one net.
     pub fn net_hpwl(&self, design: &Design, net: NetId) -> f64 {
-        let pins = &design.net(net).pins;
-        if pins.len() < 2 {
+        let topology = design.topology();
+        let slots = topology.net_slots(net);
+        if slots.len() < 2 {
             return 0.0;
         }
+        let (cells, dx, dy) = (topology.slot_cell(), topology.slot_dx(), topology.slot_dy());
         let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &p in pins {
-            let (px, py) = self.pin_position(design, p);
+        for s in slots {
+            let c = cells[s] as usize;
+            let (px, py) = (self.x[c] + dx[s], self.y[c] + dy[s]);
             min_x = min_x.min(px);
             max_x = max_x.max(px);
             min_y = min_y.min(py);

@@ -303,7 +303,7 @@ impl GlobalPlacer {
         let threads = self.config.threads;
         // Seeded from the initial solution; the timing objective rebases
         // it whenever it consumes the moved-cell set.
-        self.write_solution(design, opt.solution());
+        self.write_solution(opt.solution());
         let mut moves = MoveTracker::new(&self.placement, self.config.move_threshold);
         let wl_scratch = &mut bufs.wl;
 
@@ -311,7 +311,7 @@ impl GlobalPlacer {
             let _iter_span = tdp_trace::span("placer.iteration", "placer");
             iterations = iter + 1;
             // Publish the major solution.
-            self.write_solution(design, opt.solution());
+            self.write_solution(opt.solution());
             {
                 // Timing analysis + net reweighting (the objective's
                 // begin-of-iteration work — the RuntimeBreakdown
@@ -412,7 +412,7 @@ impl GlobalPlacer {
                 }
             }
 
-            self.write_solution(design, opt.solution());
+            self.write_solution(opt.solution());
             let hpwl = self.placement.total_hpwl(design);
             trace.push(IterationStats {
                 iter,
@@ -437,7 +437,7 @@ impl GlobalPlacer {
             }
         }
 
-        self.write_solution(design, opt.solution());
+        self.write_solution(opt.solution());
         self.density.update(design, &self.placement);
         bufs.lookahead = Some(scratch);
         self.scratch = bufs;
@@ -451,9 +451,8 @@ impl GlobalPlacer {
     }
 
     /// Copies the optimizer vector into the engine placement.
-    fn write_solution(&mut self, design: &Design, sol: &[f64]) {
+    fn write_solution(&mut self, sol: &[f64]) {
         Self::fill_placement(&self.movable, sol, &mut self.placement);
-        let _ = design;
     }
 
     fn fill_placement(movable: &[CellId], sol: &[f64], placement: &mut Placement) {

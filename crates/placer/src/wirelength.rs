@@ -11,23 +11,26 @@
 //! the exact HPWL recovered as γ→0. Gradients are analytic and accumulate
 //! onto cell coordinates (pin offsets are rigid).
 //!
-//! The gradient kernel is split into two data-parallel phases so it can
-//! use every core without giving up reproducibility:
+//! The gradient kernel runs on the design's frozen net-major pin layout
+//! ([`netlist::Topology`]) in two data-parallel phases, so it can use
+//! every core without giving up reproducibility:
 //!
-//! 1. **per net** — the WA softmax sums of each net (independent slots);
-//! 2. **per cell** — each cell pulls the analytic gradient of each of its
-//!    pins from its net's sums, accumulating in pin order.
+//! 1. **per net** — gather the net's pin coordinates from its slots,
+//!    form the WA softmax sums (keeping each pin's two `exp` weights per
+//!    axis), and write each pin's weighted analytic gradient into its
+//!    slot of [`WaScratch`];
+//! 2. **per cell** — a gather: each cell sums the values of its own
+//!    slots in `Cell::pins` order. No `exp` is evaluated twice and no pin
+//!    position is looked up twice.
 //!
 //! Every slot is written by exactly one task and the value reduction
 //! folds fixed-size chunks in order, so the result is bit-identical for
 //! any thread count (see the `parx` crate docs).
 
-use netlist::{Design, NetId, Placement};
+use netlist::{CellId, Design, NetId, Placement};
 use parx::UnsafeSlice;
 
 /// Weighted-average wirelength evaluator.
-///
-/// Holds scratch buffers so repeated evaluations do not allocate.
 #[derive(Debug, Clone)]
 pub struct WaWirelength {
     /// Smoothing parameter γ; smaller is sharper (closer to HPWL).
@@ -39,23 +42,6 @@ impl WaWirelength {
     pub fn new(gamma: f64) -> Self {
         assert!(gamma > 0.0, "gamma must be positive");
         Self { gamma }
-    }
-
-    /// Smoothed wirelength of one net.
-    pub fn net_wirelength(&self, design: &Design, placement: &Placement, net: NetId) -> f64 {
-        let pins = &design.net(net).pins;
-        if pins.len() < 2 {
-            return 0.0;
-        }
-        let xs: Vec<f64> = pins
-            .iter()
-            .map(|&p| placement.pin_position(design, p).0)
-            .collect();
-        let ys: Vec<f64> = pins
-            .iter()
-            .map(|&p| placement.pin_position(design, p).1)
-            .collect();
-        wa_span(&xs, self.gamma).0 + wa_span(&ys, self.gamma).0
     }
 
     /// Total smoothed wirelength with per-net weights, accumulating the
@@ -92,7 +78,7 @@ impl WaWirelength {
 
     /// [`WaWirelength::accumulate_gradient`] on up to `threads` workers
     /// (0 = auto). Bit-identical for every thread count. `scratch` holds
-    /// the per-net coefficient buffer; callers in a loop (the placement
+    /// the per-slot gradient buffers; callers in a loop (the placement
     /// engine) keep one across iterations so the hot path does not
     /// allocate.
     #[allow(clippy::too_many_arguments)]
@@ -112,33 +98,48 @@ impl WaWirelength {
             assert_eq!(net_weights.len(), design.num_nets());
         }
         let workers = parx::resolve_threads(threads);
-        let num_nets = design.num_nets();
         let gamma = self.gamma;
+        let topology = design.topology();
+        let (slot_cell, slot_dx, slot_dy) =
+            (topology.slot_cell(), topology.slot_dx(), topology.slot_dy());
+        let (cell_x, cell_y) = (placement.xs(), placement.ys());
 
-        // Phase 1: per-net WA sums (one slot per net) plus the weighted
-        // objective value, reduced in chunk order. Slots of sub-2-pin
-        // nets may hold stale data from a previous call; phase 2 never
-        // reads them.
-        scratch.coeffs.resize(num_nets, NetWaCoeff::default());
-        let coeffs = &mut scratch.coeffs;
+        // Phase 1: per net, the weighted gradient of every pin into its
+        // slot, plus the weighted objective value reduced in chunk order.
+        scratch.grad_x.resize(topology.num_slots(), 0.0);
+        scratch.grad_y.resize(topology.num_slots(), 0.0);
         let mut total = 0.0f64;
         {
-            let slots = UnsafeSlice::new(coeffs);
+            let slot_gx = UnsafeSlice::new(&mut scratch.grad_x);
+            let slot_gy = UnsafeSlice::new(&mut scratch.grad_y);
             parx::par_map_reduce_named(
                 workers,
-                num_nets,
+                design.num_nets(),
                 64,
                 "placer.wl.net_coeffs",
                 |range| {
                     let mut partial = 0.0f64;
-                    // Per-chunk coordinate scratch, reused across nets so
-                    // each pin position is computed once per net.
-                    let mut xs: Vec<f64> = Vec::new();
-                    let mut ys: Vec<f64> = Vec::new();
+                    // Per-chunk scratch, reused across nets: each pin's
+                    // coordinates and its two exp weights per axis.
+                    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                    let (mut ep_x, mut en_x) = (Vec::new(), Vec::new());
+                    let (mut ep_y, mut en_y) = (Vec::new(), Vec::new());
                     for n in range {
-                        let net = NetId::new(n);
-                        let pins = &design.net(net).pins;
-                        if pins.len() < 2 {
+                        let slots = topology.net_slots(NetId::new(n));
+                        if slots.len() < 2 {
+                            // A sub-2-pin net exerts no force. Its slots
+                            // hold +0.0: phase 2 adds them to per-cell
+                            // sums that start at +0.0 and so are never
+                            // −0.0, which leaves every sum's bits as if
+                            // the pin were skipped.
+                            for s in slots {
+                                // SAFETY: the slots of net `n` are written
+                                // by this chunk alone.
+                                unsafe {
+                                    slot_gx.write(s, 0.0);
+                                    slot_gy.write(s, 0.0);
+                                }
+                            }
                             continue;
                         }
                         let w = if net_weights.is_empty() {
@@ -148,18 +149,24 @@ impl WaWirelength {
                         };
                         xs.clear();
                         ys.clear();
-                        for &p in pins {
-                            let (px, py) = placement.pin_position(design, p);
-                            xs.push(px);
-                            ys.push(py);
+                        for s in slots.clone() {
+                            let c = slot_cell[s] as usize;
+                            xs.push(cell_x[c] + slot_dx[s]);
+                            ys.push(cell_y[c] + slot_dy[s]);
                         }
-                        let coeff = NetWaCoeff {
-                            x: AxisWaCoeff::compute(&xs, gamma),
-                            y: AxisWaCoeff::compute(&ys, gamma),
-                        };
-                        partial += w * (coeff.x.value() + coeff.y.value());
-                        // SAFETY: slot `n` is written by this chunk alone.
-                        unsafe { slots.write(n, coeff) };
+                        let ax = AxisWa::compute(&xs, gamma, &mut ep_x, &mut en_x);
+                        let ay = AxisWa::compute(&ys, gamma, &mut ep_y, &mut en_y);
+                        partial += w * (ax.value() + ay.value());
+                        for (k, s) in slots.enumerate() {
+                            let gx = w * ax.pin_gradient(xs[k], ep_x[k], en_x[k], gamma);
+                            let gy = w * ay.pin_gradient(ys[k], ep_y[k], en_y[k], gamma);
+                            // SAFETY: the slots of net `n` are written by
+                            // this chunk alone.
+                            unsafe {
+                                slot_gx.write(s, gx);
+                                slot_gy.write(s, gy);
+                            }
+                        }
                     }
                     partial
                 },
@@ -167,13 +174,13 @@ impl WaWirelength {
             );
         }
 
-        // Phase 2: per-cell pull. Each cell sums the analytic gradient of
-        // its own pins (in pin order) and adds it to its slot; no other
-        // task touches that slot.
+        // Phase 2: per-cell gather. Each cell sums its own slots (in pin
+        // order) and adds the sum to its gradient entry; no other task
+        // touches that entry.
         {
             let gx = UnsafeSlice::new(grad_x);
             let gy = UnsafeSlice::new(grad_y);
-            let coeffs: &[NetWaCoeff] = coeffs;
+            let (slot_gx, slot_gy) = (&scratch.grad_x, &scratch.grad_y);
             parx::par_for_named(
                 workers,
                 design.num_cells(),
@@ -181,25 +188,11 @@ impl WaWirelength {
                 "placer.wl.cell_pull",
                 |range| {
                     for c in range {
-                        let cell = netlist::CellId::new(c);
                         let mut sx = 0.0;
                         let mut sy = 0.0;
-                        for &p in &design.cell(cell).pins {
-                            let Some(net) = design.pin(p).net else {
-                                continue;
-                            };
-                            if design.net(net).pins.len() < 2 {
-                                continue;
-                            }
-                            let w = if net_weights.is_empty() {
-                                1.0
-                            } else {
-                                net_weights[net.index()]
-                            };
-                            let (px, py) = placement.pin_position(design, p);
-                            let coeff = &coeffs[net.index()];
-                            sx += w * coeff.x.pin_gradient(px, gamma);
-                            sy += w * coeff.y.pin_gradient(py, gamma);
+                        for &s in topology.cell_slots(CellId::new(c)) {
+                            sx += slot_gx[s as usize];
+                            sy += slot_gy[s as usize];
                         }
                         // SAFETY: cell slot `c` is written by this chunk alone.
                         unsafe {
@@ -215,39 +208,43 @@ impl WaWirelength {
 }
 
 /// WA softmax sums of one coordinate axis of one net.
-#[derive(Debug, Clone, Copy, Default)]
-struct AxisWaCoeff {
-    max: f64,
-    min: f64,
+#[derive(Debug, Clone, Copy)]
+struct AxisWa {
     s_pos: f64,
     s_neg: f64,
     wa_max: f64,
     wa_min: f64,
 }
 
-impl AxisWaCoeff {
-    fn compute(coords: &[f64], gamma: f64) -> Self {
+impl AxisWa {
+    /// The sums over `coords`, overwriting `ep`/`en` with each
+    /// coordinate's soft-max and soft-min exp weights. Numerically
+    /// stabilized by shifting coordinates by their extrema before
+    /// exponentiation.
+    fn compute(coords: &[f64], gamma: f64, ep: &mut Vec<f64>, en: &mut Vec<f64>) -> Self {
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
         for &x in coords {
             max = max.max(x);
             min = min.min(x);
         }
+        ep.clear();
+        en.clear();
         let mut s_pos = 0.0;
         let mut sx_pos = 0.0;
         let mut s_neg = 0.0;
         let mut sx_neg = 0.0;
         for &x in coords {
-            let ep = ((x - max) / gamma).exp();
-            let en = (-(x - min) / gamma).exp();
-            s_pos += ep;
-            sx_pos += x * ep;
-            s_neg += en;
-            sx_neg += x * en;
+            let p = ((x - max) / gamma).exp();
+            let n = (-(x - min) / gamma).exp();
+            s_pos += p;
+            sx_pos += x * p;
+            s_neg += n;
+            sx_neg += x * n;
+            ep.push(p);
+            en.push(n);
         }
         Self {
-            max,
-            min,
             s_pos,
             s_neg,
             wa_max: sx_pos / s_pos,
@@ -260,73 +257,36 @@ impl AxisWaCoeff {
         self.wa_max - self.wa_min
     }
 
-    /// Analytic span derivative with respect to one pin at `x`.
-    fn pin_gradient(&self, x: f64, gamma: f64) -> f64 {
-        let ep = ((x - self.max) / gamma).exp();
-        let en = (-(x - self.min) / gamma).exp();
+    /// Analytic span derivative with respect to one pin at `x` whose exp
+    /// weights [`AxisWa::compute`] recorded as `ep`/`en`.
+    fn pin_gradient(&self, x: f64, ep: f64, en: f64, gamma: f64) -> f64 {
         let d_max = ep * (1.0 + (x - self.wa_max) / gamma) / self.s_pos;
         let d_min = en * (1.0 - (x - self.wa_min) / gamma) / self.s_neg;
         d_max - d_min
     }
 }
 
-/// WA sums of both axes of one net (phase-1 output of the gradient).
-#[derive(Debug, Clone, Copy, Default)]
-struct NetWaCoeff {
-    x: AxisWaCoeff,
-    y: AxisWaCoeff,
-}
-
-/// Reusable per-net coefficient buffer for
-/// [`WaWirelength::accumulate_gradient_threads`]. Opaque; create once
-/// with `Default` and pass it to every call in a loop.
+/// Reusable per-slot gradient buffers for
+/// [`WaWirelength::accumulate_gradient_threads`] (16 B per connected
+/// pin). Opaque; create once with `Default` and pass it to every call in
+/// a loop.
 #[derive(Debug, Clone, Default)]
 pub struct WaScratch {
-    coeffs: Vec<NetWaCoeff>,
+    grad_x: Vec<f64>,
+    grad_y: Vec<f64>,
 }
 
-/// WA span (soft max − soft min) of a coordinate set. Returns the value and
-/// nothing else; see [`wa_span_grad`] for gradients.
-pub fn wa_span(coords: &[f64], gamma: f64) -> (f64, ()) {
-    let mut grad = vec![0.0; coords.len()];
-    (wa_span_grad(coords, gamma, &mut grad).0, ())
-}
-
-/// WA span with gradient. `grad` must have `coords.len()` entries and is
-/// **overwritten** with the partial derivatives.
-///
-/// Numerically stabilized by shifting coordinates by their extrema before
-/// exponentiation.
-pub fn wa_span_grad(coords: &[f64], gamma: f64, grad: &mut [f64]) -> (f64, ()) {
+/// WA span (soft max − soft min) of a coordinate set with its gradient.
+/// `grad` must have `coords.len()` entries and is **overwritten** with
+/// the partial derivatives. Returns the span.
+pub fn wa_span_grad(coords: &[f64], gamma: f64, grad: &mut [f64]) -> f64 {
     debug_assert_eq!(coords.len(), grad.len());
-    let max = coords.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let min = coords.iter().cloned().fold(f64::INFINITY, f64::min);
-
-    // Soft max side.
-    let mut s_pos = 0.0;
-    let mut sx_pos = 0.0;
-    // Soft min side.
-    let mut s_neg = 0.0;
-    let mut sx_neg = 0.0;
-    for &x in coords {
-        let ep = ((x - max) / gamma).exp();
-        let en = (-(x - min) / gamma).exp();
-        s_pos += ep;
-        sx_pos += x * ep;
-        s_neg += en;
-        sx_neg += x * en;
+    let (mut ep, mut en) = (Vec::new(), Vec::new());
+    let axis = AxisWa::compute(coords, gamma, &mut ep, &mut en);
+    for (k, g) in grad.iter_mut().enumerate() {
+        *g = axis.pin_gradient(coords[k], ep[k], en[k], gamma);
     }
-    let wa_max = sx_pos / s_pos;
-    let wa_min = sx_neg / s_neg;
-
-    for (g, &x) in grad.iter_mut().zip(coords) {
-        let ep = ((x - max) / gamma).exp();
-        let en = (-(x - min) / gamma).exp();
-        let d_max = ep * (1.0 + (x - wa_max) / gamma) / s_pos;
-        let d_min = en * (1.0 - (x - wa_min) / gamma) / s_neg;
-        *g = d_max - d_min;
-    }
-    (wa_max - wa_min, ())
+    axis.value()
 }
 
 #[cfg(test)]
@@ -340,8 +300,8 @@ mod tests {
         let hpwl = 10.0;
         let mut grad = vec![0.0; coords.len()];
         // WA underestimates the true span and tightens as gamma shrinks.
-        let (loose, _) = wa_span_grad(&coords, 5.0, &mut grad);
-        let (tight, _) = wa_span_grad(&coords, 0.05, &mut grad);
+        let loose = wa_span_grad(&coords, 5.0, &mut grad);
+        let tight = wa_span_grad(&coords, 0.05, &mut grad);
         assert!(loose <= hpwl + 1e-9);
         assert!(tight <= hpwl + 1e-9);
         assert!(tight > loose);
@@ -361,8 +321,8 @@ mod tests {
             let mut minus = coords.clone();
             minus[i] -= h;
             let mut scratch = vec![0.0; coords.len()];
-            let (vp, _) = wa_span_grad(&plus, gamma, &mut scratch);
-            let (vm, _) = wa_span_grad(&minus, gamma, &mut scratch);
+            let vp = wa_span_grad(&plus, gamma, &mut scratch);
+            let vm = wa_span_grad(&minus, gamma, &mut scratch);
             let fd = (vp - vm) / (2.0 * h);
             assert!(
                 (grad[i] - fd).abs() < 1e-5,
@@ -387,7 +347,7 @@ mod tests {
     fn degenerate_net_is_zero() {
         let coords = [5.0, 5.0, 5.0];
         let mut grad = vec![0.0; 3];
-        let (v, _) = wa_span_grad(&coords, 1.0, &mut grad);
+        let v = wa_span_grad(&coords, 1.0, &mut grad);
         assert!(v.abs() < 1e-12);
     }
 

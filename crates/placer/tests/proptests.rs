@@ -19,8 +19,8 @@ proptest! {
         let span = coords.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             - coords.iter().cloned().fold(f64::INFINITY, f64::min);
         let mut grad = vec![0.0; coords.len()];
-        let (loose, _) = wa_span_grad(&coords, 50.0, &mut grad);
-        let (tight, _) = wa_span_grad(&coords, 0.5, &mut grad);
+        let loose = wa_span_grad(&coords, 50.0, &mut grad);
+        let tight = wa_span_grad(&coords, 0.5, &mut grad);
         prop_assert!(loose <= span + 1e-6);
         prop_assert!(tight <= span + 1e-6);
         prop_assert!(tight >= loose - 1e-6);

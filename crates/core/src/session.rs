@@ -131,8 +131,7 @@ impl SessionBuilder {
     /// Returns [`FlowError::Graph`] if the design's combinational logic is
     /// cyclic.
     pub fn build(self) -> Result<Session, FlowError> {
-        let graph = Arc::new(TimingGraph::build(&self.design)?);
-        let skeleton = Arc::new(RcSkeleton::build(&self.design));
+        let (graph, skeleton) = Sta::build_parts(&self.design)?;
         Ok(Session {
             design: self.design,
             pads: self.pads,

@@ -567,6 +567,12 @@ impl EcoSession {
         self.stats
     }
 
+    /// The resident analyzer's RC work since the session opened, its
+    /// initial full analysis included.
+    pub fn rc_stats(&self) -> sta::RcOpStats {
+        self.sta.rc_stats()
+    }
+
     /// Every constrained endpoint's slack, worst-first — the resident
     /// STA's full readout, exposed so the differential tests can
     /// compare incremental state against a from-scratch rebuild

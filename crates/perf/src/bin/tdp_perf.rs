@@ -8,10 +8,10 @@
 //!
 //! Runs the pinned benchmark suite (see [`perf::kernels`]) and writes
 //! the measurements as one `BENCH_<n>.json` line. Checksums make every
-//! perf run a correctness run: within one invocation the arena RC
-//! refresh must agree bitwise with the emulated legacy refresh, and
-//! every kernel must agree with itself across the pinned thread counts —
-//! either failure exits 2, fast kernels notwithstanding. With
+//! perf run a correctness run: within one invocation the incremental ECO
+//! query must agree bitwise with the full rebuild, and every kernel must
+//! agree with itself across the pinned thread counts — either failure
+//! exits 2, fast kernels notwithstanding. With
 //! `--baseline`, ns/op deltas against an earlier `BENCH` file are
 //! printed and any regression beyond `--max-regress` percent also
 //! exits 2.
@@ -171,7 +171,7 @@ fn run() -> Result<i32, String> {
             // if --threads excludes it; e2e reps are capped to keep a
             // widened --reps from exploding the wall clock.
             let counts: &[usize] = match *kernel {
-                "rc_refresh_legacy" | "session_warm" => &[1],
+                "session_warm" => &[1],
                 "batch_throughput" => &[BATCH_WORKERS],
                 _ => &threads,
             };
@@ -201,32 +201,6 @@ fn run() -> Result<i32, String> {
     }
 
     let mut failures = Vec::new();
-
-    // The arena refresh must compute the same bits as the legacy loop
-    // it replaced — asserted on every invocation, and the recorded
-    // speedup line below is only meaningful because of it.
-    for name in &args.cases {
-        let find = |kernel: &str| {
-            run.results
-                .iter()
-                .find(|r| &r.case == name && r.kernel == kernel && r.threads == 1)
-        };
-        if let (Some(legacy), Some(full)) = (find("rc_refresh_legacy"), find("rc_refresh_full")) {
-            if legacy.checksum != full.checksum {
-                failures.push(format!(
-                    "{name}: rc_refresh_full checksum {:#018x} != legacy {:#018x}",
-                    full.checksum, legacy.checksum
-                ));
-            } else if full.ns_per_op > 0.0 {
-                eprintln!(
-                    "{name}: rc refresh speedup {:.2}x (legacy {:.0} ns -> arena {:.0} ns, 1 thread)",
-                    legacy.ns_per_op / full.ns_per_op,
-                    legacy.ns_per_op,
-                    full.ns_per_op
-                );
-            }
-        }
-    }
 
     // The incremental ECO query must answer with the same bits as a
     // full rebuild — only then is its speedup a result rather than an

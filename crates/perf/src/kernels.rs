@@ -8,25 +8,23 @@
 //! placement [`GlobalPlacer::new`] produces, so two machines benchmark
 //! literally the same netlist and coordinates.
 //!
-//! `rc_refresh_legacy` deserves a note: it is a faithful emulation of
-//! the pre-arena RC refresh (one [`RcTree`] — five `Vec`s — per net per
-//! pass, plus two collects for the load/delay hand-off), kept as a
-//! benchmark so the recorded trajectory shows what the slab-backed
-//! [`sta::RcForest`] bought. It computes its checksum over the same
-//! values in the same order as `rc_refresh_full`, so the two kernels'
-//! checksums must be **bitwise equal** — the CLI asserts exactly that.
+//! `rc_refresh_full` times the analyzer's slab-backed RC refresh alone.
+//! `BENCH_0`/`BENCH_1` also record a kernel that emulated the per-net
+//! tree refresh the slab arena replaced; that kernel is gone, so a
+//! baseline comparison notes its keys as not measured, while
+//! `rc_refresh_full`'s portable checksums still gate the refresh's bits
+//! on every machine.
 
 use crate::{measure, mix_f64, mix_u64, Sample, FNV_OFFSET};
 use benchgen::CircuitParams;
 use netlist::{CellId, Design, Placement};
 use placer::{ElectrostaticDensity, GlobalPlacer, PlacerConfig, WaScratch, WaWirelength};
-use sta::{ArcKind, NetTopology, RcParams, RcSkeleton, RcTree, Sta, TimingGraph};
+use sta::{NetTopology, RcParams, Sta};
 use tdp_core::{FlowBuilder, ObjectiveSpec, Session};
 use tdp_route::{CongestionAnalyzer, RouteConfig};
 
 /// Kernels measured at every pinned thread count of the profile.
 pub const MICRO_KERNELS: &[&str] = &[
-    "rc_refresh_legacy",
     "rc_refresh_full",
     "sta_full",
     "sta_incremental",
@@ -41,14 +39,13 @@ pub const MICRO_KERNELS: &[&str] = &[
 /// small concurrent batch.
 pub const E2E_KERNELS: &[&str] = &["session_warm", "batch_throughput"];
 
-/// Whether `kernel` is measured at `threads` workers. Single-threaded by
-/// construction: the legacy RC loop (the serial baseline the speedup is
-/// quoted against) and the warm session (per-run kernels default to one
+/// Whether `kernel` is measured at `threads` workers. The warm session
+/// is single-threaded by construction (per-run kernels default to one
 /// thread). The batch kernel owns its worker pool, so it is recorded
 /// once, under the pinned pool size.
 pub fn runs_at(kernel: &str, threads: usize) -> bool {
     match kernel {
-        "rc_refresh_legacy" | "session_warm" => threads == 1,
+        "session_warm" => threads == 1,
         "batch_throughput" => threads == BATCH_WORKERS,
         _ => true,
     }
@@ -161,7 +158,6 @@ pub fn run_kernel(
     }
     let sample = match kernel {
         "rc_refresh_full" => rc_refresh_full(case, threads, warmup, reps)?,
-        "rc_refresh_legacy" => rc_refresh_legacy(case, warmup, reps)?,
         "sta_full" => sta_full(case, threads, warmup, reps)?,
         "sta_incremental" => sta_incremental(case, threads, warmup, reps)?,
         "wl_grad" => wl_grad(case, threads, warmup, reps),
@@ -185,9 +181,8 @@ fn new_sta(case: &Case, threads: usize) -> Result<Sta, String> {
     Ok(sta)
 }
 
-/// One full RC refresh through the slab-backed [`sta::RcForest`]: the
-/// kernel the arena pass optimized, and the one the `BENCH` trajectory
-/// tracks against `rc_refresh_legacy`.
+/// One full RC refresh through the analyzer's slab-backed RC arena
+/// ([`Sta::refresh_rc`]).
 fn rc_refresh_full(
     case: &Case,
     threads: usize,
@@ -199,70 +194,6 @@ fn rc_refresh_full(
     Ok(measure(warmup, reps, || {
         sta.refresh_rc(design, &case.placement);
         rc_state_checksum(design, &sta)
-    }))
-}
-
-/// The pre-arena refresh, reproduced allocation-for-allocation: one
-/// [`RcTree`] (five `Vec`s) per net per pass collected into per-net
-/// slots, then the apply loop copying loads and delays into the flat
-/// delay array. Serial, like the code it preserves. Its checksum is
-/// computed over the same values in the same order as
-/// `rc_refresh_full`, so the two must agree bitwise.
-fn rc_refresh_legacy(case: &Case, warmup: usize, reps: usize) -> Result<Sample, String> {
-    let design = &case.design;
-    let placement = &case.placement;
-    let graph =
-        TimingGraph::build(design).map_err(|e| format!("{}: timing graph: {e}", case.name))?;
-    let skeleton = RcSkeleton::build(design);
-    let mut net_load = vec![0.0; design.num_nets()];
-    // Same seed state as `Sta::from_parts`: gate arcs driving
-    // unconnected outputs carry their intrinsic delay and are never
-    // rewritten by a refresh.
-    let mut arc_delay = vec![0.0; graph.num_arcs()];
-    for (i, arc) in graph.arcs().enumerate() {
-        if let ArcKind::Cell { intrinsic, .. } = arc.kind {
-            if design.pin(arc.to).net.is_none() {
-                arc_delay[i] = intrinsic;
-            }
-        }
-    }
-    Ok(measure(warmup, reps, || {
-        let mut slots: Vec<Option<(f64, Vec<f64>)>> = vec![None; design.num_nets()];
-        for net in design.net_ids() {
-            let tree = RcTree::build_with(design, placement, net, &case.rc, &skeleton);
-            slots[net.index()] = Some((tree.total_load(), tree.elmore_delays()));
-        }
-        for net in design.net_ids() {
-            let (load, delays) = slots[net.index()].take().expect("every net refreshed");
-            net_load[net.index()] = load;
-            let driver = design.net(net).driver();
-            for arc in graph.out_arcs(driver) {
-                if let ArcKind::Net { net: n, sink_index } = graph.arc(arc).kind {
-                    if n == net {
-                        arc_delay[arc.index()] = delays[sink_index];
-                    }
-                }
-            }
-            for arc in graph.in_arcs(driver) {
-                if let ArcKind::Cell {
-                    intrinsic,
-                    drive_resistance,
-                } = graph.arc(arc).kind
-                {
-                    arc_delay[arc.index()] = intrinsic + drive_resistance * load;
-                }
-            }
-        }
-        let mut h = FNV_OFFSET;
-        for net in design.net_ids() {
-            h = mix_f64(h, net_load[net.index()]);
-        }
-        for pin in design.pin_ids() {
-            for arc in graph.out_arcs(pin) {
-                h = mix_f64(h, arc_delay[arc.index()]);
-            }
-        }
-        h
     }))
 }
 
@@ -522,29 +453,9 @@ mod tests {
 
     #[test]
     fn thread_gating_skips_serial_only_kernels() {
-        let case = load_case("sb18").unwrap();
-        assert!(run_kernel(&case, "rc_refresh_legacy", 2, 0, 1)
-            .unwrap()
-            .is_none());
         assert!(!runs_at("session_warm", 2));
         assert!(!runs_at("batch_throughput", 1));
         assert!(runs_at("rc_refresh_full", 4));
-    }
-
-    #[test]
-    fn arena_and_legacy_refresh_agree_bitwise_and_across_threads() {
-        let case = load_case("sb18").unwrap();
-        let legacy = run_kernel(&case, "rc_refresh_legacy", 1, 0, 1)
-            .unwrap()
-            .unwrap();
-        let full_1t = run_kernel(&case, "rc_refresh_full", 1, 0, 1)
-            .unwrap()
-            .unwrap();
-        let full_4t = run_kernel(&case, "rc_refresh_full", 4, 0, 1)
-            .unwrap()
-            .unwrap();
-        assert_eq!(legacy.checksum, full_1t.checksum);
-        assert_eq!(full_1t.checksum, full_4t.checksum);
     }
 
     #[test]

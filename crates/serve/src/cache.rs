@@ -35,15 +35,21 @@ pub struct SessionSlot {
 
 impl SessionSlot {
     /// The design's session, built on first use (concurrent callers
-    /// block until the one build finishes).
+    /// block until the one build finishes). `builds` counts the build
+    /// attempts: one timing graph each, failed ones included.
     ///
     /// # Errors
     ///
     /// Returns the (cached) construction error message if the design
     /// cannot produce a session.
-    pub fn session(&self, params: &CircuitParams) -> Result<&Mutex<Session>, String> {
+    pub fn session(
+        &self,
+        params: &CircuitParams,
+        builds: &AtomicU64,
+    ) -> Result<&Mutex<Session>, String> {
         self.cell
             .get_or_init(|| {
+                builds.fetch_add(1, Ordering::Relaxed);
                 let (design, pads) = benchgen::generate(params);
                 Session::builder(design, pads)
                     .build()
@@ -61,8 +67,12 @@ impl SessionSlot {
     /// The construction error, or a poisoned session: a panic inside an
     /// earlier job may have left it half-updated, so callers fail
     /// cleanly rather than run on it (the batch runner's group policy).
-    pub fn lock(&self, params: &CircuitParams) -> Result<MutexGuard<'_, Session>, String> {
-        self.session(params)?
+    pub fn lock(
+        &self,
+        params: &CircuitParams,
+        builds: &AtomicU64,
+    ) -> Result<MutexGuard<'_, Session>, String> {
+        self.session(params, builds)?
             .lock()
             .map_err(|_| "session poisoned by a previous job's panic on this design".to_string())
     }
@@ -259,10 +269,12 @@ mod tests {
         let slot = SessionSlot::default();
         assert!(!slot.is_built());
         let params = CircuitParams::small("lazy", 5);
-        let m = slot.session(&params).expect("small design builds");
+        let builds = AtomicU64::new(0);
+        let m = slot.session(&params, &builds).expect("small design builds");
         assert!(slot.is_built());
         // Second call returns the same session, no rebuild.
-        let m2 = slot.session(&params).unwrap();
+        let m2 = slot.session(&params, &builds).unwrap();
         assert!(std::ptr::eq(m, m2));
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
     }
 }

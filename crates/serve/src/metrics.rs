@@ -68,34 +68,6 @@ impl LatencyHisto {
     }
 }
 
-/// The process-wide STA construction counters, read together, in
-/// `metrics` order: graph builds, RC skeleton builds, RC tree builds, RC
-/// refreshes, nets refreshed and scratch reuses. The server keeps the
-/// values at its start, so `metrics` reports only the work attributable
-/// to it. The RC tree delta stays 0 on a healthy server: analyzers
-/// refresh through the slab-backed forest, never by constructing
-/// per-net trees.
-#[derive(Debug, Clone, Copy)]
-struct StaCounts([u64; 6]);
-
-impl StaCounts {
-    fn now() -> Self {
-        Self([
-            sta::graph_build_count() as u64,
-            sta::rc_skeleton_build_count() as u64,
-            sta::rc_tree_build_count() as u64,
-            sta::rc_refresh_count(),
-            sta::rc_nets_refreshed_count(),
-            sta::rc_scratch_reuse_count(),
-        ])
-    }
-
-    /// Counts accrued since `start`.
-    fn delta(&self, start: &StaCounts) -> [f64; 6] {
-        std::array::from_fn(|i| self.0[i].saturating_sub(start.0[i]) as f64)
-    }
-}
-
 /// Whether a sample is a point-in-time value or a running total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -130,6 +102,16 @@ pub struct ServeMetrics {
     pub cache_evictions: AtomicU64,
     /// `events` streams served.
     pub event_streams: AtomicU64,
+    /// Session builds this server's cache slots attempted: one timing
+    /// graph (and RC skeleton) each.
+    pub graph_builds: AtomicU64,
+    /// RC refresh passes run by this server's jobs and closed ECO
+    /// sessions (folded from their analyzers' [`sta::RcOpStats`]).
+    pub rc_refreshes: AtomicU64,
+    /// Nets refreshed across those passes.
+    pub rc_nets_refreshed: AtomicU64,
+    /// RC scratch buffers those passes reused instead of allocating.
+    pub rc_scratch_reuses: AtomicU64,
     /// ECO sessions opened (`eco_open` accepted).
     pub eco_opens: AtomicU64,
     /// Delta batches applied (`eco_apply` accepted).
@@ -165,13 +147,10 @@ pub struct ServeMetrics {
     /// and dispatch. Requests that fail to parse have no verb and are not
     /// observed (they still count in `requests`).
     pub latency: [LatencyHisto; VERBS.len()],
-    /// The STA counters at server start, the baseline of the
-    /// `graph_builds` … `rc_scratch_reuses` metrics.
-    sta_at_start: StaCounts,
 }
 
 impl ServeMetrics {
-    /// Fresh counters; records the process-wide STA build baselines.
+    /// Fresh counters, all zero.
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
@@ -184,6 +163,10 @@ impl ServeMetrics {
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
             event_streams: AtomicU64::new(0),
+            graph_builds: AtomicU64::new(0),
+            rc_refreshes: AtomicU64::new(0),
+            rc_nets_refreshed: AtomicU64::new(0),
+            rc_scratch_reuses: AtomicU64::new(0),
             eco_opens: AtomicU64::new(0),
             eco_applies: AtomicU64::new(0),
             eco_queries: AtomicU64::new(0),
@@ -198,7 +181,6 @@ impl ServeMetrics {
             jobs_compacted: AtomicU64::new(0),
             conns_reaped: AtomicU64::new(0),
             latency: std::array::from_fn(|_| LatencyHisto::new()),
-            sta_at_start: StaCounts::now(),
         }
     }
 
@@ -220,14 +202,23 @@ impl ServeMetrics {
         self.eco_full_ns.fetch_add(stats.full_ns, Ordering::Relaxed);
     }
 
+    /// Folds one analyzer's RC work — a finished job's report or a
+    /// closing ECO session — into the `rc_*` counters.
+    pub fn fold_rc(&self, rc: &sta::RcOpStats) {
+        self.rc_refreshes.fetch_add(rc.refreshes, Ordering::Relaxed);
+        self.rc_nets_refreshed
+            .fetch_add(rc.nets_refreshed, Ordering::Relaxed);
+        self.rc_scratch_reuses
+            .fetch_add(rc.scratch_reuses, Ordering::Relaxed);
+    }
+
     /// Every gauge and counter, in `metrics` field order. Gauges and
     /// counters keep their relative order in both formats, so this one
     /// list drives both renderers.
     #[rustfmt::skip]
-    fn samples(&self, g: &Gauges) -> [Sample; 36] {
+    fn samples(&self, g: &Gauges) -> [Sample; 34] {
         use Kind::{Counter as C, Gauge as G};
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-        let sta = StaCounts::now().delta(&self.sta_at_start);
         [
             ("uptime_s", "uptime_seconds", G, self.started.elapsed().as_secs_f64()),
             ("workers", "workers", G, g.workers as f64),
@@ -245,12 +236,10 @@ impl ServeMetrics {
             ("cache_misses", "cache_misses", C, get(&self.cache_misses)),
             ("cache_evictions", "cache_evictions", C, get(&self.cache_evictions)),
             ("event_streams", "event_streams", C, get(&self.event_streams)),
-            ("graph_builds", "graph_builds", C, sta[0]),
-            ("rc_builds", "rc_builds", C, sta[1]),
-            ("rc_tree_builds", "rc_tree_builds", C, sta[2]),
-            ("rc_refreshes", "rc_refreshes", C, sta[3]),
-            ("rc_nets_refreshed", "rc_nets_refreshed", C, sta[4]),
-            ("rc_scratch_reuses", "rc_scratch_reuses", C, sta[5]),
+            ("graph_builds", "graph_builds", C, get(&self.graph_builds)),
+            ("rc_refreshes", "rc_refreshes", C, get(&self.rc_refreshes)),
+            ("rc_nets_refreshed", "rc_nets_refreshed", C, get(&self.rc_nets_refreshed)),
+            ("rc_scratch_reuses", "rc_scratch_reuses", C, get(&self.rc_scratch_reuses)),
             ("eco_opens", "eco_opens", C, get(&self.eco_opens)),
             ("eco_applies", "eco_applies", C, get(&self.eco_applies)),
             ("eco_queries", "eco_queries", C, get(&self.eco_queries)),

@@ -278,7 +278,7 @@ impl Connection {
         // Server-side ECO sessions analyze single-threaded: answers must
         // be bitwise reproducible regardless of daemon sizing.
         let eco = slot
-            .lock(&params)
+            .lock(&params, &self.shared.metrics.graph_builds)
             .map(|session| eco::EcoSession::open(&session, eco::rc_params_for(&params), 1))
             .map_err(|msg| {
                 // The open failed after the pin was taken; release it or the
@@ -357,12 +357,13 @@ impl Connection {
     }
 
     /// Closes the open ECO session, if any: releases its cache pin and
-    /// folds its cumulative stats into the server metrics. Shared by
-    /// `eco_close` and [`Drop`].
+    /// folds its cumulative stats and its analyzer's RC work into the
+    /// server metrics. Shared by `eco_close` and [`Drop`].
     fn close_eco(&mut self) -> Option<tdp_core::EcoStats> {
         let conn = self.eco.take()?;
         let stats = conn.eco.stats();
         self.shared.metrics.fold_eco(&stats);
+        self.shared.metrics.fold_rc(&conn.eco.rc_stats());
         self.shared.cache.unpin(conn.key);
         Some(stats)
     }

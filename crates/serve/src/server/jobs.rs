@@ -155,6 +155,7 @@ impl JobState {
             JobStatus::Canceled => ServeMetrics::bump(&shared.metrics.jobs_canceled),
             JobStatus::Failed(_) => ServeMetrics::bump(&shared.metrics.jobs_failed),
         }
+        shared.metrics.fold_rc(&report.runtime.rc);
         let line = event_line("finished", self.id, |s| {
             tdp_jsonio::field_str(s, "state", report.status.label());
             tdp_jsonio::field_raw(s, "report", &batch::job_json(&report));
@@ -632,7 +633,7 @@ fn run_job(shared: &Shared, job: &JobState) {
     // them with a panic). A panic must fail the job, never the worker:
     // a dead worker would strand the queue and every waiter.
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match job.slot.lock(&job.job.params) {
+        match job.slot.lock(&job.job.params, &shared.metrics.graph_builds) {
             Err(msg) => failed(msg),
             Ok(mut session) => execute_job(
                 job.id,

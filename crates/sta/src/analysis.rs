@@ -254,17 +254,34 @@ impl Sta {
     /// Returns [`BuildGraphError`] if the design's combinational logic is
     /// cyclic.
     pub fn new(design: &Design, params: RcParams) -> Result<Self, BuildGraphError> {
-        let graph = Arc::new(TimingGraph::build(design)?);
-        let skeleton = Arc::new(RcSkeleton::build(design));
+        let (graph, skeleton) = Self::build_parts(design)?;
         Ok(Self::from_parts(graph, skeleton, design, params))
     }
 
+    /// Builds the placement-independent half of an analyzer: the timing
+    /// graph and the RC skeleton, ready to share across analyzers through
+    /// [`Sta::from_parts`]. [`Sta::new`] and every session build start
+    /// here, so [`graph_build_count`](crate::graph_build_count) counts
+    /// each pair once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildGraphError`] if the design's combinational logic is
+    /// cyclic.
+    pub fn build_parts(
+        design: &Design,
+    ) -> Result<(Arc<TimingGraph>, Arc<RcSkeleton>), BuildGraphError> {
+        let graph = Arc::new(TimingGraph::build(design)?);
+        Ok((graph, Arc::new(RcSkeleton::build(design))))
+    }
+
     /// Builds an analyzer around an already-constructed timing graph and
-    /// RC skeleton — the checkpoint/rollback entry point for session-style
-    /// reuse. Unlike [`Sta::new`] this performs **no graph or skeleton
-    /// construction** (and cannot fail): the analyzer starts from pristine,
-    /// never-analyzed state, so analyzers created this way are bitwise
-    /// equivalent to a freshly built one with the same `params`.
+    /// RC skeleton (see [`Sta::build_parts`]) — the checkpoint/rollback
+    /// entry point for session-style reuse. Unlike [`Sta::new`] this
+    /// performs **no graph or skeleton construction** (and cannot fail):
+    /// the analyzer starts from pristine, never-analyzed state, so
+    /// analyzers created this way are bitwise equivalent to a freshly
+    /// built one with the same `params`.
     pub fn from_parts(
         graph: Arc<TimingGraph>,
         skeleton: Arc<RcSkeleton>,
@@ -416,8 +433,8 @@ impl Sta {
     }
 
     /// Recomputes the RC trees, wire-arc delays, load cache and dependent
-    /// gate-arc delays for the given nets (sorted and deduplicated by the
-    /// caller).
+    /// gate-arc delays for the given nets (strictly ascending; the forest
+    /// asserts it).
     ///
     /// The trees are rebuilt **in place** inside the slab-backed
     /// [`RcForest`] — each net owns a disjoint CSR segment, so the
@@ -431,7 +448,6 @@ impl Sta {
         let workers = self.refresh_workers(nets.len());
         self.rc_refreshes += 1;
         self.rc_nets_refreshed += nets.len() as u64;
-        crate::rctree::count_refresh(nets.len());
         self.forest
             .refresh(design, placement, nets, &params, &self.skeleton, workers);
         let graph = &*self.graph;

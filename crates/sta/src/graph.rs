@@ -195,7 +195,17 @@ pub struct TimingGraph {
 /// session builds the graph exactly once.
 static BUILD_COUNT: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of timing graphs built by this process so far.
+/// Number of timing graphs built by this process so far — one per
+/// [`Sta::build_parts`](crate::Sta::build_parts), so it counts the RC
+/// skeleton built next to each graph too.
+///
+/// This is the only process-wide counter in this crate; RC work is
+/// counted on the analyzer that did it
+/// ([`Sta::rc_stats`](crate::Sta::rc_stats)). It stays process-wide
+/// for the repo benchmark's `batch_matrix` workload, which counts the
+/// session builds of a whole batch run, and for the tests that prove
+/// session reuse. A caller that shares the process with other builders
+/// (a second server, a local flow) sees their builds too.
 pub fn graph_build_count() -> usize {
     BUILD_COUNT.load(Ordering::Relaxed)
 }

@@ -8,7 +8,8 @@
 //!   classification, and the level-ordered **rank layout** everything
 //!   placement-dependent is stored in.
 //! * [`rctree`] — per-net RC trees built from pin positions (star or
-//!   Steiner/MST topology) with Elmore delay and downstream capacitance.
+//!   Steiner/MST topology) with Elmore delay and downstream capacitance,
+//!   all nets' trees in one slab arena refreshed in place.
 //! * [`analysis`] — forward arrival / backward required propagation,
 //!   per-pin slack, endpoint slacks, WNS and TNS.
 //! * [`incremental`] — re-analysis after some cells moved: dirty-net RC
@@ -86,8 +87,5 @@ pub mod report;
 
 pub use analysis::{EndpointSlack, IncrStats, Sta, StaCheckpoint, TimingSummary};
 pub use graph::{graph_build_count, ArcId, ArcKind, BuildGraphError, TimingArc, TimingGraph};
-pub use rctree::{
-    rc_nets_refreshed_count, rc_refresh_count, rc_scratch_reuse_count, rc_skeleton_build_count,
-    rc_tree_build_count, NetTopology, RcForest, RcOpStats, RcParams, RcSkeleton, RcTree,
-};
+pub use rctree::{NetTopology, RcOpStats, RcParams, RcSkeleton};
 pub use report::{PathElement, TimingPath};

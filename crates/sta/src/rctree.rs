@@ -15,83 +15,24 @@
 //!   Manhattan metric, a closer match to routed topology; used by the
 //!   evaluation kit.
 //!
-//! Two storage layouts share the same construction kernels:
-//!
-//! * [`RcTree`] — one heap-allocated tree per call; the convenience and
-//!   diagnostics path, and the baseline `tdp-perf`'s legacy kernel times.
-//! * [`RcForest`] — every net's tree in flat SoA slabs (`parent` /
-//!   `edge_res` / `node_cap` / `topo`) with per-net CSR offsets, refreshed
-//!   in place. A full refresh performs **zero** per-net allocations; this
-//!   is what [`Sta`](crate::Sta) drives. Because both layouts run the
-//!   identical kernel over the identical inputs, their results are
-//!   bitwise equal — the `rcforest_equivalence` test pins this.
+//! Every net's tree lives in one crate-private forest: flat SoA slabs
+//! (`parent` / `edge_res` / `node_cap` / `topo`) with per-net CSR
+//! offsets, laid out once per design and refreshed in place by
+//! [`Sta`](crate::Sta). A full refresh performs **zero** per-net
+//! allocations and is bit-identical for every worker count. What a
+//! refresh costs is counted on the analyzer that ran it
+//! ([`Sta::rc_stats`](crate::Sta::rc_stats)), never process-wide.
 
 use netlist::{Design, NetId, Placement};
 use parx::UnsafeSlice;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Process-wide count of [`RcSkeleton::build`] calls (see
-/// [`rc_skeleton_build_count`]).
-static SKELETON_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of [`RcTree`] constructions (see
-/// [`rc_tree_build_count`]).
-static RC_TREE_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of RC refresh passes (see [`rc_refresh_count`]).
-static RC_REFRESHES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of nets refreshed (see [`rc_nets_refreshed_count`]).
-static RC_NETS_REFRESHED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of scratch-pool hits (see [`rc_scratch_reuse_count`]).
-static RC_SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of RC skeletons built by this process so far.
-///
-/// Like [`crate::graph::graph_build_count`], this exists so session-reuse
-/// tests can prove the placement-independent RC data is constructed
-/// exactly once per design rather than once per run.
-pub fn rc_skeleton_build_count() -> usize {
-    SKELETON_BUILDS.load(Ordering::Relaxed)
-}
-
-/// Number of individual [`RcTree`]s built by this process so far — every
-/// construction through [`RcTree::build`] or [`RcTree::build_with`].
-///
-/// Analyzer refreshes run through the in-place [`RcForest`] and never
-/// construct an `RcTree`, so a session/serve workload keeps this counter
-/// flat; a nonzero delta across a flow run means some path regressed to
-/// per-net tree allocation (and, for [`RcTree::build`], to re-reading
-/// sink caps from the design). Tests assert the delta is zero.
-pub fn rc_tree_build_count() -> usize {
-    RC_TREE_BUILDS.load(Ordering::Relaxed)
-}
-
-/// Number of RC refresh passes (full or incremental) run by this process.
-pub fn rc_refresh_count() -> u64 {
-    RC_REFRESHES.load(Ordering::Relaxed)
-}
-
-/// Total nets refreshed across all RC refresh passes in this process.
-pub fn rc_nets_refreshed_count() -> u64 {
-    RC_NETS_REFRESHED.load(Ordering::Relaxed)
-}
-
-/// Total MST/Elmore scratch buffers served from a [`RcForest`] pool
-/// instead of freshly allocated, process-wide.
-pub fn rc_scratch_reuse_count() -> u64 {
-    RC_SCRATCH_REUSES.load(Ordering::Relaxed)
-}
-
 /// Allocation/op counters for one analyzer's RC work — the "how much did
-/// the arena save" view that [`tdp-perf`] and the batch/serve reports
+/// the arena save" view that `tdp-perf` and the batch/serve reports
 /// surface. Counters are exact and deterministic for a fixed workload;
 /// `scratch_reuses` additionally depends on thread scheduling (like a
 /// wall-clock field) because pool hits race under a parallel refresh.
-///
-/// [`tdp-perf`]: index.html
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RcOpStats {
     /// RC refresh passes run (one per full or incremental analysis).
@@ -130,20 +71,13 @@ impl RcOpStats {
     }
 }
 
-/// Bumps the process-wide refresh counters (called once per
-/// [`Sta::refresh_nets`](crate::Sta) pass).
-pub(crate) fn count_refresh(nets: usize) {
-    RC_REFRESHES.fetch_add(1, Ordering::Relaxed);
-    RC_NETS_REFRESHED.fetch_add(nets as u64, Ordering::Relaxed);
-}
-
 /// The placement-independent part of every net's RC tree: per-net sink
 /// input capacitances, laid out contiguously in net order.
 ///
-/// [`RcTree::build`] re-reads these from the [`Design`] on every call;
-/// an analyzer that owns a skeleton (see `Sta::from_parts`) hands it to
-/// [`RcTree::build_with`] instead, so repeated analyses — and repeated
-/// flow runs over the same design — never re-derive them.
+/// Built once per design by [`Sta::build_parts`](crate::Sta::build_parts)
+/// and shared behind an `Arc` by every analyzer of that design, so
+/// repeated analyses — and repeated flow runs — never re-read the caps
+/// from the [`Design`].
 #[derive(Debug, Clone)]
 pub struct RcSkeleton {
     /// CSR offsets into `sink_caps`, one entry per net plus a sentinel.
@@ -153,10 +87,8 @@ pub struct RcSkeleton {
 }
 
 impl RcSkeleton {
-    /// Extracts the static RC data from `design`. Counted by
-    /// [`rc_skeleton_build_count`].
+    /// Extracts the static RC data from `design`.
     pub fn build(design: &Design) -> Self {
-        SKELETON_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut starts = Vec::with_capacity(design.num_nets() + 1);
         let mut sink_caps = Vec::new();
         starts.push(0);
@@ -179,8 +111,7 @@ impl RcSkeleton {
     /// Re-reads the sink capacitances presented by one cell's input pins
     /// from the design — the skeleton half of an ECO resize after
     /// [`netlist::Design::set_cell_type`]. Connectivity must be unchanged
-    /// (a resize never rewires), so only cap values move; no rebuild and
-    /// no bump of [`rc_skeleton_build_count`].
+    /// (a resize never rewires), so only cap values move; no rebuild.
     ///
     /// # Panics
     ///
@@ -244,12 +175,7 @@ pub enum NetTopology {
 }
 
 // ---------------------------------------------------------------------------
-// Shared construction kernels.
-//
-// Both storage layouts call these over caller-provided slices, so a tree
-// in a forest slab and a standalone `RcTree` for the same net run the
-// identical floating-point sequence — bitwise equality by construction,
-// not by auditing two copies of the arithmetic.
+// Construction kernels, run over one net's slab segment.
 // ---------------------------------------------------------------------------
 
 /// Sentinel parent of the root node.
@@ -411,148 +337,6 @@ fn collect_positions(
     }
 }
 
-/// An RC tree for one net.
-///
-/// Node 0 is always the driver. Each non-root node stores its parent, the
-/// resistance of the edge to the parent, and its node capacitance (half the
-/// wire capacitance of each incident segment plus the sink pin cap).
-///
-/// This is the one-allocation-per-call layout; analyzer refreshes use the
-/// slab-backed [`RcForest`] instead and never construct one of these (see
-/// [`rc_tree_build_count`]).
-#[derive(Debug, Clone)]
-pub struct RcTree {
-    parent: Vec<u32>,
-    edge_res: Vec<f64>,
-    node_cap: Vec<f64>,
-    /// Node indices with every parent before its children (root first).
-    topo: Vec<u32>,
-}
-
-impl RcTree {
-    /// Builds the RC tree for `net` from the current placement, re-reading
-    /// the sink input capacitances from the design — the convenience path
-    /// for one-off diagnostics. Counted by [`rc_tree_build_count`]; hot
-    /// paths go through a prebuilt [`RcSkeleton`] ([`RcTree::build_with`])
-    /// or, inside an analyzer, the allocation-free [`RcForest`].
-    pub fn build(design: &Design, placement: &Placement, net: NetId, params: &RcParams) -> Self {
-        let sink_caps: Vec<f64> = design
-            .net(net)
-            .sinks()
-            .iter()
-            .map(|&p| design.pin_spec(p).cap)
-            .collect();
-        Self::from_caps(design, placement, net, params, &sink_caps)
-    }
-
-    /// [`RcTree::build`] with the sink capacitances taken from a prebuilt
-    /// [`RcSkeleton`] instead of re-read from the design. Produces exactly
-    /// the same tree.
-    pub fn build_with(
-        design: &Design,
-        placement: &Placement,
-        net: NetId,
-        params: &RcParams,
-        skeleton: &RcSkeleton,
-    ) -> Self {
-        Self::from_caps(design, placement, net, params, skeleton.sink_caps(net))
-    }
-
-    fn from_caps(
-        design: &Design,
-        placement: &Placement,
-        net: NetId,
-        params: &RcParams,
-        sink_caps: &[f64],
-    ) -> Self {
-        RC_TREE_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut positions: Vec<(f64, f64)> = Vec::with_capacity(design.net(net).pins.len());
-        collect_positions(design, placement, net, &mut positions);
-        let n = positions.len();
-        let mut parent = vec![NO_PARENT; n];
-        let mut edge_res = vec![0.0; n];
-        let mut node_cap = vec![0.0; n];
-        let mut topo = vec![0u32; n];
-        match params.topology {
-            NetTopology::Star => star_into(
-                &positions,
-                sink_caps,
-                params,
-                &mut parent,
-                &mut edge_res,
-                &mut node_cap,
-                &mut topo,
-            ),
-            NetTopology::SteinerMst => {
-                let mut in_tree = vec![false; n];
-                let mut best_dist = vec![f64::INFINITY; n];
-                let mut best_from = vec![0u32; n];
-                mst_into(
-                    &positions,
-                    sink_caps,
-                    params,
-                    &mut parent,
-                    &mut edge_res,
-                    &mut node_cap,
-                    &mut topo,
-                    &mut in_tree,
-                    &mut best_dist,
-                    &mut best_from,
-                );
-            }
-        }
-        Self {
-            parent,
-            edge_res,
-            node_cap,
-            topo,
-        }
-    }
-
-    /// Number of tree nodes (driver + sinks).
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the tree has no sinks.
-    pub fn is_empty(&self) -> bool {
-        self.parent.len() <= 1
-    }
-
-    /// Total capacitance seen by the driver: the load used in the gate
-    /// delay model.
-    pub fn total_load(&self) -> f64 {
-        self.node_cap.iter().sum()
-    }
-
-    /// Elmore delay from the driver to every sink, in `net.sinks()` order.
-    pub fn elmore_delays(&self) -> Vec<f64> {
-        let n = self.len();
-        let mut downstream = Vec::with_capacity(n);
-        let mut delay = Vec::with_capacity(n);
-        let mut sink_delay = vec![0.0; n.saturating_sub(1)];
-        elmore_into(
-            &self.parent,
-            &self.edge_res,
-            &self.node_cap,
-            &self.topo,
-            &mut downstream,
-            &mut delay,
-            &mut sink_delay,
-        );
-        sink_delay
-    }
-
-    /// Total wirelength implied by the tree (sum of edge lengths), derived
-    /// from the edge resistances.
-    pub fn wirelength(&self, params: &RcParams) -> f64 {
-        if params.res_per_unit == 0.0 {
-            return 0.0;
-        }
-        self.edge_res.iter().sum::<f64>() / params.res_per_unit
-    }
-}
-
 /// Reusable per-worker buffers for one net's tree construction and Elmore
 /// solve: pin positions, the Prim frontier and the two solve arrays. The
 /// contents never influence results — every field is fully reinitialized
@@ -569,17 +353,20 @@ struct RcScratch {
 
 /// Every net's RC tree in flat SoA slabs with per-net CSR offsets.
 ///
-/// The node count of a net's tree equals its pin count for both
-/// topologies and never depends on the placement, so the layout is
-/// computed once per design ([`RcForest::new`]) and a refresh —
-/// [`RcForest::refresh`] — rewrites the slabs in place: O(1) allocations
-/// per pass (scratch-pool misses only) instead of the O(nets·5) the
-/// per-net [`RcTree`] layout costs. Per-net slab segments are disjoint,
-/// so the refresh parallelizes with the same chunking as every other
-/// deterministic kernel in the workspace; results are bit-identical to
-/// per-net [`RcTree`] construction and to every thread count.
+/// Node 0 of a net's tree is its driver and node `i` its sink `i − 1`.
+/// Each non-root node stores its parent, the resistance of the edge to
+/// the parent, and its node capacitance (half the wire capacitance of
+/// each incident segment plus the sink pin cap). The node count equals
+/// the net's pin count for both topologies and never depends on the
+/// placement, so the layout is computed once per design
+/// ([`RcForest::new`]) and a refresh — [`RcForest::refresh`] — rewrites
+/// the slabs in place: O(1) allocations per pass (scratch-pool misses
+/// only). Per-net slab segments are disjoint, so the refresh
+/// parallelizes with the same chunking as every other deterministic
+/// kernel in the workspace; results are bit-identical for every thread
+/// count.
 #[derive(Debug)]
-pub struct RcForest {
+pub(crate) struct RcForest {
     /// CSR offsets into the node slabs, one entry per net plus a sentinel.
     node_start: Vec<u32>,
     /// CSR offsets into `sink_delay` (per net: nodes − 1 sinks).
@@ -659,6 +446,11 @@ impl RcForest {
     /// keep their previous slabs — the incremental path. Bit-identical
     /// for every worker count (disjoint per-net slab segments, no
     /// cross-net arithmetic).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nets` is strictly ascending: a repeated net would
+    /// hand one slab segment to two workers at once.
     pub fn refresh(
         &mut self,
         design: &Design,
@@ -668,6 +460,10 @@ impl RcForest {
         skeleton: &RcSkeleton,
         workers: usize,
     ) {
+        assert!(
+            nets.windows(2).all(|w| w[0] < w[1]),
+            "RcForest::refresh needs strictly ascending net ids"
+        );
         let node_start = &self.node_start;
         let sink_start = &self.sink_start;
         let parent = UnsafeSlice::new(&mut self.parent);
@@ -682,7 +478,6 @@ impl RcForest {
             let mut scratch = pool.lock().expect("rc scratch pool").pop();
             if scratch.is_some() {
                 reuses.fetch_add(1, Ordering::Relaxed);
-                RC_SCRATCH_REUSES.fetch_add(1, Ordering::Relaxed);
             }
             let mut scratch = scratch.take().unwrap_or_default();
             for i in range {
@@ -692,8 +487,8 @@ impl RcForest {
                 let slo = sink_start[net.index()] as usize;
                 let n_sinks = sink_start[net.index() + 1] as usize - slo;
                 // SAFETY: each net's CSR segment belongs to exactly one
-                // chunk (nets are deduplicated by the caller), and chunks
-                // never overlap — all writes are disjoint.
+                // chunk (`nets` is strictly ascending, asserted above),
+                // and chunks never overlap — all writes are disjoint.
                 let load = unsafe {
                     refresh_net_into(
                         design,
@@ -730,11 +525,6 @@ impl RcForest {
         &self.sink_delay[lo..hi]
     }
 
-    /// Number of nets the forest covers.
-    pub fn num_nets(&self) -> usize {
-        self.net_load.len()
-    }
-
     /// Resident slab capacity in bytes (CSR offsets + node slabs + per-net
     /// results) — the arena's whole footprint, visible in reports so the
     /// allocation trade is observable.
@@ -757,8 +547,7 @@ impl RcForest {
 }
 
 /// Rebuilds one net's tree into its slab segment and solves its Elmore
-/// delays; returns the driver load. The shared kernels guarantee the
-/// bits match a standalone [`RcTree`] for the same inputs.
+/// delays; returns the driver load.
 #[allow(clippy::too_many_arguments)]
 fn refresh_net_into(
     design: &Design,
@@ -860,12 +649,32 @@ mod tests {
         (d, p, net, inv_cap)
     }
 
+    /// A forest with every net of `d` refreshed once under `params`.
+    fn refreshed(d: &Design, p: &Placement, params: &RcParams) -> RcForest {
+        let all: Vec<NetId> = d.net_ids().collect();
+        let mut forest = RcForest::new(d);
+        forest.refresh(d, p, &all, params, &RcSkeleton::build(d), 1);
+        forest
+    }
+
+    /// Wirelength of `net`'s tree: each segment adds `cap_per_unit ·
+    /// length` to the driver load on top of the `sinks` pin caps.
+    fn wirelength(
+        forest: &RcForest,
+        net: NetId,
+        sinks: usize,
+        sink_cap: f64,
+        params: &RcParams,
+    ) -> f64 {
+        (forest.net_load(net) - sinks as f64 * sink_cap) / params.cap_per_unit
+    }
+
     #[test]
     fn star_two_pin_elmore_matches_hand_formula() {
         let (d, p, net, sink_cap) = fanout_net(&[(100.0, 0.0)]);
         let params = RcParams::default();
-        let tree = RcTree::build(&d, &p, net, &params);
-        let delays = tree.elmore_delays();
+        let forest = refreshed(&d, &p, &params);
+        let delays = forest.sink_delays(net);
         assert_eq!(delays.len(), 1);
         let len = 100.0;
         let r = params.res_per_unit * len;
@@ -877,7 +686,7 @@ mod tests {
             "got {} expected {expected}",
             delays[0]
         );
-        assert!((tree.total_load() - (cw + sink_cap)).abs() < 1e-9);
+        assert!((forest.net_load(net) - (cw + sink_cap)).abs() < 1e-9);
     }
 
     #[test]
@@ -885,7 +694,7 @@ mod tests {
         let params = RcParams::default();
         let delay_at = |dist: f64| {
             let (d, p, net, _) = fanout_net(&[(dist, 0.0)]);
-            RcTree::build(&d, &p, net, &params).elmore_delays()[0]
+            refreshed(&d, &p, &params).sink_delays(net)[0]
         };
         let d1 = delay_at(100.0);
         let d2 = delay_at(200.0);
@@ -897,65 +706,38 @@ mod tests {
     #[test]
     fn mst_never_longer_than_star() {
         let sinks = [(100.0, 0.0), (110.0, 10.0), (120.0, -5.0), (-50.0, 30.0)];
-        let (d, p, net, _) = fanout_net(&sinks);
+        let (d, p, net, cap) = fanout_net(&sinks);
         let star = RcParams::default();
         let mst = RcParams::default().with_topology(NetTopology::SteinerMst);
-        let t_star = RcTree::build(&d, &p, net, &star);
-        let t_mst = RcTree::build(&d, &p, net, &mst);
-        assert!(t_mst.wirelength(&mst) <= t_star.wirelength(&star) + 1e-9);
+        let f_star = refreshed(&d, &p, &star);
+        let f_mst = refreshed(&d, &p, &mst);
+        let wl_star = wirelength(&f_star, net, sinks.len(), cap, &star);
+        let wl_mst = wirelength(&f_mst, net, sinks.len(), cap, &mst);
+        assert!(wl_mst <= wl_star + 1e-9);
         // Clustered sinks make the MST strictly shorter.
-        assert!(t_mst.wirelength(&mst) < t_star.wirelength(&star));
-        assert_eq!(t_mst.elmore_delays().len(), sinks.len());
+        assert!(wl_mst < wl_star, "mst {wl_mst} vs star {wl_star}");
+        assert_eq!(f_mst.sink_delays(net).len(), sinks.len());
     }
 
     #[test]
     fn mst_chain_has_increasing_delays() {
         // Three sinks in a line: the farther sink accumulates delay through
         // the nearer ones in the MST topology.
-        let (d, p, net, _) = fanout_net(&[(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)]);
+        let (d, p, net, cap) = fanout_net(&[(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)]);
         let params = RcParams::default().with_topology(NetTopology::SteinerMst);
-        let tree = RcTree::build(&d, &p, net, &params);
-        let delays = tree.elmore_delays();
+        let forest = refreshed(&d, &p, &params);
+        let delays = forest.sink_delays(net);
         assert!(delays[0] < delays[1] && delays[1] < delays[2]);
         // Chain wirelength equals the span.
-        assert!((tree.wirelength(&params) - 300.0).abs() < 1e-9);
+        assert!((wirelength(&forest, net, 3, cap, &params) - 300.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_length_net_has_zero_wire_delay() {
         let (d, p, net, sink_cap) = fanout_net(&[(0.0, 0.0)]);
-        let tree = RcTree::build(&d, &p, net, &RcParams::default());
-        assert_eq!(tree.elmore_delays()[0], 0.0);
-        assert!((tree.total_load() - sink_cap).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forest_matches_per_net_trees_bitwise() {
-        let sinks = [(100.0, 0.0), (110.0, 10.0), (120.0, -5.0), (-50.0, 30.0)];
-        let (d, p, _, _) = fanout_net(&sinks);
-        let skeleton = RcSkeleton::build(&d);
-        let all: Vec<NetId> = d.net_ids().collect();
-        for topology in [NetTopology::Star, NetTopology::SteinerMst] {
-            let params = RcParams::default().with_topology(topology);
-            for workers in [1, 4] {
-                let mut forest = RcForest::new(&d);
-                forest.refresh(&d, &p, &all, &params, &skeleton, workers);
-                for &net in &all {
-                    let tree = RcTree::build_with(&d, &p, net, &params, &skeleton);
-                    assert_eq!(
-                        forest.net_load(net).to_bits(),
-                        tree.total_load().to_bits(),
-                        "load of net {net:?} ({topology:?}, {workers} workers)"
-                    );
-                    let tree_delays = tree.elmore_delays();
-                    let forest_delays = forest.sink_delays(net);
-                    assert_eq!(tree_delays.len(), forest_delays.len());
-                    for (a, b) in tree_delays.iter().zip(forest_delays) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{topology:?}");
-                    }
-                }
-            }
-        }
+        let forest = refreshed(&d, &p, &RcParams::default());
+        assert_eq!(forest.sink_delays(net)[0], 0.0);
+        assert!((forest.net_load(net) - sink_cap).abs() < 1e-12);
     }
 
     #[test]
@@ -973,18 +755,11 @@ mod tests {
     }
 
     #[test]
-    fn rc_tree_build_counter_counts_both_construction_paths() {
-        let (d, p, net, _) = fanout_net(&[(10.0, 0.0)]);
-        let skeleton = RcSkeleton::build(&d);
-        let before = rc_tree_build_count();
-        let _ = RcTree::build(&d, &p, net, &RcParams::default());
-        let _ = RcTree::build_with(&d, &p, net, &RcParams::default(), &skeleton);
-        assert_eq!(rc_tree_build_count() - before, 2);
-        // A forest refresh constructs no trees.
-        let all: Vec<NetId> = d.net_ids().collect();
+    #[should_panic(expected = "strictly ascending")]
+    fn refresh_rejects_a_repeated_net() {
+        let (d, p, net, _) = fanout_net(&[(10.0, 0.0), (20.0, 5.0)]);
         let mut forest = RcForest::new(&d);
-        let before = rc_tree_build_count();
-        forest.refresh(&d, &p, &all, &RcParams::default(), &skeleton, 1);
-        assert_eq!(rc_tree_build_count(), before);
+        let params = RcParams::default();
+        forest.refresh(&d, &p, &[net, net], &params, &RcSkeleton::build(&d), 2);
     }
 }

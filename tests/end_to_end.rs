@@ -51,6 +51,22 @@ fn efficient_tdp_beats_wirelength_only_on_timing() {
         baseline.metrics.tns
     );
     assert!(ours.metrics.wns >= baseline.metrics.wns);
+
+    // The run's RC work reached its runtime breakdown: the objective's
+    // timing analyses plus the final evaluation refresh.
+    let rc = ours.runtime.rc;
+    assert!(
+        rc.refreshes >= 2,
+        "expected objective + evaluation refreshes, got {rc:?}"
+    );
+    assert!(
+        rc.nets_refreshed >= rc.refreshes,
+        "every refresh touches at least one net: {rc:?}"
+    );
+    assert!(
+        rc.slab_bytes > 0,
+        "forest slabs must be resident after a run: {rc:?}"
+    );
 }
 
 #[test]

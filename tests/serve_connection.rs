@@ -24,7 +24,7 @@ const DESIGN: &str = r#""params":{"name":"conn","seed":5}"#;
 
 /// The `metrics` field names in order: a format clients parse, pinned
 /// so that no refactor of the renderers reorders or renames a field.
-const METRICS_FIELDS: [&str; 42] = [
+const METRICS_FIELDS: [&str; 40] = [
     "ok",
     "cmd",
     "uptime_s",
@@ -44,8 +44,6 @@ const METRICS_FIELDS: [&str; 42] = [
     "cache_evictions",
     "event_streams",
     "graph_builds",
-    "rc_builds",
-    "rc_tree_builds",
     "rc_refreshes",
     "rc_nets_refreshed",
     "rc_scratch_reuses",
@@ -70,7 +68,7 @@ const METRICS_FIELDS: [&str; 42] = [
 ];
 
 /// The `metrics_text` `# TYPE` lines in order, pinned the same way.
-const METRICS_TEXT_TYPES: [&str; 37] = [
+const METRICS_TEXT_TYPES: [&str; 35] = [
     "tdp_serve_uptime_seconds gauge",
     "tdp_serve_workers gauge",
     "tdp_serve_jobs gauge",
@@ -89,8 +87,6 @@ const METRICS_TEXT_TYPES: [&str; 37] = [
     "tdp_serve_cache_evictions_total counter",
     "tdp_serve_event_streams_total counter",
     "tdp_serve_graph_builds_total counter",
-    "tdp_serve_rc_builds_total counter",
-    "tdp_serve_rc_tree_builds_total counter",
     "tdp_serve_rc_refreshes_total counter",
     "tdp_serve_rc_nets_refreshed_total counter",
     "tdp_serve_rc_scratch_reuses_total counter",
@@ -399,4 +395,63 @@ fn socket_free_connection_and_tcp_reply_the_same_bytes() {
     handle.shutdown();
     handle.join();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two servers in one process each count only their own work: a job and
+/// an ECO session on B move B's build and RC counters and leave A's at
+/// zero.
+#[test]
+fn each_server_counts_only_its_own_builds_and_rc_work() {
+    let a = Server::start(ServerConfig::default()).expect("server A starts");
+    let b = Server::start(ServerConfig::default()).expect("server B starts");
+    let mut on_a = Connection::new(&a);
+    let mut on_b = Connection::new(&b);
+    let reply = |conn: &mut Connection, line: &str| {
+        let text = local(conn, line);
+        let doc = tdp_jsonio::parse(text.trim_end()).expect("reply parses");
+        assert_eq!(doc.get("ok"), Some(&JsonValue::Bool(true)), "{text}");
+        doc
+    };
+    let count = |doc: &JsonValue, key: &str| {
+        doc.get(key)
+            .and_then(JsonValue::as_usize)
+            .unwrap_or_else(|| panic!("no {key} in {}", doc.encode()))
+    };
+
+    reply(&mut on_b, &submit("efficient-tdp"));
+    let done = reply(&mut on_b, r#"{"cmd":"wait","job":0}"#);
+    let report = done.get("report").expect("finished job has a report");
+    let job_refreshes = count(report, "rc_refreshes");
+    assert!(job_refreshes > 0, "{}", done.encode());
+    let after_job = reply(&mut on_b, r#"{"cmd":"metrics"}"#);
+
+    reply(&mut on_b, &format!(r#"{{"cmd":"eco_open",{DESIGN}}}"#));
+    reply(
+        &mut on_b,
+        r#"{"cmd":"eco_apply","deltas":[{"op":"move","cells":[[40,10.5,20.0]]}]}"#,
+    );
+    reply(
+        &mut on_b,
+        r#"{"cmd":"eco_query","mode":"incremental","paths":1}"#,
+    );
+    reply(&mut on_b, r#"{"cmd":"eco_close"}"#);
+    let after_eco = reply(&mut on_b, r#"{"cmd":"metrics"}"#);
+    let idle = reply(&mut on_a, r#"{"cmd":"metrics"}"#);
+
+    for key in ["graph_builds", "rc_refreshes", "rc_nets_refreshed"] {
+        assert_eq!(count(&idle, key), 0, "A ran nothing: {}", idle.encode());
+    }
+    assert_eq!(count(&after_eco, "graph_builds"), 1, "one design on B");
+    assert!(count(&after_job, "rc_refreshes") >= job_refreshes);
+    assert!(
+        count(&after_eco, "rc_refreshes") > count(&after_job, "rc_refreshes"),
+        "the ECO session's refreshes count at close: {}",
+        after_eco.encode()
+    );
+
+    drop((on_a, on_b));
+    for handle in [a, b] {
+        handle.shutdown();
+        handle.join();
+    }
 }

@@ -1,12 +1,13 @@
 //! Setup-amortization proof: one `Session` running the full 4-method
-//! matrix performs timing-graph and RC-skeleton construction exactly
-//! once, while cold per-method sessions pay it per run.
+//! matrix performs timing-graph and RC-skeleton construction (one
+//! `Sta::build_parts`, counted by `graph_build_count`) exactly once,
+//! while cold per-method sessions pay it per run.
 //!
 //! This file holds a single test on purpose: the construction counters
 //! are process-wide, so no other test may run in this binary.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
-use efficient_tdp::sta::{graph_build_count, rc_skeleton_build_count};
+use efficient_tdp::sta::graph_build_count;
 use efficient_tdp::tdp_core::{FlowBuilder, FlowConfig, FlowSpec, ObjectiveSpec, Session};
 
 const METHODS: [ObjectiveSpec; 4] = [
@@ -36,9 +37,8 @@ fn spec(objective: ObjectiveSpec) -> FlowSpec {
 fn session_builds_graph_and_rc_data_exactly_once_for_the_matrix() {
     let (design, pads) = generate(&CircuitParams::small("cnt", 61));
 
-    // One session, four methods: exactly one graph + one skeleton build.
+    // One session, four methods: exactly one graph + skeleton build.
     let graphs_before = graph_build_count();
-    let skeletons_before = rc_skeleton_build_count();
     let mut session = Session::builder(design.clone(), pads.clone())
         .build()
         .unwrap();
@@ -51,17 +51,11 @@ fn session_builds_graph_and_rc_data_exactly_once_for_the_matrix() {
         1,
         "the session must build the timing graph exactly once for the whole matrix"
     );
-    assert_eq!(
-        rc_skeleton_build_count() - skeletons_before,
-        1,
-        "the session must build the RC skeleton exactly once for the whole matrix"
-    );
 
     // Four cold runs — a fresh session per method, the shape a naive
     // caller produces: the setup is paid per run, one graph + one
     // skeleton each.
     let graphs_before = graph_build_count();
-    let skeletons_before = rc_skeleton_build_count();
     let mut cold = Vec::new();
     for method in METHODS {
         let mut one_shot = Session::builder(design.clone(), pads.clone())
@@ -70,7 +64,6 @@ fn session_builds_graph_and_rc_data_exactly_once_for_the_matrix() {
         cold.push(one_shot.run(&spec(method)).unwrap());
     }
     assert_eq!(graph_build_count() - graphs_before, 4);
-    assert_eq!(rc_skeleton_build_count() - skeletons_before, 4);
 
     // And despite the amortization, the outcomes agree to the last bit.
     for (a, b) in shared.iter().zip(&cold) {

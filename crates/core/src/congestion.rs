@@ -3,15 +3,15 @@
 //! [`CongestionAwareObjective`] layers a differentiable routability
 //! penalty on top of the paper's [`EfficientTdpObjective`]: on the same
 //! schedule the timing analyses run, it refreshes a RUDY
-//! [`CongestionAnalyzer`] — incrementally, re-rasterizing only the nets
-//! the engine's [`netlist::MoveTracker`] reports as moved — and freezes
-//! each net's **exposure** (the smoothed per-bin overflow its bounding
-//! box overlaps, see [`CongestionAnalyzer::exposures`]). Between
-//! refreshes, [`TimingObjective::accumulate_gradient`] adds a
-//! bounding-box shrink force: for every exposed net the penalty
-//! `weight · exposure · (w + h)` pulls the bbox-extreme pins inward,
-//! draining wire demand out of overflowing bins while leaving
-//! congestion-free nets untouched.
+//! [`CongestionAnalyzer`] — incrementally, re-rasterizing only the dirty
+//! nets of the change set the inner objective took from the engine's
+//! [`netlist::MoveTracker`] — and freezes each net's **exposure** (the
+//! smoothed per-bin overflow its bounding box overlaps, see
+//! [`CongestionAnalyzer::exposures`]). Between refreshes,
+//! [`TimingObjective::accumulate_gradient`] adds a bounding-box shrink
+//! force: for every exposed net the penalty `weight · exposure · (w + h)`
+//! pulls the bbox-extreme pins inward, draining wire demand out of
+//! overflowing bins while leaving congestion-free nets untouched.
 //!
 //! Determinism matches the rest of the flow: the per-net penalty phase
 //! partitions work into thread-count-independent chunks with an ordered
@@ -126,24 +126,17 @@ impl TimingObjective for CongestionAwareObjective {
         placement: &Placement,
         moves: &mut MoveTracker,
     ) {
-        let scheduled = self.inner.cfg.is_timing_iteration(iter);
-        // Capture the dirty set *before* the inner objective consumes it
-        // (its incremental STA rebases the tracker): both estimators
-        // then see the identical moved-cell set.
-        let moved = if scheduled && self.analyzer.is_analyzed() {
-            Some(moves.moved_cells(placement))
-        } else {
-            None
-        };
         self.inner.begin_iteration(iter, design, placement, moves);
-        if scheduled {
+        if self.inner.cfg.is_timing_iteration(iter) {
+            // The inner objective took this iteration's change set from
+            // the tracker: both estimators see the identical one.
             let t = Instant::now();
-            match moved {
-                Some(cells) => {
-                    self.analyzer.analyze_incremental(design, placement, &cells);
-                    self.incremental_updates += 1;
-                }
-                None => self.analyzer.analyze(design, placement),
+            if self.analyzer.is_analyzed() {
+                self.analyzer
+                    .analyze_changes(design, placement, self.inner.changes());
+                self.incremental_updates += 1;
+            } else {
+                self.analyzer.analyze(design, placement);
             }
             self.congestion_time += t.elapsed();
             let report = self.analyzer.summary();

@@ -9,11 +9,11 @@
 //!
 //! The paper's method ([`EfficientTdpObjective`]) runs one full STA at
 //! its first timing iteration and **incremental** analyses afterwards:
-//! the placement engine's [`netlist::MoveTracker`] reports which cells
-//! moved since the previous timing call, and only the nets they touch
-//! get their RC trees rebuilt. With the default zero move threshold the
-//! incremental results are bit-identical to a full analysis, so this is
-//! purely a runtime optimization. RC refresh, both propagation passes
+//! the placement engine's [`netlist::MoveTracker`] hands over the cells
+//! moved since the previous timing call and the nets they touch as one
+//! [`netlist::DirtySummary`], and only those nets get their RC trees
+//! rebuilt. With the default zero move threshold the incremental results
+//! are bit-identical to a full analysis, a pure runtime optimization. RC refresh, both propagation passes
 //! and the pin-pair gradient all parallelize across
 //! [`FlowConfig::threads`] workers with thread-count-invariant results.
 
@@ -22,7 +22,7 @@ use crate::extraction::extract_pin_pairs;
 use crate::metrics::Metrics;
 use crate::objective::SessionObjective;
 use crate::pinpair::PinPairSet;
-use netlist::{Design, MoveTracker, PinId, Placement};
+use netlist::{Design, DirtySummary, MoveTracker, PinId, Placement};
 use parx::UnsafeSlice;
 use placer::TimingObjective;
 use sta::Sta;
@@ -185,14 +185,15 @@ pub struct FlowOutcome {
 
 /// The paper's objective: pin-to-pin attraction over extracted paths.
 ///
-/// The first timing iteration runs a full [`Sta::analyze`]; every later
-/// one runs [`Sta::analyze_incremental`] over the cells the engine's
-/// [`MoveTracker`] reports, rebasing the tracker afterwards. The pin-pair
-/// gradient is evaluated through a cell-incidence index so each cell
-/// accumulates its own contributions — deterministic for any worker
-/// count.
+/// Every timing iteration takes its change set from the engine's
+/// [`MoveTracker`]; the first then runs a full [`Sta::analyze`], every
+/// later one [`Sta::analyze_changes`] over that set. The pin-pair gradient
+/// is evaluated through a cell-incidence index so each cell accumulates
+/// its own contributions — deterministic for any worker count.
 pub struct EfficientTdpObjective {
     sta: Sta,
+    /// The change set of the latest timing iteration, rebuilt in place.
+    changes: DirtySummary,
     pub(crate) cfg: FlowConfig,
     pairs: PinPairSet,
     /// Pin-pair snapshot + cell incidence, rebuilt when `pairs` changes.
@@ -211,6 +212,7 @@ impl EfficientTdpObjective {
     pub fn new(sta: Sta, cfg: FlowConfig) -> Self {
         Self {
             sta,
+            changes: DirtySummary::default(),
             cfg,
             pairs: PinPairSet::new(),
             grad_index: PairGradIndex::default(),
@@ -226,6 +228,11 @@ impl EfficientTdpObjective {
     /// first, unless analyses never ran).
     pub fn incremental_analyses(&self) -> usize {
         self.incremental_analyses
+    }
+
+    /// The change set the latest timing iteration took from the tracker.
+    pub(crate) fn changes(&self) -> &DirtySummary {
+        &self.changes
     }
 }
 
@@ -255,14 +262,13 @@ impl TimingObjective for EfficientTdpObjective {
             return;
         }
         let t = Instant::now();
+        moves.take_changes(design, placement, &mut self.changes);
         if self.sta.is_analyzed() {
-            let moved = moves.moved_cells(placement);
-            self.sta.analyze_incremental(design, placement, &moved);
+            self.sta.analyze_changes(design, placement, &self.changes);
             self.incremental_analyses += 1;
         } else {
             self.sta.analyze(design, placement);
         }
-        moves.rebase(placement);
         self.sta_time += t.elapsed();
         let summary = self.sta.summary();
         self.timing_trace.push((iter, summary.tns, summary.wns));

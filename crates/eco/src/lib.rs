@@ -721,22 +721,23 @@ impl EcoSession {
                 }
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
         (inverse, touched)
     }
 
-    /// One analysis pass over the current state in `mode`, timing it
-    /// into the matching stats counter. `touched` is the union of cells
-    /// the preceding mutations displaced or retyped.
-    fn analyze_in(&mut self, mode: EcoMode, touched: &[CellId]) {
+    /// Re-answers from the current state through an explicit analysis
+    /// path (e.g. a full-path cross-check of an incremental answer)
+    /// without changing the session mode, timing the pass into the
+    /// matching stats counter. Incremental re-analysis reads the change
+    /// set of the last apply or revert.
+    pub fn reanalyze(&mut self, mode: EcoMode) {
         let start = Instant::now();
         match mode {
             EcoMode::Incremental => {
+                let changes = &self.last_dirty;
                 self.sta
-                    .analyze_incremental(&self.design, &self.placement, touched);
+                    .analyze_changes(&self.design, &self.placement, changes);
                 self.congestion
-                    .analyze_incremental(&self.design, &self.placement, touched);
+                    .analyze_changes(&self.design, &self.placement, changes);
             }
             EcoMode::Full => {
                 self.sta.analyze(&self.design, &self.placement);
@@ -763,9 +764,9 @@ impl EcoSession {
         self.validate(batch)?;
         let (inverse, touched) = self.mutate(batch.deltas());
         self.journal.push(inverse);
-        self.last_dirty = DirtySummary::from_moved_cells(&self.design, &touched);
+        self.last_dirty.rebuild(&self.design, &touched);
         self.stats.dirty_nets += self.last_dirty.dirty_nets.len() as u64;
-        self.analyze_in(self.mode, &touched);
+        self.reanalyze(self.mode);
         Ok(self.last_dirty.clone())
     }
 
@@ -830,20 +831,16 @@ impl EcoSession {
                 }
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
-        self.last_dirty = DirtySummary::from_moved_cells(&self.design, &touched);
-        self.analyze_in(self.mode, &touched);
+        self.last_dirty.rebuild(&self.design, &touched);
+        self.reanalyze(self.mode);
         Ok(())
     }
 
-    /// Re-answers from the current state through an explicit analysis
-    /// path (e.g. a full-path cross-check of an incremental answer)
-    /// without changing the session mode. Incremental re-analysis
-    /// reuses the last batch's touched set.
-    pub fn reanalyze(&mut self, mode: EcoMode) {
-        let touched = self.last_dirty.moved_cells.clone();
-        self.analyze_in(mode, &touched);
+    /// The change set of the last [`EcoSession::apply`] or
+    /// [`EcoSession::revert_to`]: the cells it moved or retyped and the
+    /// nets incident to them (empty for a fresh session).
+    pub fn last_changes(&self) -> &DirtySummary {
+        &self.last_dirty
     }
 
     /// Reads out the current analysis: timing and congestion summaries,

@@ -168,16 +168,17 @@ impl Placement {
 /// Tracks which cells moved since a reference snapshot — the feed for
 /// incremental timing analysis.
 ///
-/// The placement engine rebases the tracker every time the timing
-/// objective consumes the moved set. "Moved" means "displaced more than
-/// `threshold` (Manhattan) since the cell's position was last consumed":
-/// [`MoveTracker::rebase`] only advances the reference of cells that
-/// currently exceed the threshold, so sub-threshold drift keeps
-/// accumulating across rebases and is reported once the *total* drift
-/// crosses the threshold — a slowly creeping cell can never escape
-/// refresh forever. With a threshold of 0 every nonzero displacement is
-/// reported and incremental analysis stays bit-identical to a full one;
-/// a positive threshold trades exactness for fewer RC rebuilds.
+/// The placement engine hands the tracker to the timing objective, which
+/// calls [`MoveTracker::take_changes`] every time it consumes the moved
+/// set. "Moved" means "displaced more than `threshold` (Manhattan) since
+/// the cell's position was last taken": `take_changes` only advances the
+/// reference of cells that currently exceed the threshold, so
+/// sub-threshold drift keeps accumulating across calls and is reported
+/// once the *total* drift crosses the threshold — a slowly creeping cell
+/// can never escape refresh forever. With a threshold of 0 every nonzero
+/// displacement is reported and incremental analysis stays bit-identical
+/// to a full one; a positive threshold trades exactness for fewer RC
+/// rebuilds.
 #[derive(Debug, Clone)]
 pub struct MoveTracker {
     base_x: Vec<f64>,
@@ -201,40 +202,32 @@ impl MoveTracker {
         self.threshold
     }
 
-    /// Cells displaced more than the threshold since the last rebase,
-    /// sorted by cell index.
+    /// Rebuilds `changes` in place from the cells displaced more than the
+    /// threshold since they were last taken, and advances only their
+    /// references, so sub-threshold drift keeps accumulating. One pass.
     ///
     /// # Panics
     ///
     /// Panics if `placement` covers a different cell count than the
     /// snapshot.
-    pub fn moved_cells(&self, placement: &Placement) -> Vec<CellId> {
+    pub fn take_changes(
+        &mut self,
+        design: &Design,
+        placement: &Placement,
+        changes: &mut DirtySummary,
+    ) {
         assert_eq!(placement.len(), self.base_x.len(), "placement size changed");
-        let mut moved = Vec::new();
-        for i in 0..self.base_x.len() {
-            let d =
-                (placement.x[i] - self.base_x[i]).abs() + (placement.y[i] - self.base_y[i]).abs();
-            if d > self.threshold {
-                moved.push(CellId::new(i));
-            }
-        }
-        moved
-    }
-
-    /// Advances the reference state of every cell currently reported by
-    /// [`MoveTracker::moved_cells`], leaving sub-threshold drift in
-    /// place so it still accumulates toward the threshold. Call after
-    /// consuming the moved set.
-    pub fn rebase(&mut self, placement: &Placement) {
-        assert_eq!(placement.len(), self.base_x.len(), "placement size changed");
+        changes.moved_cells.clear();
         for i in 0..self.base_x.len() {
             let d =
                 (placement.x[i] - self.base_x[i]).abs() + (placement.y[i] - self.base_y[i]).abs();
             if d > self.threshold {
                 self.base_x[i] = placement.x[i];
                 self.base_y[i] = placement.y[i];
+                changes.moved_cells.push(CellId::new(i));
             }
         }
+        changes.collect_dirty_nets(design);
     }
 }
 
@@ -251,16 +244,17 @@ pub struct CellMove {
     pub y: f64,
 }
 
-/// What a batch of applied moves dirtied: the input contract of the
-/// incremental analyses.
+/// What a batch of edits dirtied: the one change set every incremental
+/// analysis consumes (`Sta::analyze_changes`,
+/// `CongestionAnalyzer::analyze_changes`, the ECO session and the
+/// placement engine's timing hook).
 ///
-/// Both lists are sorted by index and deduplicated, matching the order
-/// [`MoveTracker::moved_cells`] reports and the order incremental STA
-/// expects, so a `DirtySummary` can be fed straight into
-/// `Sta::analyze_incremental` / `CongestionAnalyzer::analyze_incremental`.
+/// Both lists are sorted by index and deduplicated.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtySummary {
-    /// Cells whose coordinates changed, sorted by cell index, deduplicated.
+    /// Cells whose coordinates or master changed (an ECO resize lists the
+    /// retyped cell here too: its gate arcs must be re-timed), sorted by
+    /// cell index, deduplicated.
     pub moved_cells: Vec<CellId>,
     /// Nets with at least one pin on a moved cell, sorted, deduplicated.
     pub dirty_nets: Vec<NetId>,
@@ -270,23 +264,34 @@ impl DirtySummary {
     /// Builds the summary for a set of moved cells: sorts and dedups the
     /// cells, then collects every net incident to them, sorted and deduped.
     pub fn from_moved_cells(design: &Design, moved: &[CellId]) -> Self {
-        let mut moved_cells = moved.to_vec();
-        moved_cells.sort_unstable();
-        moved_cells.dedup();
-        let mut dirty_nets = Vec::new();
-        for &cell in &moved_cells {
+        let mut summary = Self::default();
+        summary.rebuild(design, moved);
+        summary
+    }
+
+    /// [`DirtySummary::from_moved_cells`] in place: `moved` may be in any
+    /// order and repeat cells; both lists keep their capacity, so a
+    /// steady-state rebuild allocates nothing.
+    pub fn rebuild(&mut self, design: &Design, moved: &[CellId]) {
+        self.moved_cells.clear();
+        self.moved_cells.extend_from_slice(moved);
+        self.moved_cells.sort_unstable();
+        self.moved_cells.dedup();
+        self.collect_dirty_nets(design);
+    }
+
+    /// Recomputes `dirty_nets` from `moved_cells`.
+    fn collect_dirty_nets(&mut self, design: &Design) {
+        self.dirty_nets.clear();
+        for &cell in &self.moved_cells {
             for &pin in &design.cell(cell).pins {
                 if let Some(net) = design.pin(pin).net {
-                    dirty_nets.push(net);
+                    self.dirty_nets.push(net);
                 }
             }
         }
-        dirty_nets.sort_unstable();
-        dirty_nets.dedup();
-        Self {
-            moved_cells,
-            dirty_nets,
-        }
+        self.dirty_nets.sort_unstable();
+        self.dirty_nets.dedup();
     }
 }
 
@@ -357,40 +362,45 @@ mod tests {
     }
 
     #[test]
-    fn move_tracker_reports_and_rebases() {
+    fn move_tracker_takes_changes_and_keeps_sub_threshold_drift() {
         let (d, u1, u2) = two_inv_design();
         let mut p = Placement::new(&d);
         p.set(u1, 10.0, 10.0);
         p.set(u2, 50.0, 50.0);
+        let mut changes = DirtySummary::default();
+        let mut take = |tracker: &mut MoveTracker, p: &Placement| {
+            tracker.take_changes(&d, p, &mut changes);
+            assert_eq!(
+                changes,
+                DirtySummary::from_moved_cells(&d, &changes.moved_cells)
+            );
+            changes.moved_cells.clone()
+        };
         let mut tracker = MoveTracker::new(&p, 1.0);
-        assert!(tracker.moved_cells(&p).is_empty());
+        assert!(take(&mut tracker, &p).is_empty());
 
         // Sub-threshold drift is invisible; a real move is reported.
         p.set(u1, 10.4, 10.4); // Manhattan 0.8 <= 1.0
-        assert!(tracker.moved_cells(&p).is_empty());
+        assert!(take(&mut tracker, &p).is_empty());
         p.set(u2, 60.0, 50.0);
-        assert_eq!(tracker.moved_cells(&p), vec![u2]);
+        assert_eq!(take(&mut tracker, &p), vec![u2]);
 
-        // Rebase forgets consumed moves but keeps sub-threshold drift.
-        tracker.rebase(&p);
-        assert!(tracker.moved_cells(&p).is_empty());
+        // Taking forgets consumed moves but keeps sub-threshold drift.
+        assert!(take(&mut tracker, &p).is_empty());
 
         // A second sub-threshold step pushes the *accumulated* drift of
         // u1 over the threshold: 0.8 + 0.8 = 1.6 > 1.0. A tracker that
-        // snapshotted everything at rebase would miss this forever.
+        // snapshotted everything on every take would miss this forever.
         p.set(u1, 10.8, 10.8);
-        assert_eq!(tracker.moved_cells(&p), vec![u1]);
-        tracker.rebase(&p);
-        assert!(tracker.moved_cells(&p).is_empty());
+        assert_eq!(take(&mut tracker, &p), vec![u1]);
+        assert!(take(&mut tracker, &p).is_empty());
 
         // Zero threshold reports any nonzero displacement, sorted.
         let mut exact = MoveTracker::new(&p, 0.0);
         p.set(u2, 60.0, 50.0 + 1e-12);
         p.set(u1, 10.4 - 1e-12, 10.4);
-        let moved = exact.moved_cells(&p);
-        assert_eq!(moved, vec![u1, u2]);
-        exact.rebase(&p);
-        assert!(exact.moved_cells(&p).is_empty());
+        assert_eq!(take(&mut exact, &p), vec![u1, u2]);
+        assert!(take(&mut exact, &p).is_empty());
     }
 
     #[test]
@@ -405,6 +415,15 @@ mod tests {
         assert_eq!(
             dirty.dirty_nets,
             vec![net("n1").unwrap(), net("n2").unwrap()]
+        );
+        // An in-place rebuild replaces both lists.
+        let mut reused = dirty.clone();
+        let u1 = d.find_cell("u1").unwrap();
+        reused.rebuild(&d, &[u1]);
+        assert_eq!(reused, DirtySummary::from_moved_cells(&d, &[u1]));
+        assert_eq!(
+            reused.dirty_nets,
+            vec![net("n0").unwrap(), net("n1").unwrap()]
         );
     }
 

@@ -22,11 +22,12 @@ use netlist::{CellId, Design, MoveTracker, Placement};
 ///    to add extra gradient terms.
 ///
 /// The tracker reports which cells moved more than the configured
-/// threshold since its last rebase. An objective that runs incremental
-/// timing reads [`MoveTracker::moved_cells`] and calls
-/// [`MoveTracker::rebase`] whenever it consumes the set; objectives that
-/// run full analyses (or none) simply ignore it, and moves keep
-/// accumulating until somebody consumes them.
+/// threshold since they were last taken. An objective that runs
+/// incremental timing calls [`MoveTracker::take_changes`] whenever it
+/// consumes the set, getting the moved cells and their dirty nets as one
+/// [`netlist::DirtySummary`]; objectives that run full analyses (or none)
+/// simply ignore it, and moves keep accumulating until somebody takes
+/// them.
 pub trait TimingObjective {
     /// Observes the solution at the start of iteration `iter`; a good place
     /// to run STA every m-th iteration.
@@ -301,8 +302,8 @@ impl GlobalPlacer {
             .unwrap_or_else(|| self.placement.clone());
         let mut iterations = 0;
         let threads = self.config.threads;
-        // Seeded from the initial solution; the timing objective rebases
-        // it whenever it consumes the moved-cell set.
+        // Seeded from the initial solution; the timing objective takes
+        // the change set from it whenever it consumes the moved cells.
         self.write_solution(opt.solution());
         let mut moves = MoveTracker::new(&self.placement, self.config.move_threshold);
         let wl_scratch = &mut bufs.wl;

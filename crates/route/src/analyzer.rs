@@ -6,12 +6,11 @@
 //!   into thread-count-independent chunks and every per-bin reduction
 //!   sums its contributions in net order, so the resulting map is
 //!   **bit-identical for every thread count**.
-//! * [`CongestionAnalyzer::analyze_incremental`] re-rasterizes only the
-//!   nets touched by a moved-cell set (the same
-//!   [`netlist::MoveTracker`] feed the incremental STA consumes) and
-//!   recomputes only the affected bins — again summing per bin in net
-//!   order, so the incremental map is **bitwise identical** to a full
-//!   analysis of the same placement.
+//! * [`CongestionAnalyzer::analyze_changes`] re-rasterizes only the
+//!   dirty nets and moved cells of a [`DirtySummary`] (the same change
+//!   set the incremental STA consumes) and recomputes only the affected
+//!   bins — again summing per bin in net order, so the incremental map
+//!   is **bitwise identical** to a full analysis of the same placement.
 //!
 //! Both passes share one rasterization kernel and one reduction kernel;
 //! they differ only in phase 2, which rebuilds the per-bin lists: the
@@ -27,20 +26,22 @@
 use crate::geom::Geom;
 use crate::layer::Layer;
 use crate::{CongestionMap, CongestionReport, RouteConfig};
-use netlist::{CellId, Design, NetId, Placement};
+use netlist::{CellId, Design, DirtySummary, NetId, Placement};
 use parx::UnsafeSlice;
 
 /// Runs `body(id, &mut slots[id])` through one named [`parx`] kernel on
-/// up to `threads` workers for every id in `ids` (every slot when `None`).
+/// up to `threads` workers for every id in `ids` (every slot when `None`),
+/// `slot` mapping an id to its index.
 ///
 /// # Panics
 ///
 /// Panics unless `ids` is strictly ascending and in bounds — the
 /// condition that hands each slot to one chunk alone.
-fn for_each_slot<T: Send>(
+fn for_each_slot<T: Send, I: Copy + Ord + Sync>(
     threads: usize,
     slots: &mut [T],
-    ids: Option<&[u32]>,
+    ids: Option<&[I]>,
+    slot: fn(I) -> usize,
     min_chunk: usize,
     name: &'static str,
     body: impl Fn(usize, &mut T) + Sync,
@@ -48,16 +49,16 @@ fn for_each_slot<T: Send>(
     if let Some(ids) = ids {
         assert!(
             ids.windows(2).all(|w| w[0] < w[1])
-                && ids.last().is_none_or(|&id| (id as usize) < slots.len()),
+                && ids.last().is_none_or(|&id| slot(id) < slots.len()),
             "slot ids must be strictly ascending and in bounds"
         );
     }
-    let n = ids.map_or(slots.len(), <[u32]>::len);
+    let n = ids.map_or(slots.len(), <[I]>::len);
     let slots = UnsafeSlice::new(slots);
     let workers = parx::resolve_threads(threads);
     parx::par_for_named(workers, n, min_chunk, name, |range| {
         for k in range {
-            let id = ids.map_or(k, |ids| ids[k] as usize);
+            let id = ids.map_or(k, |ids| slot(ids[k]));
             // SAFETY: `id` is in bounds and, ids being distinct (checked
             // above), no other chunk touches slot `id`.
             body(id, unsafe { &mut slots.slice_mut(id, 1)[0] });
@@ -68,15 +69,10 @@ fn for_each_slot<T: Send>(
 /// The RUDY congestion estimator: full and incremental rasterization of
 /// a design's routing demand onto a [`CongestionMap`], bit-identical
 /// across thread counts and across the full-vs-incremental axis.
-/// Construction walks the design once, building the cell → nets index
-/// the incremental path consumes.
 #[derive(Debug)]
 pub struct CongestionAnalyzer {
     cfg: RouteConfig,
     threads: usize,
-    /// CSR cell → nets (sorted, deduplicated per cell).
-    cell_net_start: Vec<u32>,
-    cell_nets: Vec<u32>,
     /// Wire demand, one raster per net.
     nets: Layer,
     /// Per-net extent-floored half-perimeter (0 for sub-2-pin nets).
@@ -109,24 +105,8 @@ impl CongestionAnalyzer {
         cfg.validate().expect("validated route configuration");
         let geom = Geom::new(design, &cfg);
         let (num_cells, num_nets) = (design.num_cells(), design.num_nets());
-        // Cell → nets CSR, sorted and deduplicated per cell.
-        let mut per_cell: Vec<Vec<u32>> = vec![Vec::new(); num_cells];
-        for net in design.net_ids() {
-            for &p in &design.net(net).pins {
-                per_cell[design.pin(p).cell.index()].push(net.index() as u32);
-            }
-        }
-        let (mut cell_net_start, mut cell_nets) = (vec![0u32], Vec::new());
-        for nets in &mut per_cell {
-            nets.sort_unstable();
-            nets.dedup();
-            cell_nets.extend_from_slice(nets);
-            cell_net_start.push(cell_nets.len() as u32);
-        }
         Self {
             threads: 1,
-            cell_net_start,
-            cell_nets,
             nets: Layer::new(num_nets, geom.num_bins()),
             net_perimeter: vec![0.0; num_nets],
             cells: Layer::new(num_cells, geom.num_bins()),
@@ -219,7 +199,7 @@ impl CongestionAnalyzer {
         self.analyzed = true;
     }
 
-    /// Bin indices (row-major) the last [`CongestionAnalyzer::analyze_incremental`]
+    /// Bin indices (row-major) the last [`CongestionAnalyzer::analyze_changes`]
     /// re-reduced, sorted ascending and deduplicated — the "touched bins"
     /// of an ECO delta. Empty after a full [`CongestionAnalyzer::analyze`]
     /// (which touches every bin) and after a no-op incremental pass.
@@ -227,66 +207,63 @@ impl CongestionAnalyzer {
         &self.last_dirty_bins
     }
 
-    /// Incremental analysis: re-rasterizes only the nets touched by
-    /// `moved` cells (and the moved cells' pin overlays), splices the
-    /// per-bin lists, and re-reduces only the affected bins. Bitwise
-    /// identical to [`CongestionAnalyzer::analyze`] of the same
-    /// placement — with a zero-threshold tracker this is purely a
-    /// runtime optimization, exactly like the incremental STA.
+    /// Incremental analysis: re-rasterizes only the dirty nets and the
+    /// moved cells' pin overlays of `changes`, splices the per-bin lists,
+    /// and re-reduces only the affected bins. Bitwise identical to
+    /// [`CongestionAnalyzer::analyze`] of the same placement — with a
+    /// zero-threshold tracker this is purely a runtime optimization,
+    /// exactly like the incremental STA.
     ///
-    /// Falls back to a full analysis when none has run yet. `moved` may
-    /// be in any order; it is deduplicated internally.
+    /// Falls back to a full analysis when none has run yet.
+    pub fn analyze_changes(
+        &mut self,
+        design: &Design,
+        placement: &Placement,
+        changes: &DirtySummary,
+    ) {
+        if !self.analyzed {
+            return self.analyze(design, placement);
+        }
+        let (nets, cells) = (&changes.dirty_nets[..], &changes.moved_cells[..]);
+        if cells.is_empty() {
+            self.last_dirty_bins.clear();
+            return;
+        }
+        let _span = tdp_trace::span("route.incremental", "route");
+
+        // Touched bins: covered by a dirty raster before or after phase 1.
+        let mut touched: Vec<u32> = Vec::new();
+        self.nets.push_bins(nets, &mut touched);
+        self.cells.push_bins(cells, &mut touched);
+        self.rasterize(design, placement, Some((nets, cells)));
+        self.nets.push_bins(nets, &mut touched);
+        self.cells.push_bins(cells, &mut touched);
+        touched.sort_unstable();
+        touched.dedup();
+        self.nets.splice(nets, &touched);
+        self.cells.splice(cells, &touched);
+
+        // Fixed cells never move in a placement flow, so blockage is
+        // normally untouched here — but a caller that relocates one must
+        // still get a correct (and full-equivalent) map.
+        if cells.iter().any(|&c| design.cell(c).fixed) {
+            self.refresh_blockage(design, placement);
+        }
+        self.reduce_bins(Some(&touched));
+        self.exposure_stale = true;
+        self.last_dirty_bins = touched;
+    }
+
+    /// [`CongestionAnalyzer::analyze_changes`] for a plain list of moved
+    /// cells; `moved` may be in any order and repeat cells.
     pub fn analyze_incremental(
         &mut self,
         design: &Design,
         placement: &Placement,
         moved: &[CellId],
     ) {
-        if !self.analyzed {
-            return self.analyze(design, placement);
-        }
-        if moved.is_empty() {
-            self.last_dirty_bins.clear();
-            return;
-        }
-        let _span = tdp_trace::span("route.incremental", "route");
-
-        let mut dirty_cells: Vec<u32> = moved.iter().map(|c| c.index() as u32).collect();
-        dirty_cells.sort_unstable();
-        dirty_cells.dedup();
-        let mut dirty_nets: Vec<u32> = Vec::new();
-        let start = &self.cell_net_start;
-        for &c in &dirty_cells {
-            let c = c as usize;
-            dirty_nets.extend_from_slice(&self.cell_nets[start[c] as usize..start[c + 1] as usize]);
-        }
-        dirty_nets.sort_unstable();
-        dirty_nets.dedup();
-
-        // Touched bins: covered by a dirty raster before or after phase 1.
-        let mut touched: Vec<u32> = Vec::new();
-        self.nets.push_bins(&dirty_nets, &mut touched);
-        self.cells.push_bins(&dirty_cells, &mut touched);
-        self.rasterize(design, placement, Some((&dirty_nets, &dirty_cells)));
-        self.nets.push_bins(&dirty_nets, &mut touched);
-        self.cells.push_bins(&dirty_cells, &mut touched);
-        touched.sort_unstable();
-        touched.dedup();
-        self.nets.splice(&dirty_nets, &touched);
-        self.cells.splice(&dirty_cells, &touched);
-
-        // Fixed cells never move in a placement flow, so blockage is
-        // normally untouched here — but a caller that relocates one must
-        // still get a correct (and full-equivalent) map.
-        if dirty_cells
-            .iter()
-            .any(|&c| design.cell(CellId::new(c as usize)).fixed)
-        {
-            self.refresh_blockage(design, placement);
-        }
-        self.reduce_bins(Some(&touched));
-        self.exposure_stale = true;
-        self.last_dirty_bins = touched;
+        let changes = DirtySummary::from_moved_cells(design, moved);
+        self.analyze_changes(design, placement, &changes);
     }
 
     /// Phase 1: rasterizes the nets and cells listed in `dirty` (every
@@ -296,7 +273,7 @@ impl CongestionAnalyzer {
         &mut self,
         design: &Design,
         placement: &Placement,
-        dirty: Option<(&[u32], &[u32])>,
+        dirty: Option<(&[NetId], &[CellId])>,
     ) {
         let (geom, cfg) = (self.map.geom, self.cfg);
         let perimeters = UnsafeSlice::new(&mut self.net_perimeter);
@@ -305,6 +282,7 @@ impl CongestionAnalyzer {
             self.threads,
             &mut self.nets.entries,
             nets,
+            NetId::index,
             32,
             "route.rasterize.nets",
             |e, out| {
@@ -318,6 +296,7 @@ impl CongestionAnalyzer {
             self.threads,
             &mut self.cells.entries,
             cells,
+            CellId::index,
             64,
             "route.rasterize.cells",
             |c, out| geom.rasterize_cell(cfg.pin_weight, design, placement, CellId::new(c), out),
@@ -367,6 +346,7 @@ impl CongestionAnalyzer {
             self.threads,
             &mut self.map.demand,
             bins,
+            |bin| bin as usize,
             64,
             "route.reduce.bins",
             |b, demand| *demand = sum(&wire[b]) + sum(&pins[b]),

@@ -41,9 +41,9 @@ impl Layer {
     }
 
     /// Appends the bins the current rasters of `ids` cover to `out`.
-    pub(crate) fn push_bins(&self, ids: &[u32], out: &mut Vec<u32>) {
+    pub(crate) fn push_bins(&self, ids: &[impl Copy + Into<usize>], out: &mut Vec<u32>) {
         for &id in ids {
-            out.extend(self.entries[id as usize].iter().map(|&(bin, _)| bin));
+            out.extend(self.entries[id.into()].iter().map(|&(bin, _)| bin));
         }
     }
 
@@ -54,12 +54,13 @@ impl Layer {
     /// by id and never share one, so the ascending-id order the full
     /// scatter produces — and so the summation order — is preserved
     /// while every list is scanned exactly once.
-    pub(crate) fn splice(&mut self, dirty: &[u32], touched: &[u32]) {
+    pub(crate) fn splice(&mut self, dirty: &[impl Copy + Into<usize>], touched: &[u32]) {
         let mut incoming: Vec<(u32, u32, f64)> = Vec::new();
         for &id in dirty {
-            self.mark[id as usize] = true;
-            let raster = &self.entries[id as usize];
-            incoming.extend(raster.iter().map(|&(bin, amount)| (bin, id, amount)));
+            let id = id.into();
+            self.mark[id] = true;
+            let raster = &self.entries[id];
+            incoming.extend(raster.iter().map(|&(bin, amount)| (bin, id as u32, amount)));
         }
         incoming.sort_unstable_by_key(|&(bin, id, _)| (bin, id));
         let mark = &self.mark;
@@ -94,7 +95,7 @@ impl Layer {
         }
         debug_assert_eq!(cur, incoming.len(), "incoming bins outside the touched set");
         for &id in dirty {
-            self.mark[id as usize] = false;
+            self.mark[id.into()] = false;
         }
     }
 }

@@ -4,7 +4,7 @@
 //! state: per-arc delays, per-pin arrival and required times, slacks, and
 //! the worst-predecessor tree used by path backtracing. Call
 //! [`Sta::analyze`] after every placement change of interest, or
-//! [`Sta::analyze_incremental`] when only some cells moved.
+//! [`Sta::analyze_changes`] when only some cells moved.
 //!
 //! All of that state is stored in the graph's **rank layout** (see
 //! [`TimingGraph`]): arrival, required and the worst predecessor are
@@ -28,7 +28,7 @@
 
 use crate::graph::{ArcId, BuildGraphError, EndpointKind, SourceKind, TimingGraph, NO_ARC};
 use crate::rctree::{RcForest, RcOpStats, RcParams, RcSkeleton};
-use netlist::{Design, NetId, PinId, Placement};
+use netlist::{Design, DirtySummary, NetId, PinId, Placement};
 use parx::UnsafeSlice;
 use std::sync::{Arc, Barrier};
 
@@ -54,7 +54,7 @@ pub struct TimingSummary {
     pub total_endpoints: usize,
 }
 
-/// What [`Sta::analyze_incremental`] has done on one analyzer so far.
+/// What [`Sta::analyze_changes`] has done on one analyzer so far.
 ///
 /// Every field is a pure function of the call sequence (designs,
 /// placements, moved cells): the counts **repeat exactly** for a given
@@ -147,9 +147,10 @@ pub struct Sta {
     /// pass (`NaN` until the first analysis).
     seeded_period: f64,
     /// Scratch of the incremental re-analysis, retained across calls so a
-    /// steady-state update allocates nothing: the sorted dirty-net list
-    /// and one bit per rank for the sweep.
-    pub(crate) dirty_nets: Vec<NetId>,
+    /// steady-state update allocates nothing: the change set
+    /// [`Sta::analyze_incremental`] rebuilds from its cell list, and one
+    /// bit per rank for the sweep.
+    pub(crate) changes: DirtySummary,
     dirty_bits: Vec<u64>,
     incr_stats: IncrStats,
     analyzed: bool,
@@ -300,7 +301,7 @@ impl Sta {
             worst_pred: vec![NO_ARC; num_pins],
             endpoint_slacks: Vec::new(),
             seeded_period: f64::NAN,
-            dirty_nets: Vec::new(),
+            changes: DirtySummary::default(),
             dirty_bits: vec![0; num_pins.div_ceil(64)],
             incr_stats: IncrStats::default(),
             analyzed: false,
@@ -489,10 +490,10 @@ impl Sta {
     /// state (and any checkpoint of it) stays valid.
     ///
     /// The patch alone does not recompute any delay that depends on a
-    /// net: follow up with [`Sta::analyze_incremental`] passing `cell` as
-    /// moved, which refreshes every incident net (the ones whose load or
-    /// drive changed) and repropagates — bitwise identical to a
-    /// from-scratch analyzer built on the retyped design.
+    /// net: follow up with [`Sta::analyze_changes`] listing `cell` among
+    /// the moved cells, which refreshes every incident net (the ones
+    /// whose load or drive changed) and repropagates — bitwise identical
+    /// to a from-scratch analyzer built on the retyped design.
     pub fn apply_resize(&mut self, design: &Design, cell: netlist::CellId) {
         let patched = Arc::make_mut(&mut self.graph).repatch_cell_arcs(design, cell);
         Arc::make_mut(&mut self.skeleton).repatch_cell_caps(design, cell);
@@ -528,9 +529,10 @@ impl Sta {
         self.analyzed = true;
     }
 
-    /// The propagation half of [`Sta::analyze_incremental`], after
-    /// [`Sta::refresh_nets`] rewrote the arcs of `self.dirty_nets` (and
-    /// [`Sta::apply_resize`] possibly patched arcs of `moved_cells`).
+    /// The propagation half of [`Sta::analyze_changes`], after
+    /// [`Sta::refresh_nets`] rewrote the arcs of `changes.dirty_nets` (and
+    /// [`Sta::apply_resize`] possibly patched arcs of
+    /// `changes.moved_cells`).
     ///
     /// A near-total dirty set — the placer displaces most cells every
     /// iteration — reruns the flat passes, which spread over the worker
@@ -544,24 +546,20 @@ impl Sta {
     /// flat pass; there is no budget to trip and nothing to fall back to.
     /// Only a changed clock period forces the flat backward pass: every
     /// endpoint seed depends on it.
-    pub(crate) fn repropagate_incremental(
-        &mut self,
-        design: &Design,
-        moved_cells: &[netlist::CellId],
-    ) {
+    pub(crate) fn repropagate_incremental(&mut self, design: &Design, changes: &DirtySummary) {
         let mut stats = IncrStats::default();
-        if self.dirty_nets.len() * 4 >= design.num_nets().max(1) {
+        if changes.dirty_nets.len() * 4 >= design.num_nets().max(1) {
             self.propagate_arrival(design);
             self.propagate_required(design);
             stats.flat_passes = 2;
         } else {
-            self.seed_sweep(design, moved_cells, false);
+            self.seed_sweep(design, changes, false);
             self.sweep_arrival(design, &mut stats);
             if design.sdc().clock_period.to_bits() != self.seeded_period.to_bits() {
                 self.propagate_required(design);
                 stats.flat_passes = 1;
             } else {
-                self.seed_sweep(design, moved_cells, true);
+                self.seed_sweep(design, changes, true);
                 self.sweep_required(design, &mut stats);
             }
         }
@@ -585,7 +583,7 @@ impl Sta {
     /// drivers (load changed), and every arc into a pin of the
     /// moved/resized cells (intrinsic or drive changed): the arc's
     /// destination for the forward sweep, its source when `rev`.
-    fn seed_sweep(&mut self, design: &Design, moved_cells: &[netlist::CellId], rev: bool) {
+    fn seed_sweep(&mut self, design: &Design, changes: &DirtySummary, rev: bool) {
         let graph = &*self.graph;
         let bits = &mut self.dirty_bits[..];
         let seed_in_arcs = |bits: &mut [u64], rank: usize| {
@@ -598,7 +596,7 @@ impl Sta {
                 set_bit(bits, rank as u32);
             }
         };
-        for &net in &self.dirty_nets {
+        for &net in &changes.dirty_nets {
             let driver = graph.rank_of(design.net(net).driver());
             seed_in_arcs(bits, driver);
             let entries = graph.out_entries(driver);
@@ -610,7 +608,7 @@ impl Sta {
                 set_bit(bits, driver as u32);
             }
         }
-        for &cell in moved_cells {
+        for &cell in &changes.moved_cells {
             for &pin in &design.cell(cell).pins {
                 seed_in_arcs(bits, graph.rank_of(pin));
             }

@@ -2,10 +2,10 @@
 //!
 //! A full [`Sta::analyze`] rebuilds every net's RC tree, which dominates
 //! analysis cost. Between placement iterations only some cells move, so
-//! [`Sta::analyze_incremental`] recomputes wire delays for the **dirty
-//! nets** (nets with at least one pin on a moved cell) plus the gate arcs
-//! whose load changed, then re-propagates. The result is bit-identical to
-//! a full analysis.
+//! [`Sta::analyze_changes`] recomputes wire delays for the **dirty nets**
+//! of a [`DirtySummary`] (nets with at least one pin on a moved cell)
+//! plus the gate arcs whose load changed, then re-propagates. The result
+//! is bit-identical to a full analysis.
 //!
 //! Re-propagation picks one of two strategies from something it can
 //! observe, the share of dirty nets:
@@ -23,49 +23,49 @@
 //! fallback are gone. [`Sta::incr_stats`] reports which strategy each
 //! pass took and how many pins the sweeps evaluated.
 //!
-//! The dirty-net set is sorted and deduplicated before the refresh, so
-//! the refresh order — and the chunk boundaries of the parallel RC
-//! rebuild — never depend on hash-map iteration order.
+//! The summary's dirty-net list is sorted and deduplicated, so the
+//! refresh order — and the chunk boundaries of the parallel RC rebuild —
+//! never depend on the order cells were reported in.
 
 use crate::analysis::Sta;
-use netlist::{CellId, Design, Placement};
+use netlist::{CellId, Design, DirtySummary, Placement};
 
 impl Sta {
-    /// Re-analyzes after moving only `moved_cells`, reusing every other
-    /// net's cached wire delays. Produces exactly the same state as
+    /// Re-analyzes after the edits `changes` summarizes, reusing every
+    /// other net's cached wire delays. Produces exactly the same state as
     /// [`Sta::analyze`] on the same placement.
     ///
     /// # Panics
     ///
     /// Panics if called before an initial full [`Sta::analyze`] (there is
     /// no cache to update incrementally).
+    pub fn analyze_changes(
+        &mut self,
+        design: &Design,
+        placement: &Placement,
+        changes: &DirtySummary,
+    ) {
+        assert!(
+            self.is_analyzed(),
+            "run a full analyze() before an incremental one"
+        );
+        let _span = tdp_trace::span("sta.incremental", "sta");
+        self.refresh_nets(design, placement, &changes.dirty_nets);
+        self.repropagate_incremental(design, changes);
+    }
+
+    /// [`Sta::analyze_changes`] for moved cells in any order, possibly
+    /// repeating, through a [`DirtySummary`] the analyzer reuses.
     pub fn analyze_incremental(
         &mut self,
         design: &Design,
         placement: &Placement,
         moved_cells: &[CellId],
     ) {
-        assert!(
-            self.is_analyzed(),
-            "run a full analyze() before analyze_incremental()"
-        );
-        let _span = tdp_trace::span("sta.incremental", "sta");
-        // Dirty nets: any net touching a moved cell's pins. Sorted and
-        // deduplicated so refresh order is deterministic.
-        let mut dirty = std::mem::take(&mut self.dirty_nets);
-        dirty.clear();
-        for &cell in moved_cells {
-            for &pin in &design.cell(cell).pins {
-                if let Some(net) = design.pin(pin).net {
-                    dirty.push(net);
-                }
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.refresh_nets(design, placement, &dirty);
-        self.dirty_nets = dirty;
-        self.repropagate_incremental(design, moved_cells);
+        let mut changes = std::mem::take(&mut self.changes);
+        changes.rebuild(design, moved_cells);
+        self.analyze_changes(design, placement, &changes);
+        self.changes = changes;
     }
 }
 

@@ -38,16 +38,18 @@
 //!
 //! # Re-analysis strategies
 //!
-//! [`Sta::analyze_incremental`] refreshes the dirty nets and then picks,
-//! from the share of nets that are dirty, one of two ways to run the one
-//! per-pin kernel: the **flat passes** (every pin, level-parallel — the
-//! placer's all-cells-move iterations) or the **dirty sweep** (a bitset
-//! over ranks, lowest set bit first, successors marked on a bit-level
-//! change — ECO edits and local nudges). A sweep touches each pin at most
-//! once and in memory order, so it can never cost much more than a flat
-//! pass, which is why no pin budget and no fall-back-to-full branch
-//! guards it (see [`incremental`]). [`Sta::incr_stats`] says which strategy ran and how many pins the
-//! sweeps evaluated — exact counts that repeat for a given input.
+//! [`Sta::analyze_changes`] refreshes the dirty nets of a
+//! [`netlist::DirtySummary`] and then picks, from the share of nets that
+//! are dirty, one of two ways to run the one per-pin kernel: the **flat
+//! passes** (every pin, level-parallel — the placer's all-cells-move
+//! iterations) or the **dirty sweep** (a bitset over ranks, lowest set
+//! bit first, successors marked on a bit-level change — ECO edits and
+//! local nudges). A sweep touches each pin at most once and in memory
+//! order, so it can never cost much more than a flat pass, which is why
+//! no pin budget and no fall-back-to-full branch guards it (see
+//! [`incremental`]). [`Sta::incr_stats`] says which strategy ran and how
+//! many pins the sweeps evaluated — exact counts that repeat for a given
+//! input.
 //!
 //! # Example
 //!

@@ -7,8 +7,10 @@
 //! * **thread invariance** — the map and the per-net exposures are
 //!   bit-identical for every worker count;
 //! * **full == incremental** — updating an analyzer with a moved-cell
-//!   set produces the bit-identical map a cold full analysis of the new
-//!   placement computes (the same contract the incremental STA honors);
+//!   set (in any order, with repeats) or with the `DirtySummary` built
+//!   from it produces the bit-identical map a cold full analysis of the
+//!   new placement computes (the same contract the incremental STA
+//!   honors);
 //! * **objective invariants** — `ObjectiveSpec::CongestionAware` ends in
 //!   a legal placement with a well-formed congestion report, bit-
 //!   reproducibly;
@@ -25,7 +27,9 @@
 //! identical sweep and failures reproduce exactly.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
-use efficient_tdp::netlist::{CellId, CellLibrary, Design, DesignBuilder, Placement, Rect};
+use efficient_tdp::netlist::{
+    CellId, CellLibrary, Design, DesignBuilder, DirtySummary, Placement, Rect,
+};
 use efficient_tdp::placer::legalize::check_legal;
 use efficient_tdp::tdp_core::{FlowBuilder, ObjectiveSpec, Session};
 use perf::{mix_f64, mix_u64, FNV_OFFSET};
@@ -157,7 +161,9 @@ proptest! {
     }
 
     /// The incremental path is bitwise equivalent to a cold full
-    /// analysis after every batch of moves, across several rounds.
+    /// analysis after every batch of moves, across several rounds —
+    /// through both entry points, and with odd rounds handing
+    /// `analyze_incremental` its cells reversed and with a repeat.
     #[test]
     fn incremental_updates_match_full_analyses_bitwise(
         raw in (1u64..10_000, 60usize..160, 3usize..8, 0usize..3),
@@ -170,6 +176,8 @@ proptest! {
         let cfg = route_cfg(bins);
         let mut inc = CongestionAnalyzer::new(&design, cfg).with_threads(2);
         inc.analyze(&design, &placement);
+        let mut twin = CongestionAnalyzer::new(&design, cfg).with_threads(2);
+        twin.analyze(&design, &placement);
 
         let movable: Vec<CellId> = design
             .cell_ids()
@@ -195,18 +203,27 @@ proptest! {
                     moved.push(c);
                 }
             }
+            let changes = DirtySummary::from_moved_cells(&design, &moved);
+            if round % 2 == 1 {
+                moved.reverse();
+                moved.push(moved[0]);
+            }
             inc.analyze_incremental(&design, &placement, &moved);
+            twin.analyze_changes(&design, &placement, &changes);
             let mut full = CongestionAnalyzer::new(&design, cfg).with_threads(1);
             full.analyze(&design, &placement);
-            prop_assert_eq!(
-                inc.map().content_hash(),
-                full.map().content_hash(),
-                "round {} diverged",
-                round
-            );
-            for (a, b) in inc.exposures().iter().zip(full.exposures()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            for analyzer in [&mut inc, &mut twin] {
+                prop_assert_eq!(
+                    analyzer.map().content_hash(),
+                    full.map().content_hash(),
+                    "round {} diverged",
+                    round
+                );
+                for (a, b) in analyzer.exposures().iter().zip(full.exposures()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
+            prop_assert_eq!(inc.last_dirty_bins(), twin.last_dirty_bins());
         }
     }
 

@@ -10,13 +10,18 @@
 //! The delta streams are the shared `benchgen::eco_stress` generator
 //! (seeded moves + resizes) with a clock retarget spliced in, so the
 //! test crosses all three delta kinds on every case.
+//!
+//! The change set every apply and revert hands the incremental analyses
+//! is checked against an independent oracle too: the touched cells read
+//! off the deltas, and the dirty nets recomputed net-major.
 
 use efficient_tdp::benchgen::{self, CircuitParams, EcoStressParams};
 use efficient_tdp::eco::{rc_params_for, DeltaBatch, EcoDelta, EcoSession};
-use efficient_tdp::netlist::{Design, Placement};
+use efficient_tdp::netlist::{CellId, Design, DirtySummary, NetId, Placement};
 use efficient_tdp::sta::Sta;
 use efficient_tdp::tdp_core::Session;
 use efficient_tdp::tdp_route::{CongestionAnalyzer, RouteConfig};
+use std::collections::BTreeSet;
 
 /// Replays the delta batches onto a freshly generated design and its
 /// resident placement — deliberately sharing no code with
@@ -42,6 +47,43 @@ fn replay(params: &CircuitParams, batches: &[DeltaBatch]) -> (Design, Placement)
         }
     }
     (design, placement)
+}
+
+/// The cells `batches` move or resize, read off the deltas.
+fn touched_cells(batches: &[DeltaBatch]) -> BTreeSet<CellId> {
+    let mut touched = BTreeSet::new();
+    for delta in batches.iter().flat_map(DeltaBatch::deltas) {
+        match delta {
+            EcoDelta::MoveCells(moves) => touched.extend(moves.iter().map(|m| m.cell)),
+            EcoDelta::ResizeCells(resizes) => touched.extend(resizes.iter().map(|&(c, _)| c)),
+            EcoDelta::RetargetClock(_) => {}
+        }
+    }
+    touched
+}
+
+/// Asserts `changes` lists exactly the `touched` cells and, recomputed
+/// net-major, exactly the nets with a pin on one of them — sharing no
+/// code with `DirtySummary`'s cell-major walk.
+fn assert_change_set(
+    design: &Design,
+    changes: &DirtySummary,
+    touched: &BTreeSet<CellId>,
+    context: &str,
+) {
+    let cells: Vec<CellId> = touched.iter().copied().collect();
+    assert_eq!(changes.moved_cells, cells, "{context}: moved cells");
+    let nets: Vec<NetId> = design
+        .net_ids()
+        .filter(|&n| {
+            design
+                .net(n)
+                .pins
+                .iter()
+                .any(|&p| touched.contains(&design.pin(p).cell))
+        })
+        .collect();
+    assert_eq!(changes.dirty_nets, nets, "{context}: dirty nets");
 }
 
 /// Asserts the session's current answers equal a from-scratch rebuild
@@ -132,28 +174,31 @@ fn run_case(name: &str, seed: u64, threads: usize) {
                 eco.design().sdc().clock_period * 0.97,
             ));
         }
-        eco.apply(&batch).expect("generated deltas are valid");
-        applied.push(batch);
-        assert_matches_rebuild(
-            &mut eco,
-            &case.params,
-            &applied,
-            threads,
-            &format!("{name}@{threads}t step {i}"),
+        let changes = eco.apply(&batch).expect("generated deltas are valid");
+        let context = format!("{name}@{threads}t step {i}");
+        assert_eq!(&changes, eco.last_changes(), "{context}");
+        assert_change_set(
+            eco.design(),
+            &changes,
+            &touched_cells(std::slice::from_ref(&batch)),
+            &context,
         );
+        applied.push(batch);
+        assert_matches_rebuild(&mut eco, &case.params, &applied, threads, &context);
     }
 
     // A revert is just another edit: the rolled-back state must also
     // equal its from-scratch rebuild.
     eco.revert().expect("journal is non-empty");
-    applied.pop();
-    assert_matches_rebuild(
-        &mut eco,
-        &case.params,
-        &applied,
-        threads,
-        &format!("{name}@{threads}t after revert"),
+    let reverted = applied.pop().expect("three batches applied");
+    let context = format!("{name}@{threads}t after revert");
+    assert_change_set(
+        eco.design(),
+        eco.last_changes(),
+        &touched_cells(&[reverted]),
+        &context,
     );
+    assert_matches_rebuild(&mut eco, &case.params, &applied, threads, &context);
 }
 
 #[test]
@@ -197,21 +242,20 @@ fn dl1_resize_then_revert_matches_rebuild() {
         .remove(0);
         assert!(step.resizes.len() >= 20, "the step must resize cells");
         let batch = DeltaBatch::from_step(&step);
-        eco.apply(&batch).expect("generated deltas are valid");
+        let touched = touched_cells(std::slice::from_ref(&batch));
+        let changes = eco.apply(&batch).expect("generated deltas are valid");
+        let context = format!("{name}@{threads}t resized");
+        assert_change_set(eco.design(), &changes, &touched, &context);
         assert_matches_rebuild(
             &mut eco,
             &case.params,
             std::slice::from_ref(&batch),
             threads,
-            &format!("{name}@{threads}t resized"),
+            &context,
         );
         eco.revert().expect("journal is non-empty");
-        assert_matches_rebuild(
-            &mut eco,
-            &case.params,
-            &[],
-            threads,
-            &format!("{name}@{threads}t after revert"),
-        );
+        let context = format!("{name}@{threads}t after revert");
+        assert_change_set(eco.design(), eco.last_changes(), &touched, &context);
+        assert_matches_rebuild(&mut eco, &case.params, &[], threads, &context);
     }
 }

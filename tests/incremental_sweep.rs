@@ -10,10 +10,16 @@
 //! cumulative round and at every thread count. The sweep's work counters
 //! must repeat exactly, which is what lets them carry a claim on a noisy
 //! machine.
+//!
+//! Both entry points are held to that: `analyze_incremental` takes its
+//! cell list in any order and with repeats (odd rounds pass it reversed
+//! with one cell twice), and a twin analyzer fed the same round through
+//! `analyze_changes` and a `DirtySummary` must match the same fresh
+//! analysis and do the same work.
 
 use efficient_tdp::benchgen::{self, CircuitParams, EcoStressParams};
 use efficient_tdp::eco::rc_params_for;
-use efficient_tdp::netlist::{CellId, Design, Placement};
+use efficient_tdp::netlist::{CellId, Design, DirtySummary, Placement};
 use efficient_tdp::sta::{IncrStats, Sta};
 use std::collections::BTreeSet;
 
@@ -78,6 +84,10 @@ fn run(threads: usize) -> Vec<IncrStats> {
         .expect("acyclic")
         .with_threads(threads);
     sta.analyze(&design, &placement);
+    let mut twin = Sta::new(&design, rc)
+        .expect("acyclic")
+        .with_threads(threads);
+    twin.analyze(&design, &placement);
 
     let mut per_round = Vec::new();
     for (level, &churn) in CHURNS.iter().enumerate() {
@@ -94,17 +104,26 @@ fn run(threads: usize) -> Vec<IncrStats> {
         );
         for (round, step) in stream.iter().enumerate() {
             let context = format!("churn {churn} round {round} at {threads} threads");
-            let moved: Vec<CellId> = step.moves.iter().map(|m| m.cell).collect();
+            let mut moved: Vec<CellId> = step.moves.iter().map(|m| m.cell).collect();
             for m in &step.moves {
                 placement.set(m.cell, m.x, m.y);
+            }
+            if per_round.len() % 2 == 1 {
+                moved.reverse();
+                moved.push(moved[0]);
             }
             let before = sta.incr_stats();
             sta.analyze_incremental(&design, &placement, &moved);
             let stats = sta.incr_stats().since(before);
+            let before = twin.incr_stats();
+            let changes = DirtySummary::from_moved_cells(&design, &moved);
+            twin.analyze_changes(&design, &placement, &changes);
+            assert_eq!(twin.incr_stats().since(before), stats, "{context}: twin");
 
             let mut fresh = Sta::new(&design, rc).expect("acyclic");
             fresh.analyze(&design, &placement);
             assert_same_state(&design, &sta, &fresh, &context);
+            assert_same_state(&design, &twin, &fresh, &format!("{context} via changes"));
 
             let flat = crosses_guard(&design, &moved);
             assert_eq!(flat, churn == 0.30, "{context}: which side of the guard");

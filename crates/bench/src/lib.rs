@@ -25,8 +25,7 @@ pub fn suite_config(case: &SuiteCase) -> FlowConfig {
     cfg.rc.res_per_unit = case.params.res_per_unit;
     cfg.rc.cap_per_unit = case.params.cap_per_unit;
     // The paper harness reports single-core numbers (table4_runtime is
-    // labeled as such); thread scaling is measured by `tdp-perf` and the
-    // repo benchmark's `*_t1_ms` metrics.
+    // labeled so); the repo benchmark's `*_t1_ms` metrics cover threads.
     cfg.threads = 1;
     cfg
 }

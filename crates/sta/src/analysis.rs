@@ -425,8 +425,8 @@ impl Sta {
 
     /// Refreshes every net's RC tree and arc delays from `placement`
     /// **without** rerunning the propagation passes — the RC half of a
-    /// full [`Sta::analyze`], exposed on its own so `tdp-perf` can time
-    /// the refresh kernel in isolation.
+    /// full [`Sta::analyze`], exposed on its own: the repo benchmark times
+    /// it as `sta.rc_refresh_ms` and `tests/kernel_checksums.rs` checks it.
     pub fn refresh_rc(&mut self, design: &Design, placement: &Placement) {
         let all = std::mem::take(&mut self.all_nets);
         self.refresh_nets(design, placement, &all);

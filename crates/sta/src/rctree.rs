@@ -29,10 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Allocation/op counters for one analyzer's RC work — the "how much did
-/// the arena save" view that `tdp-perf` and the batch/serve reports
-/// surface. Counters are exact and deterministic for a fixed workload;
-/// `scratch_reuses` additionally depends on thread scheduling (like a
-/// wall-clock field) because pool hits race under a parallel refresh.
+/// the arena save" view that the batch/serve reports surface. Counters
+/// are exact and deterministic for a fixed workload; `scratch_reuses`
+/// additionally depends on thread scheduling (like a wall-clock field)
+/// because pool hits race under a parallel refresh.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RcOpStats {
     /// RC refresh passes run (one per full or incremental analysis).

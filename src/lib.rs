@@ -10,3 +10,5 @@ pub use tdp_core;
 pub use tdp_jsonio;
 pub use tdp_route;
 pub use tdp_trace;
+
+pub mod kernels;

@@ -19,7 +19,7 @@
 //!   divide the die exactly;
 //! * **golden route bits** — capacity after macro blockage, the per-net
 //!   exposures and `box_overflow` are pinned on two suite cases, so a
-//!   refactor that moves any of them fails here (the `rudy` perf
+//!   refactor that moves any of them fails here (the `rudy` kernel
 //!   checksum covers demand only).
 //!
 //! The `proptest` shim draws from a deterministic SplitMix64 stream
@@ -27,12 +27,13 @@
 //! identical sweep and failures reproduce exactly.
 
 use efficient_tdp::benchgen::{generate, CircuitParams};
+use efficient_tdp::kernels::load_case;
+use efficient_tdp::netlist::fnv::{mix_f64, mix_u64, OFFSET};
 use efficient_tdp::netlist::{
     CellId, CellLibrary, Design, DesignBuilder, DirtySummary, Placement, Rect,
 };
 use efficient_tdp::placer::legalize::check_legal;
 use efficient_tdp::tdp_core::{FlowBuilder, ObjectiveSpec, Session};
-use perf::{mix_f64, mix_u64, FNV_OFFSET};
 use proptest::prelude::*;
 use tdp_route::{CongestionAnalyzer, RouteConfig};
 
@@ -320,7 +321,7 @@ struct Golden {
 /// `average` and `overflow`), an FNV-1a of the exposure bits, and an
 /// FNV-1a of `box_overflow` over every net's pin bounding box. `cg1`
 /// has 9 macros, `sb18` none; both use the default 32×32 grid on the
-/// seeded initial placement `tdp-perf` benchmarks. Every operation
+/// seeded initial placement the kernel checksums use. Every operation
 /// involved is an add, mul, div, min, max or cast, so the bits are
 /// portable across machines.
 #[test]
@@ -349,7 +350,7 @@ fn route_bits_are_pinned_on_suite_cases() {
     ];
     for g in golden {
         let name = g.case;
-        let case = perf::kernels::load_case(name).expect("suite case");
+        let case = load_case(name).expect("suite case");
         let (design, placement) = (&case.design, &case.placement);
         let cfg = RouteConfig::default();
         let mut analyzer = CongestionAnalyzer::new(design, cfg);
@@ -358,9 +359,9 @@ fn route_bits_are_pinned_on_suite_cases() {
         let got_exposure = analyzer
             .exposures()
             .iter()
-            .fold(FNV_OFFSET, |h, &x| mix_f64(h, x));
+            .fold(OFFSET, |h, &x| mix_f64(h, x));
         let map = analyzer.map();
-        let mut got_boxes = FNV_OFFSET;
+        let mut got_boxes = OFFSET;
         for net in design.net_ids() {
             let pins = &design.net(net).pins;
             if pins.len() < 2 {

@@ -52,7 +52,7 @@ pub use job::{
     Profile, BUILTIN_OBJECTIVES, BUILTIN_OBJECTIVE_NAMES,
 };
 pub use progress::{BatchEvent, BatchSink, CancelSet, NullSink, SinkObserver};
-pub use report::{job_fields, job_json, FleetTotals};
+pub use report::{job_json, FleetTotals};
 pub use runner::{
     execute_job, failed_report, panic_message, run_batch, BatchPlan, BatchResult, BatchRunConfig,
     JobReport, JobStatus,

@@ -2,10 +2,10 @@
 //!
 //! Serialization goes through the workspace's shared JSON layer
 //! ([`tdp_jsonio`]) — strings with escaping, numbers (NaN/∞ become
-//! `null`, as JSON demands), bools. The per-job field emitter
-//! ([`job_fields`]) is public so other front ends (the serve daemon's
-//! wire protocol) render the *same* job records instead of inventing a
-//! second schema.
+//! `null`, as JSON demands), bools. [`job_json`] is the one encoding of
+//! a [`JobReport`]: the batch JSONL lines, the serve daemon's
+//! `status`/`wait`/`finished` payloads and its journal's `finished`
+//! records all carry the bytes it renders.
 
 use crate::runner::{BatchResult, JobReport, JobStatus};
 use std::fmt::Write as _;
@@ -246,18 +246,13 @@ fn sanitize_cell(msg: &str) -> String {
     msg.replace('|', "\\|").replace(['\n', '\r'], " ")
 }
 
-/// One job as a single-line JSON object (`{"record":"job",...}`).
+/// One job as a single-line JSON object (`{"record":"job",...}`) — the
+/// one schema of a [`JobReport`]: the batch JSONL reports, the serve
+/// protocol's `status`/`wait`/`finished` payloads and the serve
+/// journal's `finished` records are all these bytes.
 pub fn job_json(r: &JobReport) -> String {
-    let mut s = String::from("{\"record\":\"job\"");
-    job_fields(&mut s, r);
-    s.push('}');
-    s
-}
-
-/// Appends the job's fields (`,"key":value` members; the caller owns the
-/// braces) — the one schema both the batch JSONL reports and the serve
-/// protocol's status/finished payloads are rendered from.
-pub fn job_fields(s: &mut String, r: &JobReport) {
+    let mut out = String::from("{\"record\":\"job\"");
+    let s = &mut out;
     field_num(s, "job", r.job as f64);
     field_str(s, "case", &r.case);
     field_str(s, "objective", &r.objective);
@@ -294,8 +289,6 @@ pub fn job_fields(s: &mut String, r: &JobReport) {
     // Self-audit of the breakdown: the sum of the wall-clock categories
     // and how far it sits from `runtime_s` (zero unless clocks skewed;
     // `RuntimeBreakdown::CONSISTENCY_TOLERANCE` bounds it in tests).
-    // Derived from the duration fields above, so a journal round-trip
-    // reproduces them byte-for-byte.
     field_num(
         s,
         "runtime_accounted_s",
@@ -314,6 +307,8 @@ pub fn job_fields(s: &mut String, r: &JobReport) {
     field_num(s, "rc_nets_refreshed", r.runtime.rc.nets_refreshed as f64);
     field_num(s, "rc_scratch_reuses", r.runtime.rc.scratch_reuses as f64);
     field_num(s, "rc_slab_bytes", r.runtime.rc.slab_bytes as f64);
+    s.push('}');
+    out
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The durable job journal: a JSONL write-ahead log that lets the
 //! daemon survive restarts.
 //!
-//! Every `submit`, job state transition, event line and final
-//! [`JobReport`] is appended as one single-line JSON record to
+//! Every `submit`, job state transition, event line and final job
+//! report is appended as one single-line JSON record to
 //! `<dir>/journal.jsonl`. Appends on *transition boundaries* (`submit`,
 //! `running`, `finished`) are fsync'd; event lines ride along unsynced
 //! and are made durable by the next transition's sync on the same file —
@@ -24,17 +24,16 @@
 //!  "profile":P,"overrides":{…},"stride":K,"key":"0x…"}
 //! {"rec":"state","job":N,"state":"running"}
 //! {"rec":"event","job":N,"seq":I,"line":{…event object…}}
-//! {"rec":"finished","job":N,"report":{…journal report form…}}
+//! {"rec":"finished","job":N,"report":{…batch::job_json object…}}
 //! ```
 //!
-//! The `finished` record's report uses a *full-fidelity* serialization
-//! ([`report_to_json`]/[`report_from_json`]), not the wire's
-//! [`batch::job_json`] rendering: durations travel as integer
-//! nanoseconds (exact in a JSON number below 2⁵³ ns ≈ 104 days) and
-//! every [`RuntimeBreakdown`] field is present, so a restored report's
-//! `job_json` rendering is **byte-identical** to the one the daemon
-//! served before the crash — asserted by this module's tests and the
-//! kill-and-restart integration test.
+//! The `finished` record's report is the wire report, byte for byte:
+//! the daemon renders [`batch::job_json`] once per finished job and
+//! serves, streams and journals that one string. Decoding keeps the
+//! embedded object as text ([`JsonValue::encode`], a fixpoint for
+//! everything the shared emitter writes), so a restored job answers
+//! `status`/`wait` with the bytes it served before the crash — asserted
+//! by this module's tests and the kill-and-restart integration test.
 //!
 //! # Crash consistency
 //!
@@ -55,7 +54,7 @@
 //! reads only it — a compacted `status`/`events` costs O(job), not
 //! O(journal).
 
-use batch::{JobReport, JobStatus};
+use batch::JobReport;
 use benchgen::CircuitParams;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -63,11 +62,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
-use tdp_core::{CongestionReport, EcoStats, Metrics, RuntimeBreakdown};
-use tdp_jsonio::{
-    field_bool, field_hex, field_num, field_raw, field_str, parse_hex_u64, JsonValue,
-};
+use tdp_jsonio::{field_hex, field_num, field_raw, field_str, parse_hex_u64, JsonValue};
 
 use crate::protocol::{overrides_json, params_from_json, params_to_json};
 
@@ -96,9 +91,70 @@ pub enum Record {
     Finished {
         /// Job id.
         job: usize,
-        /// The full-fidelity report.
-        report: Box<JobReport>,
+        /// The job's wire report and what is read back out of it.
+        finished: FinishedJob,
     },
+}
+
+/// A finished job as the daemon holds, serves and journals it: its
+/// report rendered once by [`batch::job_json`], plus the two things read
+/// back out of it — the status label and the congestion pair the
+/// `metrics` aggregates sum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FinishedJob {
+    /// Terminal state label: `done`, `canceled` or `failed`.
+    pub status: &'static str,
+    /// The report's wire bytes, a `{"record":"job",…}` object.
+    pub report: String,
+    /// `(congestion_overflow, congestion_peak)` when the report has a
+    /// congestion summary. A non-finite value travels as `null` and
+    /// comes back from the journal as NaN.
+    pub congestion: Option<(f64, f64)>,
+}
+
+impl FinishedJob {
+    /// Renders `r` — the one [`batch::job_json`] call a finished job gets.
+    pub fn new(r: &JobReport) -> Self {
+        Self {
+            status: r.status.label(),
+            report: batch::job_json(r),
+            congestion: r.congestion.map(|c| (c.overflow, c.peak)),
+        }
+    }
+
+    /// Validates the report object of job `job`'s `finished` record and
+    /// keeps it as text.
+    fn decode(v: &JsonValue, job: usize) -> Result<Self, String> {
+        if v.get("record").and_then(JsonValue::as_str) != Some("job") {
+            return Err("finished report is not a {\"record\":\"job\"} object".into());
+        }
+        if v.get("job").and_then(JsonValue::as_usize) != Some(job) {
+            return Err(format!("finished report is not job {job}'s"));
+        }
+        let status = req_str(v, "status")?;
+        let status = ["done", "canceled", "failed"]
+            .into_iter()
+            .find(|&label| label == status)
+            .ok_or_else(|| format!("unknown status {status:?}"))?;
+        let num = |key: &str| match v.get(key) {
+            None => Ok(None),
+            Some(JsonValue::Null) => Ok(Some(f64::NAN)),
+            Some(n) => n
+                .as_f64()
+                .map(Some)
+                .ok_or_else(|| format!("report field {key:?} is not a number")),
+        };
+        let congestion = match (num("congestion_overflow")?, num("congestion_peak")?) {
+            (Some(overflow), Some(peak)) => Some((overflow, peak)),
+            (None, None) => None,
+            _ => return Err("report has half a congestion summary".into()),
+        };
+        Ok(Self {
+            status,
+            report: v.encode(),
+            congestion,
+        })
+    }
 }
 
 /// A replayed record and the byte range its line occupies in the file.
@@ -303,11 +359,12 @@ pub fn event_record(job: usize, seq: usize, line: &str) -> String {
     s
 }
 
-/// Renders a `finished` record line with the full-fidelity report.
-pub fn finished_record(job: usize, report: &JobReport) -> String {
+/// Renders a `finished` record line; `report` must be the job's
+/// [`batch::job_json`] rendering ([`FinishedJob::report`]).
+pub fn finished_record(job: usize, report: &str) -> String {
     let mut s = String::from("{\"rec\":\"finished\"");
     field_num(&mut s, "job", job as f64);
-    field_raw(&mut s, "report", &report_to_json(report));
+    field_raw(&mut s, "report", report);
     s.push('}');
     s
 }
@@ -379,9 +436,10 @@ pub fn decode_record(v: &JsonValue) -> Result<Record, String> {
         }),
         "finished" => Ok(Record::Finished {
             job,
-            report: Box::new(report_from_json(
+            finished: FinishedJob::decode(
                 v.get("report").ok_or("finished lacks \"report\"")?,
-            )?),
+                job,
+            )?,
         }),
         other => Err(format!("unknown record kind {other:?}")),
     }
@@ -393,10 +451,10 @@ pub fn decode_record(v: &JsonValue) -> Result<Record, String> {
 pub struct CompactedJob {
     /// Event lines in seq order.
     pub events: Vec<String>,
-    /// The terminal report (always present for a job the server
-    /// compacted — only journaled-finished jobs are compaction
+    /// The terminal report's wire bytes (always present for a job the
+    /// server compacted — only journaled-finished jobs are compaction
     /// candidates).
-    pub report: Option<Box<JobReport>>,
+    pub report: Option<String>,
 }
 
 /// Re-reads one job's events and report from the journal file — the
@@ -424,7 +482,7 @@ pub fn read_compacted(path: &Path, job: usize, span: Range<u64>) -> std::io::Res
             // stream is a prefix of the re-run's (identical by
             // determinism); keep the first copy of each seq.
         } if j == job && seq == out.events.len() => out.events.push(l),
-        Record::Finished { job: j, report } if j == job => out.report = Some(report),
+        Record::Finished { job: j, finished } if j == job => out.report = Some(finished.report),
         _ => {}
     });
     Ok(out)
@@ -436,199 +494,12 @@ fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("record lacks string {key:?}"))
 }
 
-// ---------------------------------------------------------------------
-// Full-fidelity report serialization
-// ---------------------------------------------------------------------
-
-/// Renders a report for the journal. Unlike the wire's
-/// [`batch::job_json`] (which drops setup time, grid dimensions and the
-/// unaccounted-gradient bucket, and renders durations as seconds), this
-/// form carries **every** field, durations as exact integer nanoseconds
-/// and hashes as hex strings, so [`report_from_json`] reconstructs a
-/// [`JobReport`] that is value-identical — and whose `job_json`
-/// rendering is byte-identical — to the original.
-pub fn report_to_json(r: &JobReport) -> String {
-    let mut s = String::from("{\"job\":");
-    tdp_jsonio::push_num(&mut s, r.job as f64);
-    field_str(&mut s, "case", &r.case);
-    field_str(&mut s, "objective", &r.objective);
-    field_num(&mut s, "cells", r.cells as f64);
-    field_num(&mut s, "nets", r.nets as f64);
-    field_str(&mut s, "status", r.status.label());
-    if let JobStatus::Failed(msg) = &r.status {
-        field_str(&mut s, "error", msg);
-    }
-    field_num(&mut s, "iterations", r.iterations as f64);
-    field_bool(&mut s, "legal", r.legal);
-    if let Some(m) = r.metrics {
-        let mut o = String::from("{\"tns\":");
-        tdp_jsonio::push_num(&mut o, m.tns);
-        field_num(&mut o, "wns", m.wns);
-        field_num(&mut o, "hpwl", m.hpwl);
-        field_num(&mut o, "failing_endpoints", m.failing_endpoints as f64);
-        field_num(&mut o, "total_endpoints", m.total_endpoints as f64);
-        o.push('}');
-        field_raw(&mut s, "metrics", &o);
-    }
-    if let Some(c) = r.congestion {
-        let mut o = String::from("{\"bins_x\":");
-        tdp_jsonio::push_num(&mut o, c.bins_x as f64);
-        field_num(&mut o, "bins_y", c.bins_y as f64);
-        field_num(&mut o, "peak", c.peak);
-        field_num(&mut o, "average", c.average);
-        field_num(&mut o, "overflow", c.overflow);
-        field_num(&mut o, "overflow_bins", c.overflow_bins as f64);
-        field_hex(&mut o, "map_hash", c.map_hash);
-        o.push('}');
-        field_raw(&mut s, "congestion", &o);
-    }
-    field_hex(&mut s, "placement_hash", r.placement_hash);
-    let rt = &r.runtime;
-    let mut o = String::from("{\"io_ns\":");
-    let ns = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as f64;
-    tdp_jsonio::push_num(&mut o, ns(rt.io));
-    field_num(&mut o, "sta_ns", ns(rt.timing_analysis));
-    field_num(&mut o, "weighting_ns", ns(rt.weighting));
-    field_num(&mut o, "legalization_ns", ns(rt.legalization));
-    field_num(&mut o, "congestion_ns", ns(rt.congestion));
-    field_num(&mut o, "gradient_ns", ns(rt.gradient_and_others));
-    field_num(&mut o, "total_ns", ns(rt.total));
-    field_num(&mut o, "threads", rt.threads as f64);
-    field_num(&mut o, "rc_refreshes", rt.rc.refreshes as f64);
-    field_num(&mut o, "rc_nets_refreshed", rt.rc.nets_refreshed as f64);
-    field_num(&mut o, "rc_scratch_reuses", rt.rc.scratch_reuses as f64);
-    field_num(&mut o, "rc_slab_bytes", rt.rc.slab_bytes as f64);
-    field_num(&mut o, "eco_queries", rt.eco.queries as f64);
-    field_num(&mut o, "eco_cells_moved", rt.eco.cells_moved as f64);
-    field_num(&mut o, "eco_dirty_nets", rt.eco.dirty_nets as f64);
-    field_num(&mut o, "eco_incremental_ns", rt.eco.incremental_ns as f64);
-    field_num(&mut o, "eco_full_ns", rt.eco.full_ns as f64);
-    o.push('}');
-    field_raw(&mut s, "runtime", &o);
-    s.push('}');
-    s
-}
-
-/// Parses a journal-form report back into a [`JobReport`] — the inverse
-/// of [`report_to_json`].
-///
-/// # Errors
-///
-/// A message naming the missing/ill-typed field.
-pub fn report_from_json(v: &JsonValue) -> Result<JobReport, String> {
-    let num = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("report lacks number {key:?}"))
-    };
-    let status = match req_str(v, "status")? {
-        "done" => JobStatus::Done,
-        "canceled" => JobStatus::Canceled,
-        "failed" => JobStatus::Failed(
-            v.get("error")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("unknown failure")
-                .to_string(),
-        ),
-        other => return Err(format!("unknown status {other:?}")),
-    };
-    let metrics = match v.get("metrics") {
-        None => None,
-        Some(m) => {
-            let f = |key: &str| {
-                m.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("metrics lacks {key:?}"))
-            };
-            Some(Metrics {
-                tns: f("tns")?,
-                wns: f("wns")?,
-                hpwl: f("hpwl")?,
-                failing_endpoints: f("failing_endpoints")? as usize,
-                total_endpoints: f("total_endpoints")? as usize,
-            })
-        }
-    };
-    let congestion = match v.get("congestion") {
-        None => None,
-        Some(c) => {
-            let f = |key: &str| {
-                c.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("congestion lacks {key:?}"))
-            };
-            Some(CongestionReport {
-                bins_x: f("bins_x")? as usize,
-                bins_y: f("bins_y")? as usize,
-                peak: f("peak")?,
-                average: f("average")?,
-                overflow: f("overflow")?,
-                overflow_bins: f("overflow_bins")? as usize,
-                map_hash: c
-                    .get("map_hash")
-                    .and_then(JsonValue::as_str)
-                    .and_then(parse_hex_u64)
-                    .ok_or("congestion lacks hex \"map_hash\"")?,
-            })
-        }
-    };
-    let rt = v.get("runtime").ok_or("report lacks \"runtime\"")?;
-    let rtf = |key: &str| {
-        rt.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("runtime lacks {key:?}"))
-    };
-    let dur = |key: &str| rtf(key).map(|ns| Duration::from_nanos(ns as u64));
-    let runtime = RuntimeBreakdown {
-        io: dur("io_ns")?,
-        timing_analysis: dur("sta_ns")?,
-        weighting: dur("weighting_ns")?,
-        legalization: dur("legalization_ns")?,
-        congestion: dur("congestion_ns")?,
-        gradient_and_others: dur("gradient_ns")?,
-        total: dur("total_ns")?,
-        threads: rtf("threads")? as usize,
-        rc: sta::RcOpStats {
-            refreshes: rtf("rc_refreshes")? as u64,
-            nets_refreshed: rtf("rc_nets_refreshed")? as u64,
-            scratch_reuses: rtf("rc_scratch_reuses")? as u64,
-            slab_bytes: rtf("rc_slab_bytes")? as u64,
-        },
-        eco: EcoStats {
-            queries: rtf("eco_queries")? as u64,
-            cells_moved: rtf("eco_cells_moved")? as u64,
-            dirty_nets: rtf("eco_dirty_nets")? as u64,
-            incremental_ns: rtf("eco_incremental_ns")? as u64,
-            full_ns: rtf("eco_full_ns")? as u64,
-        },
-    };
-    Ok(JobReport {
-        job: num("job")? as usize,
-        case: req_str(v, "case")?.to_string(),
-        objective: req_str(v, "objective")?.to_string(),
-        cells: num("cells")? as usize,
-        nets: num("nets")? as usize,
-        status,
-        iterations: num("iterations")? as usize,
-        legal: v
-            .get("legal")
-            .and_then(JsonValue::as_bool)
-            .ok_or("report lacks bool \"legal\"")?,
-        metrics,
-        congestion,
-        placement_hash: v
-            .get("placement_hash")
-            .and_then(JsonValue::as_str)
-            .and_then(parse_hex_u64)
-            .ok_or("report lacks hex \"placement_hash\"")?,
-        runtime,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batch::job_json;
+    use batch::{job_json, JobStatus};
+    use std::time::Duration;
+    use tdp_core::{CongestionReport, EcoStats, Metrics, RuntimeBreakdown};
 
     fn sample_report() -> JobReport {
         JobReport {
@@ -677,12 +548,35 @@ mod tests {
         }
     }
 
+    /// Decodes one rendered record line.
+    fn decode_line(line: &str) -> Result<Record, String> {
+        decode_record(&tdp_jsonio::parse(line).map_err(|e| e.to_string())?)
+    }
+
     #[test]
-    fn report_round_trip_is_value_and_rendering_exact() {
+    fn finished_record_is_the_wire_report_exactly() {
+        let edgy = JobReport {
+            case: "sb\"18\"\nµ-größe ✓".into(),
+            metrics: Some(Metrics {
+                tns: f64::NAN,
+                wns: -0.0,
+                hpwl: 1.234_567_890_123_4e15,
+                failing_endpoints: 0,
+                total_endpoints: 200,
+            }),
+            placement_hash: u64::MAX,
+            congestion: Some(CongestionReport {
+                overflow: 3e17,
+                map_hash: u64::MAX,
+                ..sample_report().congestion.unwrap()
+            }),
+            ..sample_report()
+        };
         for report in [
             sample_report(),
+            edgy.clone(),
             JobReport {
-                status: JobStatus::Failed("flow panicked: die too full".into()),
+                status: JobStatus::Failed("flow panicked: \"die\" too full\nat größe ✓".into()),
                 metrics: None,
                 congestion: None,
                 legal: false,
@@ -690,18 +584,66 @@ mod tests {
             },
             JobReport {
                 status: JobStatus::Canceled,
-                ..sample_report()
+                ..edgy
             },
         ] {
-            let encoded = report_to_json(&report);
-            let parsed = tdp_jsonio::parse(&encoded).expect("journal form parses");
-            let back = report_from_json(&parsed).expect("journal form decodes");
-            assert_eq!(back, report, "struct round-trip");
-            // The wire rendering — what clients compare bitwise — must
-            // be byte-identical after a journal round-trip.
-            assert_eq!(job_json(&back), job_json(&report));
-            // And the journal form itself is a fixpoint.
-            assert_eq!(report_to_json(&back), encoded);
+            let wire = job_json(&report);
+            let line = finished_record(report.job, &wire);
+            let Ok(Record::Finished { job, finished }) = decode_line(&line) else {
+                panic!("{line} must decode as a finished record");
+            };
+            assert_eq!(job, report.job);
+            assert_eq!(finished.report, wire, "journaled bytes are the wire bytes");
+            assert_eq!(finished.status, report.status.label());
+            assert_eq!(
+                finished.congestion.map(|(o, p)| (o.to_bits(), p.to_bits())),
+                report
+                    .congestion
+                    .map(|c| (c.overflow.to_bits(), c.peak.to_bits())),
+                "the metrics aggregates read the same bits"
+            );
+        }
+    }
+
+    #[test]
+    fn finished_record_rejects_reports_that_are_not_the_jobs_wire_report() {
+        let wire = job_json(&sample_report());
+        let pre_change = concat!(
+            r#"{"rec":"finished","job":3,"report":{"job":3,"case":"sb18","#,
+            r#""objective":"Efficient-TDP (ours)","cells":1200,"nets":1100,"#,
+            r#""status":"done","iterations":57,"legal":true,"#,
+            r#""placement_hash":"0x0123456789abcdef","runtime":{"io_ns":1234567,"#,
+            r#""sta_ns":987654321,"total_ns":8001222333,"threads":4}}}"#
+        );
+        let rejected = [
+            pre_change.to_string(),
+            finished_record(4, &wire),
+            finished_record(
+                3,
+                &wire.replace("\"status\":\"done\"", "\"status\":\"paused\""),
+            ),
+        ];
+        for line in &rejected {
+            assert!(decode_line(line).is_err(), "{line} must not decode");
+        }
+        // Replay stops at each of them: the clean prefix survives, the
+        // rest of the file is truncated, and nothing panics.
+        for bad in &rejected {
+            let dir = temp_journal_dir("reject");
+            std::fs::create_dir_all(&dir).unwrap();
+            let good = finished_record(3, &wire);
+            std::fs::write(
+                dir.join("journal.jsonl"),
+                format!("{good}\n{bad}\n{good}\n"),
+            )
+            .unwrap();
+            let (_, records) = Journal::open(&dir).unwrap();
+            assert_eq!(records.len(), 1, "{bad}");
+            assert_eq!(
+                std::fs::metadata(dir.join("journal.jsonl")).unwrap().len(),
+                good.len() as u64 + 1
+            );
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -735,10 +677,10 @@ mod tests {
                 },
             ),
             (
-                finished_record(5, &sample_report()),
+                finished_record(3, &job_json(&sample_report())),
                 Record::Finished {
-                    job: 5,
-                    report: Box::new(sample_report()),
+                    job: 3,
+                    finished: FinishedJob::new(&sample_report()),
                 },
             ),
         ] {
@@ -832,7 +774,11 @@ mod tests {
         append(&event_record(0, 1, "{\"event\":\"c\",\"job\":0}"), false);
         // A duplicate seq from a pre-crash attempt is kept-first.
         append(&event_record(0, 1, "{\"event\":\"c\",\"job\":0}"), false);
-        let fin = append(&finished_record(0, &sample_report()), true);
+        let report = job_json(&JobReport {
+            job: 0,
+            ..sample_report()
+        });
+        let fin = append(&finished_record(0, &report), true);
         let compacted = read_compacted(journal.path(), 0, a.start..fin.end).unwrap();
         assert_eq!(
             compacted.events,
@@ -841,10 +787,7 @@ mod tests {
                 "{\"event\":\"c\",\"job\":0}".to_string(),
             ]
         );
-        assert_eq!(
-            job_json(&compacted.report.expect("report present")),
-            job_json(&sample_report())
-        );
+        assert_eq!(compacted.report, Some(report));
         let other = read_compacted(journal.path(), 1, b).unwrap();
         assert_eq!(other.events.len(), 1);
         assert!(other.report.is_none());
@@ -874,10 +817,10 @@ mod tests {
         let finished = |job| {
             finished_record(
                 job,
-                &JobReport {
+                &job_json(&JobReport {
                     job,
                     ..sample_report()
-                },
+                }),
             )
         };
         {
@@ -943,18 +886,16 @@ mod tests {
                     Record::Event { job: j, seq, line } if *j == job && *seq == events.len() => {
                         events.push(line.clone())
                     }
-                    Record::Finished { job: j, report: r } if *j == job => report = Some(r),
+                    Record::Finished { job: j, finished } if *j == job => {
+                        report = Some(finished.report.clone())
+                    }
                     _ => {}
                 }
             }
             let ranged = read_compacted(journal.path(), job, spans[&job].clone()).unwrap();
             assert_eq!(ranged.events, events, "job {job} events");
             assert_eq!(events.len(), 3, "job {job}: deduped to one copy per seq");
-            assert_eq!(
-                ranged.report.map(|r| job_json(&r)),
-                report.map(|r| job_json(r)),
-                "job {job} report"
-            );
+            assert_eq!(ranged.report, report, "job {job} report");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

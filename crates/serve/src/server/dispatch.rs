@@ -10,7 +10,6 @@ use crate::protocol::{
     design_key, event_line, ok_prefix, parse_request, DesignRef, ProtoError, Request,
     SubmitRequest, VERBS,
 };
-use batch::JobReport;
 use std::io::{self, Write};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -185,8 +184,7 @@ impl Connection {
     }
 
     /// The `status`/`wait` fields of job `id`. A compacted job's come
-    /// from its journaled report, byte-identical to what it answered
-    /// while resident (the journal round-trip is exact).
+    /// from its journaled report: the bytes it answered while resident.
     fn status(&self, id: usize, entry: JobEntry, s: &mut String) -> Result<(), ProtoError> {
         match entry {
             JobEntry::Live(job) => {
@@ -414,12 +412,12 @@ fn end_line(id: usize, state: &str) -> String {
     event_line("end", id, |s| field_str(s, "state", state))
 }
 
-fn status_fields(s: &mut String, id: usize, key: u64, state: &str, report: Option<&JobReport>) {
+fn status_fields(s: &mut String, id: usize, key: u64, state: &str, report: Option<&str>) {
     field_num(s, "job", id as f64);
     field_str(s, "state", state);
     field_hex(s, "design", key);
     if let Some(report) = report {
-        field_raw(s, "report", &batch::job_json(report));
+        field_raw(s, "report", report);
     }
 }
 

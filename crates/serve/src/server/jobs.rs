@@ -3,7 +3,7 @@
 
 use super::Shared;
 use crate::cache::SessionSlot;
-use crate::journal::{self, Located, Record, SubmitRecord};
+use crate::journal::{self, FinishedJob, Located, Record, SubmitRecord};
 use crate::metrics::{Gauges, ServeMetrics};
 use crate::protocol::{event_line, ProtoError};
 use batch::{
@@ -16,13 +16,12 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use tdp_core::FlowPhase;
 
-/// Terminal-state-aware job phase (the report is boxed so the common
-/// non-terminal states stay pointer-sized).
+/// Terminal-state-aware job phase.
 #[derive(Debug)]
 pub(super) enum JobPhase {
     Queued,
     Running,
-    Finished(Box<JobReport>),
+    Finished(FinishedJob),
 }
 
 impl JobPhase {
@@ -30,13 +29,14 @@ impl JobPhase {
         match self {
             JobPhase::Queued => "queued",
             JobPhase::Running => "running",
-            JobPhase::Finished(r) => r.status.label(),
+            JobPhase::Finished(f) => f.status,
         }
     }
 
-    pub(super) fn report(&self) -> Option<&JobReport> {
+    /// The finished job's wire report.
+    pub(super) fn report(&self) -> Option<&str> {
         match self {
-            JobPhase::Finished(r) => Some(r),
+            JobPhase::Finished(f) => Some(&f.report),
             _ => None,
         }
     }
@@ -148,7 +148,9 @@ impl JobState {
     /// retention compaction and waiter wake-up — in that order, so a
     /// parseable `finished` record on disk implies the complete event
     /// history precedes it, and a returned `wait` implies the retention
-    /// cap already holds.
+    /// cap already holds. The report is rendered once; the event line,
+    /// the journal record and every later `status`/`wait` carry those
+    /// bytes.
     fn finish(&self, report: JobReport, shared: &Shared) {
         match report.status {
             JobStatus::Done => ServeMetrics::bump(&shared.metrics.jobs_done),
@@ -156,13 +158,15 @@ impl JobState {
             JobStatus::Failed(_) => ServeMetrics::bump(&shared.metrics.jobs_failed),
         }
         shared.metrics.fold_rc(&report.runtime.rc);
+        let finished = FinishedJob::new(&report);
         let line = event_line("finished", self.id, |s| {
-            tdp_jsonio::field_str(s, "state", report.status.label());
-            tdp_jsonio::field_raw(s, "report", &batch::job_json(&report));
+            tdp_jsonio::field_str(s, "state", finished.status);
+            tdp_jsonio::field_raw(s, "report", &finished.report);
         });
         shared.push_event(self, &line);
-        let journaled = shared.journal_append(&journal::finished_record(self.id, &report), true);
-        *self.phase.lock().expect("job phase lock") = JobPhase::Finished(Box::new(report));
+        let journaled =
+            shared.journal_append(&journal::finished_record(self.id, &finished.report), true);
+        *self.phase.lock().expect("job phase lock") = JobPhase::Finished(finished);
         self.events.close();
         // A failed append leaves the end unknown: the range then runs to
         // the end of the file, which holds whatever did reach it.
@@ -354,12 +358,11 @@ impl Shared {
                 continue;
             };
             let JobEntry::Live(job) = entry else { continue };
-            let phase = job.phase.lock().expect("job phase lock");
-            let Some(report) = phase.report() else {
-                continue; // defensive: only finished jobs enter `resident`
+            let state = match &*job.phase.lock().expect("job phase lock") {
+                JobPhase::Finished(f) => f.status,
+                _ => continue, // defensive: only finished jobs enter `resident`
             };
-            let (key, state) = (job.key, report.status.label());
-            drop(phase);
+            let key = job.key;
             *entry = JobEntry::Compacted { key, state, span };
             ServeMetrics::bump(&self.metrics.jobs_compacted);
         }
@@ -385,11 +388,11 @@ impl Shared {
             match &*j.phase.lock().expect("job phase lock") {
                 JobPhase::Queued => queued += 1,
                 JobPhase::Running => running += 1,
-                JobPhase::Finished(report) => {
-                    if let Some(c) = report.congestion {
+                JobPhase::Finished(f) => {
+                    if let Some((overflow, peak)) = f.congestion {
                         congestion.0 += 1;
-                        congestion.1 += c.overflow;
-                        congestion.2 = congestion.2.max(c.peak);
+                        congestion.1 += overflow;
+                        congestion.2 = congestion.2.max(peak);
                     }
                 }
             }
@@ -423,7 +426,7 @@ pub(super) fn replay_journal(shared: &Shared, records: Vec<Located>) {
     // byte range: its `submit` record's start, its `finished` record's end.
     let mut submits: Vec<(u64, Box<SubmitRecord>)> = Vec::new();
     let mut events: HashMap<usize, Vec<String>> = HashMap::new();
-    let mut finished: HashMap<usize, (Box<JobReport>, u64)> = HashMap::new();
+    let mut finished: HashMap<usize, (FinishedJob, u64)> = HashMap::new();
     let replayed = records.len() as u64;
     for (at, rec) in records {
         match rec {
@@ -441,8 +444,8 @@ pub(super) fn replay_journal(shared: &Shared, records: Vec<Located>) {
                     lines.push(line);
                 }
             }
-            Record::Finished { job, report } => {
-                finished.insert(job, (report, at.end));
+            Record::Finished { job, finished: f } => {
+                finished.insert(job, (f, at.end));
             }
         }
     }
@@ -455,8 +458,8 @@ pub(super) fn replay_journal(shared: &Shared, records: Vec<Located>) {
     let mut failed_by_restart: Vec<Arc<JobState>> = Vec::new();
     for (from, sub) in submits {
         let id = sub.job;
-        let (report, to) = finished.remove(&id).unzip();
-        let state = match rebuild_job_state(shared, &sub, from, report, &mut events) {
+        let (done, to) = finished.remove(&id).unzip();
+        let state = match rebuild_job_state(shared, &sub, from, done, &mut events) {
             Ok(state) => Arc::new(state),
             Err(msg) => {
                 eprintln!("tdp-serve: journal replay skipped job {id}: {msg}");
@@ -497,7 +500,7 @@ pub(super) fn replay_journal(shared: &Shared, records: Vec<Located>) {
     shared.compact_locked(&mut table);
 }
 
-/// Reconstructs one journaled job's `JobState`. With `report`, the job
+/// Reconstructs one journaled job's `JobState`. With `finished`, the job
 /// comes back finished: closed pre-populated event log, detached
 /// session slot (it will never run). Without, it comes back queued with
 /// an empty log, holding a real cache slot for its re-run (the checkout
@@ -507,14 +510,14 @@ fn rebuild_job_state(
     shared: &Shared,
     sub: &SubmitRecord,
     journal_from: u64,
-    report: Option<Box<JobReport>>,
+    finished: Option<FinishedJob>,
     events: &mut HashMap<usize, Vec<String>>,
 ) -> Result<JobState, String> {
     let job = build_job(sub)?;
-    Ok(match report {
+    Ok(match finished {
         // Never runs again: no reason to hold (or build) a session.
-        Some(report) => JobState {
-            phase: Mutex::new(JobPhase::Finished(report)),
+        Some(finished) => JobState {
+            phase: Mutex::new(JobPhase::Finished(finished)),
             events: EventLog::restored(events.remove(&sub.job).unwrap_or_default()),
             ..JobState::new(sub, job, journal_from, Arc::default())
         },

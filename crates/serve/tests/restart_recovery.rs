@@ -10,7 +10,9 @@
 //!   on the same report bits (placement fingerprint included) as an
 //!   uninterrupted daemon;
 //! * under `--no-replay`, interrupted jobs resolve as failed-by-restart
-//!   instead, through the normal finish path.
+//!   instead, through the normal finish path;
+//! * reports restored from the journal feed the `metrics` congestion
+//!   aggregates exactly as the live reports did.
 //!
 //! The daemon runs as a real subprocess (spawned from
 //! `CARGO_BIN_EXE_tdp-serve`) because `Child::kill` — SIGKILL on unix —
@@ -294,6 +296,43 @@ fn killed_daemon_recovers_jobs_reports_and_event_streams() {
         "{text}"
     );
 
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn restored_reports_feed_the_congestion_aggregates() {
+    let dir = temp_dir("aggregates");
+    let aggregates = |client: &mut Client| {
+        let metrics = client.metrics().expect("metrics");
+        [
+            "congestion_jobs",
+            "congestion_overflow_sum",
+            "congestion_peak_max",
+        ]
+        .map(|key| metrics.get(key).map(JsonValue::encode).unwrap_or_default())
+    };
+    let daemon = Daemon::spawn(&dir, &[]);
+    let mut client = daemon.connect();
+    // The small design leaves no overflow; sb18 does, so both sums move.
+    let mut reqs = requests();
+    reqs[1].design = DesignRef::Case("sb18".to_string());
+    for req in &reqs[..2] {
+        let id = client.submit(req).expect("submit");
+        client.wait(id).expect("wait");
+    }
+    let before = aggregates(&mut client);
+    assert_eq!(before[0], "2", "every job has congestion");
+    assert_ne!(before[1], "0", "some job overflows");
+    client.shutdown().expect("shutdown");
+    daemon.wait();
+
+    // Restart on the same journal: both jobs come back from their
+    // `finished` records alone.
+    let daemon = Daemon::spawn(&dir, &[]);
+    let mut client = daemon.connect();
+    assert_eq!(aggregates(&mut client), before);
     client.shutdown().expect("shutdown");
     daemon.wait();
     std::fs::remove_dir_all(&dir).ok();

@@ -410,6 +410,62 @@ mod tests {
     }
 
     #[test]
+    fn route_overrides_set_exactly_their_route_config_fields() {
+        let cat = catalog();
+        let case = find_case(&cat, "sb18").unwrap();
+        let job = |overrides: &[(&str, &str)]| {
+            let overrides: Vec<(String, String)> = overrides
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            make_jobs(
+                case,
+                Some(&ObjectiveSpec::EfficientTdp),
+                Profile::Quick,
+                &overrides,
+            )
+            .map(|mut jobs| jobs.remove(0))
+        };
+        let base = job(&[]).unwrap().spec.config().clone();
+        assert_eq!(base.route, tdp_core::RouteConfig::default());
+        let tuned = job(&[
+            ("route_bins", "30"),
+            ("route_capacity", "2.5"),
+            ("route_pin_weight", "0"),
+        ])
+        .unwrap();
+        let config = tuned.spec.config();
+        assert_eq!(
+            config.route,
+            tdp_core::RouteConfig {
+                bins_x: 30,
+                bins_y: 30,
+                capacity: 2.5,
+                pin_weight: 0.0,
+                ..tdp_core::RouteConfig::default()
+            }
+        );
+        // Nothing outside the route config moves.
+        assert_eq!(
+            tdp_core::FlowConfig {
+                route: base.route,
+                ..config.clone()
+            },
+            base
+        );
+        for (key, value) in [
+            ("route_bins", "thirty"),
+            ("route_bins", "-1"),
+            ("route_capacity", "wide"),
+            ("route_pin_weight", ""),
+        ] {
+            let err = job(&[(key, value)]).unwrap_err();
+            assert!(matches!(err, BatchError::Usage(_)), "{key}={value}: {err}");
+            assert!(err.to_string().contains(key), "{err}");
+        }
+    }
+
+    #[test]
     fn job_file_parses_comments_overrides_and_sweeps() {
         let text = "\n# header comment\nsb18 efficient-tdp beta=1e-3 seed=9\nmx1 all # sweep\n";
         let jobs = parse_job_file(text, &catalog(), Profile::Quick, &[]).unwrap();

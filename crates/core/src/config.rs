@@ -3,7 +3,7 @@
 use crate::error::FlowError;
 use crate::extraction::ExtractionStrategy;
 use crate::loss::PinPairLoss;
-use placer::{OptimizerKind, PlacerConfig};
+use placer::PlacerConfig;
 use sta::{NetTopology, RcParams};
 use tdp_route::RouteConfig;
 
@@ -33,10 +33,6 @@ pub struct FlowConfig {
     pub rc: RcParams,
     /// Underlying placer configuration.
     pub placer: PlacerConfig,
-    /// Momentum net-weighting decay (the DREAMPlace 4.0 baseline).
-    pub momentum_decay: f64,
-    /// Net-weight boost scale for the net-weighting baselines.
-    pub net_weight_alpha: f64,
     /// Worker count for STA and the gradient kernels: `0` = one per
     /// hardware thread, `1` = serial. Results are bit-identical for
     /// every value — this is a speed knob only.
@@ -70,11 +66,8 @@ impl Default for FlowConfig {
                 max_iterations: 700,
                 min_iterations: 400,
                 stop_overflow: 0.08,
-                optimizer: OptimizerKind::Nesterov,
                 ..PlacerConfig::default()
             },
-            momentum_decay: 0.5,
-            net_weight_alpha: 8.0,
             threads: 0,
             route: RouteConfig::default(),
         }
@@ -123,19 +116,12 @@ impl FlowConfig {
         finite_nonneg("beta", self.beta)?;
         finite_nonneg("w0", self.w0)?;
         finite_nonneg("w1", self.w1)?;
-        finite_nonneg("net_weight_alpha", self.net_weight_alpha)?;
         finite_nonneg("rc.res_per_unit", self.rc.res_per_unit)?;
         finite_nonneg("rc.cap_per_unit", self.rc.cap_per_unit)?;
         if self.timing_interval == 0 {
             return Err(FlowError::Config(
                 "timing_interval must be at least 1".into(),
             ));
-        }
-        if !(0.0..=1.0).contains(&self.momentum_decay) {
-            return Err(FlowError::Config(format!(
-                "momentum_decay must lie in [0, 1] (got {})",
-                self.momentum_decay
-            )));
         }
         let p = &self.placer;
         if p.grid < 2 || !p.grid.is_power_of_two() {
@@ -167,20 +153,6 @@ impl FlowConfig {
                 p.gamma_factor
             )));
         }
-        if !p.initial_step.is_finite() || p.initial_step <= 0.0 {
-            return Err(FlowError::Config(format!(
-                "placer.initial_step must be positive (got {})",
-                p.initial_step
-            )));
-        }
-        if !p.lambda_mult.is_finite() || p.lambda_mult < 1.0 {
-            return Err(FlowError::Config(format!(
-                "placer.lambda_mult must be >= 1 (got {})",
-                p.lambda_mult
-            )));
-        }
-        finite_nonneg("placer.lambda_init_factor", p.lambda_init_factor)?;
-        finite_nonneg("placer.move_threshold", p.move_threshold)?;
         if !p.stop_overflow.is_finite() {
             return Err(FlowError::Config(format!(
                 "placer.stop_overflow must be finite (got {})",

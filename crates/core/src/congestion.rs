@@ -317,7 +317,7 @@ mod tests {
             let mut cfg = cfg.clone();
             cfg.threads = threads;
             let mut obj = fresh(&design, &cfg);
-            let mut moves = MoveTracker::new(&placement, 0.0);
+            let mut moves = MoveTracker::new(&placement);
             obj.begin_iteration(cfg.timing_start, &design, &placement, &mut moves);
             let mut gx = vec![0.0; design.num_cells()];
             let mut gy = vec![0.0; design.num_cells()];
@@ -344,7 +344,7 @@ mod tests {
         };
         let sta = Sta::new(&design, cfg.rc).expect("acyclic");
         let mut zero = CongestionAwareObjective::new(sta, &design, cfg.clone(), 0.0);
-        let mut moves = MoveTracker::new(&placement, 0.0);
+        let mut moves = MoveTracker::new(&placement);
         zero.begin_iteration(cfg.timing_start, &design, &placement, &mut moves);
         let mut gx0 = vec![0.0; design.num_cells()];
         let mut gy0 = vec![0.0; design.num_cells()];
@@ -352,7 +352,7 @@ mod tests {
 
         let sta = Sta::new(&design, cfg.rc).expect("acyclic");
         let mut inner = EfficientTdpObjective::new(sta, cfg.clone());
-        let mut moves = MoveTracker::new(&placement, 0.0);
+        let mut moves = MoveTracker::new(&placement);
         inner.begin_iteration(cfg.timing_start, &design, &placement, &mut moves);
         let mut gx1 = vec![0.0; design.num_cells()];
         let mut gy1 = vec![0.0; design.num_cells()];

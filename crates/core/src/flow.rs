@@ -12,10 +12,11 @@
 //! the placement engine's [`netlist::MoveTracker`] hands over the cells
 //! moved since the previous timing call and the nets they touch as one
 //! [`netlist::DirtySummary`], and only those nets get their RC trees
-//! rebuilt. With the default zero move threshold the incremental results
-//! are bit-identical to a full analysis, a pure runtime optimization. RC refresh, both propagation passes
-//! and the pin-pair gradient all parallelize across
-//! [`FlowConfig::threads`] workers with thread-count-invariant results.
+//! rebuilt. The tracker reports every nonzero move, so the incremental
+//! results are bit-identical to a full analysis, a pure runtime
+//! optimization. RC refresh, both propagation passes and the pin-pair
+//! gradient all parallelize across [`FlowConfig::threads`] workers with
+//! thread-count-invariant results.
 
 use crate::config::FlowConfig;
 use crate::extraction::extract_pin_pairs;

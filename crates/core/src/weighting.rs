@@ -22,6 +22,13 @@ use placer::TimingObjective;
 use sta::{ArcKind, Sta};
 use std::time::{Duration, Instant};
 
+/// Net-weight boost scale α of both rules: a fully critical net weighs
+/// `1 + α`.
+const NET_WEIGHT_ALPHA: f64 = 8.0;
+/// Momentum decay of the DREAMPlace 4.0 rule: the share of the previous
+/// weight kept at each timing iteration.
+const MOMENTUM_DECAY: f64 = 0.5;
+
 /// The weight-update rule that tells the two baselines apart.
 #[derive(Debug, Clone, Copy)]
 enum WeightRule {
@@ -50,15 +57,15 @@ pub struct NetWeightingObjective {
 }
 
 impl NetWeightingObjective {
-    /// DREAMPlace 4.0 momentum net weighting (`cfg.net_weight_alpha`,
-    /// `cfg.momentum_decay`) around an existing analyzer (no graph
+    /// DREAMPlace 4.0 momentum net weighting (`NET_WEIGHT_ALPHA`,
+    /// `MOMENTUM_DECAY`) around an existing analyzer (no graph
     /// construction).
     pub fn momentum(sta: Sta, design: &Design, cfg: FlowConfig) -> Self {
         Self::new(sta, design, cfg, WeightRule::Momentum)
     }
 
     /// Differentiable-TDP-style smoothed arc-slack net weighting
-    /// (`cfg.net_weight_alpha`) around an existing analyzer (no graph
+    /// (`NET_WEIGHT_ALPHA`) around an existing analyzer (no graph
     /// construction).
     pub fn differentiable_tdp(sta: Sta, design: &Design, cfg: FlowConfig) -> Self {
         Self::new(sta, design, cfg, WeightRule::ArcSlack)
@@ -80,7 +87,6 @@ impl NetWeightingObjective {
     /// from its worst pin slack (the pin-level view the paper contrasts
     /// with in Fig. 2).
     fn momentum_update(&mut self, design: &Design, wns: f64) {
-        let (alpha, decay) = (self.cfg.net_weight_alpha, self.cfg.momentum_decay);
         for net in design.net_ids() {
             let mut worst = f64::INFINITY;
             for &p in &design.net(net).pins {
@@ -93,9 +99,9 @@ impl NetWeightingObjective {
             } else {
                 0.0
             };
-            let target = 1.0 + alpha * crit;
+            let target = 1.0 + NET_WEIGHT_ALPHA * crit;
             let w = &mut self.weights[net.index()];
-            *w = decay * *w + (1.0 - decay) * target;
+            *w = MOMENTUM_DECAY * *w + (1.0 - MOMENTUM_DECAY) * target;
         }
     }
 
@@ -129,7 +135,7 @@ impl NetWeightingObjective {
         // violating paths; the per-arc criticality (linear, not
         // thresholded at the worst pin) is its lumped equivalent.
         for net in design.net_ids() {
-            self.weights[net.index()] = 1.0 + self.cfg.net_weight_alpha * crit[net.index()];
+            self.weights[net.index()] = 1.0 + NET_WEIGHT_ALPHA * crit[net.index()];
         }
     }
 }
@@ -216,13 +222,11 @@ mod tests {
         }
     }
 
-    /// Timing every `interval` iterations from `start`, α = 4, decay 0.5.
+    /// Timing every `interval` iterations from `start`.
     fn cfg(start: usize, interval: usize) -> FlowConfig {
         FlowConfig {
             timing_start: start,
             timing_interval: interval,
-            net_weight_alpha: 4.0,
-            momentum_decay: 0.5,
             ..FlowConfig::default()
         }
     }
@@ -241,7 +245,7 @@ mod tests {
         let (design, mut placement) = generate(&CircuitParams::small("w", 9));
         scattered(&design, &mut placement);
         let mut obj = NetWeightingObjective::momentum(sta(&design), &design, cfg(0, 1));
-        let mut moves = MoveTracker::new(&placement, 0.0);
+        let mut moves = MoveTracker::new(&placement);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         let w = &obj.weights;
         let max = w.iter().cloned().fold(0.0, f64::max);
@@ -257,7 +261,7 @@ mod tests {
         let (design, mut placement) = generate(&CircuitParams::small("w", 9));
         scattered(&design, &mut placement);
         let mut obj = NetWeightingObjective::momentum(sta(&design), &design, cfg(0, 1));
-        let mut moves = MoveTracker::new(&placement, 0.0);
+        let mut moves = MoveTracker::new(&placement);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         let w1 = obj.weights.to_vec();
         obj.begin_iteration(1, &design, &placement, &mut moves);
@@ -277,12 +281,14 @@ mod tests {
     fn differentiable_weights_are_instantaneous_and_bounded() {
         let (design, mut placement) = generate(&CircuitParams::small("w", 10));
         scattered(&design, &mut placement);
-        let alpha = 4.0;
         let mut obj = NetWeightingObjective::differentiable_tdp(sta(&design), &design, cfg(0, 1));
-        let mut moves = MoveTracker::new(&placement, 0.0);
+        let mut moves = MoveTracker::new(&placement);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         for &w in &obj.weights {
-            assert!((1.0..=1.0 + alpha).contains(&w), "weight {w} out of range");
+            assert!(
+                (1.0..=1.0 + NET_WEIGHT_ALPHA).contains(&w),
+                "weight {w} out of range"
+            );
         }
         let boosted = obj.weights.iter().filter(|&&w| w > 1.0).count();
         assert!(boosted > 0, "no nets boosted");
@@ -293,7 +299,7 @@ mod tests {
         let (design, mut placement) = generate(&CircuitParams::small("w", 12));
         scattered(&design, &mut placement);
         let mut obj = NetWeightingObjective::momentum(sta(&design), &design, cfg(100, 15));
-        let mut moves = MoveTracker::new(&placement, 0.0);
+        let mut moves = MoveTracker::new(&placement);
         obj.begin_iteration(0, &design, &placement, &mut moves);
         obj.begin_iteration(99, &design, &placement, &mut moves);
         obj.begin_iteration(101, &design, &placement, &mut moves);

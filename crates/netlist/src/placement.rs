@@ -170,41 +170,27 @@ impl Placement {
 ///
 /// The placement engine hands the tracker to the timing objective, which
 /// calls [`MoveTracker::take_changes`] every time it consumes the moved
-/// set. "Moved" means "displaced more than `threshold` (Manhattan) since
-/// the cell's position was last taken": `take_changes` only advances the
-/// reference of cells that currently exceed the threshold, so
-/// sub-threshold drift keeps accumulating across calls and is reported
-/// once the *total* drift crosses the threshold — a slowly creeping cell
-/// can never escape refresh forever. With a threshold of 0 every nonzero
+/// set. A cell is reported iff its position differs from the one it had
+/// when it was last taken (or at the snapshot), so every nonzero
 /// displacement is reported and incremental analysis stays bit-identical
-/// to a full one; a positive threshold trades exactness for fewer RC
-/// rebuilds.
+/// to a full one.
 #[derive(Debug, Clone)]
 pub struct MoveTracker {
     base_x: Vec<f64>,
     base_y: Vec<f64>,
-    threshold: f64,
 }
 
 impl MoveTracker {
     /// Snapshots `placement` as the reference state.
-    pub fn new(placement: &Placement, threshold: f64) -> Self {
-        assert!(threshold >= 0.0, "negative move threshold");
+    pub fn new(placement: &Placement) -> Self {
         Self {
             base_x: placement.x.clone(),
             base_y: placement.y.clone(),
-            threshold,
         }
     }
 
-    /// The Manhattan displacement below which a cell counts as unmoved.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Rebuilds `changes` in place from the cells displaced more than the
-    /// threshold since they were last taken, and advances only their
-    /// references, so sub-threshold drift keeps accumulating. One pass.
+    /// Rebuilds `changes` in place from the cells displaced since they
+    /// were last taken, and advances their references. One pass.
     ///
     /// # Panics
     ///
@@ -221,7 +207,7 @@ impl MoveTracker {
         for i in 0..self.base_x.len() {
             let d =
                 (placement.x[i] - self.base_x[i]).abs() + (placement.y[i] - self.base_y[i]).abs();
-            if d > self.threshold {
+            if d > 0.0 {
                 self.base_x[i] = placement.x[i];
                 self.base_y[i] = placement.y[i];
                 changes.moved_cells.push(CellId::new(i));
@@ -362,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn move_tracker_takes_changes_and_keeps_sub_threshold_drift() {
+    fn move_tracker_reports_exactly_the_cells_moved_since_the_last_take() {
         let (d, u1, u2) = two_inv_design();
         let mut p = Placement::new(&d);
         p.set(u1, 10.0, 10.0);
@@ -376,31 +362,24 @@ mod tests {
             );
             changes.moved_cells.clone()
         };
-        let mut tracker = MoveTracker::new(&p, 1.0);
+        let mut tracker = MoveTracker::new(&p);
         assert!(take(&mut tracker, &p).is_empty());
 
-        // Sub-threshold drift is invisible; a real move is reported.
-        p.set(u1, 10.4, 10.4); // Manhattan 0.8 <= 1.0
+        // Any nonzero displacement is reported, sorted; taking forgets it.
+        p.set(u2, 50.0, 50.0 + 1e-12);
+        p.set(u1, 10.0 - 1e-12, 10.0);
+        assert_eq!(take(&mut tracker, &p), vec![u1, u2]);
         assert!(take(&mut tracker, &p).is_empty());
+
+        // Moved away and back between two takes is not reported.
+        p.set(u1, 30.0, 30.0);
+        p.set(u1, 10.0 - 1e-12, 10.0);
+        assert!(take(&mut tracker, &p).is_empty());
+        // A move reported after being left untaken for several steps.
         p.set(u2, 60.0, 50.0);
+        p.set(u2, 61.0, 50.0);
         assert_eq!(take(&mut tracker, &p), vec![u2]);
-
-        // Taking forgets consumed moves but keeps sub-threshold drift.
         assert!(take(&mut tracker, &p).is_empty());
-
-        // A second sub-threshold step pushes the *accumulated* drift of
-        // u1 over the threshold: 0.8 + 0.8 = 1.6 > 1.0. A tracker that
-        // snapshotted everything on every take would miss this forever.
-        p.set(u1, 10.8, 10.8);
-        assert_eq!(take(&mut tracker, &p), vec![u1]);
-        assert!(take(&mut tracker, &p).is_empty());
-
-        // Zero threshold reports any nonzero displacement, sorted.
-        let mut exact = MoveTracker::new(&p, 0.0);
-        p.set(u2, 60.0, 50.0 + 1e-12);
-        p.set(u1, 10.4 - 1e-12, 10.4);
-        assert_eq!(take(&mut exact, &p), vec![u1, u2]);
-        assert!(take(&mut exact, &p).is_empty());
     }
 
     #[test]

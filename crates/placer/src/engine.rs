@@ -7,7 +7,7 @@
 //! `tdp-core` crate uses to add the pin-to-pin attraction of Eq. 6.
 
 use crate::density::ElectrostaticDensity;
-use crate::optim::{NesterovOptimizer, OptimizerKind};
+use crate::optim::NesterovOptimizer;
 use crate::wirelength::WaWirelength;
 use netlist::{CellId, Design, MoveTracker, Placement};
 
@@ -21,13 +21,12 @@ use netlist::{CellId, Design, MoveTracker, Placement};
 /// 3. [`TimingObjective::accumulate_gradient`] with the lookahead solution
 ///    to add extra gradient terms.
 ///
-/// The tracker reports which cells moved more than the configured
-/// threshold since they were last taken. An objective that runs
-/// incremental timing calls [`MoveTracker::take_changes`] whenever it
-/// consumes the set, getting the moved cells and their dirty nets as one
-/// [`netlist::DirtySummary`]; objectives that run full analyses (or none)
-/// simply ignore it, and moves keep accumulating until somebody takes
-/// them.
+/// The tracker reports which cells moved since they were last taken. An
+/// objective that runs incremental timing calls
+/// [`MoveTracker::take_changes`] whenever it consumes the set, getting the
+/// moved cells and their dirty nets as one [`netlist::DirtySummary`];
+/// objectives that run full analyses (or none) simply ignore it, and moves
+/// keep accumulating until somebody takes them.
 pub trait TimingObjective {
     /// Observes the solution at the start of iteration `iter`; a good place
     /// to run STA every m-th iteration.
@@ -95,22 +94,12 @@ pub struct PlacerConfig {
     pub min_iterations: usize,
     /// Stop once overflow falls below this value (after `min_iterations`).
     pub stop_overflow: f64,
-    /// Multiplier applied to λ every iteration.
-    pub lambda_mult: f64,
-    /// Scale on the initial λ balance.
-    pub lambda_init_factor: f64,
-    /// Update rule.
-    pub optimizer: OptimizerKind,
-    /// Initial optimizer step (placement units); BB adapts it afterwards.
-    pub initial_step: f64,
     /// RNG seed for the initial cell spreading.
     pub seed: u64,
     /// Worker count for the gradient kernels (0 = auto, 1 = serial).
-    /// Any value produces bit-identical placements.
+    /// Any value produces bit-identical placements. `Session::run`
+    /// overwrites it with `FlowConfig::threads`.
     pub threads: usize,
-    /// Manhattan displacement below which a cell does not count as moved
-    /// for incremental timing (0 keeps incremental STA exact).
-    pub move_threshold: f64,
 }
 
 impl Default for PlacerConfig {
@@ -122,16 +111,18 @@ impl Default for PlacerConfig {
             max_iterations: 1000,
             min_iterations: 100,
             stop_overflow: 0.07,
-            lambda_mult: 1.05,
-            lambda_init_factor: 1.0,
-            optimizer: OptimizerKind::Nesterov,
-            initial_step: 1.0,
             seed: 1,
             threads: 1,
-            move_threshold: 0.0,
         }
     }
 }
+
+/// Multiplier applied to λ every iteration while overflow is above target.
+const LAMBDA_MULT: f64 = 1.05;
+/// Scale on the initial λ balance.
+const LAMBDA_INIT_FACTOR: f64 = 1.0;
+/// Initial optimizer step (placement units); BB adapts it afterwards.
+const INITIAL_STEP: f64 = 1.0;
 
 /// Per-iteration trace entry (drives the Fig. 5 curves).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -281,7 +272,7 @@ impl GlobalPlacer {
         for &c in &self.movable {
             x0.push(self.placement.get(c).1);
         }
-        let mut opt = NesterovOptimizer::new(self.config.optimizer, x0, self.config.initial_step);
+        let mut opt = NesterovOptimizer::new(x0, INITIAL_STEP);
         // Trust region: never move a cell more than one bin per iteration.
         opt.set_max_move(bin.max(1.0));
 
@@ -305,7 +296,7 @@ impl GlobalPlacer {
         // Seeded from the initial solution; the timing objective takes
         // the change set from it whenever it consumes the moved cells.
         self.write_solution(opt.solution());
-        let mut moves = MoveTracker::new(&self.placement, self.config.move_threshold);
+        let mut moves = MoveTracker::new(&self.placement);
         let wl_scratch = &mut bufs.wl;
 
         for iter in 0..self.config.max_iterations {
@@ -372,7 +363,7 @@ impl GlobalPlacer {
                     .map(|&c| bufs.dx[c.index()].abs() + bufs.dy[c.index()].abs())
                     .sum();
                 self.lambda = if d_norm > 0.0 {
-                    self.config.lambda_init_factor * wl_norm / d_norm
+                    LAMBDA_INIT_FACTOR * wl_norm / d_norm
                 } else {
                     1e-4
                 };
@@ -431,7 +422,7 @@ impl GlobalPlacer {
             // refine a stable placement instead of fighting a runaway
             // density force.
             if overflow > self.config.stop_overflow {
-                self.lambda *= self.config.lambda_mult;
+                self.lambda *= LAMBDA_MULT;
             }
             if overflow < self.config.stop_overflow && iter + 1 >= self.config.min_iterations {
                 break;

@@ -12,7 +12,7 @@
 //! * [`density`] — ePlace-style electrostatic density: bin grid, spectral
 //!   Poisson solver on a hand-rolled real FFT/DCT, per-cell field forces.
 //! * [`optim`] — Nesterov accelerated gradient with Barzilai–Borwein step
-//!   (the DREAMPlace optimizer) and a conservative Adam fallback.
+//!   (the DREAMPlace optimizer).
 //! * [`legalize`] — Abacus row legalization with a Tetris fallback.
 //! * [`engine`] — the [`GlobalPlacer`] driver tying it all together, with a
 //!   [`TimingObjective`] extension point the `tdp-core` crate plugs into.
@@ -42,5 +42,5 @@ pub use engine::{
     GlobalPlacer, IterationStats, NoTimingObjective, PlaceResult, PlacerConfig, TimingObjective,
 };
 pub use legalize::{abacus_legalize, free_segments, tetris_legalize, LegalizeStats, RowSegment};
-pub use optim::{NesterovOptimizer, OptimizerKind};
+pub use optim::NesterovOptimizer;
 pub use wirelength::{WaScratch, WaWirelength};

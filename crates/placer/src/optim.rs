@@ -1,23 +1,12 @@
-//! First-order optimizers for the placement objective.
+//! The first-order optimizer for the placement objective.
 //!
-//! The default is the DREAMPlace/ePlace choice: Nesterov's accelerated
+//! The update rule is the DREAMPlace/ePlace choice: Nesterov's accelerated
 //! gradient with a Barzilai–Borwein step-size estimate and per-cell Jacobi
-//! preconditioning. A conservative Adam variant is kept as an ablation
-//! fallback.
-
-/// Which update rule the engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// Nesterov accelerated gradient + Barzilai–Borwein step (default).
-    Nesterov,
-    /// Adam with a fixed learning-rate schedule.
-    Adam,
-}
+//! preconditioning.
 
 /// State for the Nesterov/BB update over the concatenated (x, y) vector.
 #[derive(Debug, Clone)]
 pub struct NesterovOptimizer {
-    kind: OptimizerKind,
     /// Major solution u_k.
     u: Vec<f64>,
     /// Reference (lookahead) solution v_k — gradients are taken here.
@@ -31,9 +20,7 @@ pub struct NesterovOptimizer {
     a: f64,
     /// Current step size.
     step: f64,
-    /// Adam moments (used when kind == Adam).
-    m: Vec<f64>,
-    s: Vec<f64>,
+    /// Number of updates taken.
     t: usize,
     /// Per-coordinate trust region: hard cap on |u_new − v| per step.
     max_move: f64,
@@ -41,11 +28,9 @@ pub struct NesterovOptimizer {
 
 impl NesterovOptimizer {
     /// Creates an optimizer starting from `x0` with an initial step size.
-    pub fn new(kind: OptimizerKind, x0: Vec<f64>, initial_step: f64) -> Self {
+    pub fn new(x0: Vec<f64>, initial_step: f64) -> Self {
         let n = x0.len();
-        let _ = n;
         Self {
-            kind,
             u: x0.clone(),
             v: x0.clone(),
             v_prev: vec![0.0; n],
@@ -53,8 +38,6 @@ impl NesterovOptimizer {
             u_prev: x0,
             a: 1.0,
             step: initial_step,
-            m: vec![0.0; n],
-            s: vec![0.0; n],
             t: 0,
             max_move: f64::INFINITY,
         }
@@ -95,13 +78,6 @@ impl NesterovOptimizer {
     /// component (die clamping is done by the engine via index knowledge).
     pub fn step(&mut self, grad: &[f64]) {
         assert_eq!(grad.len(), self.u.len(), "gradient length mismatch");
-        match self.kind {
-            OptimizerKind::Nesterov => self.step_nesterov(grad),
-            OptimizerKind::Adam => self.step_adam(grad),
-        }
-    }
-
-    fn step_nesterov(&mut self, grad: &[f64]) {
         self.t += 1;
         if self.t > 1 {
             // Barzilai-Borwein 2 step estimate over consecutive lookahead
@@ -146,26 +122,6 @@ impl NesterovOptimizer {
         self.a = a_next;
     }
 
-    fn step_adam(&mut self, grad: &[f64]) {
-        self.t += 1;
-        let beta1 = 0.9f64;
-        let beta2 = 0.999f64;
-        let eps = 1e-8;
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-        #[allow(clippy::needless_range_loop)] // lockstep over several arrays
-        for i in 0..self.u.len() {
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * grad[i];
-            self.s[i] = beta2 * self.s[i] + (1.0 - beta2) * grad[i] * grad[i];
-            let mhat = self.m[i] / bc1;
-            let shat = self.s[i] / bc2;
-            let delta =
-                (self.step * mhat / (shat.sqrt() + eps)).clamp(-self.max_move, self.max_move);
-            self.u[i] -= delta;
-            self.v[i] = self.u[i];
-        }
-    }
-
     /// Re-synchronizes the lookahead point with the (externally clamped)
     /// major solution. Call after mutating [`Self::solution_mut`].
     pub fn resync(&mut self) {
@@ -199,7 +155,7 @@ mod tests {
     fn nesterov_converges_on_quadratic() {
         let c = vec![1.0, 10.0, 0.5, 4.0];
         let t = vec![3.0, -2.0, 7.0, 0.0];
-        let mut opt = NesterovOptimizer::new(OptimizerKind::Nesterov, vec![0.0; 4], 0.05);
+        let mut opt = NesterovOptimizer::new(vec![0.0; 4], 0.05);
         for _ in 0..1500 {
             let g = quad_grad(opt.query_point(), &c, &t);
             opt.step(&g);
@@ -209,24 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_quadratic() {
-        let c = vec![1.0, 10.0, 0.5, 4.0];
-        let t = vec![3.0, -2.0, 7.0, 0.0];
-        let mut opt = NesterovOptimizer::new(OptimizerKind::Adam, vec![0.0; 4], 0.3);
-        for _ in 0..2000 {
-            let g = quad_grad(opt.query_point(), &c, &t);
-            opt.step(&g);
-        }
-        let v = quad_value(opt.solution(), &c, &t);
-        assert!(v < 1e-4, "residual {v}");
-    }
-
-    #[test]
     fn bb_step_adapts_upward_on_flat_function() {
         // Very flat quadratic: the initial tiny step should grow.
         let c = vec![1e-3; 2];
         let t = vec![100.0, -50.0];
-        let mut opt = NesterovOptimizer::new(OptimizerKind::Nesterov, vec![0.0; 2], 1e-3);
+        let mut opt = NesterovOptimizer::new(vec![0.0; 2], 1e-3);
         for _ in 0..10 {
             let g = quad_grad(opt.query_point(), &c, &t);
             opt.step(&g);
@@ -240,7 +183,7 @@ mod tests {
 
     #[test]
     fn resync_resets_lookahead() {
-        let mut opt = NesterovOptimizer::new(OptimizerKind::Nesterov, vec![0.0; 2], 0.1);
+        let mut opt = NesterovOptimizer::new(vec![0.0; 2], 0.1);
         opt.step(&[1.0, -1.0]);
         opt.solution_mut()[0] = 42.0;
         opt.resync();

@@ -210,9 +210,8 @@ impl CongestionAnalyzer {
     /// Incremental analysis: re-rasterizes only the dirty nets and the
     /// moved cells' pin overlays of `changes`, splices the per-bin lists,
     /// and re-reduces only the affected bins. Bitwise identical to
-    /// [`CongestionAnalyzer::analyze`] of the same placement — with a
-    /// zero-threshold tracker this is purely a runtime optimization,
-    /// exactly like the incremental STA.
+    /// [`CongestionAnalyzer::analyze`] of the same placement: a purely
+    /// runtime optimization, exactly like the incremental STA.
     ///
     /// Falls back to a full analysis when none has run yet.
     pub fn analyze_changes(

@@ -38,8 +38,11 @@
 //! # Crash consistency
 //!
 //! Replay stops at the first line that is torn (no trailing newline) or
-//! unparseable and truncates the file there — standard WAL recovery.
-//! Everything before that point is intact: each record goes out with its
+//! undecodable and truncates the file there — standard WAL recovery. An
+//! undecodable line followed by a decodable one is not a crash tail but
+//! mid-file corruption: [`Journal::open`] then fails with `InvalidData`
+//! and leaves the file as it is, so the daemon refuses to start instead
+//! of deleting finished jobs. Everything before that point is intact: each record goes out with its
 //! newline in a single `write_all`, and a `finished` record's fsync
 //! flushes all earlier writes on the same descriptor, so a parseable
 //! `finished` record guarantees the job's complete event history
@@ -205,13 +208,16 @@ struct Tail {
 
 impl Journal {
     /// Opens (creating the directory and file as needed) the journal at
-    /// `dir/journal.jsonl`, replays the existing records, truncates any
-    /// torn/corrupt tail, and positions the file for appending. Each
+    /// `dir/journal.jsonl`, replays the existing records, truncates a
+    /// torn or corrupt tail, and positions the file for appending. Each
     /// record comes back with the byte range its line occupies.
     ///
     /// # Errors
     ///
-    /// I/O errors creating the directory or opening the file.
+    /// I/O errors creating the directory or opening the file, and
+    /// `InvalidData` when an undecodable record is followed by a
+    /// decodable one (mid-file corruption, not a crash tail); the file
+    /// is then left untouched.
     pub fn open(dir: &Path) -> std::io::Result<(Journal, Vec<Located>)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("journal.jsonl");
@@ -219,7 +225,7 @@ impl Journal {
         // Everything past the clean prefix is a crash artifact and is
         // truncated before appending resumes.
         let clean = match std::fs::read(&path) {
-            Ok(bytes) => scan(&bytes, |at, rec| records.push((at, rec))),
+            Ok(bytes) => scan(&bytes, 0, |at, rec| records.push((at, rec)))?,
             Err(_) => 0,
         };
         let mut file = OpenOptions::new()
@@ -295,33 +301,59 @@ impl Journal {
 }
 
 /// Decodes the clean prefix of `bytes` — complete (newline-terminated),
-/// parseable records — passing each record and its byte range within
-/// `bytes` to `each`; returns the prefix length. The first torn (no
-/// trailing newline) or undecodable line ends the prefix: the WAL
-/// recovery rule, shared by replay and compacted reads.
-fn scan(bytes: &[u8], mut each: impl FnMut(Range<u64>, Record)) -> u64 {
-    let mut clean = 0u64;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        if line.last() != Some(&b'\n') {
-            break; // torn tail: the crash interrupted this write
-        }
-        let Ok(text) = std::str::from_utf8(line) else {
-            break;
+/// decodable records — passing each record and its byte range to
+/// `each`; returns the prefix length. Ranges and error offsets count
+/// from `base`, the file offset `bytes` was read at. The first torn
+/// (no trailing newline) or undecodable line ends the prefix: the WAL
+/// recovery rule, shared by replay and compacted reads. An undecodable
+/// line is only a crash tail when no later complete line decodes;
+/// otherwise the journal is corrupt mid-file and dropping the later
+/// records would lose finished jobs.
+///
+/// # Errors
+///
+/// `InvalidData` naming the undecodable line's byte offset when a later
+/// complete line decodes.
+fn scan(bytes: &[u8], base: u64, mut each: impl FnMut(Range<u64>, Record)) -> std::io::Result<u64> {
+    let decode = |line: &[u8]| -> Option<Result<Record, String>> {
+        let text = match std::str::from_utf8(line) {
+            Ok(text) => text.trim(),
+            Err(e) => return Some(Err(format!("not UTF-8: {e}"))),
         };
-        let at = clean..clean + line.len() as u64;
-        let trimmed = text.trim();
-        if !trimmed.is_empty() {
-            let Some(rec) = tdp_jsonio::parse(trimmed)
-                .ok()
-                .and_then(|v| decode_record(&v).ok())
-            else {
-                break; // corrupt record: recover the prefix only
-            };
-            each(at.clone(), rec);
+        if text.is_empty() {
+            return None;
         }
-        clean = at.end;
+        Some(
+            tdp_jsonio::parse(text)
+                .map_err(|e| e.to_string())
+                .and_then(|v| decode_record(&v)),
+        )
+    };
+    let mut clean = 0u64;
+    let mut lines = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .take_while(|line| line.last() == Some(&b'\n')); // a torn tail ends it
+    for line in lines.by_ref() {
+        let at = base + clean..base + clean + line.len() as u64;
+        match decode(line) {
+            None => {}
+            Some(Ok(rec)) => each(at.clone(), rec),
+            Some(Err(why)) => {
+                if lines.any(|later| matches!(decode(later), Some(Ok(_)))) {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "journal record at byte {} does not decode ({why}) but later records do",
+                            at.start
+                        ),
+                    ));
+                }
+                break; // corrupt tail: recover the prefix only
+            }
+        }
+        clean += line.len() as u64;
     }
-    clean
+    Ok(clean)
 }
 
 /// Renders a `submit` record line.
@@ -464,8 +496,9 @@ pub struct CompactedJob {
 ///
 /// # Errors
 ///
-/// I/O errors reading the file (decode errors terminate the scan like
-/// replay does, tolerating a torn tail).
+/// I/O errors reading the file, and the `InvalidData` error replay
+/// reports for an undecodable record followed by a decodable one (a
+/// torn or corrupt tail just ends the scan, as in replay).
 pub fn read_compacted(path: &Path, job: usize, span: Range<u64>) -> std::io::Result<CompactedJob> {
     let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(span.start))?;
@@ -473,7 +506,7 @@ pub fn read_compacted(path: &Path, job: usize, span: Range<u64>) -> std::io::Res
     file.take(span.end.saturating_sub(span.start))
         .read_to_end(&mut bytes)?;
     let mut out = CompactedJob::default();
-    scan(&bytes, |_, rec| match rec {
+    scan(&bytes, span.start, |_, rec| match rec {
         Record::Event {
             job: j,
             seq,
@@ -484,7 +517,7 @@ pub fn read_compacted(path: &Path, job: usize, span: Range<u64>) -> std::io::Res
         } if j == job && seq == out.events.len() => out.events.push(l),
         Record::Finished { job: j, finished } if j == job => out.report = Some(finished.report),
         _ => {}
-    });
+    })?;
     Ok(out)
 }
 
@@ -626,22 +659,34 @@ mod tests {
         for line in &rejected {
             assert!(decode_line(line).is_err(), "{line} must not decode");
         }
-        // Replay stops at each of them: the clean prefix survives, the
-        // rest of the file is truncated, and nothing panics.
+        let good = finished_record(3, &wire);
         for bad in &rejected {
             let dir = temp_journal_dir("reject");
             std::fs::create_dir_all(&dir).unwrap();
-            let good = finished_record(3, &wire);
-            std::fs::write(
-                dir.join("journal.jsonl"),
-                format!("{good}\n{bad}\n{good}\n"),
-            )
-            .unwrap();
+            let file = dir.join("journal.jsonl");
+            // Followed by a decodable record, the rejected line is
+            // mid-file corruption: open refuses, names the line's
+            // offset, and leaves every byte in place.
+            let corrupt = format!("{good}\n{bad}\n{good}\n");
+            std::fs::write(&file, &corrupt).unwrap();
+            let err = Journal::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+            let offset = format!("at byte {} ", good.len() + 1);
+            assert!(err.to_string().contains(&offset), "{err}");
+            assert_eq!(std::fs::read(&file).unwrap(), corrupt.as_bytes());
+            // A compacted read over the same bytes reports it too.
+            let span = 0..corrupt.len() as u64;
+            let err = read_compacted(&file, 3, span).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+            assert!(err.to_string().contains(&offset), "{err}");
+            // As the last complete line it is a crash tail: the clean
+            // prefix survives and the rest of the file is truncated.
+            std::fs::write(&file, format!("{good}\n{bad}\n")).unwrap();
             let (_, records) = Journal::open(&dir).unwrap();
             assert_eq!(records.len(), 1, "{bad}");
             assert_eq!(
-                std::fs::metadata(dir.join("journal.jsonl")).unwrap().len(),
-                good.len() as u64 + 1
+                std::fs::read(&file).unwrap(),
+                format!("{good}\n").as_bytes()
             );
             std::fs::remove_dir_all(&dir).ok();
         }

@@ -84,6 +84,17 @@ impl Daemon {
     }
 }
 
+impl Drop for Daemon {
+    /// Kills and reaps a daemon still running — one whose test failed
+    /// before `kill` or `wait` — so no `tdp-serve` outlives the test.
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// The three-job workload both legs run: two quick jobs on a small
 /// design plus one heavy enough that the kill always lands before it
 /// finishes (so at least one job exercises the re-enqueue path), with a

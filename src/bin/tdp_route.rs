@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! tdp-route --case sb18 --objective efficient-tdp [--profile paper|quick]
-//!           [--threads N] [--set key=value ...] [--bins N] [--capacity F]
-//!           [--pin-weight F] [--out FILE] [--ascii] [--check]
+//!           [--threads N] [--set key=value ...] [--out FILE] [--ascii]
+//!           [--check]
 //! ```
 //!
 //! Loads a suite case, runs the selected objective through a
@@ -29,10 +29,7 @@ const USAGE: &str = "usage: tdp-route [options]
   --threads N           kernel threads; 0 = one per hardware thread
                         (default: 1)
   --set key=value       job-file override (repeatable): beta, seed,
-                        route_capacity, ...
-  --bins N              congestion grid bins per axis (default: 32)
-  --capacity F          routing capacity per unit area (default: 3)
-  --pin-weight F        pin-density overlay weight (default: 2)
+                        route_bins, route_capacity, route_pin_weight, ...
   --out FILE            write the heatmap JSON here (default: stdout)
   --ascii               render the map as ASCII art on stderr
   --check               verify the JSON encode-parse-encode fixpoint and
@@ -44,9 +41,6 @@ struct Args {
     profile: Profile,
     threads: usize,
     overrides: Vec<(String, String)>,
-    bins: Option<usize>,
-    capacity: Option<f64>,
-    pin_weight: Option<f64>,
     out: Option<String>,
     ascii: bool,
     check: bool,
@@ -59,9 +53,6 @@ fn parse_args() -> Result<Args, BatchError> {
         profile: Profile::Quick,
         threads: 1,
         overrides: Vec::new(),
-        bins: None,
-        capacity: None,
-        pin_weight: None,
         out: None,
         ascii: false,
         check: false,
@@ -88,27 +79,6 @@ fn parse_args() -> Result<Args, BatchError> {
                     return Err(usage(format!("--set expects key=value (got {raw:?})")));
                 };
                 args.overrides.push((k.to_string(), v.to_string()));
-            }
-            "--bins" => {
-                args.bins = Some(
-                    value("--bins")?
-                        .parse()
-                        .map_err(|_| usage("--bins expects a positive integer".into()))?,
-                )
-            }
-            "--capacity" => {
-                args.capacity = Some(
-                    value("--capacity")?
-                        .parse()
-                        .map_err(|_| usage("--capacity expects a number".into()))?,
-                )
-            }
-            "--pin-weight" => {
-                args.pin_weight = Some(
-                    value("--pin-weight")?
-                        .parse()
-                        .map_err(|_| usage("--pin-weight expects a number".into()))?,
-                )
             }
             "--out" => args.out = Some(value("--out")?),
             "--ascii" => args.ascii = true,
@@ -145,15 +115,6 @@ fn run() -> Result<i32, BatchError> {
     // The exact spec-construction path batch and serve use, so the
     // heatmap describes the placement those front ends would produce.
     let mut overrides = vec![("threads".to_string(), args.threads.to_string())];
-    if let Some(bins) = args.bins {
-        overrides.push(("route_bins".to_string(), bins.to_string()));
-    }
-    if let Some(capacity) = args.capacity {
-        overrides.push(("route_capacity".to_string(), capacity.to_string()));
-    }
-    if let Some(pin_weight) = args.pin_weight {
-        overrides.push(("route_pin_weight".to_string(), pin_weight.to_string()));
-    }
     overrides.extend(args.overrides.iter().cloned());
     let jobs = make_jobs_for(
         case.name,

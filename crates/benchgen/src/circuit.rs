@@ -498,7 +498,7 @@ mod tests {
         assert_eq!(d1.num_cells(), d2.num_cells());
         assert_eq!(d1.num_nets(), d2.num_nets());
         for n in d1.net_ids() {
-            assert_eq!(d1.net(n).pins, d2.net(n).pins);
+            assert_eq!(d1.net_pins(n), d2.net_pins(n));
         }
         for c in d1.cell_ids() {
             assert_eq!(pl1.get(c), pl2.get(c));
@@ -510,7 +510,7 @@ mod tests {
         let (d1, _) = generate(&CircuitParams::small("t", 1));
         let (d2, _) = generate(&CircuitParams::small("t", 2));
         let nets_equal = d1.num_nets() == d2.num_nets()
-            && d1.net_ids().all(|n| d1.net(n).pins == d2.net(n).pins);
+            && d1.net_ids().all(|n| d1.net_pins(n) == d2.net_pins(n));
         assert!(!nets_equal, "seeds 1 and 2 produced identical netlists");
     }
 

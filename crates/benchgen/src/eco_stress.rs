@@ -85,14 +85,7 @@ pub fn next_drive_variant(design: &Design, cell: CellId) -> Option<CellTypeId> {
     for step in 1..order.len() {
         let candidate = format!("{base}_X{}", order[(pos + step) % order.len()]);
         if let Some(id) = lib.by_name(&candidate) {
-            let ty = lib.get(id);
-            let compatible = ty.pins.len() == current.pins.len()
-                && ty
-                    .pins
-                    .iter()
-                    .zip(&current.pins)
-                    .all(|(a, b)| a.name == b.name && a.direction == b.direction);
-            if compatible {
+            if current.pin_compatible(lib.get(id)) {
                 return Some(id);
             }
         }
@@ -234,11 +227,7 @@ mod tests {
                 let old = design.cell_type(cell);
                 let new = lib.get(ty);
                 assert_ne!(old.name, new.name);
-                assert_eq!(old.pins.len(), new.pins.len());
-                for (a, b) in old.pins.iter().zip(&new.pins) {
-                    assert_eq!(a.name, b.name);
-                    assert_eq!(a.direction, b.direction);
-                }
+                assert!(old.pin_compatible(new), "{} -> {}", old.name, new.name);
             }
         }
         assert!(saw_resize, "generated circuits carry resizable masters");

@@ -190,7 +190,7 @@ impl TimingObjective for CongestionAwareObjective {
                     let mut partial = 0.0f64;
                     for e in range {
                         let mut pull = NetPull::default();
-                        let pins = &design.net(NetId::new(e)).pins;
+                        let pins = design.net_pins(NetId::new(e));
                         if pins.len() >= 2 {
                             // Bbox extremes at the query point; ties
                             // resolve to the first pin in net order.

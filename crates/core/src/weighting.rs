@@ -89,7 +89,7 @@ impl NetWeightingObjective {
     fn momentum_update(&mut self, design: &Design, wns: f64) {
         for net in design.net_ids() {
             let mut worst = f64::INFINITY;
-            for &p in &design.net(net).pins {
+            for &p in design.net_pins(net) {
                 if let Some(s) = self.sta.slack(p) {
                     worst = worst.min(s);
                 }

@@ -641,15 +641,7 @@ impl EcoSession {
                         // within the batch).
                         let old = self.design.cell_type(c);
                         let new = lib.get(ty);
-                        let compatible = old.pins.len() == new.pins.len()
-                            && old
-                                .pins
-                                .iter()
-                                .zip(&new.pins)
-                                .all(|(a, b)| a.name == b.name && a.direction == b.direction)
-                            && old.is_sequential == new.is_sequential
-                            && old.clock_pin == new.clock_pin;
-                        if !compatible {
+                        if !old.pin_compatible(new) {
                             return Err(EcoError::IncompatibleResize(format!(
                                 "resize {}: master {} is not pin-compatible with {}",
                                 cell.name, new.name, old.name

@@ -1,13 +1,17 @@
 //! The flat netlist: cells, nets, pins, die geometry and a validating builder.
+//!
+//! Connectivity is stored once. A cell's pins are consecutive pin ids in
+//! master order ([`Design::cell_pins`]), and a net's pins are a window of
+//! the net-major [`Topology`] ([`Design::net_pins`]), which
+//! [`DesignBuilder`] fills as nets are added.
 
 use crate::ids::{CellId, IdRange, NetId, PinId};
 use crate::library::{CellLibrary, PinDirection};
 use crate::sdc::Sdc;
-use crate::topology::Topology;
+use crate::topology::{idx, Topology};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// An axis-aligned rectangle, used for the die outline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +71,7 @@ pub struct Row {
     pub height: f64,
 }
 
-/// A cell instance.
+/// A cell instance; its pins are [`Design::cell_pins`].
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Instance name, unique in the design.
@@ -76,34 +80,14 @@ pub struct Cell {
     pub type_id: crate::ids::CellTypeId,
     /// Fixed cells (IO pads, macros) are not moved by the placer.
     pub fixed: bool,
-    /// Pin instances of this cell, in master pin order.
-    pub pins: Vec<PinId>,
 }
 
-/// A net connecting one driver pin to zero or more sink pins.
+/// A net connecting one driver pin to zero or more sink pins; its pins
+/// are [`Design::net_pins`].
 #[derive(Debug, Clone)]
 pub struct Net {
     /// Net name, unique in the design.
     pub name: String,
-    /// All pins on the net; `pins[0]` is always the driver.
-    pub pins: Vec<PinId>,
-}
-
-impl Net {
-    /// The unique driver pin of the net.
-    pub fn driver(&self) -> PinId {
-        self.pins[0]
-    }
-
-    /// Sink pins of the net (everything but the driver).
-    pub fn sinks(&self) -> &[PinId] {
-        &self.pins[1..]
-    }
-
-    /// Number of pins on the net.
-    pub fn degree(&self) -> usize {
-        self.pins.len()
-    }
 }
 
 /// A pin instance: which cell it belongs to, which master pin it
@@ -213,11 +197,12 @@ pub struct Design {
     cells: Vec<Cell>,
     nets: Vec<Net>,
     pins: Vec<Pin>,
+    /// CSR over cells: cell `c` owns pins `cell_pin_start[c]..cell_pin_start[c + 1]`.
+    cell_pin_start: Vec<u32>,
     die: Rect,
     row_height: f64,
     sdc: Sdc,
-    /// Built on first use by [`Design::topology`], never at construction.
-    topology: OnceLock<Topology>,
+    topology: Topology,
 }
 
 impl Design {
@@ -279,10 +264,39 @@ impl Design {
         &self.pins[id.index()]
     }
 
-    /// The frozen net-major pin layout, built on the first call and
-    /// shared by every later one (see [`Topology`]).
+    /// The pins of a cell, in master pin order.
+    pub fn cell_pins(&self, id: CellId) -> IdRange<PinId> {
+        let c = id.index();
+        IdRange::new(self.cell_pin_start[c]..self.cell_pin_start[c + 1])
+    }
+
+    /// The pin instantiating master pin `spec` on a cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's master has no pin `spec`.
+    pub fn cell_pin(&self, id: CellId, spec: usize) -> PinId {
+        self.cell_pins(id).nth(spec).expect("pin spec out of range")
+    }
+
+    /// All pins on a net; the first is always the driver.
+    pub fn net_pins(&self, id: NetId) -> &[PinId] {
+        &self.topology.slot_pin()[self.topology.net_slots(id)]
+    }
+
+    /// The unique driver pin of a net.
+    pub fn net_driver(&self, id: NetId) -> PinId {
+        self.net_pins(id)[0]
+    }
+
+    /// Sink pins of a net (everything but the driver).
+    pub fn net_sinks(&self, id: NetId) -> &[PinId] {
+        &self.net_pins(id)[1..]
+    }
+
+    /// The net-major pin layout (see [`Topology`]).
     pub fn topology(&self) -> &Topology {
-        self.topology.get_or_init(|| Topology::new(self))
+        &self.topology
     }
 
     /// Number of cells.
@@ -302,17 +316,17 @@ impl Design {
 
     /// Iterates over all cell ids.
     pub fn cell_ids(&self) -> IdRange<CellId> {
-        IdRange::new(self.cells.len())
+        IdRange::new(0..idx(self.cells.len()))
     }
 
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> IdRange<NetId> {
-        IdRange::new(self.nets.len())
+        IdRange::new(0..idx(self.nets.len()))
     }
 
     /// Iterates over all pin ids.
     pub fn pin_ids(&self) -> IdRange<PinId> {
-        IdRange::new(self.pins.len())
+        IdRange::new(0..idx(self.pins.len()))
     }
 
     /// The master type of a cell.
@@ -355,12 +369,11 @@ impl Design {
     /// changes, which moves pin offsets, input capacitances and timing-arc
     /// parameters to the new variant's values.
     ///
-    /// The new master must be pin-compatible with the old one: the same
-    /// number of pins, with matching names and directions in the same
-    /// order, and the same sequential/clock-pin shape. Geometry (width,
-    /// offsets) and electrical parameters (caps, arcs) may differ — that
-    /// is the point of a resize. A [`Topology`] that is already built has
-    /// the cell's pin offsets patched in place.
+    /// The new master must be pin-compatible with the old one (see
+    /// [`crate::CellType::pin_compatible`]). Geometry (width, offsets) and
+    /// electrical parameters (caps, arcs) may differ — that is the point
+    /// of a resize. The cell's slots in the [`Topology`] get the new pin
+    /// offsets.
     ///
     /// # Errors
     ///
@@ -373,41 +386,16 @@ impl Design {
     ) -> Result<(), NetlistError> {
         let old = self.library.get(self.cells[cell.index()].type_id);
         let new = self.library.get(new_type);
-        if old.pins.len() != new.pins.len() {
+        if !old.pin_compatible(new) {
             return Err(NetlistError::Invalid(format!(
-                "resize {}: {} has {} pins, {} has {}",
+                "resize {}: master {} is not pin-compatible with {}",
                 self.cells[cell.index()].name,
-                old.name,
-                old.pins.len(),
                 new.name,
-                new.pins.len()
-            )));
-        }
-        for (a, b) in old.pins.iter().zip(&new.pins) {
-            if a.name != b.name || a.direction != b.direction {
-                return Err(NetlistError::Invalid(format!(
-                    "resize {}: pin {}/{} incompatible with {}/{}",
-                    self.cells[cell.index()].name,
-                    old.name,
-                    a.name,
-                    new.name,
-                    b.name
-                )));
-            }
-        }
-        if old.is_sequential != new.is_sequential || old.clock_pin != new.clock_pin {
-            return Err(NetlistError::Invalid(format!(
-                "resize {}: {} and {} differ in sequential shape",
-                self.cells[cell.index()].name,
-                old.name,
-                new.name
+                old.name
             )));
         }
         self.cells[cell.index()].type_id = new_type;
-        if let Some(mut topology) = self.topology.take() {
-            topology.patch_offsets(self, cell);
-            self.topology = OnceLock::from(topology);
-        }
+        self.topology.patch_offsets(cell, &self.pins, new);
         Ok(())
     }
 
@@ -419,8 +407,12 @@ impl Design {
             .iter()
             .filter(|c| self.library.get(c.type_id).is_sequential)
             .count();
-        let max_net_degree = self.nets.iter().map(Net::degree).max().unwrap_or(0);
-        let total_degree: usize = self.nets.iter().map(Net::degree).sum();
+        let max_net_degree = self
+            .net_ids()
+            .map(|n| self.net_pins(n).len())
+            .max()
+            .unwrap_or(0);
+        let total_degree = self.topology.num_slots();
         let movable_area: f64 = self
             .cells
             .iter()
@@ -453,22 +445,25 @@ impl Design {
     /// Returns [`NetlistError::Invalid`] describing the first violated
     /// invariant.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        // Every listed pin names its net and is listed once; with the
+        // final sweep, every connected pin is listed exactly once.
+        let mut listed = vec![false; self.pins.len()];
         for (i, net) in self.nets.iter().enumerate() {
-            if net.pins.is_empty() {
+            let pins = self.net_pins(NetId::new(i));
+            if pins.is_empty() {
                 return Err(NetlistError::Invalid(format!("net {} empty", net.name)));
             }
-            let drivers = net
-                .pins
+            let drivers = pins
                 .iter()
                 .filter(|&&p| self.pin_direction(p) == PinDirection::Output)
                 .count();
-            if drivers != 1 || self.pin_direction(net.pins[0]) != PinDirection::Output {
+            if drivers != 1 || self.pin_direction(pins[0]) != PinDirection::Output {
                 return Err(NetlistError::Invalid(format!(
                     "net {} driver invariant violated ({} drivers)",
                     net.name, drivers
                 )));
             }
-            for &p in &net.pins {
+            for &p in pins {
                 if self.pins[p.index()].net != Some(NetId::new(i)) {
                     return Err(NetlistError::Invalid(format!(
                         "pin {} back-reference mismatch on net {}",
@@ -476,23 +471,21 @@ impl Design {
                         net.name
                     )));
                 }
+                if std::mem::replace(&mut listed[p.index()], true) {
+                    return Err(NetlistError::Invalid(format!(
+                        "pin {} listed twice on net {}",
+                        self.pin_label(p),
+                        net.name
+                    )));
+                }
             }
         }
         for (i, pin) in self.pins.iter().enumerate() {
-            let cell = &self.cells[pin.cell.index()];
-            if cell.pins[pin.spec] != PinId::new(i) {
+            if pin.net.is_some() && !listed[i] {
                 return Err(NetlistError::Invalid(format!(
-                    "cell {} pin table mismatch",
-                    cell.name
+                    "pin {} not in its net's pin list",
+                    self.pin_label(PinId::new(i))
                 )));
-            }
-            if let Some(net) = pin.net {
-                if !self.nets[net.index()].pins.contains(&PinId::new(i)) {
-                    return Err(NetlistError::Invalid(format!(
-                        "pin {} not in its net's pin list",
-                        self.pin_label(PinId::new(i))
-                    )));
-                }
             }
         }
         Ok(())
@@ -512,6 +505,10 @@ pub struct DesignBuilder {
     cells: Vec<Cell>,
     nets: Vec<Net>,
     pins: Vec<Pin>,
+    cell_pin_start: Vec<u32>,
+    /// The net CSR of the [`Topology`] `finish` lays out.
+    net_start: Vec<u32>,
+    slot_pin: Vec<PinId>,
     die: Rect,
     row_height: f64,
     sdc: Sdc,
@@ -530,6 +527,9 @@ impl DesignBuilder {
             cells: Vec::new(),
             nets: Vec::new(),
             pins: Vec::new(),
+            cell_pin_start: vec![0],
+            net_start: vec![0],
+            slot_pin: Vec::new(),
             die,
             row_height,
             sdc: Sdc::default(),
@@ -586,33 +586,30 @@ impl DesignBuilder {
         }
         let id = CellId::new(self.cells.len());
         let num_pins = self.library.get(type_id).pins.len();
-        let mut pin_ids = Vec::with_capacity(num_pins);
-        for spec in 0..num_pins {
-            let pid = PinId::new(self.pins.len());
-            self.pins.push(Pin {
-                cell: id,
-                spec,
-                net: None,
-            });
-            pin_ids.push(pid);
-        }
+        self.pins.extend((0..num_pins).map(|spec| Pin {
+            cell: id,
+            spec,
+            net: None,
+        }));
+        self.cell_pin_start.push(idx(self.pins.len()));
         self.cells.push(Cell {
             name: name.to_string(),
             type_id,
             fixed,
-            pins: pin_ids,
         });
         self.cell_names.insert(name.to_string(), id);
         Ok(id)
     }
 
     /// Connects the listed `(cell, pin_name)` terminals with a new net.
-    /// Exactly one terminal must be an output pin; it becomes the driver.
+    /// Exactly one terminal must be an output pin; it becomes the driver,
+    /// and the sinks keep their order.
     ///
     /// # Errors
     ///
     /// Returns an error for unknown pins, duplicate net names, wrong driver
-    /// counts, or pins that already belong to another net.
+    /// counts, or pins that already belong to a net (this one included).
+    /// The builder is unchanged on error.
     pub fn add_net(
         &mut self,
         name: &str,
@@ -622,49 +619,58 @@ impl DesignBuilder {
             return Err(NetlistError::DuplicateName(name.to_string()));
         }
         let net_id = NetId::new(self.nets.len());
-        let mut driver: Option<PinId> = None;
-        let mut sinks: Vec<PinId> = Vec::with_capacity(terminals.len().saturating_sub(1));
-        for &(cell, pin_name) in terminals {
-            let ty = self.library.get(self.cells[cell.index()].type_id);
-            let spec = ty
-                .pin_index(pin_name)
-                .ok_or_else(|| NetlistError::UnknownPin {
-                    cell_type: ty.name.clone(),
-                    pin: pin_name.to_string(),
-                })?;
-            let pid = self.cells[cell.index()].pins[spec];
-            if self.pins[pid.index()].net.is_some() {
-                return Err(NetlistError::PinReconnected {
-                    net: name.to_string(),
-                    cell: self.cells[cell.index()].name.clone(),
-                    pin: pin_name.to_string(),
-                });
-            }
-            if ty.pins[spec].direction == PinDirection::Output {
-                if driver.is_some() {
-                    return Err(NetlistError::BadDriverCount {
+        // Each pin is connected as it is appended, so a repeat is caught
+        // like a reconnection; on error the appended pins are undone.
+        let start = self.slot_pin.len();
+        let appended = 'append: {
+            let mut driver = None;
+            for &(cell, pin_name) in terminals {
+                let ty = self.library.get(self.cells[cell.index()].type_id);
+                let Some(spec) = ty.pin_index(pin_name) else {
+                    break 'append Err(NetlistError::UnknownPin {
+                        cell_type: ty.name.clone(),
+                        pin: pin_name.to_string(),
+                    });
+                };
+                let pid = PinId::new(self.cell_pin_start[cell.index()] as usize + spec);
+                let pin = &mut self.pins[pid.index()];
+                if pin.net.is_some() {
+                    break 'append Err(NetlistError::PinReconnected {
                         net: name.to_string(),
-                        drivers: 2,
+                        cell: self.cells[cell.index()].name.clone(),
+                        pin: pin_name.to_string(),
                     });
                 }
-                driver = Some(pid);
-            } else {
-                sinks.push(pid);
+                pin.net = Some(net_id);
+                self.slot_pin.push(pid);
+                if ty.pins[spec].direction == PinDirection::Output {
+                    if driver.is_some() {
+                        break 'append Err(NetlistError::BadDriverCount {
+                            net: name.to_string(),
+                            drivers: 2,
+                        });
+                    }
+                    driver = Some(self.slot_pin.len() - 1);
+                }
             }
-        }
-        let driver = driver.ok_or(NetlistError::BadDriverCount {
-            net: name.to_string(),
-            drivers: 0,
-        })?;
-        let mut pins = Vec::with_capacity(sinks.len() + 1);
-        pins.push(driver);
-        pins.extend(sinks);
-        for &p in &pins {
-            self.pins[p.index()].net = Some(net_id);
-        }
+            driver.ok_or(NetlistError::BadDriverCount {
+                net: name.to_string(),
+                drivers: 0,
+            })
+        };
+        let driver = match appended {
+            Ok(driver) => driver,
+            Err(e) => {
+                for p in self.slot_pin.drain(start..) {
+                    self.pins[p.index()].net = None;
+                }
+                return Err(e);
+            }
+        };
+        self.slot_pin[start..=driver].rotate_right(1);
+        self.net_start.push(idx(self.slot_pin.len()));
         self.nets.push(Net {
             name: name.to_string(),
-            pins,
         });
         self.net_names.insert(name.to_string(), net_id);
         Ok(net_id)
@@ -676,17 +682,19 @@ impl DesignBuilder {
     ///
     /// Returns [`NetlistError::Invalid`] if any structural invariant fails.
     pub fn finish(self) -> Result<Design, NetlistError> {
-        let design = Design {
+        let mut design = Design {
             name: self.name,
             library: self.library,
             cells: self.cells,
             nets: self.nets,
             pins: self.pins,
+            cell_pin_start: self.cell_pin_start,
             die: self.die,
             row_height: self.row_height,
             sdc: self.sdc,
-            topology: OnceLock::new(),
+            topology: Topology::default(),
         };
+        design.topology = Topology::new(&design, self.net_start, self.slot_pin);
         design.validate()?;
         Ok(design)
     }
@@ -756,9 +764,8 @@ mod tests {
             b.add_net("no", &[(u2, "Y"), (po, "PAD")]).unwrap();
             b.finish().unwrap()
         };
-        let net = d.net(n);
-        assert_eq!(d.pin_direction(net.driver()), PinDirection::Output);
-        assert_eq!(net.sinks().len(), 1);
+        assert_eq!(d.pin_direction(d.net_driver(n)), PinDirection::Output);
+        assert_eq!(d.net_sinks(n), &[d.cell_pin(u2, 0)]);
     }
 
     #[test]
@@ -794,6 +801,75 @@ mod tests {
             b.add_net("n2", &[(u1, "Y")]),
             Err(NetlistError::PinReconnected { .. })
         ));
+    }
+
+    #[test]
+    fn repeated_terminals_are_rejected_by_add_net_and_validate() {
+        let mut b = small_builder();
+        let pi = b.add_fixed_cell("pi", "IOPAD_IN", 0.0, 50.0).unwrap();
+        let u1 = b.add_cell("u1", "NAND2_X1").unwrap();
+        let po = b.add_fixed_cell("po", "IOPAD_OUT", 100.0, 50.0).unwrap();
+        assert_eq!(
+            b.add_net("n0", &[(pi, "PAD"), (u1, "A"), (u1, "A")]),
+            Err(NetlistError::PinReconnected {
+                net: "n0".into(),
+                cell: "u1".into(),
+                pin: "A".into(),
+            })
+        );
+        // The failed call left nothing behind: the same net without the
+        // repeat connects both pins.
+        let n0 = b.add_net("n0", &[(u1, "A"), (pi, "PAD")]).unwrap();
+        b.add_net("n1", &[(u1, "Y"), (po, "PAD")]).unwrap();
+        let mut d = b.finish().unwrap();
+        let (pad, a, y, out) = (
+            d.cell_pin(pi, 0),
+            d.cell_pin(u1, 0),
+            d.cell_pin(u1, 2),
+            d.cell_pin(po, 0),
+        );
+        assert_eq!(d.net_pins(n0), &[pad, a]);
+        assert_eq!(d.pin(d.cell_pin(u1, 1)).net, None);
+
+        d.topology = Topology::new(&d, vec![0, 3, 5], vec![pad, a, a, y, out]);
+        let err = d.validate().unwrap_err();
+        assert!(err.to_string().contains("u1/A listed twice"), "{err}");
+    }
+
+    #[test]
+    fn resizes_patch_offsets_and_incompatible_ones_change_nothing() {
+        let mut b = small_builder();
+        let pi = b.add_fixed_cell("pi", "IOPAD_IN", 0.0, 50.0).unwrap();
+        let u1 = b.add_cell("u1", "INV_X1").unwrap();
+        let po = b.add_fixed_cell("po", "IOPAD_OUT", 100.0, 50.0).unwrap();
+        b.add_net("n0", &[(pi, "PAD"), (u1, "A")]).unwrap();
+        b.add_net("n1", &[(u1, "Y"), (po, "PAD")]).unwrap();
+        let mut d = b.finish().unwrap();
+        let lib = d.library().clone();
+        let offsets = |d: &Design| {
+            (
+                d.topology().slot_dx().to_vec(),
+                d.topology().slot_dy().to_vec(),
+            )
+        };
+        let before = offsets(&d);
+
+        let nand = lib.by_name("NAND2_X1").unwrap();
+        let err = d.set_cell_type(u1, nand).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid design: resize u1: master NAND2_X1 is not pin-compatible with INV_X1"
+        );
+        assert_eq!(d.cell(u1).type_id, lib.by_name("INV_X1").unwrap());
+        assert_eq!(offsets(&d), before);
+
+        let x4 = lib.by_name("INV_X4").unwrap();
+        d.set_cell_type(u1, x4).unwrap();
+        for (slot, &p) in d.topology().slot_pin().iter().enumerate() {
+            assert_eq!(d.topology().slot_dx()[slot], d.pin_spec(p).dx);
+            assert_eq!(d.topology().slot_dy()[slot], d.pin_spec(p).dy);
+        }
+        assert_ne!(offsets(&d), before);
     }
 
     #[test]

@@ -66,7 +66,8 @@ define_id!(
     "t"
 );
 
-/// An iterator over ids `0..len`, used by the `Design` accessors.
+/// An iterator over a run of consecutive ids, used by the `Design`
+/// accessors.
 #[derive(Debug, Clone)]
 pub struct IdRange<T> {
     range: std::ops::Range<u32>,
@@ -74,9 +75,9 @@ pub struct IdRange<T> {
 }
 
 impl<T> IdRange<T> {
-    pub(crate) fn new(len: usize) -> Self {
+    pub(crate) fn new(range: std::ops::Range<u32>) -> Self {
         Self {
-            range: 0..len as u32,
+            range,
             _marker: std::marker::PhantomData,
         }
     }
@@ -132,9 +133,9 @@ mod tests {
 
     #[test]
     fn id_range_iterates_all() {
-        let ids: Vec<CellId> = IdRange::<CellId>::new(3).collect();
+        let ids: Vec<CellId> = IdRange::<CellId>::new(0..3).collect();
         assert_eq!(ids, vec![CellId::new(0), CellId::new(1), CellId::new(2)]);
-        let rev: Vec<NetId> = IdRange::<NetId>::new(2).rev().collect();
+        let rev: Vec<NetId> = IdRange::<NetId>::new(0..2).rev().collect();
         assert_eq!(rev, vec![NetId::new(1), NetId::new(0)]);
     }
 

@@ -74,11 +74,11 @@ pub fn write_nets(design: &Design) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "UCLA nets 1.0");
     let _ = writeln!(out, "NumNets : {}", design.num_nets());
-    let _ = writeln!(out, "NumPins : {}", design.num_pins());
+    let _ = writeln!(out, "NumPins : {}", design.topology().num_slots());
     for net in design.net_ids() {
-        let n = design.net(net);
-        let _ = writeln!(out, "NetDegree : {} {}", n.degree(), n.name);
-        for &pin in &n.pins {
+        let pins = design.net_pins(net);
+        let _ = writeln!(out, "NetDegree : {} {}", pins.len(), design.net(net).name);
+        for &pin in pins {
             let p = design.pin(pin);
             let spec = design.pin_spec(pin);
             let io = match spec.direction {
@@ -310,6 +310,26 @@ mod tests {
         let nets = write_nets(&d);
         assert!(nets.contains("NumNets : 3"));
         assert!(nets.contains("NetDegree : 3 n0"));
+
+        // A floating pin (u1/B) is not listed, so `NumPins` must not
+        // count it: the header equals the number of pin lines.
+        let mut b = DesignBuilder::new(
+            "f",
+            CellLibrary::standard(),
+            Rect::new(0.0, 0.0, 100.0, 100.0),
+            10.0,
+        );
+        let pi = b.add_fixed_cell("pi", "IOPAD_IN", 0.0, 50.0).unwrap();
+        let u1 = b.add_cell("u1", "NAND2_X1").unwrap();
+        let po = b.add_fixed_cell("po", "IOPAD_OUT", 96.0, 50.0).unwrap();
+        b.add_net("n0", &[(pi, "PAD"), (u1, "A")]).unwrap();
+        b.add_net("n1", &[(u1, "Y"), (po, "PAD")]).unwrap();
+        let floating = b.finish().unwrap();
+        let nets = write_nets(&floating);
+        let pin_lines = nets.lines().filter(|l| l.starts_with("  ")).count();
+        assert_eq!(pin_lines, 4);
+        assert_eq!(floating.num_pins(), 5);
+        assert!(nets.contains(&format!("NumPins : {pin_lines}\n")), "{nets}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`placement`] — cell coordinates ([`Placement`]) and derived pin
 //!   positions and half-perimeter wirelength.
 //! * [`topology`] — the frozen net-major pin layout ([`Topology`]) the
-//!   wirelength kernels and HPWL iterate over, built on first use.
+//!   wirelength kernels and HPWL iterate over; it is the design's one copy
+//!   of its connectivity, built by [`DesignBuilder`].
 //! * [`sdc`] — timing constraints: clock period, input arrival times and
 //!   output required times.
 //! * [`fnv`] — the FNV-1a fingerprint recipe every content hash and

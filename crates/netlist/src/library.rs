@@ -90,6 +90,21 @@ impl CellType {
         self.pins.iter().position(|p| p.name == name)
     }
 
+    /// Whether a cell of this master may be resized to `other` without
+    /// touching its connectivity: the same pins with the same names and
+    /// directions in the same order, and the same sequential/clock-pin
+    /// shape. Geometry and electrical parameters may differ.
+    pub fn pin_compatible(&self, other: &CellType) -> bool {
+        self.pins.len() == other.pins.len()
+            && self
+                .pins
+                .iter()
+                .zip(&other.pins)
+                .all(|(a, b)| a.name == b.name && a.direction == b.direction)
+            && self.is_sequential == other.is_sequential
+            && self.clock_pin == other.clock_pin
+    }
+
     /// Returns the cell area.
     pub fn area(&self) -> f64 {
         self.width * self.height
@@ -424,6 +439,28 @@ mod tests {
         let x4 = lib.get(lib.by_name("INV_X4").unwrap());
         assert!(x4.arcs[0].drive_resistance < x1.arcs[0].drive_resistance);
         assert!(x4.pins[0].cap > x1.pins[0].cap);
+    }
+
+    #[test]
+    fn pin_compatibility_needs_the_same_pins_and_sequential_shape() {
+        let lib = CellLibrary::standard();
+        let ty = |name| lib.get(lib.by_name(name).unwrap());
+        let inv = ty("INV_X1");
+        assert!(inv.pin_compatible(ty("INV_X4")));
+        assert!(ty("NAND2_X2").pin_compatible(ty("NAND2_X1")));
+        assert!(!inv.pin_compatible(ty("NAND2_X1")), "pin count");
+        let mut renamed = inv.clone();
+        renamed.pins[0].name = "B".into();
+        let mut flipped = inv.clone();
+        flipped.pins[0].direction = PinDirection::Output;
+        let mut sequential = inv.clone();
+        sequential.is_sequential = true;
+        let mut clocked = inv.clone();
+        clocked.clock_pin = Some(0);
+        for other in [&renamed, &flipped, &sequential, &clocked] {
+            assert!(!inv.pin_compatible(other), "{other:?}");
+            assert!(!other.pin_compatible(inv), "{other:?}");
+        }
     }
 
     #[test]

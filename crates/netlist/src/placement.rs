@@ -270,7 +270,7 @@ impl DirtySummary {
     fn collect_dirty_nets(&mut self, design: &Design) {
         self.dirty_nets.clear();
         for &cell in &self.moved_cells {
-            for &pin in &design.cell(cell).pins {
+            for pin in design.cell_pins(cell) {
                 if let Some(net) = design.pin(pin).net {
                     self.dirty_nets.push(net);
                 }
@@ -309,8 +309,8 @@ mod tests {
         let (d, u1, _) = two_inv_design();
         let mut p = Placement::new(&d);
         p.set(u1, 10.0, 20.0);
-        let a = d.cell(u1).pins[0];
-        let y = d.cell(u1).pins[1];
+        let a = d.cell_pin(u1, 0);
+        let y = d.cell_pin(u1, 1);
         assert_eq!(p.pin_position(&d, a), (10.0, 25.0)); // A at (0, h/2)
         assert_eq!(p.pin_position(&d, y), (12.0, 25.0)); // Y at (w, h/2)
     }
@@ -339,8 +339,8 @@ mod tests {
         let mut p = Placement::new(&d);
         p.set(u1, 0.0, 0.0);
         p.set(u2, 30.0, 40.0);
-        let y1 = d.cell(u1).pins[1];
-        let a2 = d.cell(u2).pins[0];
+        let y1 = d.cell_pin(u1, 1);
+        let a2 = d.cell_pin(u2, 0);
         let man = p.pin_manhattan(&d, y1, a2);
         let euc = p.pin_euclidean(&d, y1, a2);
         assert!(euc <= man + 1e-12);

@@ -1,36 +1,40 @@
-//! The frozen, net-major pin layout hot kernels iterate over.
+//! The net-major pin layout: the design's one copy of its connectivity.
 //!
-//! A [`Topology`] flattens the connected pins of a [`Design`] into
-//! *slots*: slot ids run net by net in net id order, and within a net in
-//! [`crate::Net::pins`] order (so a net's driver is its first slot). Each
-//! slot stores its owning cell and its master pin offset, so a pin's
+//! A [`Topology`] lists the connected pins of a [`Design`] as *slots*:
+//! slot ids run net by net in net id order, and within a net the driver
+//! comes first, then the sinks in the order [`crate::DesignBuilder::add_net`]
+//! was given them. [`Design::net_pins`] is a window of this list. Each
+//! slot also stores its owning cell and its master pin offset, so a pin's
 //! position is `placement[slot_cell] + slot_d{x,y}` — two loads instead
 //! of the pin → cell → master → pin-spec chain of
 //! [`crate::Placement::pin_position`].
 //!
 //! The reverse map lists, for each cell, the slots of its connected pins
-//! in [`crate::Cell::pins`] order; unconnected pins have no slot. Kernels
+//! in [`Design::cell_pins`] order; unconnected pins have no slot. Kernels
 //! that scatter per pin (net-major) and then gather per cell use it to
-//! keep every per-cell sum in the same order as a walk over
-//! `Cell::pins`.
+//! keep every per-cell sum in the same order as a walk over a cell's pins.
 //!
-//! Connectivity never changes after [`crate::DesignBuilder::finish`], so
-//! the layout is built once, lazily, by [`Design::topology`]. The only
-//! mutation that moves a pin is a resize ([`Design::set_cell_type`]): it
-//! patches the offsets of the resized cell's slots in place when the
-//! layout is already built, so the layout always agrees with the design.
+//! [`crate::DesignBuilder`] appends each net's pins as it is added and
+//! [`crate::DesignBuilder::finish`] lays out the rest, so every design has
+//! its layout from construction on. Connectivity never changes afterwards;
+//! the only mutation that moves a pin is a resize
+//! ([`Design::set_cell_type`]), which patches the offsets of the resized
+//! cell's slots in place.
 
-use crate::design::Design;
-use crate::ids::{CellId, NetId};
+use crate::design::{Design, Pin};
+use crate::ids::{CellId, NetId, PinId};
+use crate::library::CellType;
 use std::ops::Range;
 
 /// Net-major pin slots of a [`Design`]; see the [module docs](self) for
-/// the ordering rules. Costs 24 B per connected pin plus 4 B per net and
+/// the ordering rules. Costs 28 B per connected pin plus 4 B per net and
 /// 4 B per cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// CSR over nets: net `n` owns slots `net_start[n]..net_start[n + 1]`.
     net_start: Vec<u32>,
+    /// Pin of each slot.
+    slot_pin: Vec<PinId>,
     /// Owning cell of each slot.
     slot_cell: Vec<u32>,
     /// Master pin x offset of each slot.
@@ -40,35 +44,32 @@ pub struct Topology {
     /// CSR over cells: cell `c`'s connected pins are the slots
     /// `cell_slot[cell_start[c]..cell_start[c + 1]]`.
     cell_start: Vec<u32>,
-    /// Slot ids of each cell's connected pins, in `Cell::pins` order.
+    /// Slot ids of each cell's connected pins, in pin order.
     cell_slot: Vec<u32>,
 }
 
+/// A `u32` layout index; panics past `u32::MAX` pins or cells.
+pub(crate) fn idx(v: usize) -> u32 {
+    u32::try_from(v).expect("topology index exceeds u32")
+}
+
 impl Topology {
-    /// Builds the layout of `design`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design has more than `u32::MAX` pins or cells.
-    pub(crate) fn new(design: &Design) -> Self {
-        let num_slots: usize = design.net_ids().map(|n| design.net(n).pins.len()).sum();
-        let idx = |v: usize| u32::try_from(v).expect("topology index exceeds u32");
-        let mut net_start = Vec::with_capacity(design.num_nets() + 1);
+    /// Lays out the per-slot cells and offsets and the cell → slot map of
+    /// `design` over the net CSR (`net_start`, `slot_pin`) its builder
+    /// appended. Reads only the design's pins and masters.
+    pub(crate) fn new(design: &Design, net_start: Vec<u32>, slot_pin: Vec<PinId>) -> Self {
+        let num_slots = slot_pin.len();
         let mut slot_cell = Vec::with_capacity(num_slots);
         let mut slot_dx = Vec::with_capacity(num_slots);
         let mut slot_dy = Vec::with_capacity(num_slots);
         // Pin id → slot id, only needed to lay out the cell-major map.
         let mut pin_slot = vec![u32::MAX; design.num_pins()];
-        net_start.push(0);
-        for net in design.net_ids() {
-            for &p in &design.net(net).pins {
-                pin_slot[p.index()] = idx(slot_cell.len());
-                let spec = design.pin_spec(p);
-                slot_cell.push(idx(design.pin(p).cell.index()));
-                slot_dx.push(spec.dx);
-                slot_dy.push(spec.dy);
-            }
-            net_start.push(idx(slot_cell.len()));
+        for (s, &p) in slot_pin.iter().enumerate() {
+            pin_slot[p.index()] = idx(s);
+            let spec = design.pin_spec(p);
+            slot_cell.push(idx(design.pin(p).cell.index()));
+            slot_dx.push(spec.dx);
+            slot_dy.push(spec.dy);
         }
         let mut cell_start = Vec::with_capacity(design.num_cells() + 1);
         let mut cell_slot = Vec::with_capacity(num_slots);
@@ -76,9 +77,7 @@ impl Topology {
         for cell in design.cell_ids() {
             cell_slot.extend(
                 design
-                    .cell(cell)
-                    .pins
-                    .iter()
+                    .cell_pins(cell)
                     .map(|p| pin_slot[p.index()])
                     .filter(|&s| s != u32::MAX),
             );
@@ -86,6 +85,7 @@ impl Topology {
         }
         Self {
             net_start,
+            slot_pin,
             slot_cell,
             slot_dx,
             slot_dy,
@@ -96,19 +96,24 @@ impl Topology {
 
     /// Number of slots (connected pins).
     pub fn num_slots(&self) -> usize {
-        self.slot_cell.len()
+        self.slot_pin.len()
     }
 
-    /// The slot range of one net, in `Net::pins` order.
+    /// The slot range of one net: its driver's slot, then its sinks'.
     pub fn net_slots(&self, net: NetId) -> Range<usize> {
         let n = net.index();
         self.net_start[n] as usize..self.net_start[n + 1] as usize
     }
 
-    /// The slots of one cell's connected pins, in `Cell::pins` order.
+    /// The slots of one cell's connected pins, in pin order.
     pub fn cell_slots(&self, cell: CellId) -> &[u32] {
         let c = cell.index();
         &self.cell_slot[self.cell_start[c] as usize..self.cell_start[c + 1] as usize]
+    }
+
+    /// Pin of every slot.
+    pub fn slot_pin(&self) -> &[PinId] {
+        &self.slot_pin
     }
 
     /// Owning cell index of every slot.
@@ -126,27 +131,21 @@ impl Topology {
         &self.slot_dy
     }
 
-    /// Re-reads the pin offsets of `cell`'s slots from the design — the
-    /// layout half of [`Design::set_cell_type`].
-    pub(crate) fn patch_offsets(&mut self, design: &Design, cell: CellId) {
+    /// Re-reads the pin offsets of `cell`'s slots from its new master
+    /// `ty` — the layout half of [`Design::set_cell_type`].
+    pub(crate) fn patch_offsets(&mut self, cell: CellId, pins: &[Pin], ty: &CellType) {
         let c = cell.index();
-        let slots = self.cell_start[c] as usize..self.cell_start[c + 1] as usize;
-        let connected = design
-            .cell(cell)
-            .pins
-            .iter()
-            .filter(|&&p| design.pin(p).net.is_some());
-        for (&slot, &p) in self.cell_slot[slots].iter().zip(connected) {
-            let spec = design.pin_spec(p);
-            self.slot_dx[slot as usize] = spec.dx;
-            self.slot_dy[slot as usize] = spec.dy;
+        for &slot in &self.cell_slot[self.cell_start[c] as usize..self.cell_start[c + 1] as usize] {
+            let s = slot as usize;
+            let spec = &ty.pins[pins[self.slot_pin[s].index()].spec];
+            self.slot_dx[s] = spec.dx;
+            self.slot_dy[s] = spec.dy;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{CellLibrary, DesignBuilder, Rect};
 
     #[test]
@@ -165,12 +164,12 @@ mod tests {
         b.add_net("n1", &[(u2, "A"), (u1, "Y")]).unwrap();
         b.add_net("n2", &[(u2, "Y")]).unwrap();
         let d = b.finish().unwrap();
-        let t = Topology::new(&d);
+        let t = d.topology();
         assert_eq!(t.num_slots(), 5);
         for net in d.net_ids() {
             let slots = t.net_slots(net);
-            assert_eq!(slots.len(), d.net(net).pins.len());
-            for (s, &p) in slots.zip(&d.net(net).pins) {
+            assert_eq!(&t.slot_pin()[slots.clone()], d.net_pins(net));
+            for (s, &p) in slots.zip(d.net_pins(net)) {
                 assert_eq!(t.slot_cell()[s] as usize, d.pin(p).cell.index());
                 assert_eq!(t.slot_dx()[s], d.pin_spec(p).dx);
                 assert_eq!(t.slot_dy()[s], d.pin_spec(p).dy);

@@ -112,12 +112,29 @@ proptest! {
         prop_assert_eq!(stats.num_cells, n + 2);
         prop_assert_eq!(stats.num_nets, n + 1);
         prop_assert_eq!(stats.num_fixed, 2);
+        // A cell's pins name the cell and their master pin by offset.
+        for cell in design.cell_ids() {
+            for (offset, p) in design.cell_pins(cell).enumerate() {
+                prop_assert_eq!(design.pin(p).cell, cell);
+                prop_assert_eq!(design.pin(p).spec, offset);
+                prop_assert_eq!(design.cell_pin(cell, offset), p);
+            }
+        }
+        // A net's pins name the net, and the one driver comes first.
         for net in design.net_ids() {
-            let d = design.net(net).driver();
+            let pins = design.net_pins(net);
+            for &p in pins {
+                prop_assert_eq!(design.pin(p).net, Some(net));
+            }
+            let d = design.net_driver(net);
+            prop_assert_eq!(d, pins[0]);
             prop_assert_eq!(
                 design.pin_direction(d),
                 netlist::PinDirection::Output
             );
+            for &p in design.net_sinks(net) {
+                prop_assert_eq!(design.pin_direction(p), netlist::PinDirection::Input);
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //!    axis), and write each pin's weighted analytic gradient into its
 //!    slot of [`WaScratch`];
 //! 2. **per cell** — a gather: each cell sums the values of its own
-//!    slots in `Cell::pins` order. No `exp` is evaluated twice and no pin
+//!    slots in `Design::cell_pins` order. No `exp` is evaluated twice and no pin
 //!    position is looked up twice.
 //!
 //! Every slot is written by exactly one task and the value reduction

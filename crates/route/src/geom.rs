@@ -126,7 +126,7 @@ impl Geom {
         out: &mut Vec<(u32, f64)>,
     ) -> f64 {
         out.clear();
-        let pins = &design.net(net).pins;
+        let pins = design.net_pins(net);
         if pins.len() < 2 {
             return 0.0;
         }
@@ -168,7 +168,7 @@ impl Geom {
         if pin_weight == 0.0 {
             return;
         }
-        for &p in &design.cell(cell).pins {
+        for p in design.cell_pins(cell) {
             let (px, py) = placement.pin_position(design, p);
             let bin = (self.iy(py) * self.bins_x + self.ix(px)) as u32;
             match out.iter_mut().find(|(b, _)| *b == bin) {

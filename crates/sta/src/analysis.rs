@@ -464,7 +464,7 @@ impl Sta {
                 self.arc_delay[slot as usize] = delay;
             }
             // The gate arc(s) driving this net see a new load.
-            let driver = graph.rank_of(design.net(net).driver());
+            let driver = graph.rank_of(design.net_driver(net));
             for slot in graph.in_slots(driver) {
                 let arc = graph.arc_id[slot] as usize;
                 if arc < graph.num_cell_arcs() {
@@ -597,7 +597,7 @@ impl Sta {
             }
         };
         for &net in &changes.dirty_nets {
-            let driver = graph.rank_of(design.net(net).driver());
+            let driver = graph.rank_of(design.net_driver(net));
             seed_in_arcs(bits, driver);
             let entries = graph.out_entries(driver);
             if !rev {
@@ -609,7 +609,7 @@ impl Sta {
             }
         }
         for &cell in &changes.moved_cells {
-            for &pin in &design.cell(cell).pins {
+            for pin in design.cell_pins(cell) {
                 seed_in_arcs(bits, graph.rank_of(pin));
             }
         }
@@ -965,7 +965,7 @@ mod tests {
             let mut sta = Sta::new(&d, RcParams::default()).unwrap();
             sta.analyze(&d, &p);
             let po = d.find_cell("po").unwrap();
-            sta.arrival(d.cell(po).pins[0]).unwrap()
+            sta.arrival(d.cell_pin(po, 0)).unwrap()
         };
         let near = arrival_at_po(100.0);
         let far = arrival_at_po(800.0);

@@ -229,10 +229,9 @@ impl TimingGraph {
         let mut intrinsic = Vec::new();
         let mut drive_resistance = Vec::new();
         for cell in design.cell_ids() {
-            let c = design.cell(cell);
-            for spec in &design.library().get(c.type_id).arcs {
-                from_pin.push(c.pins[spec.from_pin].index() as u32);
-                to_pin.push(c.pins[spec.to_pin].index() as u32);
+            for spec in &design.cell_type(cell).arcs {
+                from_pin.push(design.cell_pin(cell, spec.from_pin).index() as u32);
+                to_pin.push(design.cell_pin(cell, spec.to_pin).index() as u32);
                 intrinsic.push(spec.intrinsic);
                 drive_resistance.push(spec.drive_resistance);
             }
@@ -240,10 +239,9 @@ impl TimingGraph {
         let mut arc_net = Vec::new();
         let mut net_arc_start = Vec::with_capacity(design.num_nets() + 1);
         for net in design.net_ids() {
-            let n = design.net(net);
-            let driver = n.driver().index() as u32;
+            let driver = design.net_driver(net).index() as u32;
             net_arc_start.push(arc_net.len() as u32);
-            for &sink in n.sinks() {
+            for &sink in design.net_sinks(net) {
                 from_pin.push(driver);
                 to_pin.push(sink.index() as u32);
                 arc_net.push(net);
@@ -328,22 +326,22 @@ impl TimingGraph {
         let mut sources = Vec::new();
         let mut endpoints = Vec::new();
         for cell in design.cell_ids() {
-            let c = design.cell(cell);
-            let ty = design.library().get(c.type_id);
+            let ty = design.cell_type(cell);
+            let pin = |spec| design.cell_pin(cell, spec);
             if ty.is_sequential {
                 if let Some(ck) = ty.clock_pin {
-                    sources.push((c.pins[ck], SourceKind::ClockPin));
+                    sources.push((pin(ck), SourceKind::ClockPin));
                 }
                 if let Some(d) = ty.data_pin() {
-                    endpoints.push((c.pins[d], EndpointKind::FlipFlopData));
+                    endpoints.push((pin(d), EndpointKind::FlipFlopData));
                 }
             } else if ty.arcs.is_empty() {
                 // Pads: classify by pin direction.
                 for (i, spec) in ty.pins.iter().enumerate() {
                     match spec.direction {
-                        PinDirection::Output => sources.push((c.pins[i], SourceKind::PrimaryInput)),
+                        PinDirection::Output => sources.push((pin(i), SourceKind::PrimaryInput)),
                         PinDirection::Input => {
-                            endpoints.push((c.pins[i], EndpointKind::PrimaryOutput))
+                            endpoints.push((pin(i), EndpointKind::PrimaryOutput))
                         }
                     }
                 }
@@ -525,7 +523,7 @@ impl TimingGraph {
         self.level_starts[level] as usize..self.level_starts[level + 1] as usize
     }
 
-    /// Slots of `net`'s wire arcs, in `net.sinks()` order.
+    /// Slots of `net`'s wire arcs, in `Design::net_sinks` order.
     #[inline]
     pub(crate) fn net_arc_slots(&self, net: NetId) -> &[u32] {
         let base = self.num_cell_arcs();
@@ -574,26 +572,24 @@ impl TimingGraph {
     /// topology (pin-to-pin arc set) than the graph was built with —
     /// pin-compatible drive variants never do.
     pub fn repatch_cell_arcs(&mut self, design: &Design, cell: CellId) -> Vec<ArcId> {
-        let c = design.cell(cell);
         let ty = design.cell_type(cell);
         let num_cell_arcs = self.num_cell_arcs();
-        let existing = c
-            .pins
-            .iter()
-            .flat_map(|&p| self.out_arcs(p))
+        let existing = design
+            .cell_pins(cell)
+            .flat_map(|p| self.out_arcs(p))
             .filter(|a| a.index() < num_cell_arcs)
             .count();
         assert_eq!(
             existing,
             ty.arcs.len(),
             "resize changed the arc topology of cell {}",
-            c.name
+            design.cell(cell).name
         );
         let mut patched = Vec::with_capacity(ty.arcs.len());
         for spec in &ty.arcs {
-            let to = self.rank_of[c.pins[spec.to_pin].index()];
+            let to = self.rank_of[design.cell_pin(cell, spec.to_pin).index()];
             let arc = self
-                .out_arcs(c.pins[spec.from_pin])
+                .out_arcs(design.cell_pin(cell, spec.from_pin))
                 .find(|&a| a.index() < num_cell_arcs && self.arc_to[self.slot_of(a)] == to)
                 .expect("resize changed cell arc topology");
             self.intrinsic[arc.index()] = spec.intrinsic;

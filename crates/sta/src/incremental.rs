@@ -170,7 +170,7 @@ mod tests {
         let mut sta = Sta::new(&d, rc).unwrap();
         sta.analyze(&d, &p0);
         // Arc delays on n2 (m -> po) before moving c (which is not on n2).
-        let po_pin = d.cell(d.find_cell("po").unwrap()).pins[0];
+        let po_pin = d.cell_pin(d.find_cell("po").unwrap(), 0);
         let arc_into_po = sta.graph().in_arcs(po_pin).next().unwrap();
         let before = sta.arc_delay(arc_into_po);
 

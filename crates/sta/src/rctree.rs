@@ -82,7 +82,7 @@ impl RcOpStats {
 pub struct RcSkeleton {
     /// CSR offsets into `sink_caps`, one entry per net plus a sentinel.
     starts: Vec<u32>,
-    /// Sink pin input capacitances, in `net.sinks()` order per net.
+    /// Sink pin input capacitances, in `Design::net_sinks` order per net.
     sink_caps: Vec<f64>,
 }
 
@@ -93,7 +93,7 @@ impl RcSkeleton {
         let mut sink_caps = Vec::new();
         starts.push(0);
         for net in design.net_ids() {
-            for &sink in design.net(net).sinks() {
+            for &sink in design.net_sinks(net) {
                 sink_caps.push(design.pin_spec(sink).cap);
             }
             starts.push(sink_caps.len() as u32);
@@ -101,7 +101,7 @@ impl RcSkeleton {
         Self { starts, sink_caps }
     }
 
-    /// Input capacitances of `net`'s sinks, in `net.sinks()` order.
+    /// Input capacitances of `net`'s sinks, in `Design::net_sinks` order.
     pub fn sink_caps(&self, net: NetId) -> &[f64] {
         let lo = self.starts[net.index()] as usize;
         let hi = self.starts[net.index() + 1] as usize;
@@ -112,27 +112,17 @@ impl RcSkeleton {
     /// from the design — the skeleton half of an ECO resize after
     /// [`netlist::Design::set_cell_type`]. Connectivity must be unchanged
     /// (a resize never rewires), so only cap values move; no rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a connected input pin of the cell is not among its net's
-    /// sinks, which a validated design rules out.
     pub fn repatch_cell_caps(&mut self, design: &Design, cell: netlist::CellId) {
-        for &pin in &design.cell(cell).pins {
-            if design.pin_direction(pin) != netlist::PinDirection::Input {
-                continue;
+        let topology = design.topology();
+        for &slot in topology.cell_slots(cell) {
+            let pin = topology.slot_pin()[slot as usize];
+            if let (netlist::PinDirection::Input, Some(net)) =
+                (design.pin_direction(pin), design.pin(pin).net)
+            {
+                // A net's slots are its driver's, then its sinks' in order.
+                let pos = slot as usize - topology.net_slots(net).start - 1;
+                self.sink_caps[self.starts[net.index()] as usize + pos] = design.pin_spec(pin).cap;
             }
-            let Some(net) = design.pin(pin).net else {
-                continue;
-            };
-            let pos = design
-                .net(net)
-                .sinks()
-                .iter()
-                .position(|&s| s == pin)
-                .expect("input pin missing from its net's sink list");
-            let slot = self.starts[net.index()] as usize + pos;
-            self.sink_caps[slot] = design.pin_spec(pin).cap;
         }
     }
 }
@@ -324,7 +314,7 @@ fn elmore_into(
     sink_delay.copy_from_slice(&delay[1..n.max(1)]);
 }
 
-/// Collects a net's pin positions in `net.pins` order into `out`.
+/// Collects a net's pin positions in `Design::net_pins` order into `out`.
 fn collect_positions(
     design: &Design,
     placement: &Placement,
@@ -332,7 +322,7 @@ fn collect_positions(
     out: &mut Vec<(f64, f64)>,
 ) {
     out.clear();
-    for &p in &design.net(net).pins {
+    for &p in design.net_pins(net) {
         out.push(placement.pin_position(design, p));
     }
 }
@@ -379,7 +369,7 @@ pub(crate) struct RcForest {
     node_cap: Vec<f64>,
     /// Parents-before-children node order, local to the net.
     topo: Vec<u32>,
-    /// Elmore delay per sink, in `net.sinks()` order per net.
+    /// Elmore delay per sink, in `Design::net_sinks` order per net.
     sink_delay: Vec<f64>,
     /// Total downstream capacitance per net.
     net_load: Vec<f64>,
@@ -421,7 +411,7 @@ impl RcForest {
         let mut nodes = 0u32;
         let mut sinks = 0u32;
         for net in design.net_ids() {
-            let pins = design.net(net).pins.len() as u32;
+            let pins = design.net_pins(net).len() as u32;
             nodes += pins;
             sinks += pins.saturating_sub(1);
             node_start.push(nodes);
@@ -517,7 +507,7 @@ impl RcForest {
         self.net_load[net.index()]
     }
 
-    /// Elmore delays of `net`'s sinks in `net.sinks()` order, as of the
+    /// Elmore delays of `net`'s sinks in `Design::net_sinks` order, as of the
     /// last refresh that listed it.
     pub fn sink_delays(&self, net: NetId) -> &[f64] {
         let lo = self.sink_start[net.index()] as usize;

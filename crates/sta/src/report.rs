@@ -448,7 +448,7 @@ mod tests {
         assert!(paths[0].slack <= paths[1].slack);
         assert_ne!(paths[0].elements, paths[1].elements);
         // The worse path goes through the buffer.
-        let buf_y = d.cell(d.find_cell("buf").unwrap()).pins[1];
+        let buf_y = d.cell_pin(d.find_cell("buf").unwrap(), 1);
         assert!(paths[0].elements.iter().any(|e| e.pin == buf_y));
     }
 
@@ -490,8 +490,8 @@ mod tests {
         // Every pair must be driver -> sink of some net.
         for (a, b) in &pairs {
             let net = d.pin(*a).net.unwrap();
-            assert_eq!(d.net(net).driver(), *a);
-            assert!(d.net(net).sinks().contains(b));
+            assert_eq!(d.net_driver(net), *a);
+            assert!(d.net_sinks(net).contains(b));
         }
         // A path pi->inv->buf->nand->po crosses 4 nets; pi->inv->nand->po
         // crosses 3.

@@ -160,7 +160,7 @@ proptest! {
         let mut p = Placement::new(&design);
         p.set(design.find_cell("pi").unwrap(), 0.0, 50.0);
         p.set(design.find_cell("po").unwrap(), 796.0, 50.0);
-        let ep = design.cell(design.find_cell("po").unwrap()).pins[0];
+        let ep = design.cell_pin(design.find_cell("po").unwrap(), 0);
 
         let arrival_at = |x: f64| {
             let mut q = p.clone();

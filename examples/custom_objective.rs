@@ -36,9 +36,9 @@ impl RegisterPull {
                 continue;
             }
             let Some(d_idx) = ty.data_pin() else { continue };
-            let d_pin = design.cell(cell).pins[d_idx];
+            let d_pin = design.cell_pin(cell, d_idx);
             if let Some(net) = design.pin(d_pin).net {
-                pairs.push((design.net(net).driver(), d_pin));
+                pairs.push((design.net_driver(net), d_pin));
             }
         }
         Self { strength, pairs }

@@ -113,7 +113,7 @@ proptest! {
         }
         let mut perimeters = 0.0;
         for net in design.net_ids() {
-            let pins = &design.net(net).pins;
+            let pins = design.net_pins(net);
             if pins.len() < 2 {
                 continue;
             }
@@ -363,7 +363,7 @@ fn route_bits_are_pinned_on_suite_cases() {
         let map = analyzer.map();
         let mut got_boxes = OFFSET;
         for net in design.net_ids() {
-            let pins = &design.net(net).pins;
+            let pins = design.net_pins(net);
             if pins.len() < 2 {
                 continue;
             }

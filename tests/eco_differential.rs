@@ -77,8 +77,7 @@ fn assert_change_set(
         .net_ids()
         .filter(|&n| {
             design
-                .net(n)
-                .pins
+                .net_pins(n)
                 .iter()
                 .any(|&p| touched.contains(&design.pin(p).cell))
         })

@@ -121,8 +121,8 @@ fn pin_pairs_follow_net_direction() {
     for path in sta.report_timing_endpoint(&design, 50, 1) {
         for (a, b) in path.net_pin_pairs(&sta) {
             let net = design.pin(a).net.expect("pair pins are connected");
-            assert_eq!(design.net(net).driver(), a);
-            assert!(design.net(net).sinks().contains(&b));
+            assert_eq!(design.net_driver(net), a);
+            assert!(design.net_sinks(net).contains(&b));
         }
     }
 }

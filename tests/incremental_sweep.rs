@@ -67,8 +67,8 @@ fn assert_same_state(design: &Design, incremental: &Sta, fresh: &Sta, context: &
 fn crosses_guard(design: &Design, moved: &[CellId]) -> bool {
     let dirty: BTreeSet<_> = moved
         .iter()
-        .flat_map(|&c| &design.cell(c).pins)
-        .filter_map(|&p| design.pin(p).net)
+        .flat_map(|&c| design.cell_pins(c))
+        .filter_map(|p| design.pin(p).net)
         .collect();
     dirty.len() * 4 >= design.num_nets()
 }

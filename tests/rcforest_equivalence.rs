@@ -26,14 +26,12 @@ struct RefTree {
 impl RefTree {
     fn build(design: &Design, placement: &Placement, net: NetId, params: &RcParams) -> Self {
         let positions: Vec<(f64, f64)> = design
-            .net(net)
-            .pins
+            .net_pins(net)
             .iter()
             .map(|&p| placement.pin_position(design, p))
             .collect();
         let sink_caps: Vec<f64> = design
-            .net(net)
-            .sinks()
+            .net_sinks(net)
             .iter()
             .map(|&p| design.pin_spec(p).cap)
             .collect();
@@ -118,7 +116,7 @@ impl RefTree {
         self.node_cap.iter().sum()
     }
 
-    /// Elmore delay from the driver to each sink, in `net.sinks()` order.
+    /// Elmore delay from the driver to each sink, in `Design::net_sinks` order.
     fn sink_delays(&self) -> Vec<f64> {
         let n = self.parent.len();
         let mut downstream = self.node_cap.clone();
@@ -174,7 +172,7 @@ fn forest_refresh_matches_per_net_trees_on_every_suite_case() {
                         at("load", net)
                     );
                     let delays = tree.sink_delays();
-                    let driver = design.net(net).driver();
+                    let driver = design.net_driver(net);
                     let mut wire_arcs = 0;
                     for arc in graph.out_arcs(driver) {
                         if let ArcKind::Net { net: n, sink_index } = graph.arc(arc).kind {

@@ -3,8 +3,8 @@
 //! that read it must equal, bit for bit, the same arithmetic walked over
 //! `Placement::pin_position` — at every thread count, for all-ones and
 //! non-uniform net weights, on designs with macros, fixed pads,
-//! driver-only nets and floating pins, and after ECO resizes whether the
-//! layout was built before the resize or only after it.
+//! driver-only nets and floating pins, and after ECO resizes (which
+//! patch the layout in place, and restore it bitwise when undone).
 
 use efficient_tdp::benchgen::{self, case_by_name, next_drive_variant};
 use efficient_tdp::netlist::{
@@ -72,7 +72,7 @@ fn reference_wa(
     let coeffs: Vec<Option<(Axis, Axis)>> = design
         .net_ids()
         .map(|net| {
-            let pins = &design.net(net).pins;
+            let pins = design.net_pins(net);
             (pins.len() >= 2).then(|| {
                 let (xs, ys): (Vec<f64>, Vec<f64>) = pins
                     .iter()
@@ -97,7 +97,7 @@ fn reference_wa(
     // Phase 2: every cell pulls the gradient of its pins, in pin order.
     for c in design.cell_ids() {
         let (mut sx, mut sy) = (0.0, 0.0);
-        for &p in &design.cell(c).pins {
+        for p in design.cell_pins(c) {
             let Some(net) = design.pin(p).net else {
                 continue;
             };
@@ -117,7 +117,7 @@ fn reference_wa(
 
 /// Exact HPWL of one net folded over `pin_position`.
 fn reference_net_hpwl(design: &Design, placement: &Placement, net: NetId) -> f64 {
-    let pins = &design.net(net).pins;
+    let pins = design.net_pins(net);
     if pins.len() < 2 {
         return 0.0;
     }
@@ -272,10 +272,10 @@ fn wa_and_hpwl_match_the_reference_with_dangling_nets_and_floating_pins() {
     let (design, placement) = corner_design("INV_X1");
     let u1 = design.find_cell("u1").unwrap();
     let u3 = design.find_cell("u3").unwrap();
-    let floating = design.cell(u1).pins[1];
+    let floating = design.cell_pin(u1, 1);
     assert!(design.pin(floating).net.is_none());
-    let dangling = design.pin(design.cell(u3).pins[1]).net.unwrap();
-    assert_eq!(design.net(dangling).pins.len(), 1);
+    let dangling = design.pin(design.cell_pin(u3, 1)).net.unwrap();
+    assert_eq!(design.net_pins(dangling).len(), 1);
     let mut reused = WaScratch::default();
     assert_kernel_matches_reference(&design, &placement, &mut reused, "corners");
 }
@@ -308,22 +308,21 @@ fn rebuilt_with(design: &Design, retype: &[(CellId, CellTypeId)]) -> Design {
         assert_eq!(id.unwrap(), c);
     }
     for n in design.net_ids() {
-        let net = design.net(n);
-        let terminals: Vec<(CellId, &str)> = net
-            .pins
+        let terminals: Vec<(CellId, &str)> = design
+            .net_pins(n)
             .iter()
             .map(|&p| (design.pin(p).cell, design.pin_spec(p).name.as_str()))
             .collect();
-        assert_eq!(b.add_net(&net.name, &terminals).unwrap(), n);
+        assert_eq!(b.add_net(&design.net(n).name, &terminals).unwrap(), n);
     }
     b.finish().unwrap()
 }
 
-/// Resizes `design` per `retype` twice — once after its layout is built
-/// (the resize patches the slot offsets) and once before (the first use
-/// reads the new masters) — and asserts both equal the same netlist
-/// built with the new masters from the start, which differs from the
-/// unresized design.
+/// Resizes `design` per `retype` and asserts the patched layout equals
+/// the same netlist built with the new masters from the start, which
+/// differs from the unresized design; then resizes every cell back (the
+/// ECO revert path) and asserts the slot offsets equal the original ones
+/// bit for bit.
 fn assert_resize_keeps_layout_consistent(
     design: Design,
     placement: &Placement,
@@ -334,29 +333,38 @@ fn assert_resize_keeps_layout_consistent(
     let fresh = rebuilt_with(&design, retype);
     let want = assert_kernel_matches_reference(&fresh, placement, &mut reused, context);
 
-    let mut built = design.clone();
-    let before = assert_kernel_matches_reference(&built, placement, &mut reused, context);
+    let original = design.clone();
+    let before = assert_kernel_matches_reference(&original, placement, &mut reused, context);
     assert!(before != want, "{context}: the resizes move no pin");
-    let mut unbuilt = design;
+    let mut resized = design;
     for &(c, t) in retype {
-        built.set_cell_type(c, t).unwrap();
-        unbuilt.set_cell_type(c, t).unwrap();
+        resized.set_cell_type(c, t).unwrap();
     }
-    for (label, d) in [
-        ("built, then resized", &built),
-        ("resized, then built", &unbuilt),
-    ] {
-        let got = assert_kernel_matches_reference(
-            d,
-            placement,
-            &mut reused,
-            &format!("{context}: {label}"),
-        );
-        assert!(
-            got == want,
-            "{context}: {label} differs from a fresh design"
-        );
+    let got = assert_kernel_matches_reference(
+        &resized,
+        placement,
+        &mut reused,
+        &format!("{context}: resized"),
+    );
+    assert!(
+        got == want,
+        "{context}: resized differs from a fresh design"
+    );
+
+    for &(c, _) in retype.iter().rev() {
+        resized.set_cell_type(c, original.cell(c).type_id).unwrap();
     }
+    let (a, b) = (original.topology(), resized.topology());
+    assert_eq!(
+        bits(a.slot_dx()),
+        bits(b.slot_dx()),
+        "{context}: resized back, slot_dx"
+    );
+    assert_eq!(
+        bits(a.slot_dy()),
+        bits(b.slot_dy()),
+        "{context}: resized back, slot_dy"
+    );
 }
 
 #[test]

@@ -23,6 +23,8 @@
 //!   gets a chunk range and may write anywhere it can prove disjoint.
 //! * [`par_map_reduce`] — chunked map with an ordered, serial reduction;
 //!   the reduction order is chunk order, independent of thread count.
+//!   [`par_map_reduce_with_state_named`] also hands every chunk its own
+//!   reusable state.
 //! * [`UnsafeSlice`] — a `Sync` view over `&mut [T]` for kernels whose
 //!   writes are disjoint by construction but not expressible as
 //!   `chunks_mut` (e.g. scattered pin indices within a timing level).
@@ -166,7 +168,15 @@ where
     M: Fn(std::ops::Range<usize>) -> T + Sync,
     R: FnMut(T),
 {
-    par_map_reduce_inner(threads, n, min_chunk, None, map, reduce)
+    par_map_reduce_inner(
+        threads,
+        n,
+        min_chunk,
+        None,
+        &mut Vec::<()>::new(),
+        |_, range| map(range),
+        reduce,
+    )
 }
 
 /// [`par_map_reduce`] with a kernel name for the tracing layer — same
@@ -186,19 +196,52 @@ pub fn par_map_reduce_named<T, M, R>(
     M: Fn(std::ops::Range<usize>) -> T + Sync,
     R: FnMut(T),
 {
-    par_map_reduce_inner(threads, n, min_chunk, Some(name), map, reduce)
+    par_map_reduce_inner(
+        threads,
+        n,
+        min_chunk,
+        Some(name),
+        &mut Vec::<()>::new(),
+        |_, range| map(range),
+        reduce,
+    )
 }
 
-fn par_map_reduce_inner<T, M, R>(
+/// [`par_map_reduce_named`] with one reusable state per chunk: `states`
+/// is resized to the chunk count, and the `map` call of chunk `c` gets
+/// `&mut states[c]` to itself. A kernel that keeps the same `states`
+/// across calls reuses its per-chunk buffers without knowing how the
+/// problem is chunked, so calls after the first need not allocate.
+/// Chunk boundaries and the fold order are exactly [`par_map_reduce`]'s.
+pub fn par_map_reduce_with_state_named<S, T, M, R>(
+    threads: usize,
+    n: usize,
+    min_chunk: usize,
+    name: &'static str,
+    states: &mut Vec<S>,
+    map: M,
+    reduce: R,
+) where
+    S: Default + Send,
+    T: Send,
+    M: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
+    R: FnMut(T),
+{
+    par_map_reduce_inner(threads, n, min_chunk, Some(name), states, map, reduce)
+}
+
+fn par_map_reduce_inner<S, T, M, R>(
     threads: usize,
     n: usize,
     min_chunk: usize,
     name: Option<&'static str>,
+    states: &mut Vec<S>,
     map: M,
     mut reduce: R,
 ) where
+    S: Default + Send,
     T: Send,
-    M: Fn(std::ops::Range<usize>) -> T + Sync,
+    M: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
     R: FnMut(T),
 {
     if n == 0 {
@@ -206,12 +249,13 @@ fn par_map_reduce_inner<T, M, R>(
     }
     let chunk = chunk_size(n, min_chunk);
     let num_chunks = n.div_ceil(chunk);
+    states.resize_with(num_chunks, S::default);
     let workers = threads.min(num_chunks);
     if workers <= 1 || num_chunks < MIN_PARALLEL_CHUNKS {
         let _span = kernel_span(name);
-        for c in 0..num_chunks {
+        for (c, state) in states.iter_mut().enumerate() {
             let lo = c * chunk;
-            reduce(map(lo..(lo + chunk).min(n)));
+            reduce(map(state, lo..(lo + chunk).min(n)));
         }
         return;
     }
@@ -221,37 +265,35 @@ fn par_map_reduce_inner<T, M, R>(
     slots.resize_with(num_chunks, || None);
     {
         let slots = UnsafeSlice::new(&mut slots);
+        let states = UnsafeSlice::new(states);
         let next = AtomicUsize::new(0);
+        // Maps chunks until none is left unclaimed.
+        let run = |next: &AtomicUsize| loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= num_chunks {
+                break;
+            }
+            let lo = c * chunk;
+            // SAFETY: each chunk index is claimed exactly once, so its
+            // slot and its state are touched by this call alone.
+            unsafe {
+                let state = &mut states.slice_mut(c, 1)[0];
+                slots.write(c, Some(map(state, lo..(lo + chunk).min(n))));
+            }
+        };
         std::thread::scope(|s| {
-            let slots = &slots;
             let next = &next;
-            let map = &map;
+            let run = &run;
             for w in 1..workers {
                 s.spawn(move || {
                     if let Some(caller) = caller {
                         adopt_worker_lane(caller, w);
                     }
                     let _span = kernel_span(name);
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= num_chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        // SAFETY: each chunk index is claimed exactly once.
-                        unsafe { slots.write(c, Some(map(lo..(lo + chunk).min(n)))) };
-                    }
+                    run(next);
                 });
             }
-            loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks {
-                    break;
-                }
-                let lo = c * chunk;
-                // SAFETY: each chunk index is claimed exactly once.
-                unsafe { slots.write(c, Some(map(lo..(lo + chunk).min(n)))) };
-            }
+            run(next);
         });
     }
     for slot in &mut slots {
@@ -531,6 +573,39 @@ mod tests {
         let s1 = sum_with(1);
         for threads in [2, 3, 8] {
             assert_eq!(s1.to_bits(), sum_with(threads).to_bits());
+        }
+    }
+
+    #[test]
+    fn every_chunk_gets_its_own_state_at_every_thread_count() {
+        let n: usize = 10_000;
+        let num_chunks = n.div_ceil(chunk_size(n, 16));
+        for threads in [1, 2, 7] {
+            // Each state records the chunk start it served and how often.
+            let mut states: Vec<(usize, u32)> = Vec::new();
+            for call in 1..=2u32 {
+                let mut covered = 0;
+                par_map_reduce_with_state_named(
+                    threads,
+                    n,
+                    16,
+                    "test",
+                    &mut states,
+                    |state, range| {
+                        state.0 = range.start;
+                        state.1 += 1;
+                        range.len()
+                    },
+                    |len| covered += len,
+                );
+                assert_eq!(covered, n, "threads={threads}");
+                assert_eq!(states.len(), num_chunks, "threads={threads}");
+                assert!(states.iter().all(|s| s.1 == call), "threads={threads}");
+                assert!(
+                    states.windows(2).all(|w| w[0].0 < w[1].0),
+                    "threads={threads}: states out of chunk order"
+                );
+            }
         }
     }
 

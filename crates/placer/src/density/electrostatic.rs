@@ -15,15 +15,33 @@
 //! ξ_x   = IDXST_x( IDCT_y( a_uv · w_u / (w_u²+w_v²) ) )
 //! ξ_y   = IDCT_x( IDXST_y( a_uv · w_v / (w_u²+w_v²) ) )
 //! ```
+//!
+//! The model owns every buffer the solve touches: a transform [`Plan`] per
+//! axis (twiddles plus work rows), the normalized density `ρ`, its cosine
+//! coefficients, the `w_u`/`w_v`/`w²` tables and the three output grids,
+//! which double as the coefficient grids of their inverse transforms. The
+//! transforms run in place on those grids, so after construction
+//! [`ElectrostaticDensity::update`] allocates nothing.
 
-use super::fft::{dct2, idct, idxst};
-use super::grid::BinGrid;
+use super::fft::Plan;
+use super::grid::{BinGrid, MovableCells};
 use netlist::{Design, Placement};
 
 /// Electrostatic density model: owns the grid and the spectral scratch.
 #[derive(Debug, Clone)]
 pub struct ElectrostaticDensity {
     grid: BinGrid,
+    /// The separable 2-d transforms.
+    transform: Transform2d,
+    /// Normalized density `ρ` per bin.
+    rho: Vec<f64>,
+    /// Cosine coefficients `a_uv` of `ρ`.
+    coef: Vec<f64>,
+    /// `w_u = π·u/nx` and `w_v = π·v/ny`.
+    w_u: Vec<f64>,
+    w_v: Vec<f64>,
+    /// `w_u² + w_v²` per coefficient.
+    w2: Vec<f64>,
     /// Electric field per bin, x component.
     field_x: Vec<f64>,
     /// Electric field per bin, y component.
@@ -45,8 +63,26 @@ impl ElectrostaticDensity {
         let mut grid = BinGrid::new(design.die(), nx, ny);
         grid.set_fixed(design, placement_with_fixed);
         let bins = nx * ny;
+        let w_u: Vec<f64> = (0..nx)
+            .map(|u| std::f64::consts::PI * u as f64 / nx as f64)
+            .collect();
+        let w_v: Vec<f64> = (0..ny)
+            .map(|v| std::f64::consts::PI * v as f64 / ny as f64)
+            .collect();
+        let w2 = (0..bins)
+            .map(|i| {
+                let (u, v) = (i % nx, i / nx);
+                w_u[u] * w_u[u] + w_v[v] * w_v[v]
+            })
+            .collect();
         Self {
             grid,
+            transform: Transform2d::new(nx, ny),
+            rho: vec![0.0; bins],
+            coef: vec![0.0; bins],
+            w_u,
+            w_v,
+            w2,
             field_x: vec![0.0; bins],
             field_y: vec![0.0; bins],
             potential: vec![0.0; bins],
@@ -68,6 +104,19 @@ impl ElectrostaticDensity {
     /// electrostatic energy (the density penalty value `D(x, y)`).
     pub fn update(&mut self, design: &Design, placement: &Placement) -> f64 {
         self.grid.accumulate(design, placement);
+        self.solve()
+    }
+
+    /// [`ElectrostaticDensity::update`] over footprints frozen for this
+    /// model's grid ([`MovableCells::new`] with [`Self::grid`]);
+    /// bit-identical while the design is unchanged.
+    pub fn update_frozen(&mut self, cells: &MovableCells, placement: &Placement) -> f64 {
+        self.grid.accumulate_frozen(cells, placement);
+        self.solve()
+    }
+
+    /// The spectral solve over the accumulated density map.
+    fn solve(&mut self) -> f64 {
         let nx = self.grid.nx();
         let ny = self.grid.ny();
         let bin_area = self.grid.bin_area();
@@ -76,52 +125,46 @@ impl ElectrostaticDensity {
         // Subtracting the mean removes the DC term (w=0 mode is undefined).
         let n_bins = (nx * ny) as f64;
         let mean = self.grid.density.iter().sum::<f64>() / n_bins;
-        let rho: Vec<f64> = self
-            .grid
-            .density
-            .iter()
-            .map(|&d| (d - mean) / bin_area)
-            .collect();
+        for (r, &d) in self.rho.iter_mut().zip(&self.grid.density) {
+            *r = (d - mean) / bin_area;
+        }
 
-        // 2D DCT: rows (x direction) then columns (y direction).
-        let mut coef = transform_rows(&rho, nx, ny, dct2);
-        coef = transform_cols(&coef, nx, ny, dct2);
-        // Normalize the forward transform so a round trip through the
-        // inverse (which carries the 2/N factors) is exact.
-        // (dct2 here is unnormalized; idct applies 2/N per axis.)
+        // 2D DCT: rows (x direction) then columns (y direction). dct2 is
+        // unnormalized; the inverses carry the 2/N factors, so a round
+        // trip is exact.
+        self.coef.copy_from_slice(&self.rho);
+        self.transform.apply(&mut self.coef, Plan::dct2, Plan::dct2);
 
-        let wu = |u: usize| std::f64::consts::PI * u as f64 / nx as f64;
-        let wv = |v: usize| std::f64::consts::PI * v as f64 / ny as f64;
-
-        let mut psi_coef = vec![0.0; nx * ny];
-        let mut ex_coef = vec![0.0; nx * ny];
-        let mut ey_coef = vec![0.0; nx * ny];
         for v in 0..ny {
             for u in 0..nx {
-                let w2 = wu(u) * wu(u) + wv(v) * wv(v);
+                let i = v * nx + u;
+                let w2 = self.w2[i];
                 if w2 == 0.0 {
+                    self.potential[i] = 0.0;
+                    self.field_x[i] = 0.0;
+                    self.field_y[i] = 0.0;
                     continue;
                 }
-                let a = coef[v * nx + u] / w2;
-                psi_coef[v * nx + u] = a;
-                ex_coef[v * nx + u] = a * wu(u);
-                ey_coef[v * nx + u] = a * wv(v);
+                let a = self.coef[i] / w2;
+                self.potential[i] = a;
+                self.field_x[i] = a * self.w_u[u];
+                self.field_y[i] = a * self.w_v[v];
             }
         }
 
         // Potential: inverse DCT in both axes.
-        let psi = transform_cols(&transform_rows(&psi_coef, nx, ny, idct), nx, ny, idct);
-        self.potential.copy_from_slice(&psi);
-
+        self.transform
+            .apply(&mut self.potential, Plan::idct, Plan::idct);
         // Field x: IDXST along x, IDCT along y.
-        let ex = transform_cols(&transform_rows(&ex_coef, nx, ny, idxst), nx, ny, idct);
-        self.field_x.copy_from_slice(&ex);
+        self.transform
+            .apply(&mut self.field_x, Plan::idxst, Plan::idct);
         // Field y: IDCT along x, IDXST along y.
-        let ey = transform_cols(&transform_rows(&ey_coef, nx, ny, idct), nx, ny, idxst);
-        self.field_y.copy_from_slice(&ey);
+        self.transform
+            .apply(&mut self.field_y, Plan::idct, Plan::idxst);
 
         // Energy = ½ Σ ρ ψ (per-bin charge times potential).
-        0.5 * rho
+        0.5 * self
+            .rho
             .iter()
             .zip(self.potential.iter())
             .map(|(&r, &p)| r * p)
@@ -129,9 +172,11 @@ impl ElectrostaticDensity {
             * bin_area
     }
 
-    /// Density overflow of the last [`ElectrostaticDensity::update`].
-    pub fn overflow(&self, design: &Design) -> f64 {
-        self.grid.overflow(design, self.target_density)
+    /// Density overflow of the last [`ElectrostaticDensity::update`] or
+    /// [`ElectrostaticDensity::update_frozen`], over the cells it
+    /// deposited.
+    pub fn overflow(&self) -> f64 {
+        self.grid.overflow(self.target_density)
     }
 
     /// Accumulates the density gradient (−force) for every movable cell:
@@ -251,30 +296,43 @@ impl ElectrostaticDensity {
     }
 }
 
-/// Applies a 1-d transform to every row of a row-major `nx × ny` map.
-fn transform_rows(data: &[f64], nx: usize, ny: usize, f: fn(&[f64]) -> Vec<f64>) -> Vec<f64> {
-    let mut out = vec![0.0; nx * ny];
-    for y in 0..ny {
-        let row = &data[y * nx..(y + 1) * nx];
-        out[y * nx..(y + 1) * nx].copy_from_slice(&f(row));
-    }
-    out
+/// A 1-d transform applied in place to a row of its plan's length.
+type RowOp = fn(&mut Plan, &mut [f64]);
+
+/// Separable 2-d transforms of a row-major `nx × ny` map: one plan per
+/// axis and the column the y-axis pass gathers into.
+#[derive(Debug, Clone)]
+struct Transform2d {
+    x: Plan,
+    y: Plan,
+    column: Vec<f64>,
 }
 
-/// Applies a 1-d transform to every column of a row-major `nx × ny` map.
-fn transform_cols(data: &[f64], nx: usize, ny: usize, f: fn(&[f64]) -> Vec<f64>) -> Vec<f64> {
-    let mut out = vec![0.0; nx * ny];
-    let mut col = vec![0.0; ny];
-    for x in 0..nx {
-        for y in 0..ny {
-            col[y] = data[y * nx + x];
-        }
-        let t = f(&col);
-        for y in 0..ny {
-            out[y * nx + x] = t[y];
+impl Transform2d {
+    fn new(nx: usize, ny: usize) -> Self {
+        Self {
+            x: Plan::new(nx),
+            y: Plan::new(ny),
+            column: vec![0.0; ny],
         }
     }
-    out
+
+    /// Applies `along_x` to every row, then `along_y` to every column.
+    fn apply(&mut self, data: &mut [f64], along_x: RowOp, along_y: RowOp) {
+        let nx = self.x.len();
+        for row in data.chunks_exact_mut(nx) {
+            along_x(&mut self.x, row);
+        }
+        for x in 0..nx {
+            for (y, c) in self.column.iter_mut().enumerate() {
+                *c = data[y * nx + x];
+            }
+            along_y(&mut self.y, &mut self.column);
+            for (y, &c) in self.column.iter().enumerate() {
+                data[y * nx + x] = c;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -439,8 +497,9 @@ mod tests {
         let mut e = ElectrostaticDensity::new(&d, &p, nx, ny, 1.0);
         e.update(&d, &p);
         // Reconstruct rho from psi: rho_hat = psi_hat * w².
-        let psi: Vec<f64> = (0..nx * ny).map(|i| e.potential[i]).collect();
-        let psi_hat = transform_cols(&transform_rows(&psi, nx, ny, dct2), nx, ny, dct2);
+        let mut psi_hat = e.potential.clone();
+        let mut transform = Transform2d::new(nx, ny);
+        transform.apply(&mut psi_hat, Plan::dct2, Plan::dct2);
         // Forward dct2 twice leaves scaling of (N/2)... verify against the
         // density map instead: round-trip idct of (psi_hat * w²).
         let wu = |u: usize| std::f64::consts::PI * u as f64 / nx as f64;
@@ -451,7 +510,8 @@ mod tests {
                 rho_hat[v * nx + u] = psi_hat[v * nx + u] * (wu(u).powi(2) + wv(v).powi(2));
             }
         }
-        let rho_rec = transform_cols(&transform_rows(&rho_hat, nx, ny, idct), nx, ny, idct);
+        let mut rho_rec = rho_hat;
+        transform.apply(&mut rho_rec, Plan::idct, Plan::idct);
         // Compare against the actual normalized density (mean removed).
         let bin_area = e.grid().bin_area();
         let mean = e.grid().density.iter().sum::<f64>() / (nx * ny) as f64;

@@ -1,6 +1,6 @@
 //! Bin grid: density accumulation and overflow.
 
-use netlist::{Design, Placement, Rect};
+use netlist::{CellId, Design, Placement, Rect};
 
 /// A regular grid of density bins over the die.
 ///
@@ -18,6 +18,9 @@ pub struct BinGrid {
     pub density: Vec<f64>,
     /// Area contributed by fixed cells, accumulated once.
     fixed_density: Vec<f64>,
+    /// Summed master area of the cells the last accumulation deposited,
+    /// in cell order: the overflow's divisor.
+    movable_area: f64,
 }
 
 impl BinGrid {
@@ -40,6 +43,7 @@ impl BinGrid {
             die,
             density: vec![0.0; nx * ny],
             fixed_density: vec![0.0; nx * ny],
+            movable_area: 0.0,
         }
     }
 
@@ -93,51 +97,88 @@ impl BinGrid {
     }
 
     /// Recomputes the density map for the movable cells of `placement`,
-    /// starting from the fixed-cell base.
+    /// starting from the fixed-cell base. Reads each cell's master from
+    /// `design` on every call; a placement run accumulates over its
+    /// [`MovableCells`] instead.
     pub fn accumulate(&mut self, design: &Design, placement: &Placement) {
-        self.density.copy_from_slice(&self.fixed_density);
+        self.begin_accumulate();
         for cell in design.cell_ids() {
             if design.cell(cell).fixed {
                 continue;
             }
             let ty = design.cell_type(cell);
-            let (x, y) = placement.get(cell);
-            let (ex, ew, sx) = expand(x, ty.width, self.bin_w);
-            let (ey, eh, sy) = expand(y, ty.height, self.bin_h);
-            accumulate_rect_scaled(
-                &mut self.density,
-                self.nx,
-                self.ny,
-                self.die,
-                self.bin_w,
-                self.bin_h,
-                ex,
-                ey,
-                ew,
-                eh,
-                sx * sy,
-            );
+            let scale = self.splat_scale(ty.width, ty.height);
+            self.deposit(placement.get(cell), ty.width, ty.height, scale);
         }
     }
 
-    /// Density overflow: `Σ_b max(0, ρ_b − target·A_b) / Σ movable area`.
-    /// The standard ePlace convergence metric (0 = perfectly spread).
-    pub fn overflow(&self, design: &Design, target_density: f64) -> f64 {
-        let bin_area = self.bin_area();
-        let movable_area: f64 = design
-            .cell_ids()
-            .filter(|&c| !design.cell(c).fixed)
-            .map(|c| design.cell_type(c).area())
-            .sum();
-        if movable_area == 0.0 {
+    /// [`BinGrid::accumulate`] over footprints frozen by
+    /// [`MovableCells::freeze`]: the same cells in the same order with the
+    /// same arithmetic, so the map is bit-identical, without a master
+    /// lookup per cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` was frozen for a grid with other bin dimensions.
+    pub(crate) fn accumulate_frozen(&mut self, cells: &MovableCells, placement: &Placement) {
+        assert!(
+            cells.bin_w == self.bin_w && cells.bin_h == self.bin_h,
+            "cells frozen for another grid"
+        );
+        self.begin_accumulate();
+        for cell in &cells.cells {
+            self.deposit(placement.get(cell.id), cell.w, cell.h, cell.scale);
+        }
+    }
+
+    /// Resets the map to the fixed-cell base and the movable area to zero.
+    fn begin_accumulate(&mut self) {
+        self.density.copy_from_slice(&self.fixed_density);
+        self.movable_area = 0.0;
+    }
+
+    /// Splats one movable cell of extent `w × h` whose origin is at
+    /// `(x, y)`, and adds its area (its master's `area()`) to the
+    /// overflow's divisor.
+    fn deposit(&mut self, (x, y): (f64, f64), w: f64, h: f64, scale: f64) {
+        self.movable_area += w * h;
+        let (ex, ew) = expand(x, w, self.bin_w);
+        let (ey, eh) = expand(y, h, self.bin_h);
+        accumulate_rect_scaled(
+            &mut self.density,
+            self.nx,
+            self.ny,
+            self.die,
+            self.bin_w,
+            self.bin_h,
+            ex,
+            ey,
+            ew,
+            eh,
+            scale,
+        );
+    }
+
+    /// Density scale compensating the expansion of a `w × h` footprint's
+    /// sub-bin extents.
+    fn splat_scale(&self, w: f64, h: f64) -> f64 {
+        expand_scale(w, self.bin_w) * expand_scale(h, self.bin_h)
+    }
+
+    /// Density overflow of the last accumulation:
+    /// `Σ_b max(0, ρ_b − target·A_b) / Σ movable area`. The standard ePlace
+    /// convergence metric (0 = perfectly spread).
+    pub fn overflow(&self, target_density: f64) -> f64 {
+        if self.movable_area == 0.0 {
             return 0.0;
         }
+        let bin_area = self.bin_area();
         let excess: f64 = self
             .density
             .iter()
             .map(|&d| (d - target_density * bin_area).max(0.0))
             .sum();
-        excess / movable_area
+        excess / self.movable_area
     }
 
     /// Total deposited area (diagnostic; equals movable + fixed overlap with
@@ -156,14 +197,85 @@ impl BinGrid {
     }
 }
 
-/// Expands a 1-d extent to at least one bin, returning the new origin,
-/// extent and compensating density scale.
-fn expand(origin: f64, extent: f64, bin: f64) -> (f64, f64, f64) {
+/// The movable cells, frozen for one placement run: per cell (in cell
+/// order) its master's extent, its pin count and the density splat's
+/// compensating scale. 32 B per movable cell.
+///
+/// A resize ([`netlist::Design::set_cell_type`]) changes a cell's
+/// footprint, so the owner refreezes before every run; the design-reading
+/// [`BinGrid::accumulate`] never goes stale.
+#[derive(Debug, Clone, Default)]
+pub struct MovableCells {
+    bin_w: f64,
+    bin_h: f64,
+    cells: Vec<FrozenCell>,
+}
+
+impl MovableCells {
+    /// Freezes the movable cells of `design` for `grid`.
+    pub fn new(design: &Design, grid: &BinGrid) -> Self {
+        let mut cells = Self::default();
+        cells.freeze(design, grid);
+        cells
+    }
+
+    /// Refreezes in place, reusing the buffer.
+    pub fn freeze(&mut self, design: &Design, grid: &BinGrid) {
+        self.bin_w = grid.bin_w;
+        self.bin_h = grid.bin_h;
+        self.cells.clear();
+        self.cells.extend(
+            design
+                .cell_ids()
+                .filter(|&c| !design.cell(c).fixed)
+                .map(|c| {
+                    let ty = design.cell_type(c);
+                    FrozenCell {
+                        id: c,
+                        pins: design.cell_pins(c).len() as u32,
+                        w: ty.width,
+                        h: ty.height,
+                        scale: grid.splat_scale(ty.width, ty.height),
+                    }
+                }),
+        );
+    }
+
+    /// The frozen cells, in cell order.
+    pub(crate) fn cells(&self) -> &[FrozenCell] {
+        &self.cells
+    }
+}
+
+/// One movable cell's frozen master data.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrozenCell {
+    pub(crate) id: CellId,
+    /// Pin count (the engine's wirelength preconditioner term).
+    pub(crate) pins: u32,
+    /// Master extent.
+    pub(crate) w: f64,
+    pub(crate) h: f64,
+    /// Density scale compensating the expansion of sub-bin extents.
+    scale: f64,
+}
+
+/// Expands a 1-d extent to at least one bin, returning the new origin and
+/// extent; [`expand_scale`] is the compensating density scale.
+fn expand(origin: f64, extent: f64, bin: f64) -> (f64, f64) {
     if extent >= bin {
-        (origin, extent, 1.0)
+        (origin, extent)
     } else {
         let center = origin + extent / 2.0;
-        (center - bin / 2.0, bin, extent / bin)
+        (center - bin / 2.0, bin)
+    }
+}
+
+fn expand_scale(extent: f64, bin: f64) -> f64 {
+    if extent >= bin {
+        1.0
+    } else {
+        extent / bin
     }
 }
 
@@ -293,9 +405,9 @@ mod tests {
         let mut g = BinGrid::new(d.die(), 8, 8);
         g.set_fixed(&d, &clustered);
         g.accumulate(&d, &clustered);
-        let of_clustered = g.overflow(&d, 1.0);
+        let of_clustered = g.overflow(1.0);
         g.accumulate(&d, &spread);
-        let of_spread = g.overflow(&d, 1.0);
+        let of_spread = g.overflow(1.0);
         assert!(
             of_clustered > of_spread * 2.0,
             "clustered {of_clustered} spread {of_spread}"
@@ -305,13 +417,13 @@ mod tests {
     #[test]
     fn small_cell_expansion_preserves_area() {
         // INV_X1 is 2x10, bins are 8x8: expanded in x only.
-        let (ex, ew, sx) = expand(10.0, 2.0, 8.0);
+        let (ex, ew) = expand(10.0, 2.0, 8.0);
         assert_eq!(ew, 8.0);
-        assert!((sx - 0.25).abs() < 1e-12);
+        assert!((expand_scale(2.0, 8.0) - 0.25).abs() < 1e-12);
         assert!((ex - (11.0 - 4.0)).abs() < 1e-12);
-        let (_, eh, sy) = expand(0.0, 10.0, 8.0);
+        let (_, eh) = expand(0.0, 10.0, 8.0);
         assert_eq!(eh, 10.0);
-        assert_eq!(sy, 1.0);
+        assert_eq!(expand_scale(10.0, 8.0), 1.0);
     }
 
     #[test]

@@ -6,4 +6,4 @@ pub mod fft;
 pub mod grid;
 
 pub use electrostatic::ElectrostaticDensity;
-pub use grid::BinGrid;
+pub use grid::{BinGrid, MovableCells};

@@ -5,11 +5,41 @@
 //! met — the ePlace/DREAMPlace recipe. A [`TimingObjective`] can inject
 //! extra gradient terms and per-net weights; that is the hook the
 //! `tdp-core` crate uses to add the pin-to-pin attraction of Eq. 6.
+//!
+//! # Per-run frozen data
+//!
+//! At the start of every run the engine freezes what the iteration would
+//! otherwise look up in the cell library per cell per iteration: the
+//! movable cells in cell order (the order of the optimizer vector's
+//! halves), each one's extent (die-clamp bounds, and `w·h` is its area for
+//! the Jacobi preconditioner and the overflow's divisor), pin count and
+//! density splat scale — one [`MovableCells`], 32 B per movable cell. The
+//! freeze lives in the engine's scratch and is redone by the next run,
+//! because [`netlist::Design::set_cell_type`] may resize a cell between
+//! runs; the public density entries that take a `Design` keep reading
+//! masters on every call. Each frozen value feeds the expression the
+//! per-iteration lookup fed, so no bit moves.
+//!
+//! The lookahead fill and its die clamp are one pass, as are the major
+//! solution's clamp and its publication into the engine placement.
+//!
+//! # What stays serial
+//!
+//! The WA wirelength and density-field gradients run on `parx` workers.
+//! The rest of the iteration stays on the calling thread, each part for
+//! a measured reason: the density accumulation's bit-identical parallel
+//! variants were no faster than the serial scatter; one 32-point row
+//! pass of the spectral solve costs less than a `parx` dispatch; and the
+//! element-wise passes (preconditioner, optimizer step, clamps) moved the
+//! flow by less than its run-to-run spread. The optimizer's
+//! Barzilai–Borwein dot products are sums whose order fixes their bits,
+//! so they stay one serial loop in index order.
 
-use crate::density::ElectrostaticDensity;
+use crate::density::grid::FrozenCell;
+use crate::density::{ElectrostaticDensity, MovableCells};
 use crate::optim::NesterovOptimizer;
 use crate::wirelength::WaWirelength;
-use netlist::{CellId, Design, MoveTracker, Placement};
+use netlist::{Design, MoveTracker, Placement};
 
 /// Extension point for timing-driven terms in the objective.
 ///
@@ -123,6 +153,10 @@ const LAMBDA_MULT: f64 = 1.05;
 const LAMBDA_INIT_FACTOR: f64 = 1.0;
 /// Initial optimizer step (placement units); BB adapts it afterwards.
 const INITIAL_STEP: f64 = 1.0;
+/// Most trace rows reserved up front (the default iteration budget): a
+/// run that converges early must not reserve its whole, caller-chosen
+/// `max_iterations`, and a longer one grows the trace as it goes.
+const TRACE_RESERVE: usize = 1000;
 
 /// Per-iteration trace entry (drives the Fig. 5 curves).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,10 +190,12 @@ pub struct PlaceResult {
 
 /// Reusable buffers for the iteration loop: the two gradient fields, the
 /// flattened optimizer gradient, the λ-init fields, the lookahead
-/// placement and the wirelength workspace. Taken out of the engine at the
-/// start of [`GlobalPlacer::run_observed`] and put back at the end, so
-/// the loop body — and repeated runs on one engine — allocate nothing
-/// per iteration.
+/// placement, the wirelength workspace and the run's frozen cell data.
+/// Taken out of the engine at the start of [`GlobalPlacer::run_observed`]
+/// and put back at the end, so with serial kernels (threads=1) the loop
+/// body — and repeated runs on one engine — allocate nothing per
+/// iteration; a multi-threaded `parx` dispatch still allocates its result
+/// slots and spawns its scoped threads on every call.
 #[derive(Debug, Default)]
 struct EngineScratch {
     grad_x: Vec<f64>,
@@ -168,10 +204,15 @@ struct EngineScratch {
     dx: Vec<f64>,
     dy: Vec<f64>,
     /// Gradient-query-point placement. Movable cells are fully rewritten
-    /// by `fill_placement` each iteration and fixed cells never move, so
+    /// by the lookahead fill each iteration and fixed cells never move, so
     /// reusing it across iterations (and runs) is exact.
     lookahead: Option<Placement>,
     wl: crate::wirelength::WaScratch,
+    /// The movable cells' masters, frozen at the start of every run (in
+    /// the order of the optimizer vector's halves). A resize between runs
+    /// ([`netlist::Design::set_cell_type`]) changes them, so nothing here
+    /// outlives the run that froze it.
+    cells: MovableCells,
 }
 
 /// The nonlinear global placement engine.
@@ -180,10 +221,7 @@ pub struct GlobalPlacer {
     config: PlacerConfig,
     /// Current placement (fixed cells keep their seed positions).
     placement: Placement,
-    movable: Vec<CellId>,
     density: ElectrostaticDensity,
-    /// Per-cell pin counts (wirelength preconditioner).
-    pin_counts: Vec<f64>,
     lambda: f64,
     scratch: EngineScratch,
 }
@@ -197,11 +235,7 @@ impl GlobalPlacer {
         let die = design.die();
         let (cx, cy) = (die.lx + die.width() / 2.0, die.ly + die.height() / 2.0);
         let mut rng = SplitMix::new(config.seed);
-        let movable: Vec<CellId> = design
-            .cell_ids()
-            .filter(|&c| !design.cell(c).fixed)
-            .collect();
-        for &c in &movable {
+        for c in design.cell_ids().filter(|&c| !design.cell(c).fixed) {
             let jx = (rng.next_f64() - 0.5) * die.width() * 0.2;
             let jy = (rng.next_f64() - 0.5) * die.height() * 0.2;
             let ty = design.cell_type(c);
@@ -215,16 +249,10 @@ impl GlobalPlacer {
             config.grid,
             config.target_density,
         );
-        let mut pin_counts = vec![0.0; design.num_cells()];
-        for pin in design.pin_ids() {
-            pin_counts[design.pin(pin).cell.index()] += 1.0;
-        }
         Self {
             config,
             placement,
-            movable,
             density,
-            pin_counts,
             lambda: 0.0,
             scratch: EngineScratch::default(),
         }
@@ -259,24 +287,27 @@ impl GlobalPlacer {
         timing: &mut dyn TimingObjective,
         on_iteration: &mut dyn FnMut(&IterationStats) -> bool,
     ) -> PlaceResult {
-        let n = self.movable.len();
         let die = design.die();
         let bin = (self.density.grid().bin_w() + self.density.grid().bin_h()) / 2.0;
         let base_gamma = self.config.gamma_factor * bin;
 
+        let mut bufs = std::mem::take(&mut self.scratch);
+        bufs.cells.freeze(design, self.density.grid());
+        let cells = &bufs.cells;
+        let n = cells.cells().len();
+
         // Flatten movable coordinates into the optimizer vector [xs, ys].
         let mut x0 = Vec::with_capacity(2 * n);
-        for &c in &self.movable {
-            x0.push(self.placement.get(c).0);
+        for s in cells.cells() {
+            x0.push(self.placement.get(s.id).0);
         }
-        for &c in &self.movable {
-            x0.push(self.placement.get(c).1);
+        for s in cells.cells() {
+            x0.push(self.placement.get(s.id).1);
         }
         let mut opt = NesterovOptimizer::new(x0, INITIAL_STEP);
         // Trust region: never move a cell more than one bin per iteration.
         opt.set_max_move(bin.max(1.0));
 
-        let mut bufs = std::mem::take(&mut self.scratch);
         bufs.grad_x.clear();
         bufs.grad_x.resize(design.num_cells(), 0.0);
         bufs.grad_y.clear();
@@ -286,24 +317,24 @@ impl GlobalPlacer {
         let grad_x = &mut bufs.grad_x;
         let grad_y = &mut bufs.grad_y;
         let flat_grad = &mut bufs.flat_grad;
-        let mut trace = Vec::new();
+        let mut trace = Vec::with_capacity(self.config.max_iterations.min(TRACE_RESERVE));
         let mut scratch = bufs
             .lookahead
             .take()
             .unwrap_or_else(|| self.placement.clone());
         let mut iterations = 0;
         let threads = self.config.threads;
-        // Seeded from the initial solution; the timing objective takes
-        // the change set from it whenever it consumes the moved cells.
-        self.write_solution(opt.solution());
+        // Seeded from the initial solution (the optimizer's start vector
+        // was read from `self.placement`); the timing objective takes the
+        // change set from it whenever it consumes the moved cells.
         let mut moves = MoveTracker::new(&self.placement);
         let wl_scratch = &mut bufs.wl;
 
         for iter in 0..self.config.max_iterations {
             let _iter_span = tdp_trace::span("placer.iteration", "placer");
             iterations = iter + 1;
-            // Publish the major solution.
-            self.write_solution(opt.solution());
+            // `self.placement` holds the major solution: the optimizer
+            // started from it, and every iteration publishes its step.
             {
                 // Timing analysis + net reweighting (the objective's
                 // begin-of-iteration work — the RuntimeBreakdown
@@ -312,14 +343,20 @@ impl GlobalPlacer {
                 timing.begin_iteration(iter, design, &self.placement, &mut moves);
             }
 
-            // Evaluate gradients at the lookahead point.
-            Self::fill_placement(&self.movable, opt.query_point(), &mut scratch);
-            scratch.clamp_to_die(design);
+            // Evaluate gradients at the lookahead point, clamped into the
+            // die as it is filled.
+            {
+                let v = opt.query_point();
+                for (k, s) in cells.cells().iter().enumerate() {
+                    let (hi_x, hi_y) = clamp_bounds(die, s);
+                    scratch.set(s.id, v[k].clamp(die.lx, hi_x), v[n + k].clamp(die.ly, hi_y));
+                }
+            }
 
             let overflow = {
                 let _span = tdp_trace::span("placer.density_update", "placer");
-                self.density.update(design, &scratch);
-                self.density.overflow(design)
+                self.density.update_frozen(cells, &scratch);
+                self.density.overflow()
             };
             // DREAMPlace-style γ annealing: smooth while unspread, sharp at
             // convergence.
@@ -340,10 +377,10 @@ impl GlobalPlacer {
 
             if self.lambda == 0.0 {
                 // ePlace λ₀: balance the two gradient field magnitudes.
-                let wl_norm: f64 = self
-                    .movable
+                let wl_norm: f64 = cells
+                    .cells()
                     .iter()
-                    .map(|&c| grad_x[c.index()].abs() + grad_y[c.index()].abs())
+                    .map(|s| grad_x[s.id.index()].abs() + grad_y[s.id.index()].abs())
                     .sum();
                 bufs.dx.clear();
                 bufs.dx.resize(design.num_cells(), 0.0);
@@ -357,10 +394,10 @@ impl GlobalPlacer {
                     &mut bufs.dy,
                     threads,
                 );
-                let d_norm: f64 = self
-                    .movable
+                let d_norm: f64 = cells
+                    .cells()
                     .iter()
-                    .map(|&c| bufs.dx[c.index()].abs() + bufs.dy[c.index()].abs())
+                    .map(|s| bufs.dx[s.id.index()].abs() + bufs.dy[s.id.index()].abs())
                     .sum();
                 self.lambda = if d_norm > 0.0 {
                     LAMBDA_INIT_FACTOR * wl_norm / d_norm
@@ -385,26 +422,27 @@ impl GlobalPlacer {
             };
 
             // Jacobi preconditioning: normalize by pin count + λ·area.
-            for (k, &c) in self.movable.iter().enumerate() {
-                let i = c.index();
-                let area = design.cell_type(c).area();
-                let h = (self.pin_counts[i] + self.lambda * area).max(1.0);
+            for (k, s) in cells.cells().iter().enumerate() {
+                let i = s.id.index();
+                // `w * h` is the master's `area()`.
+                let h = (f64::from(s.pins) + self.lambda * (s.w * s.h)).max(1.0);
                 flat_grad[k] = grad_x[i] / h;
                 flat_grad[n + k] = grad_y[i] / h;
             }
             opt.step(flat_grad);
 
-            // Clamp the major solution into the die.
+            // Clamp the major solution into the die and publish it.
             {
                 let sol = opt.solution_mut();
-                for (k, &c) in self.movable.iter().enumerate() {
-                    let ty = design.cell_type(c);
-                    sol[k] = sol[k].clamp(die.lx, (die.ux - ty.width).max(die.lx));
-                    sol[n + k] = sol[n + k].clamp(die.ly, (die.uy - ty.height).max(die.ly));
+                for (k, s) in cells.cells().iter().enumerate() {
+                    let (hi_x, hi_y) = clamp_bounds(die, s);
+                    let x = sol[k].clamp(die.lx, hi_x);
+                    let y = sol[n + k].clamp(die.ly, hi_y);
+                    sol[k] = x;
+                    sol[n + k] = y;
+                    self.placement.set(s.id, x, y);
                 }
             }
-
-            self.write_solution(opt.solution());
             let hpwl = self.placement.total_hpwl(design);
             trace.push(IterationStats {
                 iter,
@@ -429,28 +467,18 @@ impl GlobalPlacer {
             }
         }
 
-        self.write_solution(opt.solution());
-        self.density.update(design, &self.placement);
+        // Every exit from the loop follows a publish, so `self.placement`
+        // already holds the final solution.
+        self.density.update_frozen(cells, &self.placement);
+        let overflow = self.density.overflow();
         bufs.lookahead = Some(scratch);
         self.scratch = bufs;
         PlaceResult {
             placement: self.placement.clone(),
             hpwl: self.placement.total_hpwl(design),
-            overflow: self.density.overflow(design),
+            overflow,
             iterations,
             trace,
-        }
-    }
-
-    /// Copies the optimizer vector into the engine placement.
-    fn write_solution(&mut self, sol: &[f64]) {
-        Self::fill_placement(&self.movable, sol, &mut self.placement);
-    }
-
-    fn fill_placement(movable: &[CellId], sol: &[f64], placement: &mut Placement) {
-        let n = movable.len();
-        for (k, &c) in movable.iter().enumerate() {
-            placement.set(c, sol[k], sol[n + k]);
         }
     }
 
@@ -458,6 +486,12 @@ impl GlobalPlacer {
     pub fn placement(&self) -> &Placement {
         &self.placement
     }
+}
+
+/// Upper die-clamp bounds of a frozen cell's origin, as
+/// [`Placement::clamp_to_die`] computes them.
+fn clamp_bounds(die: netlist::Rect, s: &FrozenCell) -> (f64, f64) {
+    ((die.ux - s.w).max(die.lx), (die.uy - s.h).max(die.ly))
 }
 
 /// SplitMix64: tiny deterministic RNG for the initial jitter.

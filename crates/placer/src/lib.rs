@@ -37,7 +37,7 @@ pub mod legalize;
 pub mod optim;
 pub mod wirelength;
 
-pub use density::{BinGrid, ElectrostaticDensity};
+pub use density::{BinGrid, ElectrostaticDensity, MovableCells};
 pub use engine::{
     GlobalPlacer, IterationStats, NoTimingObjective, PlaceResult, PlacerConfig, TimingObjective,
 };

@@ -105,17 +105,19 @@ impl NesterovOptimizer {
                 self.a = 1.0;
             }
         }
-        self.v_prev.copy_from_slice(&self.v);
-        self.g_prev.copy_from_slice(grad);
-        self.u_prev.copy_from_slice(&self.u);
 
+        // One pass: save this iterate as the next step's "previous" state,
+        // then update it.
         let a_next = (1.0 + (4.0 * self.a * self.a + 1.0).sqrt()) / 2.0;
         let momentum = (self.a - 1.0) / a_next;
         #[allow(clippy::needless_range_loop)] // lockstep over several arrays
         for i in 0..self.u.len() {
+            self.v_prev[i] = self.v[i];
+            self.g_prev[i] = grad[i];
+            let u_old = self.u[i];
+            self.u_prev[i] = u_old;
             let delta = (self.step * grad[i]).clamp(-self.max_move, self.max_move);
             let u_new = self.v[i] - delta;
-            let u_old = self.u[i];
             self.u[i] = u_new;
             self.v[i] = u_new + momentum * (u_new - u_old);
         }

@@ -112,18 +112,25 @@ impl WaWirelength {
         {
             let slot_gx = UnsafeSlice::new(&mut scratch.grad_x);
             let slot_gy = UnsafeSlice::new(&mut scratch.grad_y);
-            parx::par_map_reduce_named(
+            parx::par_map_reduce_with_state_named(
                 workers,
                 design.num_nets(),
                 64,
                 "placer.wl.net_coeffs",
-                |range| {
+                &mut scratch.nets,
+                |state, range| {
                     let mut partial = 0.0f64;
-                    // Per-chunk scratch, reused across nets: each pin's
-                    // coordinates and its two exp weights per axis.
-                    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-                    let (mut ep_x, mut en_x) = (Vec::new(), Vec::new());
-                    let (mut ep_y, mut en_y) = (Vec::new(), Vec::new());
+                    // Work on the chunk's buffers by value: the states of
+                    // neighbouring chunks share cache lines.
+                    let mut bufs = std::mem::take(state);
+                    let NetBufs {
+                        xs,
+                        ys,
+                        ep_x,
+                        en_x,
+                        ep_y,
+                        en_y,
+                    } = &mut bufs;
                     for n in range {
                         let slots = topology.net_slots(NetId::new(n));
                         if slots.len() < 2 {
@@ -154,8 +161,8 @@ impl WaWirelength {
                             xs.push(cell_x[c] + slot_dx[s]);
                             ys.push(cell_y[c] + slot_dy[s]);
                         }
-                        let ax = AxisWa::compute(&xs, gamma, &mut ep_x, &mut en_x);
-                        let ay = AxisWa::compute(&ys, gamma, &mut ep_y, &mut en_y);
+                        let ax = AxisWa::compute(xs, gamma, ep_x, en_x);
+                        let ay = AxisWa::compute(ys, gamma, ep_y, en_y);
                         partial += w * (ax.value() + ay.value());
                         for (k, s) in slots.enumerate() {
                             let gx = w * ax.pin_gradient(xs[k], ep_x[k], en_x[k], gamma);
@@ -168,6 +175,7 @@ impl WaWirelength {
                             }
                         }
                     }
+                    *state = bufs;
                     partial
                 },
                 |partial| total += partial,
@@ -266,14 +274,28 @@ impl AxisWa {
     }
 }
 
-/// Reusable per-slot gradient buffers for
-/// [`WaWirelength::accumulate_gradient_threads`] (16 B per connected
-/// pin). Opaque; create once with `Default` and pass it to every call in
-/// a loop.
+/// Reusable buffers for [`WaWirelength::accumulate_gradient_threads`]:
+/// the per-slot gradients (16 B per connected pin) and one set of net
+/// buffers per net chunk. Opaque; create once with `Default` and pass it
+/// to every call in a loop, and the calls after the first allocate
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct WaScratch {
     grad_x: Vec<f64>,
     grad_y: Vec<f64>,
+    nets: Vec<NetBufs>,
+}
+
+/// One net chunk's buffers, reused across its nets: each pin's
+/// coordinates and its two exp weights per axis.
+#[derive(Debug, Clone, Default)]
+struct NetBufs {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    ep_x: Vec<f64>,
+    en_x: Vec<f64>,
+    ep_y: Vec<f64>,
+    en_y: Vec<f64>,
 }
 
 /// WA span (soft max − soft min) of a coordinate set with its gradient.

@@ -1,7 +1,7 @@
 //! Property-based tests for the placement kernels.
 
 use netlist::{CellLibrary, DesignBuilder, Placement, Rect};
-use placer::density::fft::{dct2, fft, idct, idxst, ifft};
+use placer::density::fft::Plan;
 use placer::legalize::{abacus_legalize, check_legal, tetris_legalize};
 use placer::wirelength::wa_span_grad;
 use proptest::prelude::*;
@@ -58,8 +58,9 @@ proptest! {
         let im0: Vec<f64> = (0..n).map(|_| next()).collect();
         let mut re = re0.clone();
         let mut im = im0.clone();
-        fft(&mut re, &mut im);
-        ifft(&mut re, &mut im);
+        let plan = Plan::new(n);
+        plan.fft(&mut re, &mut im);
+        plan.ifft(&mut re, &mut im);
         for i in 0..n {
             prop_assert!((re[i] - re0[i]).abs() < 1e-8);
             prop_assert!((im[i] - im0[i]).abs() < 1e-8);
@@ -79,7 +80,10 @@ proptest! {
                 (s % 10_000) as f64 / 100.0 - 50.0
             })
             .collect();
-        let back = idct(&dct2(&x));
+        let mut plan = Plan::new(n);
+        let mut back = x.clone();
+        plan.dct2(&mut back);
+        plan.idct(&mut back);
         for i in 0..n {
             prop_assert!((back[i] - x[i]).abs() < 1e-8, "i={i}");
         }
@@ -99,9 +103,11 @@ proptest! {
         let a: Vec<f64> = (0..n).map(|_| next()).collect();
         let b: Vec<f64> = (0..n).map(|_| next()).collect();
         let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        let lhs = idxst(&sum);
-        let ra = idxst(&a);
-        let rb = idxst(&b);
+        let mut plan = Plan::new(n);
+        let (mut lhs, mut ra, mut rb) = (sum, a, b);
+        plan.idxst(&mut lhs);
+        plan.idxst(&mut ra);
+        plan.idxst(&mut rb);
         for i in 0..n {
             prop_assert!((lhs[i] - (ra[i] + rb[i])).abs() < 1e-8);
         }

@@ -169,6 +169,9 @@ pub struct SpanStat {
     pub count: u64,
     /// Summed inclusive wall time.
     pub total_ns: u64,
+    /// Summed self time: inclusive time minus the time covered by spans
+    /// nested directly inside it on the same lane.
+    pub self_ns: u64,
     /// Longest single span.
     pub max_ns: u64,
 }
@@ -180,21 +183,27 @@ pub fn summarize(chunks: &[LaneChunk]) -> Vec<SpanStat> {
     let mut stats: std::collections::BTreeMap<&'static str, SpanStat> =
         std::collections::BTreeMap::new();
     for chunk in chunks {
-        let mut stack: Vec<(&'static str, u64)> = Vec::new();
+        // Open spans: name, begin time, time covered by closed children.
+        let mut stack: Vec<(&'static str, u64, u64)> = Vec::new();
         for event in &chunk.events {
             match event.kind {
-                EventKind::Begin { name, .. } => stack.push((name, event.ts_ns)),
+                EventKind::Begin { name, .. } => stack.push((name, event.ts_ns, 0)),
                 EventKind::End => {
-                    if let Some((name, begin_ns)) = stack.pop() {
+                    if let Some((name, begin_ns, child_ns)) = stack.pop() {
                         let dur = event.ts_ns.saturating_sub(begin_ns);
+                        if let Some(parent) = stack.last_mut() {
+                            parent.2 += dur;
+                        }
                         let stat = stats.entry(name).or_insert(SpanStat {
                             name,
                             count: 0,
                             total_ns: 0,
+                            self_ns: 0,
                             max_ns: 0,
                         });
                         stat.count += 1;
                         stat.total_ns += dur;
+                        stat.self_ns += dur.saturating_sub(child_ns);
                         stat.max_ns = stat.max_ns.max(dur);
                     }
                 }
@@ -320,9 +329,11 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].name, "outer");
         assert_eq!(stats[0].total_ns, 8_000);
+        assert_eq!(stats[0].self_ns, 6_000, "minus its nested inner span");
         assert_eq!(stats[1].name, "inner");
         assert_eq!(stats[1].count, 2);
         assert_eq!(stats[1].total_ns, 3_000);
+        assert_eq!(stats[1].self_ns, 3_000);
         assert_eq!(stats[1].max_ns, 2_000);
     }
 }

@@ -12,8 +12,9 @@
 //! [`Session`] (the exact batch/serve execution path) and writes the
 //! recorded spans as a Chrome trace-event JSON document (loadable in
 //! Perfetto or `chrome://tracing`; schema in the README) to `--out` or
-//! `<case>.trace.json`. A top-spans summary table (count, total, max
-//! per span name) prints on stderr. `--check` verifies the trace
+//! `<case>.trace.json`. A top-spans summary table (count, self, total
+//! and max per span name, sorted by self time — the span's own work,
+//! not that of the spans nested in it) prints on stderr. `--check` verifies the trace
 //! structurally — every lane's events nest (every `B` has its `E`) —
 //! and that the emitted JSON re-parses through `tdp-jsonio` to the
 //! identical encoding (the encode→parse→encode fixpoint CI asserts).
@@ -173,17 +174,19 @@ fn run() -> Result<i32, BatchError> {
         outcome.iterations,
         outcome.placement.content_hash(),
     );
-    let stats = tdp_trace::summarize(&chunks);
+    let mut stats = tdp_trace::summarize(&chunks);
+    stats.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(b.name)));
     if args.top > 0 && !stats.is_empty() {
         eprintln!(
-            "{:<28} {:>8} {:>12} {:>12}",
-            "span", "count", "total_ms", "max_ms"
+            "{:<28} {:>8} {:>12} {:>12} {:>12}",
+            "span", "count", "self_ms", "total_ms", "max_ms"
         );
         for stat in stats.iter().take(args.top) {
             eprintln!(
-                "{:<28} {:>8} {:>12} {:>12}",
+                "{:<28} {:>8} {:>12} {:>12} {:>12}",
                 stat.name,
                 stat.count,
+                fmt_ms(stat.self_ns),
                 fmt_ms(stat.total_ns),
                 fmt_ms(stat.max_ns),
             );

@@ -300,13 +300,11 @@ pub fn job_json(r: &JobReport) -> String {
         r.runtime.consistency_error().as_secs_f64(),
     );
     field_num(s, "threads", r.runtime.threads as f64);
-    // RC allocation/op counters (RuntimeBreakdown::rc). Exact for a fixed
-    // workload except `rc_scratch_reuses`, which — like the `*_s` wall
-    // clocks — depends on scheduling when the refresh runs parallel.
+    // RC op counters (RuntimeBreakdown::rc): exact for a fixed call
+    // sequence and the same for every thread count.
     field_num(s, "rc_refreshes", r.runtime.rc.refreshes as f64);
     field_num(s, "rc_nets_refreshed", r.runtime.rc.nets_refreshed as f64);
     field_num(s, "rc_scratch_reuses", r.runtime.rc.scratch_reuses as f64);
-    field_num(s, "rc_slab_bytes", r.runtime.rc.slab_bytes as f64);
     s.push('}');
     out
 }

@@ -11,15 +11,10 @@ use netlist::{Design, Placement};
 use sta::{RcParams, Sta, TimingPath};
 use tdp_core::{ObjectiveSpec, PinPairLoss, Session};
 
-/// A report analyzer sharing the session's timing graph and RC skeleton —
-/// no reconstruction, matching the session's own setup amortization.
+/// A report analyzer sharing the session's timing graph — no
+/// reconstruction, matching the session's own setup amortization.
 fn report_sta(session: &Session, placement: &Placement, rc: RcParams) -> Sta {
-    let mut sta = Sta::from_parts(
-        session.graph_handle(),
-        session.skeleton_handle(),
-        session.design(),
-        rc,
-    );
+    let mut sta = Sta::from_parts(session.graph_handle(), session.design(), rc);
     sta.analyze(session.design(), placement);
     sta
 }

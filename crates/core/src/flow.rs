@@ -57,9 +57,9 @@ pub struct RuntimeBreakdown {
     /// Resolved worker count the run used (`FlowConfig::threads` after
     /// 0-means-auto resolution).
     pub threads: usize,
-    /// Allocation/op counters from the run's RC work (objective plus
-    /// evaluation analyzers): refresh passes, nets refreshed, scratch
-    /// reuses and resident slab bytes. Not a wall-clock category — it
+    /// Op counters from the run's RC work (objective plus evaluation
+    /// analyzers): refresh passes, nets refreshed and scratch reuses.
+    /// Not a wall-clock category — it
     /// does not participate in [`RuntimeBreakdown::accounted`].
     pub rc: sta::RcOpStats,
     /// ECO delta-query counters, populated only by interactive sessions

@@ -4,7 +4,7 @@
 //! [`ObjectiveSpec`] names one of the paper's builtin objectives or wraps
 //! a user [`ObjectiveFactory`]; the factory builds a fresh
 //! [`SessionObjective`] per run from an [`ObjectiveContext`] that shares
-//! the session's timing graph and RC data.
+//! the session's timing graph.
 
 use crate::config::FlowConfig;
 use crate::congestion::{CongestionAwareObjective, DEFAULT_CONGESTION_WEIGHT};
@@ -13,7 +13,7 @@ use crate::flow::EfficientTdpObjective;
 use crate::weighting::NetWeightingObjective;
 use netlist::Design;
 use placer::{NoTimingObjective, TimingObjective};
-use sta::{RcSkeleton, Sta, TimingGraph};
+use sta::{Sta, TimingGraph};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,7 +68,6 @@ pub struct ObjectiveContext<'a> {
     pub(crate) design: &'a Design,
     pub(crate) config: &'a FlowConfig,
     pub(crate) graph: &'a Arc<TimingGraph>,
-    pub(crate) skeleton: &'a Arc<RcSkeleton>,
 }
 
 impl ObjectiveContext<'_> {
@@ -82,18 +81,12 @@ impl ObjectiveContext<'_> {
         self.config
     }
 
-    /// A pristine timing analyzer sharing the session's graph and RC
-    /// data — no graph construction happens here, which is the entire
-    /// point of the session. Uses the run's wire parasitics and thread
-    /// count.
+    /// A pristine timing analyzer sharing the session's graph — no graph
+    /// construction happens here, which is the entire point of the
+    /// session. Uses the run's wire parasitics and thread count.
     pub fn fresh_sta(&self) -> Sta {
-        Sta::from_parts(
-            Arc::clone(self.graph),
-            Arc::clone(self.skeleton),
-            self.design,
-            self.config.rc,
-        )
-        .with_threads(self.config.threads)
+        Sta::from_parts(Arc::clone(self.graph), self.design, self.config.rc)
+            .with_threads(self.config.threads)
     }
 }
 

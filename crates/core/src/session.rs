@@ -2,12 +2,12 @@
 //! infrastructure and runs any number of [`FlowSpec`]s against it.
 //!
 //! A [`Session`] is constructed once per design
-//! (`Session::builder(design, pads).build()?`), owns the netlist, the
-//! timing graph and the placement-independent RC data behind shared
-//! handles, and can [`Session::run`] any number of [`FlowSpec`]s against
-//! them. Each run gets a pristine analyzer via [`Sta::from_parts`] (no
-//! reconstruction, no state leakage), so repeated runs are bitwise
-//! identical to cold ones — only faster to start.
+//! (`Session::builder(design, pads).build()?`), owns the netlist and the
+//! timing graph behind a shared handle, and can [`Session::run`] any
+//! number of [`FlowSpec`]s against them. Each run gets a pristine
+//! analyzer via [`Sta::from_parts`] (no reconstruction, no state
+//! leakage), so repeated runs are bitwise identical to cold ones — only
+//! faster to start.
 //!
 //! ```no_run
 //! use benchgen::{generate, CircuitParams};
@@ -35,7 +35,7 @@ use crate::observer::{FlowPhase, Hub, Instrumented, NullObserver, Observer};
 use crate::spec::FlowSpec;
 use netlist::{io, Design, Placement};
 use placer::{abacus_legalize, GlobalPlacer};
-use sta::{NetTopology, RcParams, RcSkeleton, Sta, StaCheckpoint, TimingGraph};
+use sta::{NetTopology, RcParams, Sta, StaCheckpoint, TimingGraph};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
@@ -51,8 +51,8 @@ struct EvalCache {
 }
 
 /// Cached evaluation-time congestion analyzer: the cell→nets index it
-/// builds depends only on the design, so — like the STA graph and RC
-/// skeleton — it is constructed once per session and reused by every
+/// builds depends only on the design, so — like the STA graph — it is
+/// constructed once per session and reused by every
 /// run (rebuilt only when a run asks for different route knobs). A full
 /// [`CongestionAnalyzer::analyze`] recomputes every raster, bin and
 /// exposure from the placement alone, so reuse never leaks state
@@ -63,8 +63,8 @@ struct RouteEvalCache {
 }
 
 /// A validated design ready to run flows: owns the netlist, pad
-/// placement, timing graph and placement-independent RC data, and
-/// amortizes their construction across every [`Session::run`].
+/// placement and timing graph, and amortizes their construction across
+/// every [`Session::run`].
 ///
 /// Construction is the only place the timing graph is built — asserted by
 /// [`sta::graph_build_count`] in the test suite. Each run receives a
@@ -88,7 +88,6 @@ pub struct Session {
     design: Design,
     pads: Placement,
     graph: Arc<TimingGraph>,
-    skeleton: Arc<RcSkeleton>,
     eval: Option<EvalCache>,
     route_eval: Option<RouteEvalCache>,
 }
@@ -131,12 +130,11 @@ impl SessionBuilder {
     /// Returns [`FlowError::Graph`] if the design's combinational logic is
     /// cyclic.
     pub fn build(self) -> Result<Session, FlowError> {
-        let (graph, skeleton) = Sta::build_parts(&self.design)?;
+        let graph = Arc::new(TimingGraph::build(&self.design)?);
         Ok(Session {
             design: self.design,
             pads: self.pads,
             graph,
-            skeleton,
             eval: None,
             route_eval: None,
         })
@@ -170,11 +168,6 @@ impl Session {
     /// analyzers via [`Sta::from_parts`] without reconstruction.
     pub fn graph_handle(&self) -> Arc<TimingGraph> {
         Arc::clone(&self.graph)
-    }
-
-    /// Shared handle to the placement-independent RC data.
-    pub fn skeleton_handle(&self) -> Arc<RcSkeleton> {
-        Arc::clone(&self.skeleton)
     }
 
     /// Runs one flow. Callable any number of times; runs never observe
@@ -231,7 +224,6 @@ impl Session {
             design: &self.design,
             config: cfg,
             graph: &self.graph,
-            skeleton: &self.skeleton,
         };
         let mut objective = Instrumented::new(spec.objective().build(&ctx)?, &hub);
 
@@ -334,13 +326,12 @@ impl Session {
         let Session {
             design,
             graph,
-            skeleton,
             eval,
             ..
         } = self;
         let eval_rc = rc.with_topology(NetTopology::SteinerMst);
         if eval.as_ref().is_none_or(|c| c.params != eval_rc) {
-            let sta = Sta::from_parts(Arc::clone(graph), Arc::clone(skeleton), design, eval_rc);
+            let sta = Sta::from_parts(Arc::clone(graph), design, eval_rc);
             let pristine = sta.checkpoint();
             *eval = Some(EvalCache {
                 params: eval_rc,

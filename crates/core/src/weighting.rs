@@ -115,7 +115,7 @@ impl NetWeightingObjective {
         let mut crit = vec![0.0f64; design.num_nets()];
         if wns < 0.0 {
             for (i, arc) in self.sta.graph().arcs().enumerate() {
-                let ArcKind::Net { net, .. } = arc.kind else {
+                let ArcKind::Net { net } = arc.kind else {
                     continue;
                 };
                 let (Some(arr), Some(req)) =

@@ -5,8 +5,8 @@
 //!         (--stress CHURN[,STEPS[,SEED]] | --script FILE)
 //! ```
 //!
-//! Opens a suite case resident (timing graph, RC skeleton, RUDY
-//! analyzer and the deterministic initial placement), then drives it
+//! Opens a suite case resident (timing graph, RUDY analyzer and the
+//! deterministic initial placement), then drives it
 //! with ECO delta batches and reports one JSONL line per answered
 //! query. `--stress` generates a pinned `benchgen` delta stream;
 //! `--script` replays JSONL commands (`-` = stdin):

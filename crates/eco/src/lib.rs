@@ -11,8 +11,8 @@
 //!   cell relocations, drive-strength retypes and clock retargets, with
 //!   a JSON wire form shared by the `tdp-eco` CLI and the `tdp-serve`
 //!   protocol verbs.
-//! * [`EcoSession`] — wraps a built [`Session`] (shared timing graph
-//!   and RC skeleton, private design/placement/analyzer state), applies
+//! * [`EcoSession`] — wraps a built [`Session`] (shared timing graph,
+//!   private design/placement/analyzer state), applies
 //!   batches through the incremental STA and incremental RUDY paths,
 //!   and journals inverse deltas so [`EcoSession::revert`] and
 //!   [`EcoSession::revert_to`] restore earlier states exactly.
@@ -502,8 +502,8 @@ pub fn rc_params_for(params: &CircuitParams) -> RcParams {
 /// An interactive editing session against a resident design.
 ///
 /// Opened from a built [`Session`], it shares the session's timing
-/// graph and RC skeleton (copy-on-write: the first resize clones them,
-/// leaving the cached session untouched) but owns its design, placement
+/// graph (copy-on-write: the first resize clones it, leaving the cached
+/// session untouched) but owns its design, placement
 /// and analyzer state, so concurrent batch runs against the same cached
 /// session are unaffected.
 #[derive(Debug)]
@@ -528,13 +528,7 @@ impl EcoSession {
     pub fn open(session: &Session, rc: RcParams, threads: usize) -> Self {
         let design = session.design().clone();
         let placement = resident_placement(&design, session.pads());
-        let mut sta = Sta::from_parts(
-            session.graph_handle(),
-            session.skeleton_handle(),
-            &design,
-            rc,
-        )
-        .with_threads(threads);
+        let mut sta = Sta::from_parts(session.graph_handle(), &design, rc).with_threads(threads);
         sta.analyze(&design, &placement);
         let mut congestion = CongestionAnalyzer::new(&design, RouteConfig::default());
         congestion.set_threads(threads);

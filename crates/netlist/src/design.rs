@@ -373,7 +373,7 @@ impl Design {
     /// [`crate::CellType::pin_compatible`]). Geometry (width, offsets) and
     /// electrical parameters (caps, arcs) may differ — that is the point
     /// of a resize. The cell's slots in the [`Topology`] get the new pin
-    /// offsets.
+    /// offsets and caps.
     ///
     /// # Errors
     ///
@@ -850,6 +850,7 @@ mod tests {
             (
                 d.topology().slot_dx().to_vec(),
                 d.topology().slot_dy().to_vec(),
+                d.topology().slot_cap().to_vec(),
             )
         };
         let before = offsets(&d);
@@ -868,8 +869,14 @@ mod tests {
         for (slot, &p) in d.topology().slot_pin().iter().enumerate() {
             assert_eq!(d.topology().slot_dx()[slot], d.pin_spec(p).dx);
             assert_eq!(d.topology().slot_dy()[slot], d.pin_spec(p).dy);
+            assert_eq!(d.topology().slot_cap()[slot], d.pin_spec(p).cap);
         }
-        assert_ne!(offsets(&d), before);
+        let after = offsets(&d);
+        assert_ne!((&after.0, &after.1), (&before.0, &before.1));
+        assert_ne!(
+            after.2, before.2,
+            "INV_X4's input cap differs from INV_X1's"
+        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! slot ids run net by net in net id order, and within a net the driver
 //! comes first, then the sinks in the order [`crate::DesignBuilder::add_net`]
 //! was given them. [`Design::net_pins`] is a window of this list. Each
-//! slot also stores its owning cell and its master pin offset, so a pin's
-//! position is `placement[slot_cell] + slot_d{x,y}` — two loads instead
-//! of the pin → cell → master → pin-spec chain of
-//! [`crate::Placement::pin_position`].
+//! slot also stores its owning cell, its master pin offset and its pin
+//! capacitance, so a pin's position is `placement[slot_cell] +
+//! slot_d{x,y}` — two loads instead of the pin → cell → master → pin-spec
+//! chain of [`crate::Placement::pin_position`] — and a sink's load is one
+//! load of `slot_cap`.
 //!
 //! The reverse map lists, for each cell, the slots of its connected pins
 //! in [`Design::cell_pins`] order; unconnected pins have no slot. Kernels
@@ -18,8 +19,8 @@
 //! [`crate::DesignBuilder::finish`] lays out the rest, so every design has
 //! its layout from construction on. Connectivity never changes afterwards;
 //! the only mutation that moves a pin is a resize
-//! ([`Design::set_cell_type`]), which patches the offsets of the resized
-//! cell's slots in place.
+//! ([`Design::set_cell_type`]), which patches the offsets and caps of the
+//! resized cell's slots in place.
 
 use crate::design::{Design, Pin};
 use crate::ids::{CellId, NetId, PinId};
@@ -27,7 +28,7 @@ use crate::library::CellType;
 use std::ops::Range;
 
 /// Net-major pin slots of a [`Design`]; see the [module docs](self) for
-/// the ordering rules. Costs 28 B per connected pin plus 4 B per net and
+/// the ordering rules. Costs 36 B per connected pin plus 4 B per net and
 /// 4 B per cell.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
@@ -41,6 +42,8 @@ pub struct Topology {
     slot_dx: Vec<f64>,
     /// Master pin y offset of each slot.
     slot_dy: Vec<f64>,
+    /// Master pin capacitance of each slot.
+    slot_cap: Vec<f64>,
     /// CSR over cells: cell `c`'s connected pins are the slots
     /// `cell_slot[cell_start[c]..cell_start[c + 1]]`.
     cell_start: Vec<u32>,
@@ -54,7 +57,7 @@ pub(crate) fn idx(v: usize) -> u32 {
 }
 
 impl Topology {
-    /// Lays out the per-slot cells and offsets and the cell → slot map of
+    /// Lays out the per-slot cells, offsets and caps and the cell → slot map of
     /// `design` over the net CSR (`net_start`, `slot_pin`) its builder
     /// appended. Reads only the design's pins and masters.
     pub(crate) fn new(design: &Design, net_start: Vec<u32>, slot_pin: Vec<PinId>) -> Self {
@@ -62,6 +65,7 @@ impl Topology {
         let mut slot_cell = Vec::with_capacity(num_slots);
         let mut slot_dx = Vec::with_capacity(num_slots);
         let mut slot_dy = Vec::with_capacity(num_slots);
+        let mut slot_cap = Vec::with_capacity(num_slots);
         // Pin id → slot id, only needed to lay out the cell-major map.
         let mut pin_slot = vec![u32::MAX; design.num_pins()];
         for (s, &p) in slot_pin.iter().enumerate() {
@@ -70,6 +74,7 @@ impl Topology {
             slot_cell.push(idx(design.pin(p).cell.index()));
             slot_dx.push(spec.dx);
             slot_dy.push(spec.dy);
+            slot_cap.push(spec.cap);
         }
         let mut cell_start = Vec::with_capacity(design.num_cells() + 1);
         let mut cell_slot = Vec::with_capacity(num_slots);
@@ -89,6 +94,7 @@ impl Topology {
             slot_cell,
             slot_dx,
             slot_dy,
+            slot_cap,
             cell_start,
             cell_slot,
         }
@@ -131,8 +137,13 @@ impl Topology {
         &self.slot_dy
     }
 
-    /// Re-reads the pin offsets of `cell`'s slots from its new master
-    /// `ty` — the layout half of [`Design::set_cell_type`].
+    /// Master pin capacitance of every slot.
+    pub fn slot_cap(&self) -> &[f64] {
+        &self.slot_cap
+    }
+
+    /// Re-reads the pin offsets and caps of `cell`'s slots from its new
+    /// master `ty` — the layout half of [`Design::set_cell_type`].
     pub(crate) fn patch_offsets(&mut self, cell: CellId, pins: &[Pin], ty: &CellType) {
         let c = cell.index();
         for &slot in &self.cell_slot[self.cell_start[c] as usize..self.cell_start[c + 1] as usize] {
@@ -140,6 +151,7 @@ impl Topology {
             let spec = &ty.pins[pins[self.slot_pin[s].index()].spec];
             self.slot_dx[s] = spec.dx;
             self.slot_dy[s] = spec.dy;
+            self.slot_cap[s] = spec.cap;
         }
     }
 }
@@ -173,6 +185,7 @@ mod tests {
                 assert_eq!(t.slot_cell()[s] as usize, d.pin(p).cell.index());
                 assert_eq!(t.slot_dx()[s], d.pin_spec(p).dx);
                 assert_eq!(t.slot_dy()[s], d.pin_spec(p).dy);
+                assert_eq!(t.slot_cap()[s], d.pin_spec(p).cap);
             }
         }
         // n0 = [pi/PAD, u1/A], n1 = [u1/Y, u2/A], n2 = [u2/Y].

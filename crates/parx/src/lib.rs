@@ -208,10 +208,11 @@ pub fn par_map_reduce_named<T, M, R>(
 }
 
 /// [`par_map_reduce_named`] with one reusable state per chunk: `states`
-/// is resized to the chunk count, and the `map` call of chunk `c` gets
-/// `&mut states[c]` to itself. A kernel that keeps the same `states`
-/// across calls reuses its per-chunk buffers without knowing how the
-/// problem is chunked, so calls after the first need not allocate.
+/// grows to the chunk count (it never shrinks), and the `map` call of
+/// chunk `c` gets `&mut states[c]` to itself. A kernel that keeps the
+/// same `states` across calls reuses its per-chunk buffers without
+/// knowing how the problem is chunked, so calls after the first need not
+/// allocate, even when the problem size varies between calls.
 /// Chunk boundaries and the fold order are exactly [`par_map_reduce`]'s.
 pub fn par_map_reduce_with_state_named<S, T, M, R>(
     threads: usize,
@@ -249,11 +250,13 @@ fn par_map_reduce_inner<S, T, M, R>(
     }
     let chunk = chunk_size(n, min_chunk);
     let num_chunks = n.div_ceil(chunk);
-    states.resize_with(num_chunks, S::default);
+    if states.len() < num_chunks {
+        states.resize_with(num_chunks, S::default);
+    }
     let workers = threads.min(num_chunks);
     if workers <= 1 || num_chunks < MIN_PARALLEL_CHUNKS {
         let _span = kernel_span(name);
-        for (c, state) in states.iter_mut().enumerate() {
+        for (c, state) in states[..num_chunks].iter_mut().enumerate() {
             let lo = c * chunk;
             reduce(map(state, lo..(lo + chunk).min(n)));
         }
@@ -503,11 +506,10 @@ impl<'a, T> UnsafeSlice<'a, T> {
         unsafe { *self.ptr.add(index) }
     }
 
-    /// Reborrows `start..start + len` as a mutable subslice — the
-    /// arena-refresh escape hatch: a kernel that owns a contiguous,
-    /// CSR-delimited segment of a shared slab (one net's nodes, one
-    /// row's bins) gets an ordinary `&mut [T]` for it instead of
-    /// element-wise [`UnsafeSlice::write`] calls.
+    /// Reborrows `start..start + len` as a mutable subslice: a kernel
+    /// that owns a contiguous segment of a shared buffer (one chunk's
+    /// state, one row's bins) gets an ordinary `&mut [T]` for it instead
+    /// of element-wise [`UnsafeSlice::write`] calls.
     ///
     /// # Safety
     ///
@@ -606,6 +608,19 @@ mod tests {
                     "threads={threads}: states out of chunk order"
                 );
             }
+            // A smaller problem uses the leading states and keeps the rest.
+            par_map_reduce_with_state_named(
+                threads,
+                10,
+                16,
+                "test",
+                &mut states,
+                |state, _| state.1 += 1,
+                |()| {},
+            );
+            assert_eq!(states.len(), num_chunks, "threads={threads}");
+            assert_eq!(states[0].1, 3, "threads={threads}");
+            assert!(states[1..].iter().all(|s| s.1 == 2), "threads={threads}");
         }
     }
 

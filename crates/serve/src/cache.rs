@@ -1,8 +1,8 @@
 //! The LRU session cache — what makes the daemon cheaper than a CLI.
 //!
 //! A [`Session`] front-loads the expensive,
-//! placement-independent work for one design: timing-graph construction
-//! and the RC skeleton. The batch runner amortizes that cost across the
+//! placement-independent work for one design: timing-graph
+//! construction. The batch runner amortizes that cost across the
 //! jobs of one *plan*; this cache amortizes it across *connections and
 //! across time* — any request for a design the daemon has served before
 //! (keyed by [`design_key`](crate::protocol::design_key), so `case`

@@ -574,7 +574,6 @@ mod tests {
                     refreshes: 12,
                     nets_refreshed: 13_200,
                     scratch_reuses: 11,
-                    slab_bytes: 1 << 20,
                 },
                 eco: EcoStats::default(),
             },

@@ -26,8 +26,8 @@
 //! * [`cache`] — the LRU [`SessionCache`]: repeat requests for one
 //!   design (by catalog name or bit-identical inline parameters, across
 //!   connections and across time) reuse one built
-//!   [`Session`](tdp_core::Session), so the timing graph and RC skeleton
-//!   are constructed exactly once per design per residency — the batch
+//!   [`Session`](tdp_core::Session), so the timing graph is constructed
+//!   exactly once per design per residency — the batch
 //!   runner's amortization, promoted from per-plan to per-daemon.
 //! * [`metrics`] — counters behind the `metrics` request, plus the
 //!   Prometheus text renderer behind `metrics_text`.

@@ -103,7 +103,7 @@ pub struct ServeMetrics {
     /// `events` streams served.
     pub event_streams: AtomicU64,
     /// Session builds this server's cache slots attempted: one timing
-    /// graph (and RC skeleton) each.
+    /// graph each.
     pub graph_builds: AtomicU64,
     /// RC refresh passes run by this server's jobs and closed ECO
     /// sessions (folded from their analyzers' [`sta::RcOpStats`]).

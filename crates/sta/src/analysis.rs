@@ -27,7 +27,7 @@
 //!   compute, for the cost of the cone that actually moved.
 
 use crate::graph::{ArcId, BuildGraphError, EndpointKind, SourceKind, TimingGraph, NO_ARC};
-use crate::rctree::{RcForest, RcOpStats, RcParams, RcSkeleton};
+use crate::rctree::{RcOpStats, RcParams, RcScratch};
 use netlist::{Design, DirtySummary, NetId, PinId, Placement};
 use parx::UnsafeSlice;
 use std::sync::{Arc, Barrier};
@@ -100,8 +100,8 @@ impl IncrStats {
 /// A saved copy of an analyzer's placement-dependent state.
 ///
 /// Produced by [`Sta::checkpoint`] and consumed by [`Sta::restore`]; the
-/// timing graph and RC skeleton are shared behind [`Arc`]s and are not
-/// part of the checkpoint.
+/// timing graph is shared behind an [`Arc`] and is not part of the
+/// checkpoint.
 #[derive(Debug, Clone)]
 pub struct StaCheckpoint {
     arc_delay: Vec<f64>,
@@ -122,12 +122,10 @@ pub struct Sta {
     /// The static timing graph, shared (not rebuilt) between analyzers
     /// created through [`Sta::from_parts`].
     graph: Arc<TimingGraph>,
-    /// Placement-independent RC data, shared the same way.
-    skeleton: Arc<RcSkeleton>,
-    /// Slab-backed RC trees, refreshed in place — pure scratch whose
-    /// results land in `arc_delay`/`net_load` (so checkpoints don't
-    /// carry it).
-    forest: RcForest,
+    /// One RC-tree scratch per refresh chunk, reused across refreshes —
+    /// pure scratch whose results land in `arc_delay`/`net_load` (so
+    /// checkpoints don't carry it).
+    rc_scratch: Vec<RcScratch>,
     /// Every net id, cached so a full refresh doesn't re-collect it.
     all_nets: Vec<NetId>,
     params: RcParams,
@@ -161,6 +159,8 @@ pub struct Sta {
     rc_refreshes: u64,
     /// Nets refreshed across all passes.
     rc_nets_refreshed: u64,
+    /// Chunk scratches a refresh reused instead of creating.
+    rc_scratch_reuses: u64,
 }
 
 /// Below this pin count the barrier overhead of parallel propagation
@@ -255,43 +255,20 @@ impl Sta {
     /// Returns [`BuildGraphError`] if the design's combinational logic is
     /// cyclic.
     pub fn new(design: &Design, params: RcParams) -> Result<Self, BuildGraphError> {
-        let (graph, skeleton) = Self::build_parts(design)?;
-        Ok(Self::from_parts(graph, skeleton, design, params))
-    }
-
-    /// Builds the placement-independent half of an analyzer: the timing
-    /// graph and the RC skeleton, ready to share across analyzers through
-    /// [`Sta::from_parts`]. [`Sta::new`] and every session build start
-    /// here, so [`graph_build_count`](crate::graph_build_count) counts
-    /// each pair once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildGraphError`] if the design's combinational logic is
-    /// cyclic.
-    pub fn build_parts(
-        design: &Design,
-    ) -> Result<(Arc<TimingGraph>, Arc<RcSkeleton>), BuildGraphError> {
         let graph = Arc::new(TimingGraph::build(design)?);
-        Ok((graph, Arc::new(RcSkeleton::build(design))))
+        Ok(Self::from_parts(graph, design, params))
     }
 
-    /// Builds an analyzer around an already-constructed timing graph and
-    /// RC skeleton (see [`Sta::build_parts`]) — the checkpoint/rollback
-    /// entry point for session-style reuse. Unlike [`Sta::new`] this
-    /// performs **no graph or skeleton construction** (and cannot fail):
-    /// the analyzer starts from pristine, never-analyzed state, so
-    /// analyzers created this way are bitwise equivalent to a freshly
-    /// built one with the same `params`.
-    pub fn from_parts(
-        graph: Arc<TimingGraph>,
-        skeleton: Arc<RcSkeleton>,
-        design: &Design,
-        params: RcParams,
-    ) -> Self {
+    /// Builds an analyzer around an already-constructed timing graph of
+    /// `design` — the checkpoint/rollback entry point for session-style
+    /// reuse. Unlike [`Sta::new`] this performs **no graph construction**
+    /// (and cannot fail): the analyzer starts from pristine,
+    /// never-analyzed state, so analyzers created this way are bitwise
+    /// equivalent to a freshly built one with the same `params`.
+    pub fn from_parts(graph: Arc<TimingGraph>, design: &Design, params: RcParams) -> Self {
         let num_pins = graph.num_pins();
         let mut sta = Self {
-            forest: RcForest::new(design),
+            rc_scratch: Vec::new(),
             all_nets: design.net_ids().collect(),
             params,
             arc_delay: vec![0.0; graph.num_arcs()],
@@ -308,8 +285,8 @@ impl Sta {
             threads: 1,
             rc_refreshes: 0,
             rc_nets_refreshed: 0,
+            rc_scratch_reuses: 0,
             graph,
-            skeleton,
         };
         for arc in 0..sta.graph.num_cell_arcs() {
             sta.seed_unconnected_gate_arc(design, ArcId::new(arc));
@@ -340,16 +317,10 @@ impl Sta {
         Arc::clone(&self.graph)
     }
 
-    /// Shared handle to the placement-independent RC data.
-    pub fn skeleton_handle(&self) -> Arc<RcSkeleton> {
-        Arc::clone(&self.skeleton)
-    }
-
     /// Captures the complete analysis state (arc delays, loads, arrivals,
     /// requireds, slacks) so a later [`Sta::restore`] can roll the
     /// analyzer back — e.g. to its pristine post-construction state
-    /// between session runs. The graph and skeleton are shared, not
-    /// copied.
+    /// between session runs. The graph is shared, not copied.
     pub fn checkpoint(&self) -> StaCheckpoint {
         StaCheckpoint {
             arc_delay: self.arc_delay.clone(),
@@ -434,57 +405,99 @@ impl Sta {
     }
 
     /// Recomputes the RC trees, wire-arc delays, load cache and dependent
-    /// gate-arc delays for the given nets (strictly ascending; the forest
-    /// asserts it).
+    /// gate-arc delays for the given nets.
     ///
-    /// The trees are rebuilt **in place** inside the slab-backed
-    /// [`RcForest`] — each net owns a disjoint CSR segment, so the
-    /// expensive construction and Elmore solve run in parallel with zero
-    /// per-net allocations. The cheap application onto the shared
-    /// arc-delay table then runs serially in `nets` order, keeping the
-    /// state update deterministic for any thread count.
+    /// Each chunk of `nets` builds and solves its nets' trees in its own
+    /// reusable [`RcScratch`] and writes the results straight into
+    /// `arc_delay` and `net_load`. No net's result depends on another's
+    /// and every written entry belongs to one net, so the refresh runs in
+    /// parallel and is bit-identical for any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nets` is strictly ascending (a repeated net would
+    /// hand its entries to two chunks at once) and within the analyzer's
+    /// design.
     pub(crate) fn refresh_nets(&mut self, design: &Design, placement: &Placement, nets: &[NetId]) {
         let _span = tdp_trace::span("sta.rc_refresh", "sta");
+        assert!(
+            nets.windows(2).all(|w| w[0] < w[1]),
+            "the RC refresh needs strictly ascending net ids"
+        );
+        assert!(
+            nets.last().is_none_or(|n| n.index() < self.net_load.len()),
+            "the RC refresh got a net id beyond the analyzer's design"
+        );
         let params = self.params;
         let workers = self.refresh_workers(nets.len());
         self.rc_refreshes += 1;
         self.rc_nets_refreshed += nets.len() as u64;
-        self.forest
-            .refresh(design, placement, nets, &params, &self.skeleton, workers);
+        let topology = design.topology();
         let graph = &*self.graph;
-        for &net in nets {
-            let load = self.forest.net_load(net);
-            self.net_load[net.index()] = load;
-            // Wire arcs of this net.
-            for (&slot, &delay) in graph
-                .net_arc_slots(net)
-                .iter()
-                .zip(self.forest.sink_delays(net))
-            {
-                self.arc_delay[slot as usize] = delay;
-            }
-            // The gate arc(s) driving this net see a new load.
-            let driver = graph.rank_of(design.net_driver(net));
-            for slot in graph.in_slots(driver) {
-                let arc = graph.arc_id[slot] as usize;
-                if arc < graph.num_cell_arcs() {
-                    self.arc_delay[slot] =
-                        graph.intrinsic[arc] + graph.drive_resistance[arc] * load;
+        let arc_delay = UnsafeSlice::new(&mut self.arc_delay);
+        let net_load = UnsafeSlice::new(&mut self.net_load);
+        let reuses = &mut self.rc_scratch_reuses;
+        parx::par_map_reduce_with_state_named(
+            workers,
+            nets.len(),
+            32,
+            "sta.rc_refresh.kernel",
+            &mut self.rc_scratch,
+            |scratch: &mut RcScratch, range| {
+                let reused = std::mem::replace(&mut scratch.used, true);
+                for &net in &nets[range] {
+                    let load = scratch.solve(topology, placement, net, &params);
+                    let driver = graph.rank_of(design.net_driver(net));
+                    // SAFETY: `nets` is strictly ascending and in range
+                    // (asserted above), so every net is solved by one
+                    // chunk alone, and each entry written here belongs to
+                    // this net only: its `net_load` entry; its wire arcs
+                    // (the net arcs of distinct nets are disjoint id
+                    // ranges, and `slot_of` maps ids to distinct slots);
+                    // and the gate arcs into its driver pin (a pin drives
+                    // at most one net, and distinct pins have disjoint
+                    // in-slot ranges). Wire-arc and gate-arc slots never
+                    // coincide (net-arc vs cell-arc ids). Every slot comes
+                    // from the graph's own tables, so it is in bounds, and
+                    // no chunk reads what another writes.
+                    unsafe {
+                        net_load.write(net.index(), load);
+                        for (&slot, &delay) in graph
+                            .net_arc_slots(topology, net)
+                            .iter()
+                            .zip(scratch.sink_delays())
+                        {
+                            arc_delay.write(slot as usize, delay);
+                        }
+                        // The gate arc(s) driving this net see a new load.
+                        for slot in graph.in_slots(driver) {
+                            let arc = graph.arc_id[slot] as usize;
+                            if arc < graph.num_cell_arcs() {
+                                arc_delay.write(
+                                    slot,
+                                    graph.intrinsic[arc] + graph.drive_resistance[arc] * load,
+                                );
+                            }
+                        }
+                    }
                 }
-            }
-        }
+                u64::from(reused)
+            },
+            |reused| *reuses += reused,
+        );
     }
 
     /// Absorbs an ECO resize of `cell` into this analyzer, after the
     /// caller retyped it with [`netlist::Design::set_cell_type`].
     ///
-    /// Patches the gate-arc parameters in the timing graph and the sink
-    /// capacitances in the RC skeleton to the new master's values, and
-    /// re-seeds the constant delay of patched arcs that drive unconnected
-    /// outputs (the one arc class the per-net refresh never revisits,
-    /// mirroring [`Sta::from_parts`]). Both shared structures are updated
+    /// Patches the gate-arc parameters in the timing graph to the new
+    /// master's values, and re-seeds the constant delay of patched arcs
+    /// that drive unconnected outputs (the one arc class the per-net
+    /// refresh never revisits, mirroring [`Sta::from_parts`]). The sink
+    /// caps and pin offsets the RC refresh reads come from the design's
+    /// slots, which the resize already patched. The graph is updated
     /// copy-on-write ([`Arc::make_mut`]), so sibling analyzers sharing
-    /// the handles — e.g. the cached session the ECO session wraps — keep
+    /// the handle — e.g. the cached session the ECO session wraps — keep
     /// seeing the original design, and no build counter moves. The copy
     /// keeps the rank layout, so this analyzer's rank- and slot-indexed
     /// state (and any checkpoint of it) stays valid.
@@ -496,20 +509,18 @@ impl Sta {
     /// to a from-scratch analyzer built on the retyped design.
     pub fn apply_resize(&mut self, design: &Design, cell: netlist::CellId) {
         let patched = Arc::make_mut(&mut self.graph).repatch_cell_arcs(design, cell);
-        Arc::make_mut(&mut self.skeleton).repatch_cell_caps(design, cell);
         for arc in patched {
             self.seed_unconnected_gate_arc(design, arc);
         }
     }
 
-    /// Allocation/op counters for this analyzer's RC work: refresh passes,
-    /// nets refreshed, scratch-pool hits and resident slab bytes.
+    /// Op counters for this analyzer's RC work: refresh passes, nets
+    /// refreshed and reused chunk scratches.
     pub fn rc_stats(&self) -> RcOpStats {
         RcOpStats {
             refreshes: self.rc_refreshes,
             nets_refreshed: self.rc_nets_refreshed,
-            scratch_reuses: self.forest.scratch_reuses(),
-            slab_bytes: self.forest.slab_bytes(),
+            scratch_reuses: self.rc_scratch_reuses,
         }
     }
 

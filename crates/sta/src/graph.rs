@@ -15,7 +15,7 @@
 //! order the propagation passes walk it — the level-ordered *rank layout*
 //! described on [`TimingGraph`].
 
-use netlist::{CellId, Design, NetId, PinDirection, PinId};
+use netlist::{CellId, Design, NetId, PinDirection, PinId, Topology};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -59,8 +59,6 @@ pub enum ArcKind {
     Net {
         /// The net this arc belongs to.
         net: NetId,
-        /// Index of the sink within the net's sink list.
-        sink_index: usize,
     },
 }
 
@@ -162,9 +160,6 @@ pub struct TimingGraph {
     pub(crate) drive_resistance: Vec<f64>,
     /// Net of each net arc, indexed by `arc id − number of cell arcs`.
     arc_net: Vec<NetId>,
-    /// Net → index (among net arcs) of its first sink's arc; the arc of
-    /// sink `k` follows at `+k`. One entry per net plus a sentinel.
-    net_arc_start: Vec<u32>,
     /// Rank → first slot entering it (plus a sentinel).
     in_start: Vec<u32>,
     /// Rank → first entry of its out-arc list (plus a sentinel).
@@ -196,8 +191,8 @@ pub struct TimingGraph {
 static BUILD_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of timing graphs built by this process so far — one per
-/// [`Sta::build_parts`](crate::Sta::build_parts), so it counts the RC
-/// skeleton built next to each graph too.
+/// [`TimingGraph::build`], which every [`Sta::new`](crate::Sta::new) and
+/// every session build runs once.
 ///
 /// This is the only process-wide counter in this crate; RC work is
 /// counted on the analyzer that did it
@@ -237,17 +232,14 @@ impl TimingGraph {
             }
         }
         let mut arc_net = Vec::new();
-        let mut net_arc_start = Vec::with_capacity(design.num_nets() + 1);
         for net in design.net_ids() {
             let driver = design.net_driver(net).index() as u32;
-            net_arc_start.push(arc_net.len() as u32);
             for &sink in design.net_sinks(net) {
                 from_pin.push(driver);
                 to_pin.push(sink.index() as u32);
                 arc_net.push(net);
             }
         }
-        net_arc_start.push(arc_net.len() as u32);
         let num_arcs = from_pin.len();
         assert!(num_arcs < NO_ARC as usize, "arc count overflows u32");
 
@@ -369,7 +361,6 @@ impl TimingGraph {
             intrinsic,
             drive_resistance,
             arc_net,
-            net_arc_start,
             in_start,
             out_start,
             out_slot,
@@ -401,13 +392,9 @@ impl TimingGraph {
                 intrinsic: self.intrinsic[id.index()],
                 drive_resistance: self.drive_resistance[id.index()],
             },
-            Some(n) => {
-                let net = self.arc_net[n];
-                ArcKind::Net {
-                    net,
-                    sink_index: n - self.net_arc_start[net.index()] as usize,
-                }
-            }
+            Some(n) => ArcKind::Net {
+                net: self.arc_net[n],
+            },
         };
         TimingArc {
             from: self.pin_at[self.arc_from[slot] as usize],
@@ -469,11 +456,6 @@ impl TimingGraph {
         &self.endpoints
     }
 
-    /// The cell a source pin's arrival time comes from (for SDC lookup).
-    pub fn pin_cell(design: &Design, pin: PinId) -> CellId {
-        design.pin(pin).cell
-    }
-
     /// Number of gate arcs; they are the arc ids below this, net arcs the
     /// ids from it up.
     #[inline]
@@ -523,13 +505,19 @@ impl TimingGraph {
         self.level_starts[level] as usize..self.level_starts[level + 1] as usize
     }
 
-    /// Slots of `net`'s wire arcs, in `Design::net_sinks` order.
+    /// Slots of `net`'s wire arcs, in `Design::net_sinks` order, for the
+    /// design whose `topology` the graph was built from.
+    ///
+    /// Net arcs are numbered net by net and sink by sink after the cell
+    /// arcs, and every net's slots are its driver's and then its sinks',
+    /// so the sinks of the nets before `net` number `net_slots.start −
+    /// net`, and the sink in pin slot `s` of `net` has net arc
+    /// `s − net − 1`.
     #[inline]
-    pub(crate) fn net_arc_slots(&self, net: NetId) -> &[u32] {
-        let base = self.num_cell_arcs();
-        let lo = base + self.net_arc_start[net.index()] as usize;
-        let hi = base + self.net_arc_start[net.index() + 1] as usize;
-        &self.slot_of[lo..hi]
+    pub(crate) fn net_arc_slots(&self, topology: &Topology, net: NetId) -> &[u32] {
+        let slots = topology.net_slots(net);
+        let first = self.num_cell_arcs() + slots.start - net.index();
+        &self.slot_of[first..first + slots.len() - 1]
     }
 
     /// Why the pin at `rank` is a startpoint, if it is one.

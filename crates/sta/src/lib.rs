@@ -9,7 +9,8 @@
 //!   placement-dependent is stored in.
 //! * [`rctree`] — per-net RC trees built from pin positions (star or
 //!   Steiner/MST topology) with Elmore delay and downstream capacitance,
-//!   all nets' trees in one slab arena refreshed in place.
+//!   built in per-chunk scratch from the design's pin slots and written
+//!   straight into the analyzer's arc delays.
 //! * [`analysis`] — forward arrival / backward required propagation,
 //!   per-pin slack, endpoint slacks, WNS and TNS.
 //! * [`incremental`] — re-analysis after some cells moved: dirty-net RC
@@ -25,8 +26,8 @@
 //! The graph is levelized once; a pin's *rank* is its position in the
 //! level-major order and an arc's *slot* its position among the arcs
 //! sorted by destination rank. Arcs are struct-of-arrays in slot order
-//! (`from`, `to` ranks; gate `intrinsic` / `drive_resistance` and net
-//! `net` / sink index by arc id), and [`Sta`] keeps arrival, required and
+//! (`from`, `to` ranks; gate `intrinsic` / `drive_resistance` and the
+//! `net` of each net arc by arc id), and [`Sta`] keeps arrival, required and
 //! the worst predecessor by rank and arc delays by slot. The forward pass
 //! is therefore one walk over contiguous memory from rank 0 up, the
 //! backward pass the same walk down, and path backtracing a chain of
@@ -89,5 +90,5 @@ pub mod report;
 
 pub use analysis::{EndpointSlack, IncrStats, Sta, StaCheckpoint, TimingSummary};
 pub use graph::{graph_build_count, ArcId, ArcKind, BuildGraphError, TimingArc, TimingGraph};
-pub use rctree::{NetTopology, RcOpStats, RcParams, RcSkeleton};
+pub use rctree::{NetTopology, RcOpStats, RcParams};
 pub use report::{PathElement, TimingPath};

@@ -15,114 +15,50 @@
 //!   Manhattan metric, a closer match to routed topology; used by the
 //!   evaluation kit.
 //!
-//! Every net's tree lives in one crate-private forest: flat SoA slabs
-//! (`parent` / `edge_res` / `node_cap` / `topo`) with per-net CSR
-//! offsets, laid out once per design and refreshed in place by
-//! [`Sta`](crate::Sta). A full refresh performs **zero** per-net
-//! allocations and is bit-identical for every worker count. What a
-//! refresh costs is counted on the analyzer that ran it
+//! A tree is scratch, not state: [`Sta`](crate::Sta)'s refresh builds
+//! one net's tree from the design's pin slots ([`netlist::Topology`]),
+//! solves it and writes the delays and the load straight into the
+//! analyzer's own arrays. Each refresh chunk keeps one reusable scratch,
+//! so a steady-state refresh allocates nothing, and no net's result
+//! depends on another's, so a refresh is bit-identical for every worker
+//! count. What a refresh costs is counted on the analyzer that ran it
 //! ([`Sta::rc_stats`](crate::Sta::rc_stats)), never process-wide.
 
-use netlist::{Design, NetId, Placement};
-use parx::UnsafeSlice;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use netlist::{NetId, Placement, Topology};
 
-/// Allocation/op counters for one analyzer's RC work — the "how much did
-/// the arena save" view that the batch/serve reports surface. Counters
-/// are exact and deterministic for a fixed workload; `scratch_reuses`
-/// additionally depends on thread scheduling (like a wall-clock field)
-/// because pool hits race under a parallel refresh.
+/// Op counters for one analyzer's RC work, surfaced by the batch and
+/// serve reports. Every counter is exact and a pure function of the
+/// analyzer's call sequence, so it repeats for every thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RcOpStats {
     /// RC refresh passes run (one per full or incremental analysis).
     pub refreshes: u64,
     /// Nets refreshed, summed over all passes.
     pub nets_refreshed: u64,
-    /// Scratch buffers reused from the forest pool instead of allocated.
+    /// Per-chunk scratch buffers a refresh reused from an earlier
+    /// refresh instead of creating.
     pub scratch_reuses: u64,
-    /// Resident bytes of forest slab capacity (a gauge, not a counter).
-    pub slab_bytes: u64,
 }
 
 impl RcOpStats {
     /// Counters accumulated since `baseline` (same analyzer, earlier
-    /// snapshot); the `slab_bytes` gauge keeps its current value.
+    /// snapshot).
     #[must_use]
     pub fn since(self, baseline: RcOpStats) -> RcOpStats {
         RcOpStats {
             refreshes: self.refreshes.saturating_sub(baseline.refreshes),
             nets_refreshed: self.nets_refreshed.saturating_sub(baseline.nets_refreshed),
             scratch_reuses: self.scratch_reuses.saturating_sub(baseline.scratch_reuses),
-            slab_bytes: self.slab_bytes,
         }
     }
 
-    /// Combines two analyzers' stats: counters add, and so do the slab
-    /// gauges (total resident arena bytes).
+    /// Combines two analyzers' stats: every counter adds.
     #[must_use]
     pub fn merged(self, other: RcOpStats) -> RcOpStats {
         RcOpStats {
             refreshes: self.refreshes + other.refreshes,
             nets_refreshed: self.nets_refreshed + other.nets_refreshed,
             scratch_reuses: self.scratch_reuses + other.scratch_reuses,
-            slab_bytes: self.slab_bytes + other.slab_bytes,
-        }
-    }
-}
-
-/// The placement-independent part of every net's RC tree: per-net sink
-/// input capacitances, laid out contiguously in net order.
-///
-/// Built once per design by [`Sta::build_parts`](crate::Sta::build_parts)
-/// and shared behind an `Arc` by every analyzer of that design, so
-/// repeated analyses — and repeated flow runs — never re-read the caps
-/// from the [`Design`].
-#[derive(Debug, Clone)]
-pub struct RcSkeleton {
-    /// CSR offsets into `sink_caps`, one entry per net plus a sentinel.
-    starts: Vec<u32>,
-    /// Sink pin input capacitances, in `Design::net_sinks` order per net.
-    sink_caps: Vec<f64>,
-}
-
-impl RcSkeleton {
-    /// Extracts the static RC data from `design`.
-    pub fn build(design: &Design) -> Self {
-        let mut starts = Vec::with_capacity(design.num_nets() + 1);
-        let mut sink_caps = Vec::new();
-        starts.push(0);
-        for net in design.net_ids() {
-            for &sink in design.net_sinks(net) {
-                sink_caps.push(design.pin_spec(sink).cap);
-            }
-            starts.push(sink_caps.len() as u32);
-        }
-        Self { starts, sink_caps }
-    }
-
-    /// Input capacitances of `net`'s sinks, in `Design::net_sinks` order.
-    pub fn sink_caps(&self, net: NetId) -> &[f64] {
-        let lo = self.starts[net.index()] as usize;
-        let hi = self.starts[net.index() + 1] as usize;
-        &self.sink_caps[lo..hi]
-    }
-
-    /// Re-reads the sink capacitances presented by one cell's input pins
-    /// from the design — the skeleton half of an ECO resize after
-    /// [`netlist::Design::set_cell_type`]. Connectivity must be unchanged
-    /// (a resize never rewires), so only cap values move; no rebuild.
-    pub fn repatch_cell_caps(&mut self, design: &Design, cell: netlist::CellId) {
-        let topology = design.topology();
-        for &slot in topology.cell_slots(cell) {
-            let pin = topology.slot_pin()[slot as usize];
-            if let (netlist::PinDirection::Input, Some(net)) =
-                (design.pin_direction(pin), design.pin(pin).net)
-            {
-                // A net's slots are its driver's, then its sinks' in order.
-                let pos = slot as usize - topology.net_slots(net).start - 1;
-                self.sink_caps[self.starts[net.index()] as usize + pos] = design.pin_spec(pin).cap;
-            }
         }
     }
 }
@@ -164,439 +100,189 @@ pub enum NetTopology {
     SteinerMst,
 }
 
-// ---------------------------------------------------------------------------
-// Construction kernels, run over one net's slab segment.
-// ---------------------------------------------------------------------------
-
 /// Sentinel parent of the root node.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Star topology: node 0 = driver, node i = sink i-1. All slices have
-/// `positions.len()` elements.
-fn star_into(
-    positions: &[(f64, f64)],
-    sink_caps: &[f64],
-    params: &RcParams,
-    parent: &mut [u32],
-    edge_res: &mut [f64],
-    node_cap: &mut [f64],
-    topo: &mut [u32],
-) {
-    let num_nodes = positions.len();
-    parent.fill(NO_PARENT);
-    edge_res.fill(0.0);
-    node_cap.fill(0.0);
-    if num_nodes == 0 {
-        return;
-    }
-    let (dx, dy) = positions[0];
-    topo[0] = 0;
-    for i in 1..num_nodes {
-        let (sx, sy) = positions[i];
-        let len = (sx - dx).abs() + (sy - dy).abs();
-        parent[i] = 0;
-        edge_res[i] = params.res_per_unit * len;
-        let wire_cap = params.cap_per_unit * len;
-        node_cap[0] += wire_cap / 2.0;
-        node_cap[i] += wire_cap / 2.0 + sink_caps[i - 1];
-        topo[i] = i as u32;
-    }
+/// Clears `v` and refills it with `n` copies of `value`.
+fn refill<T: Copy>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
 }
 
-/// Prim MST under the Manhattan metric, rooted at the driver (node 0).
-/// O(p²) per net, acceptable because real net degrees are small. The
-/// `in_tree`/`best_dist`/`best_from` slices are scratch (fully
-/// reinitialized here); all slices have `positions.len()` elements.
-#[allow(clippy::too_many_arguments)]
-fn mst_into(
-    positions: &[(f64, f64)],
-    sink_caps: &[f64],
-    params: &RcParams,
-    parent: &mut [u32],
-    edge_res: &mut [f64],
-    node_cap: &mut [f64],
-    topo: &mut [u32],
-    in_tree: &mut [bool],
-    best_dist: &mut [f64],
-    best_from: &mut [u32],
-) {
-    let num_nodes = positions.len();
-    parent.fill(NO_PARENT);
-    edge_res.fill(0.0);
-    node_cap.fill(0.0);
-    if num_nodes == 0 {
-        return;
-    }
-    for (i, &cap) in sink_caps.iter().enumerate() {
-        node_cap[i + 1] += cap;
-    }
-    let manhattan = |a: usize, b: usize| {
-        let (ax, ay) = positions[a];
-        let (bx, by) = positions[b];
-        (ax - bx).abs() + (ay - by).abs()
-    };
-
-    in_tree.fill(false);
-    best_dist.fill(f64::INFINITY);
-    best_from.fill(0);
-    topo[0] = 0;
-    in_tree[0] = true;
-    for (v, d) in best_dist.iter_mut().enumerate().skip(1) {
-        *d = manhattan(0, v);
-    }
-    let mut placed = 1;
-    for _ in 1..num_nodes {
-        let mut pick = usize::MAX;
-        let mut pick_dist = f64::INFINITY;
-        for v in 1..num_nodes {
-            if !in_tree[v] && best_dist[v] < pick_dist {
-                pick = v;
-                pick_dist = best_dist[v];
-            }
-        }
-        if pick == usize::MAX {
-            break;
-        }
-        in_tree[pick] = true;
-        topo[placed] = pick as u32;
-        placed += 1;
-        let from = best_from[pick];
-        parent[pick] = from;
-        let len = pick_dist;
-        edge_res[pick] = params.res_per_unit * len;
-        let wire_cap = params.cap_per_unit * len;
-        node_cap[from as usize] += wire_cap / 2.0;
-        node_cap[pick] += wire_cap / 2.0;
-        for v in 1..num_nodes {
-            if !in_tree[v] {
-                let d = manhattan(pick, v);
-                if d < best_dist[v] {
-                    best_dist[v] = d;
-                    best_from[v] = pick as u32;
-                }
-            }
-        }
-    }
-    debug_assert_eq!(placed, num_nodes, "disconnected MST (non-finite position?)");
-}
-
-/// Elmore solve over an already-built tree: for each tree edge `e`, the
-/// delay contribution is `R_e × C_downstream(e)`; the delay to a sink is
-/// the sum over edges on the root→sink path. Sink `i` is node `i + 1`
-/// in both topologies, so `sink_delay` (length `n − 1`) comes straight
-/// off the node delays. `downstream`/`delay` are scratch.
-fn elmore_into(
-    parent: &[u32],
-    edge_res: &[f64],
-    node_cap: &[f64],
-    topo: &[u32],
-    downstream: &mut Vec<f64>,
-    delay: &mut Vec<f64>,
-    sink_delay: &mut [f64],
-) {
-    let n = parent.len();
-    // `topo` lists parents before children; iterating it in reverse is a
-    // valid post-order for downstream-cap accumulation.
-    downstream.clear();
-    downstream.extend_from_slice(node_cap);
-    for i in (1..n).rev() {
-        let v = topo[i] as usize;
-        let p = parent[v] as usize;
-        downstream[p] += downstream[v];
-    }
-    delay.clear();
-    delay.resize(n, 0.0);
-    for &node in &topo[1..n] {
-        let v = node as usize;
-        let p = parent[v] as usize;
-        delay[v] = delay[p] + edge_res[v] * downstream[v];
-    }
-    sink_delay.copy_from_slice(&delay[1..n.max(1)]);
-}
-
-/// Collects a net's pin positions in `Design::net_pins` order into `out`.
-fn collect_positions(
-    design: &Design,
-    placement: &Placement,
-    net: NetId,
-    out: &mut Vec<(f64, f64)>,
-) {
-    out.clear();
-    for &p in design.net_pins(net) {
-        out.push(placement.pin_position(design, p));
-    }
-}
-
-/// Reusable per-worker buffers for one net's tree construction and Elmore
-/// solve: pin positions, the Prim frontier and the two solve arrays. The
-/// contents never influence results — every field is fully reinitialized
-/// per net — so pooling them across refreshes is a pure allocation saver.
-#[derive(Debug, Default)]
-struct RcScratch {
-    positions: Vec<(f64, f64)>,
-    in_tree: Vec<bool>,
-    best_dist: Vec<f64>,
-    best_from: Vec<u32>,
-    downstream: Vec<f64>,
-    delay: Vec<f64>,
-}
-
-/// Every net's RC tree in flat SoA slabs with per-net CSR offsets.
+/// One refresh chunk's buffers for building a net's RC tree and solving
+/// its Elmore delays, grown to the largest net the chunk has seen.
 ///
-/// Node 0 of a net's tree is its driver and node `i` its sink `i − 1`.
+/// Node 0 of a tree is the net's driver and node `i` its sink `i − 1`.
 /// Each non-root node stores its parent, the resistance of the edge to
 /// the parent, and its node capacitance (half the wire capacitance of
-/// each incident segment plus the sink pin cap). The node count equals
-/// the net's pin count for both topologies and never depends on the
-/// placement, so the layout is computed once per design
-/// ([`RcForest::new`]) and a refresh — [`RcForest::refresh`] — rewrites
-/// the slabs in place: O(1) allocations per pass (scratch-pool misses
-/// only). Per-net slab segments are disjoint, so the refresh
-/// parallelizes with the same chunking as every other deterministic
-/// kernel in the workspace; results are bit-identical for every thread
-/// count.
-#[derive(Debug)]
-pub(crate) struct RcForest {
-    /// CSR offsets into the node slabs, one entry per net plus a sentinel.
-    node_start: Vec<u32>,
-    /// CSR offsets into `sink_delay` (per net: nodes − 1 sinks).
-    sink_start: Vec<u32>,
-    /// Parent node per node, local to the net (root: `u32::MAX`).
+/// each incident segment plus the sink pin cap). Every buffer is fully
+/// rewritten per net, so the contents never influence results; keeping
+/// them across refreshes only saves allocations.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RcScratch {
+    /// Whether an earlier refresh already ran on this scratch.
+    pub(crate) used: bool,
+    /// Pin position per node.
+    positions: Vec<(f64, f64)>,
+    /// Parent node per node, local to the net (root: `NO_PARENT`).
     parent: Vec<u32>,
     /// Resistance of the edge to the parent, per node.
     edge_res: Vec<f64>,
     /// Node capacitance, per node.
     node_cap: Vec<f64>,
-    /// Parents-before-children node order, local to the net.
+    /// Parents-before-children node order.
     topo: Vec<u32>,
-    /// Elmore delay per sink, in `Design::net_sinks` order per net.
-    sink_delay: Vec<f64>,
-    /// Total downstream capacitance per net.
-    net_load: Vec<f64>,
-    /// Reusable construction scratch, popped by refresh workers.
-    pool: Mutex<Vec<RcScratch>>,
-    /// Scratch buffers served from the pool (vs freshly allocated).
-    scratch_reuses: AtomicU64,
+    /// Prim frontier.
+    in_tree: Vec<bool>,
+    best_dist: Vec<f64>,
+    best_from: Vec<u32>,
+    /// Downstream capacitance per node.
+    downstream: Vec<f64>,
+    /// Elmore delay per node.
+    delay: Vec<f64>,
 }
 
-impl Clone for RcForest {
-    /// Clones the slabs; the scratch pool starts empty (it refills on the
-    /// clone's first refresh) and the reuse counter restarts at zero.
-    fn clone(&self) -> Self {
-        Self {
-            node_start: self.node_start.clone(),
-            sink_start: self.sink_start.clone(),
-            parent: self.parent.clone(),
-            edge_res: self.edge_res.clone(),
-            node_cap: self.node_cap.clone(),
-            topo: self.topo.clone(),
-            sink_delay: self.sink_delay.clone(),
-            net_load: self.net_load.clone(),
-            pool: Mutex::new(Vec::new()),
-            scratch_reuses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl RcForest {
-    /// Lays out the slabs for `design`: one tree node per pin of every
-    /// net. Cheap (no RC math happens here); the slabs hold zeros until
-    /// the first [`RcForest::refresh`].
-    pub fn new(design: &Design) -> Self {
-        let num_nets = design.num_nets();
-        let mut node_start = Vec::with_capacity(num_nets + 1);
-        let mut sink_start = Vec::with_capacity(num_nets + 1);
-        node_start.push(0u32);
-        sink_start.push(0u32);
-        let mut nodes = 0u32;
-        let mut sinks = 0u32;
-        for net in design.net_ids() {
-            let pins = design.net_pins(net).len() as u32;
-            nodes += pins;
-            sinks += pins.saturating_sub(1);
-            node_start.push(nodes);
-            sink_start.push(sinks);
-        }
-        Self {
-            node_start,
-            sink_start,
-            parent: vec![NO_PARENT; nodes as usize],
-            edge_res: vec![0.0; nodes as usize],
-            node_cap: vec![0.0; nodes as usize],
-            topo: vec![0; nodes as usize],
-            sink_delay: vec![0.0; sinks as usize],
-            net_load: vec![0.0; num_nets],
-            pool: Mutex::new(Vec::new()),
-            scratch_reuses: AtomicU64::new(0),
-        }
-    }
-
-    /// Rebuilds the trees of `nets` in place from `placement` and solves
-    /// their Elmore delays, on up to `workers` threads. Nets not listed
-    /// keep their previous slabs — the incremental path. Bit-identical
-    /// for every worker count (disjoint per-net slab segments, no
-    /// cross-net arithmetic).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `nets` is strictly ascending: a repeated net would
-    /// hand one slab segment to two workers at once.
-    pub fn refresh(
+impl RcScratch {
+    /// Builds `net`'s tree from its pin slots in `topology` at
+    /// `placement` and solves its Elmore delays. Returns the total
+    /// downstream capacitance the driver sees; the sink delays are then
+    /// [`RcScratch::sink_delays`].
+    pub(crate) fn solve(
         &mut self,
-        design: &Design,
+        topology: &Topology,
         placement: &Placement,
-        nets: &[NetId],
+        net: NetId,
         params: &RcParams,
-        skeleton: &RcSkeleton,
-        workers: usize,
-    ) {
-        assert!(
-            nets.windows(2).all(|w| w[0] < w[1]),
-            "RcForest::refresh needs strictly ascending net ids"
-        );
-        let node_start = &self.node_start;
-        let sink_start = &self.sink_start;
-        let parent = UnsafeSlice::new(&mut self.parent);
-        let edge_res = UnsafeSlice::new(&mut self.edge_res);
-        let node_cap = UnsafeSlice::new(&mut self.node_cap);
-        let topo = UnsafeSlice::new(&mut self.topo);
-        let sink_delay = UnsafeSlice::new(&mut self.sink_delay);
-        let net_load = UnsafeSlice::new(&mut self.net_load);
-        let pool = &self.pool;
-        let reuses = &self.scratch_reuses;
-        parx::par_for_named(workers, nets.len(), 32, "sta.rc_refresh.kernel", |range| {
-            let mut scratch = pool.lock().expect("rc scratch pool").pop();
-            if scratch.is_some() {
-                reuses.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut scratch = scratch.take().unwrap_or_default();
-            for i in range {
-                let net = nets[i];
-                let lo = node_start[net.index()] as usize;
-                let n = node_start[net.index() + 1] as usize - lo;
-                let slo = sink_start[net.index()] as usize;
-                let n_sinks = sink_start[net.index() + 1] as usize - slo;
-                // SAFETY: each net's CSR segment belongs to exactly one
-                // chunk (`nets` is strictly ascending, asserted above),
-                // and chunks never overlap — all writes are disjoint.
-                let load = unsafe {
-                    refresh_net_into(
-                        design,
-                        placement,
-                        net,
-                        params,
-                        skeleton.sink_caps(net),
-                        parent.slice_mut(lo, n),
-                        edge_res.slice_mut(lo, n),
-                        node_cap.slice_mut(lo, n),
-                        topo.slice_mut(lo, n),
-                        sink_delay.slice_mut(slo, n_sinks),
-                        &mut scratch,
-                    )
-                };
-                // SAFETY: net slot written by this chunk alone.
-                unsafe { net_load.write(net.index(), load) };
-            }
-            pool.lock().expect("rc scratch pool").push(scratch);
-        });
+    ) -> f64 {
+        let slots = topology.net_slots(net);
+        let (xs, ys) = (placement.xs(), placement.ys());
+        let (cells, dx, dy) = (topology.slot_cell(), topology.slot_dx(), topology.slot_dy());
+        self.positions.clear();
+        self.positions.extend(slots.clone().map(|s| {
+            let c = cells[s] as usize;
+            (xs[c] + dx[s], ys[c] + dy[s])
+        }));
+        // A net's slots are its driver's, then its sinks' in order.
+        let sink_caps = &topology.slot_cap()[slots.start + 1..slots.end];
+        let n = slots.len();
+        refill(&mut self.parent, n, NO_PARENT);
+        refill(&mut self.edge_res, n, 0.0);
+        refill(&mut self.node_cap, n, 0.0);
+        refill(&mut self.topo, n, 0);
+        match params.topology {
+            NetTopology::Star => self.star(sink_caps, params),
+            NetTopology::SteinerMst => self.prim(sink_caps, params),
+        }
+        let load = self.node_cap.iter().sum();
+        self.elmore();
+        load
     }
 
-    /// Total downstream capacitance of `net`, as of the last refresh that
-    /// listed it.
-    pub fn net_load(&self, net: NetId) -> f64 {
-        self.net_load[net.index()]
+    /// Elmore delays of the last solved net's sinks, in
+    /// `Design::net_sinks` order.
+    pub(crate) fn sink_delays(&self) -> &[f64] {
+        &self.delay[1..]
     }
 
-    /// Elmore delays of `net`'s sinks in `Design::net_sinks` order, as of the
-    /// last refresh that listed it.
-    pub fn sink_delays(&self, net: NetId) -> &[f64] {
-        let lo = self.sink_start[net.index()] as usize;
-        let hi = self.sink_start[net.index() + 1] as usize;
-        &self.sink_delay[lo..hi]
-    }
-
-    /// Resident slab capacity in bytes (CSR offsets + node slabs + per-net
-    /// results) — the arena's whole footprint, visible in reports so the
-    /// allocation trade is observable.
-    pub fn slab_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        ((self.node_start.capacity() + self.sink_start.capacity()) * size_of::<u32>()
-            + (self.parent.capacity() + self.topo.capacity()) * size_of::<u32>()
-            + (self.edge_res.capacity()
-                + self.node_cap.capacity()
-                + self.sink_delay.capacity()
-                + self.net_load.capacity())
-                * size_of::<f64>()) as u64
-    }
-
-    /// Scratch buffers this forest served from its pool instead of
-    /// allocating fresh.
-    pub fn scratch_reuses(&self) -> u64 {
-        self.scratch_reuses.load(Ordering::Relaxed)
-    }
-}
-
-/// Rebuilds one net's tree into its slab segment and solves its Elmore
-/// delays; returns the driver load.
-#[allow(clippy::too_many_arguments)]
-fn refresh_net_into(
-    design: &Design,
-    placement: &Placement,
-    net: NetId,
-    params: &RcParams,
-    sink_caps: &[f64],
-    parent: &mut [u32],
-    edge_res: &mut [f64],
-    node_cap: &mut [f64],
-    topo: &mut [u32],
-    sink_delay: &mut [f64],
-    scratch: &mut RcScratch,
-) -> f64 {
-    collect_positions(design, placement, net, &mut scratch.positions);
-    let positions = &scratch.positions[..];
-    match params.topology {
-        NetTopology::Star => star_into(
-            positions, sink_caps, params, parent, edge_res, node_cap, topo,
-        ),
-        NetTopology::SteinerMst => {
-            let n = positions.len();
-            scratch.in_tree.clear();
-            scratch.in_tree.resize(n, false);
-            scratch.best_dist.clear();
-            scratch.best_dist.resize(n, f64::INFINITY);
-            scratch.best_from.clear();
-            scratch.best_from.resize(n, 0);
-            mst_into(
-                positions,
-                sink_caps,
-                params,
-                parent,
-                edge_res,
-                node_cap,
-                topo,
-                &mut scratch.in_tree,
-                &mut scratch.best_dist,
-                &mut scratch.best_from,
-            );
+    /// Star topology: every sink hangs off the driver.
+    fn star(&mut self, sink_caps: &[f64], params: &RcParams) {
+        let (dx, dy) = self.positions[0];
+        for i in 1..self.positions.len() {
+            let (sx, sy) = self.positions[i];
+            let len = (sx - dx).abs() + (sy - dy).abs();
+            self.parent[i] = 0;
+            self.edge_res[i] = params.res_per_unit * len;
+            let wire_cap = params.cap_per_unit * len;
+            self.node_cap[0] += wire_cap / 2.0;
+            self.node_cap[i] += wire_cap / 2.0 + sink_caps[i - 1];
+            self.topo[i] = i as u32;
         }
     }
-    let load = node_cap.iter().sum();
-    elmore_into(
-        parent,
-        edge_res,
-        node_cap,
-        topo,
-        &mut scratch.downstream,
-        &mut scratch.delay,
-        sink_delay,
-    );
-    load
+
+    /// Prim MST under the Manhattan metric, rooted at the driver. O(p²)
+    /// per net, acceptable because real net degrees are small.
+    fn prim(&mut self, sink_caps: &[f64], params: &RcParams) {
+        let num_nodes = self.positions.len();
+        for (i, &cap) in sink_caps.iter().enumerate() {
+            self.node_cap[i + 1] += cap;
+        }
+        let positions = &self.positions;
+        let manhattan = |a: usize, b: usize| {
+            let (ax, ay) = positions[a];
+            let (bx, by) = positions[b];
+            (ax - bx).abs() + (ay - by).abs()
+        };
+        refill(&mut self.in_tree, num_nodes, false);
+        refill(&mut self.best_dist, num_nodes, f64::INFINITY);
+        refill(&mut self.best_from, num_nodes, 0);
+        self.in_tree[0] = true;
+        for (v, d) in self.best_dist.iter_mut().enumerate().skip(1) {
+            *d = manhattan(0, v);
+        }
+        let mut placed = 1;
+        for _ in 1..num_nodes {
+            let mut pick = usize::MAX;
+            let mut pick_dist = f64::INFINITY;
+            for v in 1..num_nodes {
+                if !self.in_tree[v] && self.best_dist[v] < pick_dist {
+                    pick = v;
+                    pick_dist = self.best_dist[v];
+                }
+            }
+            if pick == usize::MAX {
+                break;
+            }
+            self.in_tree[pick] = true;
+            self.topo[placed] = pick as u32;
+            placed += 1;
+            let from = self.best_from[pick];
+            self.parent[pick] = from;
+            let len = pick_dist;
+            self.edge_res[pick] = params.res_per_unit * len;
+            let wire_cap = params.cap_per_unit * len;
+            self.node_cap[from as usize] += wire_cap / 2.0;
+            self.node_cap[pick] += wire_cap / 2.0;
+            for v in 1..num_nodes {
+                if !self.in_tree[v] {
+                    let d = manhattan(pick, v);
+                    if d < self.best_dist[v] {
+                        self.best_dist[v] = d;
+                        self.best_from[v] = pick as u32;
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(placed, num_nodes, "disconnected MST (non-finite position?)");
+    }
+
+    /// Elmore solve over the built tree: for each tree edge `e`, the
+    /// delay contribution is `R_e × C_downstream(e)`; the delay to a sink
+    /// is the sum over edges on the root→sink path.
+    fn elmore(&mut self) {
+        let n = self.parent.len();
+        // `topo` lists parents before children; iterating it in reverse
+        // is a valid post-order for downstream-cap accumulation.
+        self.downstream.clear();
+        self.downstream.extend_from_slice(&self.node_cap);
+        for i in (1..n).rev() {
+            let v = self.topo[i] as usize;
+            let p = self.parent[v] as usize;
+            self.downstream[p] += self.downstream[v];
+        }
+        refill(&mut self.delay, n, 0.0);
+        for &node in &self.topo[1..n] {
+            let v = node as usize;
+            let p = self.parent[v] as usize;
+            self.delay[v] = self.delay[p] + self.edge_res[v] * self.downstream[v];
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::{CellLibrary, DesignBuilder, Rect};
+    use crate::Sta;
+    use netlist::{CellLibrary, Design, DesignBuilder, Rect};
 
     /// Builds a net with one driver and `sinks` INV loads at the given
     /// positions; returns design/placement/net plus the sink input cap.
@@ -639,32 +325,24 @@ mod tests {
         (d, p, net, inv_cap)
     }
 
-    /// A forest with every net of `d` refreshed once under `params`.
-    fn refreshed(d: &Design, p: &Placement, params: &RcParams) -> RcForest {
-        let all: Vec<NetId> = d.net_ids().collect();
-        let mut forest = RcForest::new(d);
-        forest.refresh(d, p, &all, params, &RcSkeleton::build(d), 1);
-        forest
+    /// `net`'s driver load and sink delays under `params`.
+    fn solved(d: &Design, p: &Placement, net: NetId, params: &RcParams) -> (f64, Vec<f64>) {
+        let mut scratch = RcScratch::default();
+        let load = scratch.solve(d.topology(), p, net, params);
+        (load, scratch.sink_delays().to_vec())
     }
 
-    /// Wirelength of `net`'s tree: each segment adds `cap_per_unit ·
-    /// length` to the driver load on top of the `sinks` pin caps.
-    fn wirelength(
-        forest: &RcForest,
-        net: NetId,
-        sinks: usize,
-        sink_cap: f64,
-        params: &RcParams,
-    ) -> f64 {
-        (forest.net_load(net) - sinks as f64 * sink_cap) / params.cap_per_unit
+    /// Wirelength of a tree with driver load `load`: each segment adds
+    /// `cap_per_unit · length` to it on top of the `sinks` pin caps.
+    fn wirelength(load: f64, sinks: usize, sink_cap: f64, params: &RcParams) -> f64 {
+        (load - sinks as f64 * sink_cap) / params.cap_per_unit
     }
 
     #[test]
     fn star_two_pin_elmore_matches_hand_formula() {
         let (d, p, net, sink_cap) = fanout_net(&[(100.0, 0.0)]);
         let params = RcParams::default();
-        let forest = refreshed(&d, &p, &params);
-        let delays = forest.sink_delays(net);
+        let (load, delays) = solved(&d, &p, net, &params);
         assert_eq!(delays.len(), 1);
         let len = 100.0;
         let r = params.res_per_unit * len;
@@ -676,7 +354,7 @@ mod tests {
             "got {} expected {expected}",
             delays[0]
         );
-        assert!((forest.net_load(net) - (cw + sink_cap)).abs() < 1e-9);
+        assert!((load - (cw + sink_cap)).abs() < 1e-9);
     }
 
     #[test]
@@ -684,7 +362,7 @@ mod tests {
         let params = RcParams::default();
         let delay_at = |dist: f64| {
             let (d, p, net, _) = fanout_net(&[(dist, 0.0)]);
-            refreshed(&d, &p, &params).sink_delays(net)[0]
+            solved(&d, &p, net, &params).1[0]
         };
         let d1 = delay_at(100.0);
         let d2 = delay_at(200.0);
@@ -699,14 +377,14 @@ mod tests {
         let (d, p, net, cap) = fanout_net(&sinks);
         let star = RcParams::default();
         let mst = RcParams::default().with_topology(NetTopology::SteinerMst);
-        let f_star = refreshed(&d, &p, &star);
-        let f_mst = refreshed(&d, &p, &mst);
-        let wl_star = wirelength(&f_star, net, sinks.len(), cap, &star);
-        let wl_mst = wirelength(&f_mst, net, sinks.len(), cap, &mst);
+        let (load_star, _) = solved(&d, &p, net, &star);
+        let (load_mst, delays_mst) = solved(&d, &p, net, &mst);
+        let wl_star = wirelength(load_star, sinks.len(), cap, &star);
+        let wl_mst = wirelength(load_mst, sinks.len(), cap, &mst);
         assert!(wl_mst <= wl_star + 1e-9);
         // Clustered sinks make the MST strictly shorter.
         assert!(wl_mst < wl_star, "mst {wl_mst} vs star {wl_star}");
-        assert_eq!(f_mst.sink_delays(net).len(), sinks.len());
+        assert_eq!(delays_mst.len(), sinks.len());
     }
 
     #[test]
@@ -715,41 +393,63 @@ mod tests {
         // the nearer ones in the MST topology.
         let (d, p, net, cap) = fanout_net(&[(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)]);
         let params = RcParams::default().with_topology(NetTopology::SteinerMst);
-        let forest = refreshed(&d, &p, &params);
-        let delays = forest.sink_delays(net);
+        let (load, delays) = solved(&d, &p, net, &params);
         assert!(delays[0] < delays[1] && delays[1] < delays[2]);
         // Chain wirelength equals the span.
-        assert!((wirelength(&forest, net, 3, cap, &params) - 300.0).abs() < 1e-9);
+        assert!((wirelength(load, 3, cap, &params) - 300.0).abs() < 1e-9);
+    }
+
+    /// The RC stats after a fixed call sequence: two full analyses, an
+    /// incremental one over a few cells (one refresh chunk), and a full
+    /// one again.
+    fn rc_stats_sequence(threads: usize) -> Vec<RcOpStats> {
+        let (d, p) = benchgen::generate(&benchgen::CircuitParams::small("rc_reuse", 3));
+        let mut sta = Sta::new(&d, RcParams::default())
+            .unwrap()
+            .with_threads(threads);
+        let mut seen = Vec::new();
+        sta.analyze(&d, &p);
+        seen.push(sta.rc_stats());
+        sta.analyze(&d, &p);
+        seen.push(sta.rc_stats());
+        let few: Vec<netlist::CellId> = d.cell_ids().take(3).collect();
+        sta.analyze_incremental(&d, &p, &few);
+        seen.push(sta.rc_stats());
+        sta.analyze(&d, &p);
+        seen.push(sta.rc_stats());
+        seen
     }
 
     #[test]
-    fn zero_length_net_has_zero_wire_delay() {
-        let (d, p, net, sink_cap) = fanout_net(&[(0.0, 0.0)]);
-        let forest = refreshed(&d, &p, &RcParams::default());
-        assert_eq!(forest.sink_delays(net)[0], 0.0);
-        assert!((forest.net_load(net) - sink_cap).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forest_refresh_reuses_pooled_scratch() {
-        let (d, p, _, _) = fanout_net(&[(10.0, 0.0), (20.0, 5.0)]);
-        let skeleton = RcSkeleton::build(&d);
-        let all: Vec<NetId> = d.net_ids().collect();
-        let params = RcParams::default();
-        let mut forest = RcForest::new(&d);
-        forest.refresh(&d, &p, &all, &params, &skeleton, 1);
-        assert_eq!(forest.scratch_reuses(), 0, "first pass allocates");
-        forest.refresh(&d, &p, &all, &params, &skeleton, 1);
-        assert_eq!(forest.scratch_reuses(), 1, "second pass hits the pool");
-        assert!(forest.slab_bytes() > 0);
+    fn rc_scratch_reuses_depend_only_on_the_call_sequence() {
+        let serial = rc_stats_sequence(1);
+        assert!(
+            serial[0].nets_refreshed >= 256,
+            "the design must be large enough for a parallel refresh"
+        );
+        let reuses: Vec<u64> = serial.iter().map(|s| s.scratch_reuses).collect();
+        // None on the first pass, every chunk on the second, the one
+        // chunk of the incremental pass, and every chunk on the last:
+        // the small pass keeps the other chunks' scratch.
+        let chunks = reuses[1];
+        assert!(chunks >= 4, "a full refresh runs {chunks} chunks");
+        assert_eq!(reuses, [0, chunks, chunks + 1, 2 * chunks + 1]);
+        assert_eq!(rc_stats_sequence(4), serial);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn refresh_rejects_a_repeated_net() {
         let (d, p, net, _) = fanout_net(&[(10.0, 0.0), (20.0, 5.0)]);
-        let mut forest = RcForest::new(&d);
-        let params = RcParams::default();
-        forest.refresh(&d, &p, &[net, net], &params, &RcSkeleton::build(&d), 2);
+        let mut sta = Sta::new(&d, RcParams::default()).unwrap();
+        sta.refresh_nets(&d, &p, &[net, net]);
+    }
+
+    #[test]
+    fn zero_length_net_has_zero_wire_delay() {
+        let (d, p, net, sink_cap) = fanout_net(&[(0.0, 0.0)]);
+        let (load, delays) = solved(&d, &p, net, &RcParams::default());
+        assert_eq!(delays[0], 0.0);
+        assert!((load - sink_cap).abs() < 1e-12);
     }
 }

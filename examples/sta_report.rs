@@ -81,9 +81,9 @@ fn main() {
     );
 
     // Graph sharing, as the flow Session does it: a second analyzer from
-    // the same graph + RC skeleton (no reconstruction), checkpointed
-    // pristine, analyzed, and rolled back.
-    let mut shared = sta::Sta::from_parts(sta.graph_handle(), sta.skeleton_handle(), &design, rc);
+    // the same graph (no reconstruction), checkpointed pristine,
+    // analyzed, and rolled back.
+    let mut shared = sta::Sta::from_parts(sta.graph_handle(), &design, rc);
     let pristine = shared.checkpoint();
     shared.analyze(&design, &placement);
     assert_eq!(shared.summary(), summary);

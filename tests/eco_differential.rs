@@ -3,7 +3,11 @@
 //! identical** to rebuilding the edited design from scratch — a fresh
 //! timing graph, a fresh full STA, a fresh congestion analyzer, on a
 //! design and placement reconstructed by independently replaying the
-//! same deltas onto a fresh `benchgen::generate`. Timing summary,
+//! same deltas onto a fresh `benchgen::generate`. The reference design
+//! is then built anew with `DesignBuilder` from the cells' final
+//! masters, so it never goes through `Design::set_cell_type`: a resize
+//! that leaves a pin slot's offset or cap stale shows up as a
+//! divergence. Timing summary,
 //! every endpoint slack, the congestion report (map hash included) and
 //! the placement fingerprint must all agree, at 1 and 4 threads.
 //!
@@ -23,12 +27,17 @@ use efficient_tdp::tdp_core::Session;
 use efficient_tdp::tdp_route::{CongestionAnalyzer, RouteConfig};
 use std::collections::BTreeSet;
 
+mod common;
+
 /// Replays the delta batches onto a freshly generated design and its
 /// resident placement — deliberately sharing no code with
-/// `EcoSession`'s mutation path beyond the netlist primitives.
+/// `EcoSession`'s mutation path: moves land in the placement and the
+/// clock period in the SDC, and the design is then rebuilt from scratch
+/// with the resized cells' final masters.
 fn replay(params: &CircuitParams, batches: &[DeltaBatch]) -> (Design, Placement) {
     let (mut design, pads) = benchgen::generate(params);
     let mut placement = efficient_tdp::eco::resident_placement(&design, &pads);
+    let mut retype = Vec::new();
     for batch in batches {
         for delta in batch.deltas() {
             match delta {
@@ -37,16 +46,12 @@ fn replay(params: &CircuitParams, batches: &[DeltaBatch]) -> (Design, Placement)
                         placement.set(m.cell, m.x, m.y);
                     }
                 }
-                EcoDelta::ResizeCells(resizes) => {
-                    for &(cell, ty) in resizes {
-                        design.set_cell_type(cell, ty).expect("replay resize");
-                    }
-                }
+                EcoDelta::ResizeCells(resizes) => retype.extend_from_slice(resizes),
                 EcoDelta::RetargetClock(period) => design.sdc_mut().clock_period = *period,
             }
         }
     }
-    (design, placement)
+    (common::rebuilt_with(&design, &retype), placement)
 }
 
 /// The cells `batches` move or resize, read off the deltas.

@@ -64,8 +64,8 @@ fn efficient_tdp_beats_wirelength_only_on_timing() {
         "every refresh touches at least one net: {rc:?}"
     );
     assert!(
-        rc.slab_bytes > 0,
-        "forest slabs must be resident after a run: {rc:?}"
+        rc.scratch_reuses > 0,
+        "later refreshes must reuse the first one's scratch: {rc:?}"
     );
 }
 

@@ -1,4 +1,4 @@
-//! The analyzer's slab-backed RC refresh must compute, bit for bit, what
+//! The analyzer's RC refresh must compute, bit for bit, what
 //! a plain per-net RC tree computes: on every suite case, both
 //! interconnect topologies and 1 and 4 analyzer threads, every net's
 //! load, every wire-arc delay and every driving gate-arc delay
@@ -7,8 +7,9 @@
 //!
 //! The reference is test-local and allocates per net: a star or Prim
 //! tree rooted at the driver and an Elmore solve, in the arithmetic order
-//! of the per-net `RcTree` the slab arena replaced. It reads the sink
-//! caps from the design, not from the analyzer's skeleton.
+//! of the per-net `RcTree` the analyzer's kernel replaced. It reads pin
+//! positions and sink caps through the pins' masters, not through the
+//! design's slot layout the analyzer reads.
 
 use netlist::{Design, NetId, Placement};
 use placer::{GlobalPlacer, PlacerConfig};
@@ -175,9 +176,15 @@ fn forest_refresh_matches_per_net_trees_on_every_suite_case() {
                     let driver = design.net_driver(net);
                     let mut wire_arcs = 0;
                     for arc in graph.out_arcs(driver) {
-                        if let ArcKind::Net { net: n, sink_index } = graph.arc(arc).kind {
+                        if let ArcKind::Net { net: n } = graph.arc(arc).kind {
                             if n == net {
                                 wire_arcs += 1;
+                                let to = graph.arc(arc).to;
+                                let sink_index = design
+                                    .net_sinks(net)
+                                    .iter()
+                                    .position(|&p| p == to)
+                                    .expect("a wire arc ends at a sink of its net");
                                 assert_eq!(
                                     sta.arc_delay(arc).to_bits(),
                                     delays[sink_index].to_bits(),

@@ -1,6 +1,6 @@
 //! Setup-amortization proof: one `Session` running the full 4-method
-//! matrix performs timing-graph and RC-skeleton construction (one
-//! `Sta::build_parts`, counted by `graph_build_count`) exactly once,
+//! matrix performs timing-graph construction (one `TimingGraph::build`,
+//! counted by `graph_build_count`) exactly once,
 //! while cold per-method sessions pay it per run.
 //!
 //! This file holds a single test on purpose: the construction counters
@@ -37,7 +37,7 @@ fn spec(objective: ObjectiveSpec) -> FlowSpec {
 fn session_builds_graph_and_rc_data_exactly_once_for_the_matrix() {
     let (design, pads) = generate(&CircuitParams::small("cnt", 61));
 
-    // One session, four methods: exactly one graph + skeleton build.
+    // One session, four methods: exactly one graph build.
     let graphs_before = graph_build_count();
     let mut session = Session::builder(design.clone(), pads.clone())
         .build()
@@ -53,8 +53,7 @@ fn session_builds_graph_and_rc_data_exactly_once_for_the_matrix() {
     );
 
     // Four cold runs — a fresh session per method, the shape a naive
-    // caller produces: the setup is paid per run, one graph + one
-    // skeleton each.
+    // caller produces: the setup is paid per run, one graph each.
     let graphs_before = graph_build_count();
     let mut cold = Vec::new();
     for method in METHODS {

@@ -12,6 +12,8 @@ use efficient_tdp::netlist::{
 };
 use efficient_tdp::placer::{WaScratch, WaWirelength};
 
+mod common;
+
 /// The two-phase WA kernel as it was written before the layout existed:
 /// phase 1 forms each net's softmax sums from `pin_position`, phase 2
 /// walks every cell's pins, re-looks up each position and recomputes the
@@ -280,49 +282,11 @@ fn wa_and_hpwl_match_the_reference_with_dangling_nets_and_floating_pins() {
     assert_kernel_matches_reference(&design, &placement, &mut reused, "corners");
 }
 
-/// Rebuilds `design` through `DesignBuilder` with `retype`'s masters
-/// substituted — the same netlist, constructed with the new masters from
-/// the start.
-fn rebuilt_with(design: &Design, retype: &[(CellId, CellTypeId)]) -> Design {
-    let lib = design.library();
-    let mut b = DesignBuilder::new(
-        design.name(),
-        lib.clone(),
-        design.die(),
-        design.row_height(),
-    );
-    b.set_sdc(design.sdc().clone());
-    for c in design.cell_ids() {
-        let cell = design.cell(c);
-        let ty = retype
-            .iter()
-            .rev()
-            .find(|&&(r, _)| r == c)
-            .map_or(cell.type_id, |&(_, t)| t);
-        let name = &lib.get(ty).name;
-        let id = if cell.fixed {
-            b.add_fixed_cell(&cell.name, name, 0.0, 0.0)
-        } else {
-            b.add_cell(&cell.name, name)
-        };
-        assert_eq!(id.unwrap(), c);
-    }
-    for n in design.net_ids() {
-        let terminals: Vec<(CellId, &str)> = design
-            .net_pins(n)
-            .iter()
-            .map(|&p| (design.pin(p).cell, design.pin_spec(p).name.as_str()))
-            .collect();
-        assert_eq!(b.add_net(&design.net(n).name, &terminals).unwrap(), n);
-    }
-    b.finish().unwrap()
-}
-
 /// Resizes `design` per `retype` and asserts the patched layout equals
 /// the same netlist built with the new masters from the start, which
 /// differs from the unresized design; then resizes every cell back (the
-/// ECO revert path) and asserts the slot offsets equal the original ones
-/// bit for bit.
+/// ECO revert path) and asserts the slot offsets and caps equal the
+/// original ones bit for bit.
 fn assert_resize_keeps_layout_consistent(
     design: Design,
     placement: &Placement,
@@ -330,7 +294,7 @@ fn assert_resize_keeps_layout_consistent(
     context: &str,
 ) {
     let mut reused = WaScratch::default();
-    let fresh = rebuilt_with(&design, retype);
+    let fresh = common::rebuilt_with(&design, retype);
     let want = assert_kernel_matches_reference(&fresh, placement, &mut reused, context);
 
     let original = design.clone();
@@ -350,6 +314,11 @@ fn assert_resize_keeps_layout_consistent(
         got == want,
         "{context}: resized differs from a fresh design"
     );
+    assert_eq!(
+        bits(resized.topology().slot_cap()),
+        bits(fresh.topology().slot_cap()),
+        "{context}: resized, slot_cap"
+    );
 
     for &(c, _) in retype.iter().rev() {
         resized.set_cell_type(c, original.cell(c).type_id).unwrap();
@@ -364,6 +333,11 @@ fn assert_resize_keeps_layout_consistent(
         bits(a.slot_dy()),
         bits(b.slot_dy()),
         "{context}: resized back, slot_dy"
+    );
+    assert_eq!(
+        bits(a.slot_cap()),
+        bits(b.slot_cap()),
+        "{context}: resized back, slot_cap"
     );
 }
 

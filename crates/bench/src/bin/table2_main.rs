@@ -1,7 +1,7 @@
 //! Table 2: TNS / WNS / HPWL comparison of the four placement methods on
 //! the eight-case suite, with the paper's average-ratio row (normalized by
-//! ours). Distribution-TDP is not reproduced (the paper itself borrows its
-//! numbers; see DESIGN.md).
+//! ours). Distribution-TDP is not reproduced: the paper itself borrows its
+//! numbers instead of running it.
 //!
 //! The 8 × 4 matrix runs through the `batch` executor — one reusable
 //! session per case, jobs sharded over workers. Metrics are bitwise

@@ -22,7 +22,7 @@ fn main() {
             label: "w/ HPWL Loss",
             method: ObjectiveSpec::EfficientTdp,
             // Direction-only gradients need a recalibrated β (the paper
-            // tunes each loss variant; see DESIGN.md).
+            // tunes each loss variant; no sweep behind 0.3 is recorded).
             mutate: |c| {
                 c.loss = PinPairLoss::Hpwl;
                 c.beta = 0.3;

@@ -19,7 +19,8 @@ use netlist::{Design, Placement};
 use tdp_core::{FlowBuilder, FlowConfig, FlowSpec, Metrics, ObjectiveSpec, Session};
 
 /// The flow configuration used for every suite run (paper Sec. IV
-/// hyperparameters, recalibrated where DESIGN.md documents it).
+/// hyperparameters, with β recalibrated for the synthetic suite as
+/// [`FlowConfig`] states).
 pub fn suite_config(case: &SuiteCase) -> FlowConfig {
     let mut cfg = FlowConfig::default();
     cfg.rc.res_per_unit = case.params.res_per_unit;

@@ -178,11 +178,20 @@ impl CircuitParams {
 /// fixed IO-pad positions (movable cells at the origin; the placer
 /// initializes them).
 ///
+/// Cost: linear in the design size, apart from the sort of the gates by
+/// level and one O(log n) binary search per driver pick (see
+/// `pick_driver`).
+///
 /// # Panics
 ///
 /// Panics if the parameters are degenerate (no sources, no levels) — the
 /// generator is for test harnesses, not hostile input.
 pub fn generate(params: &CircuitParams) -> (Design, Placement) {
+    generate_counted(params, &mut PickWork::default())
+}
+
+/// [`generate`], adding the driver picks' work to `work`.
+pub(crate) fn generate_counted(params: &CircuitParams, work: &mut PickWork) -> (Design, Placement) {
     assert!(params.levels >= 1, "need at least one logic level");
     assert!(params.num_pi + params.num_ff > 0, "need signal sources");
     assert!(params.num_po + params.num_ff > 0, "need signal sinks");
@@ -361,7 +370,8 @@ pub fn generate(params: &CircuitParams) -> (Design, Placement) {
     }
 
     // For each gate input, pick a driver from a strictly lower level,
-    // preferring nearby levels and under-subscribed drivers.
+    // preferring the upper third of the eligible drivers and those under
+    // their fanout cap.
     let mut sink_assignments: Vec<(usize, CellId, &'static str)> = Vec::new(); // (driver idx, sink cell, sink pin)
     let gate_inputs = |gate: &str| -> &'static [&'static str] {
         match gate {
@@ -371,10 +381,11 @@ pub fn generate(params: &CircuitParams) -> (Design, Placement) {
             other => panic!("unknown gate {other}"),
         }
     };
-    // Index of the first driver at each level for windowed picking.
+    // Every driver before `first_open` is saturated (see `pick_driver`).
+    let mut first_open = 0usize;
     for &(cell, level, gate) in &comb {
         for &inp in gate_inputs(gate) {
-            let di = pick_driver(&mut rng, &drivers, level);
+            let di = pick_driver(&mut rng, &drivers, level, &mut first_open, work);
             drivers[di].fanout += 1;
             sink_assignments.push((di, cell, inp));
         }
@@ -390,12 +401,12 @@ pub fn generate(params: &CircuitParams) -> (Design, Placement) {
     }
     // Flip-flop D inputs and primary outputs consume the deepest cones.
     for &ff in &ffs {
-        let di = pick_driver(&mut rng, &drivers, params.levels + 1);
+        let di = pick_driver(&mut rng, &drivers, params.levels + 1, &mut first_open, work);
         drivers[di].fanout += 1;
         sink_assignments.push((di, ff, "D"));
     }
     for &po in &pos {
-        let di = pick_driver(&mut rng, &drivers, params.levels + 1);
+        let di = pick_driver(&mut rng, &drivers, params.levels + 1, &mut first_open, work);
         drivers[di].fanout += 1;
         sink_assignments.push((di, po, "PAD"));
     }
@@ -403,7 +414,7 @@ pub fn generate(params: &CircuitParams) -> (Design, Placement) {
     // high pin capacitance makes these paths genuinely hard to close.
     // No RNG draws happen here when `num_macros == 0`.
     for &blk in &macros {
-        let di = pick_driver(&mut rng, &drivers, params.levels + 1);
+        let di = pick_driver(&mut rng, &drivers, params.levels + 1, &mut first_open, work);
         drivers[di].fanout += 1;
         sink_assignments.push((di, blk, "PAD"));
     }
@@ -447,17 +458,45 @@ struct Driver {
     cap: usize,
 }
 
-/// Picks a driver index with level < `level`, favouring recent levels and
-/// drivers still under their fanout target.
-fn pick_driver(rng: &mut StdRng, drivers: &[Driver], level: usize) -> usize {
-    // Eligible: strictly lower level. Drivers are appended in level order,
-    // so a suffix window biases toward nearby levels.
-    let eligible_end = drivers
-        .iter()
-        .rposition(|d| d.level < level)
-        .expect("level > 0 always has sources")
-        + 1;
-    // Prefer the most recent couple of levels with 70% probability.
+/// Work done by [`pick_driver`], counted for the scaling tests.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PickWork {
+    /// Driver picks (gate inputs, FF D pins, PO pads, macro inputs).
+    pub(crate) picks: u64,
+    /// Drivers whose headroom was tested: random draws and cursor steps.
+    pub(crate) examined: u64,
+    /// Picks where every draw hit a saturated driver.
+    pub(crate) fallbacks: u64,
+}
+
+/// Picks a driver index with level < `level`, favouring the upper third
+/// of the eligible drivers and drivers still under their fanout cap.
+///
+/// Up to 16 random draws: each takes, with probability 0.7, one of the
+/// last `eligible_end / 3` eligible drivers (the highest levels below
+/// `level`, since drivers are appended in level order), otherwise any
+/// eligible driver, and returns it if it has headroom. If all 16 hit saturated
+/// drivers, the first eligible driver with headroom is taken, else a
+/// random one is overloaded (the cap is soft).
+///
+/// Cost: a binary search over the drivers (O(log n)), at most 16 draws,
+/// and the forward steps of `first_open`, which add up to at most the
+/// number of drivers over a whole [`generate`]. `first_open` is the caller's
+/// cursor: every driver before it is saturated. That stays true because
+/// a driver's fanout only grows and its cap never changes, and new
+/// drivers are appended after the cursor.
+fn pick_driver(
+    rng: &mut StdRng,
+    drivers: &[Driver],
+    level: usize,
+    first_open: &mut usize,
+    work: &mut PickWork,
+) -> usize {
+    // Eligible: strictly lower level. Drivers are appended in
+    // nondecreasing level order, so the eligible drivers are a prefix.
+    let eligible_end = drivers.partition_point(|d| d.level < level);
+    assert!(eligible_end > 0, "level > 0 always has sources");
+    work.picks += 1;
     for _ in 0..16 {
         let idx = if rng.gen_bool(0.7) && eligible_end > 1 {
             let window = (eligible_end / 3).max(1);
@@ -465,20 +504,93 @@ fn pick_driver(rng: &mut StdRng, drivers: &[Driver], level: usize) -> usize {
         } else {
             rng.gen_range(0..eligible_end)
         };
+        work.examined += 1;
         if drivers[idx].fanout < drivers[idx].cap {
             return idx;
         }
     }
-    // Everybody saturated near the tail: linear scan for any headroom,
-    // else overload a random driver (the cap is soft).
-    (0..eligible_end)
-        .find(|&i| drivers[i].fanout < drivers[i].cap)
-        .unwrap_or_else(|| rng.gen_range(0..eligible_end))
+    // Every draw hit a saturated driver: the first eligible driver with
+    // headroom, else overload a random one.
+    work.fallbacks += 1;
+    while *first_open < eligible_end {
+        work.examined += 1;
+        let d = &drivers[*first_open];
+        if d.fanout < d.cap {
+            return *first_open;
+        }
+        *first_open += 1;
+    }
+    rng.gen_range(0..eligible_end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netlist::{fnv, io};
+
+    /// FNV-1a of the design's `.nodes` and `.nets` serializations: every
+    /// cell, master, net and pin order the generator emits.
+    fn design_hash(params: &CircuitParams) -> u64 {
+        let (d, _) = generate(params);
+        let h = fnv::mix_bytes(fnv::OFFSET, io::write_nodes(&d).as_bytes());
+        fnv::mix_bytes(h, io::write_nets(&d).as_bytes())
+    }
+
+    /// deep100k's shape (20 levels, the suite's fanout mix) at `num_comb`
+    /// gates: the first-level gates exhaust the level-0 drivers, so the
+    /// saturated fallback fires.
+    fn deep_shape(num_comb: usize, seed: u64) -> CircuitParams {
+        CircuitParams {
+            name: "deep".to_string(),
+            seed,
+            num_comb,
+            num_ff: num_comb / 10,
+            num_pi: 100,
+            num_po: 100,
+            levels: 20,
+            max_fanout: 16,
+            high_fanout_fraction: 0.02,
+            utilization: 0.42,
+            num_macros: 0,
+            clock_period: 1e9,
+            res_per_unit: 0.3,
+            cap_per_unit: 0.01,
+        }
+    }
+
+    #[test]
+    fn generated_bits_are_pinned() {
+        let cases = [
+            (CircuitParams::small("s", 1), 0x0c00_eec7_1bd0_587c_u64),
+            (CircuitParams::deep_logic("dl", 4), 0xf98d_304a_8cd3_2fd5),
+            (CircuitParams::macro_heavy("mx", 2), 0x4749_b147_4f02_48f4),
+            (deep_shape(18_000, 7), 0x9de7_9d95_09c8_8279),
+        ];
+        let got: Vec<u64> = cases.iter().map(|(p, _)| design_hash(p)).collect();
+        let want: Vec<u64> = cases.iter().map(|&(_, h)| h).collect();
+        assert_eq!(got, want, "generator output bits moved: {got:#x?}");
+    }
+
+    /// Drivers examined per pick is flat from ~5k to ~40k cells: no
+    /// stage of the pick walks a share of the driver list.
+    #[test]
+    fn scaling_counts_driver_picks_are_flat() {
+        let per_pick: Vec<f64> = [4_500, 9_000, 18_000, 36_000]
+            .into_iter()
+            .map(|num_comb| {
+                let mut work = PickWork::default();
+                generate_counted(&deep_shape(num_comb, 7), &mut work);
+                assert!(work.fallbacks > 0, "{num_comb}: the fallback never fired");
+                work.examined as f64 / work.picks as f64
+            })
+            .collect();
+        for &p in &per_pick[1..] {
+            assert!(
+                p <= 1.2 * per_pick[0],
+                "drivers examined per pick grows: {per_pick:?}"
+            );
+        }
+    }
 
     #[test]
     fn generated_design_validates() {

@@ -11,8 +11,9 @@ use tdp_route::RouteConfig;
 ///
 /// Paper defaults (Sec. IV): `β = 2.5e-5`, `m = 15`, `w0 = 10`, `w1 = 0.2`,
 /// timing optimization starting at iteration 500. Iteration counts are
-/// scaled for CPU-sized designs; the β default is recalibrated for the
-/// synthetic suite's die dimensions (documented in DESIGN.md).
+/// scaled for CPU-sized designs; the β default (`5e-4`) is recalibrated
+/// for the synthetic suite's die dimensions, and no sweep behind it is
+/// recorded in the repository.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// Pin-to-pin attraction penalty multiplier β (Eq. 6).

@@ -12,8 +12,9 @@
 //! * [`NetWeightingObjective::differentiable_tdp`] — a
 //!   Differentiable-TDP-style scheme: per-arc slacks (a smoothed path
 //!   view) drive instantaneous net weights; this is the reproduction's
-//!   stand-in for Guo & Lin's backpropagated timing engine (see DESIGN.md
-//!   for the substitution argument).
+//!   stand-in for Guo & Lin's backpropagated timing engine, which is not
+//!   reproduced: per-arc slacks from the same STA take the place of its
+//!   backpropagated timing gradients.
 
 use crate::config::FlowConfig;
 use crate::objective::SessionObjective;

@@ -116,9 +116,9 @@ impl NetWeightingObjective {
         let mut crit = vec![0.0f64; design.num_nets()];
         if wns < 0.0 {
             for (i, arc) in self.sta.graph().arcs().enumerate() {
-                let ArcKind::Net { net } = arc.kind else {
+                if arc.kind != ArcKind::Net {
                     continue;
-                };
+                }
                 let (Some(arr), Some(req)) =
                     (self.sta.arrival(arc.from), self.sta.required(arc.to))
                 else {
@@ -127,6 +127,10 @@ impl NetWeightingObjective {
                 let slack = req - arr - self.sta.arc_delay(sta::ArcId::new(i));
                 if slack < 0.0 {
                     let c = (slack / wns).clamp(0.0, 1.0);
+                    let net = design
+                        .pin(arc.to)
+                        .net
+                        .expect("a wire arc ends at a net sink");
                     let e = &mut crit[net.index()];
                     *e = e.max(c);
                 }

@@ -1,21 +1,21 @@
 //! The RUDY estimator as an incremental analyzer, in the mould of the
 //! workspace's timing layer.
 //!
-//! * [`CongestionAnalyzer::analyze`] rasterizes every net (and every
-//!   cell's pins) through [`parx`] kernels — per-net work is partitioned
-//!   into thread-count-independent chunks and every per-bin reduction
-//!   sums its contributions in net order, so the resulting map is
-//!   **bit-identical for every thread count**.
-//! * [`CongestionAnalyzer::analyze_changes`] re-rasterizes only the
-//!   dirty nets and moved cells of a [`DirtySummary`] (the same change
-//!   set the incremental STA consumes) and recomputes only the affected
-//!   bins — again summing per bin in net order, so the incremental map
-//!   is **bitwise identical** to a full analysis of the same placement.
+//! Wire demand is summed in fixed point: each bin holds an `i64` count
+//! of `2^-S` units, every net's amount is rounded once into it, and the
+//! scale `2^S` is chosen from a bound no bin's demand can exceed (see
+//! [`CongestionAnalyzer::new`]). The pin overlay is a per-bin pin count
+//! times `pin_weight`. Integer addition is associative, so the order
+//! contributions arrive in never matters, and:
 //!
-//! Both passes share one rasterization kernel and one reduction kernel;
-//! they differ only in phase 2, which rebuilds the per-bin lists: the
-//! full pass scatters every raster in id order, the incremental pass
-//! splices just the touched bins.
+//! * [`CongestionAnalyzer::analyze`] computes every net's clamped box
+//!   through a [`parx`] kernel and adds the boxes' demand in one serial
+//!   pass; the map is **bit-identical for every thread count**;
+//! * [`CongestionAnalyzer::analyze_changes`] re-walks the stored box of
+//!   each dirty net with a minus sign (the same float operations on the
+//!   same values, so its integers cancel exactly), adds the new box and
+//!   moves the moved cells' pin counts; the incremental map is
+//!   **bitwise identical** to a full analysis of the same placement.
 //!
 //! The per-net **exposure** ([`CongestionAnalyzer::exposures`]) condenses
 //! the map back onto nets: the overflow a net's bounding box overlaps,
@@ -23,48 +23,15 @@
 //! placement objective in `tdp-core` turns exposures into a
 //! differentiable bounding-box shrink force.
 
-use crate::geom::Geom;
-use crate::layer::Layer;
+use crate::geom::{half_perimeter, Geom, NetBox};
 use crate::{CongestionMap, CongestionReport, RouteConfig};
 use netlist::{CellId, Design, DirtySummary, NetId, Placement};
 use parx::UnsafeSlice;
 
-/// Runs `body(id, &mut slots[id])` through one named [`parx`] kernel on
-/// up to `threads` workers for every id in `ids` (every slot when `None`),
-/// `slot` mapping an id to its index.
-///
-/// # Panics
-///
-/// Panics unless `ids` is strictly ascending and in bounds — the
-/// condition that hands each slot to one chunk alone.
-fn for_each_slot<T: Send, I: Copy + Ord + Sync>(
-    threads: usize,
-    slots: &mut [T],
-    ids: Option<&[I]>,
-    slot: fn(I) -> usize,
-    min_chunk: usize,
-    name: &'static str,
-    body: impl Fn(usize, &mut T) + Sync,
-) {
-    if let Some(ids) = ids {
-        assert!(
-            ids.windows(2).all(|w| w[0] < w[1])
-                && ids.last().is_none_or(|&id| slot(id) < slots.len()),
-            "slot ids must be strictly ascending and in bounds"
-        );
-    }
-    let n = ids.map_or(slots.len(), <[I]>::len);
-    let slots = UnsafeSlice::new(slots);
-    let workers = parx::resolve_threads(threads);
-    parx::par_for_named(workers, n, min_chunk, name, |range| {
-        for k in range {
-            let id = ids.map_or(k, |ids| slot(ids[k]));
-            // SAFETY: `id` is in bounds and, ids being distinct (checked
-            // above), no other chunk touches slot `id`.
-            body(id, unsafe { &mut slots.slice_mut(id, 1)[0] });
-        }
-    });
-}
+/// The fixed-point headroom: no bin's wire demand exceeds `2^62` units,
+/// half of `i64::MAX`, which leaves room for the per-contribution
+/// rounding.
+const LIMIT: f64 = (1u64 << 62) as f64;
 
 /// The RUDY congestion estimator: full and incremental rasterization of
 /// a design's routing demand onto a [`CongestionMap`], bit-identical
@@ -73,12 +40,19 @@ fn for_each_slot<T: Send, I: Copy + Ord + Sync>(
 pub struct CongestionAnalyzer {
     cfg: RouteConfig,
     threads: usize,
-    /// Wire demand, one raster per net.
-    nets: Layer,
+    /// `2^S`: wire demand is stored in units of `1 / scale`.
+    scale: f64,
+    /// Per-net clamped box whose demand `wire` holds (unset for sub-2-pin
+    /// nets).
+    net_box: Vec<NetBox>,
     /// Per-net extent-floored half-perimeter (0 for sub-2-pin nets).
     net_perimeter: Vec<f64>,
-    /// Pin-overlay demand, one raster per cell.
-    cells: Layer,
+    /// Per-pin bin of the pin overlay.
+    pin_bin: Vec<u32>,
+    /// Per-bin wire demand in units of `1 / scale`.
+    wire: Vec<i64>,
+    /// Per-bin pin count.
+    pins: Vec<u32>,
     map: CongestionMap,
     exposure: Vec<f64>,
     /// The exposure vector is refreshed lazily: analyses mark it stale
@@ -86,9 +60,8 @@ pub struct CongestionAnalyzer {
     /// callers that only read the map (the ECO query path) never pay the
     /// all-nets fold.
     exposure_stale: bool,
-    /// Bins re-reduced by the last incremental pass (sorted, deduped);
-    /// empty after a full analysis. See
-    /// [`CongestionAnalyzer::last_dirty_bins`].
+    /// Bins the last incremental pass touched (sorted, deduped); empty
+    /// after a full analysis. See [`CongestionAnalyzer::last_dirty_bins`].
     last_dirty_bins: Vec<u32>,
     analyzed: bool,
 }
@@ -96,20 +69,39 @@ pub struct CongestionAnalyzer {
 impl CongestionAnalyzer {
     /// Builds an analyzer for `design` (no placement needed yet).
     ///
+    /// The wire scale `2^S` is the largest power of two with
+    /// `bound · 2^S ≤ 2^62`, where `bound = num_nets · (die_w + die_h)`
+    /// (at least 1): a clamped, floored box has a half-perimeter of at
+    /// most `die_w + die_h`, and its amounts sum to that half-perimeter,
+    /// so no bin can hold more than `bound`.
+    ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`RouteConfig::validate`] — analyzers are
     /// built from already-validated flow configurations; validate at the
-    /// API boundary for hostile input.
+    /// API boundary for hostile input — or if the die is not finite.
     pub fn new(design: &Design, cfg: RouteConfig) -> Self {
         cfg.validate().expect("validated route configuration");
         let geom = Geom::new(design, &cfg);
-        let (num_cells, num_nets) = (design.num_cells(), design.num_nets());
+        let (num_pins, num_nets) = (design.num_pins(), design.num_nets());
+        let die = design.die();
+        let bound = (num_nets as f64 * (die.width() + die.height())).max(1.0);
+        // bound · 2^s lies in [2^62, 2^63) up to log2's rounding; step
+        // down until it fits.
+        let mut s = 62 - bound.log2().floor() as i32;
+        while bound * 2f64.powi(s) > LIMIT {
+            s -= 1;
+        }
+        let scale = 2f64.powi(s);
+        assert!(bound * scale <= LIMIT, "route demand bound overflows i64");
         Self {
             threads: 1,
-            nets: Layer::new(num_nets, geom.num_bins()),
+            scale,
+            net_box: vec![[0.0; 4]; num_nets],
             net_perimeter: vec![0.0; num_nets],
-            cells: Layer::new(num_cells, geom.num_bins()),
+            pin_bin: vec![0; num_pins],
+            wire: vec![0; geom.num_bins()],
+            pins: vec![0; geom.num_bins()],
             map: CongestionMap::empty(geom, cfg.capacity),
             exposure: vec![0.0; num_nets],
             exposure_stale: false,
@@ -119,9 +111,9 @@ impl CongestionAnalyzer {
         }
     }
 
-    /// Sets the worker count for the rasterization and reduction kernels
-    /// (`0` = one per hardware thread; results are bit-identical for
-    /// every value).
+    /// Sets the worker count for the net-box, summary and exposure
+    /// kernels (`0` = one per hardware thread; results are bit-identical
+    /// for every value).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -183,35 +175,60 @@ impl CongestionAnalyzer {
         &self.exposure
     }
 
-    /// Full analysis: rasterizes every net and every cell's pins, then
-    /// reduces per bin.
+    /// Full analysis: computes every net's box and every pin's bin,
+    /// then sums them per bin.
     pub fn analyze(&mut self, design: &Design, placement: &Placement) {
         let _span = tdp_trace::span("route.analyze", "route");
-        self.rasterize(design, placement, None);
-        // Phase 2: scatter into per-bin lists in id order — the
-        // canonical summation order the incremental splice preserves.
-        self.nets.scatter();
-        self.cells.scatter();
+        let (geom, min_extent) = (self.map.geom, self.cfg.min_extent);
+        let boxes = UnsafeSlice::new(&mut self.net_box);
+        let perimeters = UnsafeSlice::new(&mut self.net_perimeter);
+        let (workers, n) = (parx::resolve_threads(self.threads), design.num_nets());
+        parx::par_for_named(workers, n, 32, "route.rasterize.nets", |range| {
+            for e in range {
+                let net_box = geom.net_box(min_extent, design, placement, NetId::new(e));
+                // SAFETY: slot `e` belongs to this chunk alone.
+                unsafe {
+                    perimeters.write(e, net_box.as_ref().map_or(0.0, half_perimeter));
+                    boxes.write(e, net_box.unwrap_or_default());
+                }
+            }
+        });
+        self.wire.fill(0);
+        for (net_box, &perimeter) in self.net_box.iter().zip(&self.net_perimeter) {
+            if perimeter > 0.0 {
+                add_demand(&geom, self.scale, net_box, 1, &mut self.wire, None);
+            }
+        }
+        self.pins.fill(0);
+        for (p, bin) in design.pin_ids().zip(&mut self.pin_bin) {
+            let (x, y) = placement.pin_position(design, p);
+            *bin = geom.bin_of(x, y);
+            self.pins[*bin as usize] += 1;
+        }
         self.refresh_blockage(design, placement);
-        self.reduce_bins(None);
+        for b in 0..geom.num_bins() {
+            self.refresh_demand(b);
+        }
         self.exposure_stale = true;
         self.last_dirty_bins.clear();
         self.analyzed = true;
     }
 
     /// Bin indices (row-major) the last [`CongestionAnalyzer::analyze_changes`]
-    /// re-reduced, sorted ascending and deduplicated — the "touched bins"
-    /// of an ECO delta. Empty after a full [`CongestionAnalyzer::analyze`]
+    /// touched, sorted ascending and deduplicated — the "touched bins" of
+    /// an ECO delta: every bin a dirty net's old or new box puts demand
+    /// on, plus (when `pin_weight > 0`) every old and new bin of a moved
+    /// cell's pins. Empty after a full [`CongestionAnalyzer::analyze`]
     /// (which touches every bin) and after a no-op incremental pass.
     pub fn last_dirty_bins(&self) -> &[u32] {
         &self.last_dirty_bins
     }
 
-    /// Incremental analysis: re-rasterizes only the dirty nets and the
-    /// moved cells' pin overlays of `changes`, splices the per-bin lists,
-    /// and re-reduces only the affected bins. Bitwise identical to
-    /// [`CongestionAnalyzer::analyze`] of the same placement: a purely
-    /// runtime optimization, exactly like the incremental STA.
+    /// Incremental analysis: replaces the demand of the dirty nets and
+    /// the moved cells' pins of `changes`, and recomputes only the
+    /// touched bins. Bitwise identical to [`CongestionAnalyzer::analyze`]
+    /// of the same placement: a purely runtime optimization, exactly like
+    /// the incremental STA.
     ///
     /// Falls back to a full analysis when none has run yet.
     pub fn analyze_changes(
@@ -224,23 +241,40 @@ impl CongestionAnalyzer {
             return self.analyze(design, placement);
         }
         let (nets, cells) = (&changes.dirty_nets[..], &changes.moved_cells[..]);
+        self.last_dirty_bins.clear();
         if cells.is_empty() {
-            self.last_dirty_bins.clear();
             return;
         }
+        let mut touched = std::mem::take(&mut self.last_dirty_bins);
         let _span = tdp_trace::span("route.incremental", "route");
-
-        // Touched bins: covered by a dirty raster before or after phase 1.
-        let mut touched: Vec<u32> = Vec::new();
-        self.nets.push_bins(nets, &mut touched);
-        self.cells.push_bins(cells, &mut touched);
-        self.rasterize(design, placement, Some((nets, cells)));
-        self.nets.push_bins(nets, &mut touched);
-        self.cells.push_bins(cells, &mut touched);
+        let (geom, scale) = (self.map.geom, self.scale);
+        for &net in nets {
+            let e = net.index();
+            if self.net_perimeter[e] > 0.0 {
+                let old = &self.net_box[e];
+                add_demand(&geom, scale, old, -1, &mut self.wire, Some(&mut touched));
+            }
+            let net_box = geom.net_box(self.cfg.min_extent, design, placement, net);
+            if let Some(net_box) = &net_box {
+                add_demand(&geom, scale, net_box, 1, &mut self.wire, Some(&mut touched));
+            }
+            self.net_perimeter[e] = net_box.as_ref().map_or(0.0, half_perimeter);
+            self.net_box[e] = net_box.unwrap_or_default();
+        }
+        for &cell in cells {
+            for p in design.cell_pins(cell) {
+                let (x, y) = placement.pin_position(design, p);
+                let bin = geom.bin_of(x, y);
+                let old = std::mem::replace(&mut self.pin_bin[p.index()], bin);
+                self.pins[old as usize] -= 1;
+                self.pins[bin as usize] += 1;
+                if self.cfg.pin_weight > 0.0 {
+                    touched.extend([old, bin]);
+                }
+            }
+        }
         touched.sort_unstable();
         touched.dedup();
-        self.nets.splice(nets, &touched);
-        self.cells.splice(cells, &touched);
 
         // Fixed cells never move in a placement flow, so blockage is
         // normally untouched here — but a caller that relocates one must
@@ -248,7 +282,9 @@ impl CongestionAnalyzer {
         if cells.iter().any(|&c| design.cell(c).fixed) {
             self.refresh_blockage(design, placement);
         }
-        self.reduce_bins(Some(&touched));
+        for &b in &touched {
+            self.refresh_demand(b as usize);
+        }
         self.exposure_stale = true;
         self.last_dirty_bins = touched;
     }
@@ -263,43 +299,6 @@ impl CongestionAnalyzer {
     ) {
         let changes = DirtySummary::from_moved_cells(design, moved);
         self.analyze_changes(design, placement, &changes);
-    }
-
-    /// Phase 1: rasterizes the nets and cells listed in `dirty` (every
-    /// one when `None`) into their own rasters, one slot per id, so the
-    /// rasters are identical for every thread count.
-    fn rasterize(
-        &mut self,
-        design: &Design,
-        placement: &Placement,
-        dirty: Option<(&[NetId], &[CellId])>,
-    ) {
-        let (geom, cfg) = (self.map.geom, self.cfg);
-        let perimeters = UnsafeSlice::new(&mut self.net_perimeter);
-        let (nets, cells) = dirty.unzip();
-        for_each_slot(
-            self.threads,
-            &mut self.nets.entries,
-            nets,
-            NetId::index,
-            32,
-            "route.rasterize.nets",
-            |e, out| {
-                let perimeter =
-                    geom.rasterize_net(cfg.min_extent, design, placement, NetId::new(e), out);
-                // SAFETY: slot `e` belongs to this net's chunk alone.
-                unsafe { perimeters.write(e, perimeter) };
-            },
-        );
-        for_each_slot(
-            self.threads,
-            &mut self.cells.entries,
-            cells,
-            CellId::index,
-            64,
-            "route.rasterize.cells",
-            |c, out| geom.rasterize_cell(cfg.pin_weight, design, placement, CellId::new(c), out),
-        );
     }
 
     /// Recomputes the effective per-bin capacity from the fixed-cell
@@ -333,46 +332,33 @@ impl CongestionAnalyzer {
         }
     }
 
-    /// Phase 3: sums each bin's wire and pin lists in list (id) order
-    /// into its demand. `Some(bins)` restricts the work to those bins
-    /// (the incremental path); `None` covers the whole grid.
-    fn reduce_bins(&mut self, bins: Option<&[u32]>) {
-        let _span = tdp_trace::span("route.reduce", "route");
-        let (wire, pins) = (&self.nets.bins, &self.cells.bins);
-        // In list order from +0.0 (`Iterator::sum` starts from -0.0).
-        let sum = |list: &[(u32, f64)]| list.iter().fold(0.0, |s, &(_, amount)| s + amount);
-        for_each_slot(
-            self.threads,
-            &mut self.map.demand,
-            bins,
-            |bin| bin as usize,
-            64,
-            "route.reduce.bins",
-            |b, demand| *demand = sum(&wire[b]) + sum(&pins[b]),
-        );
+    /// Converts bin `b`'s fixed-point wire sum and pin count into the
+    /// map's demand.
+    fn refresh_demand(&mut self, b: usize) {
+        self.map.demand[b] =
+            self.wire[b] as f64 / self.scale + f64::from(self.pins[b]) * self.cfg.pin_weight;
     }
 
     /// Recomputes every net's exposure from the current map (slot-
-    /// disjoint per net; each net folds its own bins in entry order).
+    /// disjoint per net; each net re-walks its stored box).
     fn refresh_exposure(&mut self, workers: usize) {
-        let cap = &self.map.cap;
-        let demand = &self.map.demand;
-        let net_entries = &self.nets.entries;
-        let net_perimeter = &self.net_perimeter;
+        let geom = self.map.geom;
+        let (cap, demand) = (&self.map.cap, &self.map.demand);
+        let (net_box, net_perimeter) = (&self.net_box, &self.net_perimeter);
         let slots = UnsafeSlice::new(&mut self.exposure);
-        parx::par_for(workers, net_entries.len(), 64, |range| {
+        parx::par_for(workers, net_box.len(), 64, |range| {
             for e in range {
                 let perimeter = net_perimeter[e];
                 let mut acc = 0.0f64;
                 if perimeter > 0.0 {
-                    for &(bin, amount) in &net_entries[e] {
-                        let over = demand[bin as usize] / cap[bin as usize] - 1.0;
+                    geom.for_each_demand(&net_box[e], |bin, amount| {
+                        let over = demand[bin] / cap[bin] - 1.0;
                         if over > 0.0 {
                             // amount / perimeter is the fraction of the
                             // net's bbox area inside this bin.
                             acc += over * (amount / perimeter);
                         }
-                    }
+                    });
                 }
                 // SAFETY: slot `e` is written by this chunk alone.
                 unsafe { slots.write(e, acc) };
@@ -381,10 +367,30 @@ impl CongestionAnalyzer {
     }
 }
 
+/// Adds `sign` times one net box's demand to `wire`, each amount rounded
+/// once to units of `1 / scale`, and records the bins it covers in
+/// `touched`.
+fn add_demand(
+    geom: &Geom,
+    scale: f64,
+    net_box: &NetBox,
+    sign: i64,
+    wire: &mut [i64],
+    mut touched: Option<&mut Vec<u32>>,
+) {
+    geom.for_each_demand(net_box, |bin, amount| {
+        wire[bin] += sign * (amount * scale).round() as i64;
+        if let Some(touched) = touched.as_deref_mut() {
+            touched.push(bin as u32);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixture::{cfg, toy};
+    use netlist::{CellLibrary, DesignBuilder, Rect};
 
     #[test]
     fn fixed_footprints_block_capacity() {
@@ -420,27 +426,171 @@ mod tests {
         assert!(clear.summary().peak <= a.summary().peak);
     }
 
+    /// A plain `f64` RUDY reference: every net box's amounts summed per
+    /// bin in net id order (boxes from `pin_position`), the number of amounts
+    /// each bin received, and the pin overlay.
+    fn reference(
+        design: &Design,
+        placement: &Placement,
+        cfg: RouteConfig,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let geom = Geom::new(design, &cfg);
+        let mut demand = vec![0.0; geom.num_bins()];
+        let mut amounts = vec![0usize; geom.num_bins()];
+        for net in design.net_ids() {
+            let pins = design.net_pins(net);
+            if pins.len() < 2 {
+                continue;
+            }
+            let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &p in pins {
+                let (px, py) = placement.pin_position(design, p);
+                x0 = x0.min(px);
+                x1 = x1.max(px);
+                y0 = y0.min(py);
+                y1 = y1.max(py);
+            }
+            let [(x0, x1, _), (y0, y1, _)] = geom.clamp_box(x0, y0, x1, y1, cfg.min_extent);
+            let (w, h) = (x1 - x0, y1 - y0);
+            let density = (w + h) / (w * h);
+            geom.for_each_overlap(x0, y0, x1, y1, |b, _, _, ox, oy| {
+                let amount = density * ox * oy;
+                if amount > 0.0 {
+                    demand[b] += amount;
+                    amounts[b] += 1;
+                }
+            });
+        }
+        for p in design.pin_ids() {
+            let (x, y) = placement.pin_position(design, p);
+            demand[geom.bin_of(x, y) as usize] += cfg.pin_weight;
+        }
+        (demand, amounts)
+    }
+
+    /// One suite case (`sb18`) with its movable cells spread over the
+    /// die along two irrational strides, so its boxes span many bins.
+    fn suite_case() -> (Design, Placement) {
+        let case = benchgen::case_by_name("sb18").expect("suite case");
+        let (design, mut placement) = benchgen::generate(&case.params);
+        let die = design.die();
+        for (i, c) in design.cell_ids().enumerate() {
+            if !design.cell(c).fixed {
+                let (fx, fy) = (
+                    (i as f64 * 0.618_034).fract(),
+                    (i as f64 * 0.414_214).fract(),
+                );
+                let x = die.lx + fx * (die.width() - 8.0);
+                placement.set(c, x, die.ly + fy * (die.height() - 10.0));
+            }
+        }
+        (design, placement)
+    }
+
+    /// Heap bytes of the analyzer's own state (capacity × element size),
+    /// without the map snapshot it hands out (capacity and demand, 16 B
+    /// a bin, sized by the grid alone).
+    fn bytes(a: &CongestionAnalyzer) -> usize {
+        fn of<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        of(&a.net_box)
+            + of(&a.net_perimeter)
+            + of(&a.pin_bin)
+            + of(&a.wire)
+            + of(&a.pins)
+            + of(&a.exposure)
+            + of(&a.last_dirty_bins)
+    }
+
     #[test]
     fn demand_is_conserved() {
-        let (d, p, _) = toy();
-        let mut a = CongestionAnalyzer::new(&d, cfg());
-        a.analyze(&d, &p);
-        // Total wire demand equals the sum of floored half-perimeters;
-        // pin demand equals pin count times the weight.
-        let layer_total =
-            |layer: &Layer| -> f64 { layer.bins.iter().flatten().map(|&(_, amount)| amount).sum() };
-        let expected_wire: f64 = a.net_perimeter.iter().sum();
-        let wire = layer_total(&a.nets);
+        let (toy_design, toy_placement, _) = toy();
+        let (sb_design, sb_placement) = suite_case();
+        for (d, p, cfg) in [
+            (&toy_design, &toy_placement, cfg()),
+            (&sb_design, &sb_placement, RouteConfig::default()),
+        ] {
+            let mut a = CongestionAnalyzer::new(d, cfg);
+            a.analyze(d, p);
+            // Every bin matches the float reference within half a unit
+            // per rounded amount, plus the reference's own float error.
+            let (want, amounts) = reference(d, p, cfg);
+            let unit = 1.0 / a.scale;
+            for (b, (&want, &n)) in want.iter().zip(&amounts).enumerate() {
+                let got = a.map.demand[b];
+                let tol = n as f64 * 0.5 * unit + 4.0 * (n + 2) as f64 * f64::EPSILON * want;
+                assert!(
+                    (got - want).abs() <= tol,
+                    "bin {b}: {got} vs {want} (±{tol})"
+                );
+            }
+            // Wire demand sums to the floored half-perimeters; pin demand
+            // is pin count times the weight.
+            let wire = a.wire.iter().sum::<i64>() as f64 * unit;
+            let expected_wire: f64 = a.net_perimeter.iter().sum();
+            assert!(
+                (wire - expected_wire).abs() <= 1e-9 * expected_wire.max(1.0),
+                "wire {wire} vs Σ perimeters {expected_wire}"
+            );
+            assert_eq!(a.pins.iter().sum::<u32>() as usize, d.num_pins());
+        }
+    }
+
+    #[test]
+    fn analyzer_bytes_grow_by_at_most_twelve_per_bin() {
+        let (d, p) = suite_case();
+        let at = |bins: usize| {
+            let cfg = RouteConfig {
+                bins_x: bins,
+                bins_y: bins,
+                ..RouteConfig::default()
+            };
+            let mut a = CongestionAnalyzer::new(&d, cfg);
+            a.analyze(&d, &p);
+            bytes(&a)
+        };
+        let (coarse, fine) = (at(32), at(128));
+        let added_bins = 128 * 128 - 32 * 32;
         assert!(
-            (wire - expected_wire).abs() <= 1e-9 * expected_wire.max(1.0),
-            "wire {wire} vs Σ perimeters {expected_wire}"
+            fine <= coarse + 12 * added_bins,
+            "{coarse} B at 32×32, {fine} B at 128×128: more than 12 B per added bin"
         );
-        let pins = layer_total(&a.cells);
-        assert!((pins - d.num_pins() as f64 * 0.5).abs() < 1e-9);
-        assert!(
-            (a.map().total_demand() - (wire + pins)).abs() < 1e-9,
-            "demand layers must add up"
+    }
+
+    #[test]
+    fn a_billion_unit_die_stays_in_range_and_incremental_matches_full() {
+        let mut b = DesignBuilder::new(
+            "wide",
+            CellLibrary::standard(),
+            Rect::new(0.0, 0.0, 1e9, 1e9),
+            10.0,
         );
+        let u1 = b.add_cell("u1", "INV_X1").unwrap();
+        let u2 = b.add_cell("u2", "INV_X1").unwrap();
+        let u3 = b.add_cell("u3", "NAND2_X1").unwrap();
+        b.add_net("n0", &[(u1, "Y"), (u2, "A"), (u3, "A")]).unwrap();
+        b.add_net("n1", &[(u2, "Y"), (u3, "B")]).unwrap();
+        let d = b.finish().unwrap();
+        let mut p = Placement::new(&d);
+        p.set(u1, 1.0e8, 2.0e8);
+        p.set(u2, 9.0e8, 3.0e8);
+        p.set(u3, 4.0e8, 9.9e8);
+        let mut inc = CongestionAnalyzer::new(&d, cfg());
+        let bound = d.num_nets() as f64 * 2e9;
+        assert!(bound * inc.scale <= (1u64 << 62) as f64);
+        inc.analyze(&d, &p);
+        assert!(inc.map().total_demand().is_finite());
+        p.set(u2, 5.0e8, 5.0e8);
+        inc.analyze_incremental(&d, &p, &[u2]);
+        let mut full = CongestionAnalyzer::new(&d, cfg());
+        full.analyze(&d, &p);
+        assert!(full.map().total_demand().is_finite());
+        assert_eq!(full.map().content_hash(), inc.map().content_hash());
+        for (a, b) in full.exposures().iter().zip(inc.exposures()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The bin grid over the die, and the one way a box meets it.
 //!
-//! Net rasterization, macro blockage and the penalty gradient
+//! Net demand, macro blockage and the penalty gradient
 //! ([`CongestionMap::box_overflow`](crate::CongestionMap::box_overflow))
 //! all clamp boxes with [`Geom::clamp_box`], find bins with
 //! [`Geom::ix`]/[`Geom::iy`] and walk a box's bins with
@@ -8,7 +8,7 @@
 //! lies. Each caller keeps its own accumulation expression.
 
 use crate::RouteConfig;
-use netlist::{CellId, Design, NetId, Placement};
+use netlist::{Design, NetId, Placement};
 
 /// Clamps one 1-D span into `[bound_lo, bound_hi]` and floors its extent
 /// at `ext` (recentered, re-clamped). Returns `(lo, hi, live)` where
@@ -112,28 +112,34 @@ impl Geom {
         }
     }
 
-    /// Rasterizes one net's RUDY demand into `out` as `(bin, amount)`
-    /// entries and returns the (extent-floored) half-perimeter. Demand
-    /// per unit area is `(w + h) / (w · h)`, so the amounts over a fully
-    /// interior box sum exactly to the half-perimeter — the conservation
-    /// property the tests pin down.
-    pub(crate) fn rasterize_net(
+    /// Bin containing the point `(x, y)`, row-major.
+    pub(crate) fn bin_of(&self, x: f64, y: f64) -> u32 {
+        (self.iy(y) * self.bins_x + self.ix(x)) as u32
+    }
+
+    /// The clamped, extent-floored bounding box of `net`'s pins, or
+    /// `None` for a net with fewer than two. Pin positions are read from
+    /// the design's topology slots (`x[slot_cell] + slot_dx`, the float
+    /// operations of [`Placement::pin_position`]).
+    pub(crate) fn net_box(
         &self,
         min_extent: f64,
         design: &Design,
         placement: &Placement,
         net: NetId,
-        out: &mut Vec<(u32, f64)>,
-    ) -> f64 {
-        out.clear();
-        let pins = design.net_pins(net);
-        if pins.len() < 2 {
-            return 0.0;
+    ) -> Option<NetBox> {
+        let topology = design.topology();
+        let slots = topology.net_slots(net);
+        if slots.len() < 2 {
+            return None;
         }
+        let (cell, dx, dy) = (topology.slot_cell(), topology.slot_dx(), topology.slot_dy());
+        let (xs, ys) = (placement.xs(), placement.ys());
         let (mut x0, mut x1) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut y0, mut y1) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &p in pins {
-            let (px, py) = placement.pin_position(design, p);
+        for s in slots {
+            let c = cell[s] as usize;
+            let (px, py) = (xs[c] + dx[s], ys[c] + dy[s]);
             x0 = x0.min(px);
             x1 = x1.max(px);
             y0 = y0.min(py);
@@ -141,40 +147,30 @@ impl Geom {
         }
         // Floored extents keep a collinear net on a finite area.
         let [(x0, x1, _), (y0, y1, _)] = self.clamp_box(x0, y0, x1, y1, min_extent);
-        let (w, h) = (x1 - x0, y1 - y0);
-        let perimeter = w + h;
-        let density = perimeter / (w * h);
+        Some([x0, y0, x1, y1])
+    }
+
+    /// Visits the RUDY demand of one net box as `(bin, amount)` for every
+    /// bin it puts a positive amount on, row by row. Demand per unit area
+    /// is `(w + h) / (w · h)`, so the amounts over a fully interior box
+    /// sum to the half-perimeter `w + h`. The same box always yields the
+    /// same amounts, bit for bit.
+    pub(crate) fn for_each_demand(&self, net_box: &NetBox, mut f: impl FnMut(usize, f64)) {
+        let [x0, y0, x1, y1] = *net_box;
+        let density = half_perimeter(net_box) / ((x1 - x0) * (y1 - y0));
         self.for_each_overlap(x0, y0, x1, y1, |bin, _, _, ox, oy| {
             let amount = density * ox * oy;
             if amount > 0.0 {
-                out.push((bin as u32, amount));
+                f(bin, amount);
             }
         });
-        perimeter
     }
+}
 
-    /// Rasterizes one cell's pin-density overlay into `out` as
-    /// `(bin, amount)` entries (one entry per distinct bin, accumulated
-    /// in the cell's pin order).
-    pub(crate) fn rasterize_cell(
-        &self,
-        pin_weight: f64,
-        design: &Design,
-        placement: &Placement,
-        cell: CellId,
-        out: &mut Vec<(u32, f64)>,
-    ) {
-        out.clear();
-        if pin_weight == 0.0 {
-            return;
-        }
-        for p in design.cell_pins(cell) {
-            let (px, py) = placement.pin_position(design, p);
-            let bin = (self.iy(py) * self.bins_x + self.ix(px)) as u32;
-            match out.iter_mut().find(|(b, _)| *b == bin) {
-                Some((_, amt)) => *amt += pin_weight,
-                None => out.push((bin, pin_weight)),
-            }
-        }
-    }
+/// A net's clamped, extent-floored bounding box `[x0, y0, x1, y1]`.
+pub(crate) type NetBox = [f64; 4];
+
+/// The half-perimeter `w + h` of a net box.
+pub(crate) fn half_perimeter(&[x0, y0, x1, y1]: &NetBox) -> f64 {
+    (x1 - x0) + (y1 - y0)
 }

@@ -12,24 +12,22 @@
 //! its routing capacity yields a utilization; utilization above 1 is
 //! *overflow* — the signature of a design that will not route.
 //!
-//! The crate has five parts:
+//! The crate has four parts:
 //!
 //! * `config` — the model's knobs ([`RouteConfig`]) and the summary every
 //!   front end reports ([`CongestionReport`]);
 //! * `geom` — the bin grid and the one box rule (clamp, bin index,
-//!   box × bin overlap) rasterization, blockage and the penalty gradient
+//!   box × bin overlap) net demand, blockage and the penalty gradient
 //!   share;
 //! * `map` — the snapshot ([`CongestionMap`]): summary, fingerprint,
 //!   heatmaps and [`CongestionMap::box_overflow`];
-//! * `layer` — the per-bin contribution lists and their canonical
-//!   order, rebuilt by the full scatter or the incremental splice;
 //! * `analyzer` — the full and incremental estimator
-//!   ([`CongestionAnalyzer`]) and the per-net exposures.
+//!   ([`CongestionAnalyzer`]), its fixed-point per-bin sums and the
+//!   per-net exposures.
 
 mod analyzer;
 mod config;
 mod geom;
-mod layer;
 mod map;
 
 pub use analyzer::CongestionAnalyzer;

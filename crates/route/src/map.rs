@@ -100,8 +100,9 @@ impl CongestionMap {
     }
 
     /// Sum of demand over every bin (wirelength units) — conserved: it
-    /// equals the sum of per-net half-perimeters plus the pin overlay,
-    /// up to floating-point reassociation.
+    /// equals the sum of per-net half-perimeters plus the pin overlay, up
+    /// to the rounding of each amount to the fixed-point unit and of this
+    /// sum.
     pub fn total_demand(&self) -> f64 {
         self.demand.iter().sum()
     }

@@ -55,11 +55,8 @@ pub enum ArcKind {
         drive_resistance: f64,
     },
     /// Wire arc from a net's driver to one sink; delay comes from the
-    /// placement-dependent RC tree.
-    Net {
-        /// The net this arc belongs to.
-        net: NetId,
-    },
+    /// placement-dependent RC tree. Its net is the sink pin's net.
+    Net,
 }
 
 /// A directed timing arc.
@@ -158,8 +155,6 @@ pub struct TimingGraph {
     /// Gate-arc parameters, indexed by arc id (cell arcs come first).
     pub(crate) intrinsic: Vec<f64>,
     pub(crate) drive_resistance: Vec<f64>,
-    /// Net of each net arc, indexed by `arc id − number of cell arcs`.
-    arc_net: Vec<NetId>,
     /// Rank → first slot entering it (plus a sentinel).
     in_start: Vec<u32>,
     /// Rank → first entry of its out-arc list (plus a sentinel).
@@ -231,13 +226,11 @@ impl TimingGraph {
                 drive_resistance.push(spec.drive_resistance);
             }
         }
-        let mut arc_net = Vec::new();
         for net in design.net_ids() {
             let driver = design.net_driver(net).index() as u32;
             for &sink in design.net_sinks(net) {
                 from_pin.push(driver);
                 to_pin.push(sink.index() as u32);
-                arc_net.push(net);
             }
         }
         let num_arcs = from_pin.len();
@@ -360,7 +353,6 @@ impl TimingGraph {
             slot_of,
             intrinsic,
             drive_resistance,
-            arc_net,
             in_start,
             out_start,
             out_slot,
@@ -387,14 +379,13 @@ impl TimingGraph {
     /// Arc accessor.
     pub fn arc(&self, id: ArcId) -> TimingArc {
         let slot = self.slot_of[id.index()] as usize;
-        let kind = match id.index().checked_sub(self.num_cell_arcs()) {
-            None => ArcKind::Cell {
+        let kind = if id.index() < self.num_cell_arcs() {
+            ArcKind::Cell {
                 intrinsic: self.intrinsic[id.index()],
                 drive_resistance: self.drive_resistance[id.index()],
-            },
-            Some(n) => ArcKind::Net {
-                net: self.arc_net[n],
-            },
+            }
+        } else {
+            ArcKind::Net
         };
         TimingArc {
             from: self.pin_at[self.arc_from[slot] as usize],

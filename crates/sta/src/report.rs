@@ -87,7 +87,7 @@ impl TimingPath {
         let mut pairs = Vec::with_capacity(self.elements.len() / 2 + 1);
         for arc in self.elements.iter().filter_map(|el| el.arc) {
             let a = sta.graph().arc(arc);
-            if matches!(a.kind, ArcKind::Net { .. }) {
+            if a.kind == ArcKind::Net {
                 pairs.push((a.from, a.to));
             }
         }

@@ -329,23 +329,23 @@ fn route_bits_are_pinned_on_suite_cases() {
     let golden = [
         Golden {
             case: "cg1",
-            peak: 0x4058b88c39b858fb,
-            average: 0x3ff3a5ff5f28362e,
-            overflow: 0x409219b0d7538730,
+            peak: 0x4058b88c39b85900,
+            average: 0x3ff3a5ff5f28362b,
+            overflow: 0x409219b0d753872f,
             overflow_bins: 36,
-            map_hash: 0x112f0ac7c3e59efe,
-            exposures: 0xa5fe593ba5d2fdbb,
-            boxes: 0x751dcd09b05dd2cc,
+            map_hash: 0x19702fc112d5af29,
+            exposures: 0xa657c171eb16fedd,
+            boxes: 0x9e02f2334460abca,
         },
         Golden {
             case: "sb18",
-            peak: 0x403179c99e2e1d4a,
-            average: 0x3fd8c87dcd098997,
-            overflow: 0x4073eb183e6d00be,
+            peak: 0x403179c99e2e1d4d,
+            average: 0x3fd8c87dcd098993,
+            overflow: 0x4073eb183e6d00bc,
             overflow_bins: 36,
-            map_hash: 0x86b93cae6358046c,
-            exposures: 0x77dbe0e818e94b8a,
-            boxes: 0x12f81e23e4d9cf31,
+            map_hash: 0xa66e88dcb46a9ef3,
+            exposures: 0x47c71f0f4b43d126,
+            boxes: 0x60b99cf0cc295055,
         },
     ];
     for g in golden {

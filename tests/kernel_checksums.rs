@@ -20,7 +20,7 @@ use efficient_tdp::tdp_jsonio::{self, JsonValue};
 use std::time::Instant;
 
 /// The trajectory point the gate compares against.
-const RECORD: &str = "BENCH_1.json";
+const RECORD: &str = "BENCH_2.json";
 /// Recorded, but its kernel (the per-net tree refresh the RC arena
 /// replaced) is deleted; `rc_refresh_full` holds the same checksums.
 const RETIRED: &str = "rc_refresh_legacy";

@@ -1,11 +1,12 @@
 //! The recorded perf trajectory is history with a contract: the
-//! checked-in `BENCH_0.json` and `BENCH_1.json` must stay canonical
-//! under the workspace's one JSON implementation, internally consistent,
-//! and must keep the speedups they were recorded for. `BENCH_0` records
-//! an at-least-1.5× arena-over-legacy RC refresh on every case;
-//! `BENCH_1` adds the interactive ECO kernels and a ≥5×
-//! incremental-over-full round-trip on every case at 1 thread.
-//! `tests/kernel_checksums.rs` recomputes `BENCH_1`'s checksums.
+//! checked-in `BENCH_<n>.json` files must stay canonical under the
+//! workspace's one JSON implementation, internally consistent, and must
+//! keep the speedups they were recorded for. `BENCH_0` records an
+//! at-least-1.5× arena-over-legacy RC refresh on every case; `BENCH_1`
+//! adds the interactive ECO kernels and a ≥5× incremental-over-full
+//! round-trip on every case at 1 thread; `BENCH_2` re-records the
+//! fixed-point route demand. `tests/kernel_checksums.rs` recomputes
+//! `BENCH_2`'s checksums.
 
 use efficient_tdp::tdp_jsonio::{self, JsonValue};
 
@@ -121,6 +122,13 @@ fn bench_seed_checksums_are_thread_consistent() {
 #[test]
 fn bench_1_is_a_consistent_encode_fixpoint() {
     let (text, rows) = load("BENCH_1.json");
+    assert_canonical(&text);
+    assert_thread_consistent(&rows);
+}
+
+#[test]
+fn bench_2_is_a_consistent_encode_fixpoint() {
+    let (text, rows) = load("BENCH_2.json");
     assert_canonical(&text);
     assert_thread_consistent(&rows);
 }

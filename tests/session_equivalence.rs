@@ -179,7 +179,7 @@ fn session_method_matrix_matches_four_cold_runs_bitwise() {
                 0x40c5af7b14fec277,
                 180,
                 0x3857c5f3eedf5193,
-                0x8e35aa4f642f845c,
+                0xcc3cfc409d036f64,
             ),
         ),
     ];
